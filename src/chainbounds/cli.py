@@ -20,15 +20,16 @@ from .chain_core import (
     ChainData,
     GeneratorMatrix,
     check_invariant,
+    is_irreducible,
     load_chain,
     make_distribution,
     make_observable,
     radon_nikodym_norm,
     stationary_distribution,
 )
-from .errors import ChainBoundsError, SchemaError
+from .errors import ChainBoundsError, NotIrreducible, SchemaError
 from .exact_oracle import exact_mgf_continuous, exact_mgf_discrete
-from .simulate import SimConfig, empirical_mgf, empirical_tail
+from .simulate import SimConfig, empirical_mgf, path_averages, tail_report
 from .spectral import (
     gap_report,
     generator_gap_report,
@@ -235,10 +236,8 @@ def _cmd_verify(args) -> int:
     deltas = _parse_floats(args.delta_grid)
     if not deltas:
         raise SchemaError("--delta-grid needs at least one value")
-    rows = []
-    all_consistent = True
-    for delta in deltas:
-        query = bounds_mod.BoundQuery(
+    bounds = [
+        bounds_mod.tail_bound(bounds_mod.BoundQuery(
             mode=chain.kind,
             delta=delta,
             M=obs.M,
@@ -247,19 +246,25 @@ def _cmd_verify(args) -> int:
             p=p,
             nu_norm=nu_norm,
             **horizon_kwargs,
-        )
-        bound = bounds_mod.tail_bound(query)
-        config = SimConfig(
-            replicas=args.replicas,
-            seed=args.seed,
-            init=nu,
-            delta=delta,
-            alpha=args.alpha,
-            **horizon_kwargs,
-        )
-        report = empirical_tail(config, chain.operator, obs, bound=bound)
-        rows.append((delta, report))
-        all_consistent &= bool(report.consistent)
+        ))
+        for delta in deltas
+    ]
+    if chain.kind == "continuous" and not is_irreducible(chain.generator):
+        raise NotIrreducible("bound comparison requested for a reducible generator")
+    config = SimConfig(
+        replicas=args.replicas,
+        seed=args.seed,
+        init=nu,
+        alpha=args.alpha,
+        **horizon_kwargs,
+    )
+    # one simulation for the whole grid: each delta thresholds the same paths
+    averages = path_averages(config, chain.operator, obs)
+    rows = [
+        (delta, tail_report(averages, delta, args.seed, args.alpha, bound))
+        for delta, bound in zip(deltas, bounds)
+    ]
+    all_consistent = all(report.consistent for _, report in rows)
     if args.output_format == "json":
         _emit_json([
             {"param": delta, **report.to_dict()} for delta, report in rows

@@ -3,11 +3,18 @@
 Randomness is organized as counter-based per-replica substreams: replica r
 of a run seeded with s draws from ``Philox(SeedSequence(s, spawn_key=(r,)))``,
 so reports are bit-reproducible, independent of evaluation order, and
-stable when the replica count changes. Jump processes are sampled by their
+stable when the replica count changes. Chain paths draw each replica's
+stream in horizon blocks of a fixed total size, so memory is O(replicas x
+block) whatever the horizon; jump processes are sampled by their
 holding-time representation (no uniformization), which makes time
-integrals of observables exact given the path. Tail estimates carry exact
-Clopper-Pearson confidence intervals; MGF estimates use a normal
-approximation with an honest heavy-tail warning.
+integrals of observables exact given the path. Both pick the next state by
+bisection over clamped row CDFs.
+
+``path_averages`` simulates once; ``tail_report`` thresholds its output at
+one delta, so a whole delta grid (as in the CLI's ``verify``) costs one
+simulation. Tail estimates carry exact Clopper-Pearson confidence
+intervals; MGF estimates use a normal approximation with an honest
+heavy-tail warning.
 """
 
 from __future__ import annotations
@@ -17,8 +24,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
-from scipy.stats import norm as _norm_dist
+from scipy.special import betaincinv, ndtri
 
 from .bounds import BoundResult
 from .chain_core import (
@@ -137,11 +143,11 @@ def clopper_pearson(successes: int, trials: int, alpha: float = DEFAULT_ALPHA):
     if successes == 0:
         low = 0.0
     else:
-        low = float(_beta_dist.ppf(half, successes, trials - successes + 1))
+        low = float(betaincinv(successes, trials - successes + 1, half))
     if successes == trials:
         high = 1.0
     else:
-        high = float(_beta_dist.ppf(1.0 - half, successes + 1, trials - successes))
+        high = float(betaincinv(successes + 1, trials - successes, 1.0 - half))
     if successes == 0:
         high = 1.0 - half ** (1.0 / trials)
     if successes == trials:
@@ -159,9 +165,35 @@ def _pick(cdf_row: np.ndarray, u: float) -> int:
     return min(int(np.searchsorted(cdf_row, u, side="right")), cdf_row.size - 1)
 
 
-def _pick_rows(cdf: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-    idx = (cdf[states] <= u[:, None]).sum(axis=1)
-    return np.minimum(idx, cdf.shape[1] - 1)
+def _pick_table(cdf: np.ndarray) -> np.ndarray:
+    """Row CDFs clamped to <= 1 and padded to a power-of-two width with 2.0.
+
+    Clamping makes every row non-decreasing (a cumsum that rounds above 1
+    before its last column, which ``_cdf_rows`` resets to 1.0, would not
+    be), and changes no comparison with a uniform u < 1.
+    """
+    states = cdf.shape[1]
+    table = np.full((cdf.shape[0], 1 << (states - 1).bit_length()), 2.0)
+    table[:, :states] = np.minimum(cdf, 1.0)
+    return table
+
+
+def _pick_rows(table: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Next states: ``(cdf[states] <= u).sum(axis=1)`` for u in [0, 1).
+
+    Bisection over the rows of ``_pick_table``: log2(width) gathers per
+    replica instead of a compare over every state. The last CDF column is
+    1.0 > u, so the count never exceeds the last state.
+    """
+    width = table.shape[1]
+    flat = table.ravel()
+    start = states * width
+    pos = start - 1  # flat index of the last entry known to be <= u
+    step = width >> 1
+    while step:
+        pos += step * (flat[pos + step] <= u)
+        step >>= 1
+    return pos + 1 - start
 
 
 def sample_dtmc(
@@ -244,24 +276,43 @@ def sample_ctmc(
             state = _pick(jump_cdf[state], jumps[j])
 
 
+# Uniforms held per horizon block, summed over replicas (8 MB of float64).
+_DRAW_BUDGET = 1 << 20
+
+
+def _draw_block(replicas: int) -> int:
+    """Steps per horizon block of ``_dtmc_sums`` for this many replicas."""
+    return max(1, _DRAW_BUDGET // replicas)
+
+
 def _dtmc_sums(
     P: TransitionMatrix, init: Distribution, fv: np.ndarray,
     n: int, seed: int, replicas: int,
 ) -> np.ndarray:
-    """Per-replica sums of f along length-n paths (matches sample_dtmc)."""
-    u = np.empty((replicas, n))
-    for r in range(replicas):
-        u[r] = replica_rng(seed, r).random(n)
-    cdf = _cdf_rows(P.entries)
+    """Per-replica sums of f along length-n paths (matches sample_dtmc).
+
+    Each replica's stream is drawn in horizon blocks of ``_draw_block``
+    steps; consecutive ``random(k)`` calls continue one stream, so the
+    sums equal those of single ``random(n)`` draws.
+    """
+    rngs = [replica_rng(seed, r) for r in range(replicas)]
+    table = _pick_table(_cdf_rows(P.entries))
     init_cdf = np.cumsum(init.weights)
     init_cdf[-1] = 1.0
-    states = np.minimum(
-        np.searchsorted(init_cdf, u[:, 0], side="right"), init_cdf.size - 1
-    )
-    sums = fv[states].astype(float)
-    for k in range(1, n):
-        states = _pick_rows(cdf, states, u[:, k])
-        sums += fv[states]
+    u = np.empty((min(n, _draw_block(replicas)), replicas))
+    for start in range(0, n, len(u)):
+        draws = u[: n - start]
+        for r, rng in enumerate(rngs):
+            draws[:, r] = rng.random(len(draws))
+        for k, uk in enumerate(draws, start):
+            if k == 0:
+                states = np.minimum(
+                    np.searchsorted(init_cdf, uk, side="right"), init_cdf.size - 1
+                )
+                sums = fv[states].astype(float)
+            else:
+                states = _pick_rows(table, states, uk)
+                sums += fv[states]
     return sums
 
 
@@ -271,25 +322,25 @@ def _ctmc_integrals(
 ) -> np.ndarray:
     """Per-replica time integrals of f over [0, t] (matches sample_ctmc)."""
     block = _ctmc_block_size(Q, t)
+    rates = -Q.entries.diagonal()
+    table = _pick_table(_jump_cdf(Q))
+    init_cdf = np.cumsum(init.weights)
+    init_cdf[-1] = 1.0
     # replica chunks keep the (replicas x block) draw buffers bounded
     chunk = max(1, int(2e7 // max(block, 1)))
     out = np.empty(replicas)
     for start in range(0, replicas, chunk):
         stop = min(start + chunk, replicas)
         out[start:stop] = _ctmc_integrals_chunk(
-            Q, init, fv, t, seed, range(start, stop), block
+            rates, table, init_cdf, fv, t, seed, range(start, stop), block
         )
     return out
 
 
 def _ctmc_integrals_chunk(
-    Q: GeneratorMatrix, init: Distribution, fv: np.ndarray,
+    rates: np.ndarray, table: np.ndarray, init_cdf: np.ndarray, fv: np.ndarray,
     t: float, seed: int, replica_ids, block: int,
 ) -> np.ndarray:
-    rates = -Q.entries.diagonal()
-    jump_cdf = _jump_cdf(Q)
-    init_cdf = np.cumsum(init.weights)
-    init_cdf[-1] = 1.0
     rngs = [replica_rng(seed, r) for r in replica_ids]
     replicas = len(rngs)
     u0 = np.array([rng.random() for rng in rngs])
@@ -322,7 +373,7 @@ def _ctmc_integrals_chunk(
             acc[cont] += fv[st[cont]] * hold[cont]
             rem[cont] -= hold[cont]
             if cont.any():
-                st[cont] = _pick_rows(jump_cdf, st[cont], jumps[cont, j])
+                st[cont] = _pick_rows(table, st[cont], jumps[cont, j])
             if not alive.any():
                 break
         integrals[active] += acc
@@ -353,6 +404,46 @@ def _path_functionals(config: SimConfig, op, f: Observable) -> tuple[np.ndarray,
     return integrals, float(config.t)
 
 
+def path_averages(config: SimConfig, op, f: Observable) -> np.ndarray:
+    """Per-replica time averages of f over the configured horizon.
+
+    These are S_n / n for chains and (1/t) int_0^t f for jump processes.
+    One simulation serves every tail threshold: ``tail_report`` turns the
+    averages into the estimate for one delta.
+    """
+    totals, horizon = _path_functionals(config, op, f)
+    return totals / horizon
+
+
+def tail_report(
+    averages: np.ndarray, delta: float, seed: int,
+    alpha: float = DEFAULT_ALPHA, bound: BoundResult | None = None,
+) -> SimReport:
+    """Estimate P(|time average| >= delta) from ``path_averages`` output.
+
+    The interval is exact Clopper-Pearson at level ``alpha``; with a
+    ``bound`` the report records whether it is consistent with the data
+    (bound >= lower CI limit). ``seed`` is the simulation's seed, recorded
+    in the report.
+    """
+    replicas = int(averages.size)
+    hits = int(np.count_nonzero(np.abs(averages) >= delta))
+    low, high = clopper_pearson(hits, replicas, alpha)
+    consistent = None
+    if bound is not None:
+        consistent = bool(bound.probability_bound >= low)
+    return SimReport(
+        kind="tail",
+        estimate=hits / replicas,
+        ci_low=low,
+        ci_high=high,
+        replicas_used=replicas,
+        seed=seed,
+        bound_compared=bound,
+        consistent=consistent,
+    )
+
+
 def empirical_tail(
     config: SimConfig, op, f: Observable, bound: BoundResult | None = None
 ) -> SimReport:
@@ -368,22 +459,8 @@ def empirical_tail(
         raise NotIrreducible(
             "bound comparison requested for a reducible generator"
         )
-    totals, horizon = _path_functionals(config, op, f)
-    hits = int(np.count_nonzero(np.abs(totals / horizon) >= config.delta))
-    estimate = hits / config.replicas
-    low, high = clopper_pearson(hits, config.replicas, config.alpha)
-    consistent = None
-    if bound is not None:
-        consistent = bool(bound.probability_bound >= low)
-    return SimReport(
-        kind="tail",
-        estimate=estimate,
-        ci_low=low,
-        ci_high=high,
-        replicas_used=config.replicas,
-        seed=config.seed,
-        bound_compared=bound,
-        consistent=consistent,
+    return tail_report(
+        path_averages(config, op, f), config.delta, config.seed, config.alpha, bound
     )
 
 
@@ -405,7 +482,7 @@ def empirical_mgf(
         sd = float(samples.std(ddof=1))
     else:
         sd = 0.0
-    z = float(_norm_dist.ppf(1.0 - config.alpha / 2.0))
+    z = float(ndtri(1.0 - config.alpha / 2.0))
     half_width = z * sd / math.sqrt(config.replicas)
     top = max(1, int(0.01 * config.replicas))
     top_share = float(np.sort(samples)[-top:].sum()) / max(float(samples.sum()), 1e-300)

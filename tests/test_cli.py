@@ -203,6 +203,34 @@ class TestVerify:
         assert rc == 0
         assert out.splitlines()[1].split(",")[5] == "true"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("kind", ["discrete", "continuous"])
+    def test_grid_equals_single_delta_runs(self, tmp_path, capsys, kind, fmt):
+        if kind == "discrete":
+            path, horizon = _four_state_file(tmp_path), ["--n", "60"]
+        else:
+            path = _chain_file(tmp_path, {
+                "labels": ["x", "y", "z"],
+                "Q": [[-2, 1, 1], [1, -1, 0], [2, 2, -4]],
+                "f": [1, -1, 0.5],
+            })
+            horizon = ["--t", "5"]
+        common = ["verify", path, *horizon, "--replicas", "300", "--seed", "17",
+                  "--output-format", fmt]
+        grid = ["0.05", "0.1", "0.3"]
+        assert cli.main(common + ["--delta-grid", ",".join(grid)]) == 0
+        whole = capsys.readouterr().out
+        parts = []
+        for delta in grid:
+            assert cli.main(common + ["--delta-grid", delta]) == 0
+            parts.append(capsys.readouterr().out)
+        if fmt == "csv":
+            lines = whole.splitlines()
+            assert lines[0] == cli.VERIFY_CSV_HEADER
+            assert lines[1:] == [part.splitlines()[1] for part in parts]
+        else:
+            assert json.loads(whole) == [json.loads(part)[0] for part in parts]
+
     def test_point_mass_nu(self, tmp_path, capsys):
         path = _four_state_file(tmp_path, nu=[1, 0, 0, 0])
         rc = cli.main([
@@ -213,14 +241,14 @@ class TestVerify:
 
     def test_violation_exits_one(self, tmp_path, capsys, monkeypatch):
         # force an inconsistent report to exercise the exit-1 contract
-        def fake_tail(config, op, f, bound=None):
+        def fake_tail(averages, delta, seed, alpha=0.05, bound=None):
             return cb.SimReport(
                 kind="tail", estimate=0.9, ci_low=0.8, ci_high=0.95,
-                replicas_used=config.replicas, seed=config.seed,
+                replicas_used=averages.size, seed=seed,
                 bound_compared=bound, consistent=False,
             )
 
-        monkeypatch.setattr(cli, "empirical_tail", fake_tail)
+        monkeypatch.setattr(cli, "tail_report", fake_tail)
         rc = cli.main([
             "verify", _four_state_file(tmp_path), "--n", "10",
             "--delta-grid", "0.9", "--replicas", "10", "--seed", "0",

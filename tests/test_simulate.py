@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +11,16 @@ import pytest
 import chainbounds as cb
 from chainbounds import errors
 from chainbounds.examples import zero_absolute_gap_chain
-from chainbounds.simulate import _ctmc_integrals, _dtmc_sums, replica_rng
+from chainbounds.simulate import (
+    _cdf_rows,
+    _ctmc_integrals,
+    _draw_block,
+    _dtmc_sums,
+    _jump_cdf,
+    _pick_rows,
+    _pick_table,
+    replica_rng,
+)
 from conftest import random_transition
 
 
@@ -88,6 +102,27 @@ class TestSamplers:
             segs = cb.sample_ctmc(Q, muq, 20.0, replica_rng(6, r))
             manual = sum(fq[s] * d for s, d in segs)
             assert manual == pytest.approx(ints[r], abs=1e-12)
+        # horizons on both sides of the draw-block boundaries
+        replicas = 4096
+        block = _draw_block(replicas)
+        assert block > 2
+        for n in (1, block - 1, block, block + 1, 2 * block + 3):
+            sums = _dtmc_sums(P, mu, fv, n, seed=8, replicas=replicas)
+            for r in (0, 1, replicas // 2, replicas - 1):
+                path = cb.sample_dtmc(P, mu, n, replica_rng(8, r))
+                assert fv[path].sum() == sums[r]
+
+    def test_dtmc_memory_bounded_in_horizon(self):
+        P = zero_absolute_gap_chain()
+        fv = np.array([1.0, 0.0, 0.0, -1.0])
+        replicas, n = 2000, 5000
+        tracemalloc.start()
+        try:
+            _dtmc_sums(P, _uniform(4), fv, n, seed=1, replicas=replicas)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < replicas * n * 8 / 4
 
     def test_replica_streams_stable_under_run_size(self):
         P = zero_absolute_gap_chain()
@@ -96,6 +131,60 @@ class TestSamplers:
         small = _dtmc_sums(P, mu, fv, 10, seed=7, replicas=50)
         large = _dtmc_sums(P, mu, fv, 10, seed=7, replicas=120)
         assert (small == large[:50]).all()
+
+
+def _reference_pick(cdf, states, u):
+    # the O(states) compare-and-sum pick that the bisection replaced
+    idx = (cdf[states] <= u[:, None]).sum(axis=1)
+    return np.minimum(idx, cdf.shape[1] - 1)
+
+
+class TestPick:
+    def _check(self, cdf, states, u):
+        got = _pick_rows(_pick_table(cdf), states, u)
+        assert (got == _reference_pick(cdf, states, u)).all()
+
+    def _check_all_rows(self, cdf, rng):
+        rows = cdf.shape[0]
+        states = np.repeat(np.arange(rows), 200)
+        self._check(cdf, states, rng.random(states.size))
+        # ties: u equal to each entry below 1, and u = 0
+        ties = [(i, v) for i in range(rows) for v in cdf[i] if v < 1.0]
+        ties += [(i, 0.0) for i in range(rows)]
+        self._check(
+            cdf, np.array([i for i, _ in ties]), np.array([v for _, v in ties])
+        )
+
+    def test_random_sizes_with_zero_columns(self):
+        rng = np.random.default_rng(21)
+        for size in (1, 2, 3, 5, 7, 8, 9, 16, 33):
+            m = rng.random((size, size)) * (rng.random((size, size)) < 0.6)
+            m[np.arange(size), rng.integers(size, size=size)] += 0.1
+            m /= m.sum(axis=1)[:, None]
+            self._check_all_rows(_cdf_rows(m), rng)
+
+    def test_single_state(self):
+        cdf = _cdf_rows(np.ones((1, 1)))
+        self._check(cdf, np.zeros(50, dtype=np.int64), np.random.default_rng(0).random(50))
+
+    def test_cumsum_above_one_before_trailing_zeros(self):
+        w = [0.06608543566714709, 0.15129268322537182,
+             0.34649597022454254, 0.43612591088293867]
+        m = np.array([w + [0.0, 0.0], [0.0, 0.0] + w, [0.0] + w + [0.0]])
+        cdf = _cdf_rows(m)
+        assert cdf[0, 3] > 1.0 and cdf[0, -1] == 1.0
+        self._check_all_rows(cdf, np.random.default_rng(1))
+        u = np.nextafter(1.0, 0.0)
+        self._check(cdf, np.arange(3), np.full(3, u))
+
+    def test_absorbing_self_loop_rows(self):
+        Q = cb.validate_generator(
+            [[-1, 1, 0, 0, 0], [0, 0, 0, 0, 0], [2, 1, -4, 1, 0],
+             [0, 0, 0, 0, 0], [0, 0, 0, 3, -3]]
+        )
+        cdf = _jump_cdf(Q)
+        assert cdf[1].tolist() == [0.0, 1.0, 1.0, 1.0, 1.0]
+        self._check_all_rows(cdf, np.random.default_rng(2))
 
 
 class TestClopperPearson:
@@ -111,6 +200,40 @@ class TestClopperPearson:
         low, high = cb.clopper_pearson(5, 100, 0.05)
         assert low == pytest.approx(0.0164, abs=1e-3)
         assert high == pytest.approx(0.1128, abs=1e-3)
+
+    def test_matches_scipy_stats_beta_quantiles(self):
+        from scipy.stats import beta
+
+        def reference(successes, trials, alpha):
+            half = alpha / 2.0
+            low = 0.0 if successes == 0 else float(
+                beta.ppf(half, successes, trials - successes + 1))
+            high = 1.0 if successes == trials else float(
+                beta.ppf(1.0 - half, successes + 1, trials - successes))
+            if successes == 0:
+                high = 1.0 - half ** (1.0 / trials)
+            if successes == trials:
+                low = half ** (1.0 / trials)
+            return low, high
+
+        cells = 0
+        for trials in np.unique(np.logspace(0, 5, 40).astype(int)).tolist():
+            for successes in {0, 1, 2, trials // 3, trials // 2, trials - 1, trials}:
+                if not 0 <= successes <= trials:
+                    continue
+                for alpha in (0.01, 0.05, 0.1, 0.3):
+                    got = cb.clopper_pearson(successes, trials, alpha)
+                    assert got == reference(successes, trials, alpha)
+                    cells += 1
+        assert cells > 500
+
+    def test_cli_import_skips_scipy_stats(self):
+        src = str(Path(cb.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, chainbounds.cli; sys.exit('scipy.stats' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+        assert done.returncode == 0
 
     def test_invalid_counts(self):
         with pytest.raises(errors.InvalidCounts):
