@@ -1,15 +1,16 @@
 """Closed-form Bernstein-type moment and tail bounds with exact constants.
 
-Evaluates, for a chain or jump process with iterated Poincare gap eta_p
-and a centered observable with |f| <= M and Var <= sigma^2:
+Evaluates, for a chain over n steps or a jump process over time t, with
+iterated Poincare gap eta_p and a centered observable with |f| <= M and
+Var <= sigma^2. The two time scales share every formula and differ only in
+the constant a = 2 + 6 eta_p (discrete) or a = 2 (continuous):
 
-* the exponential-moment bounds
-  ``exp(n sigma M theta^2 (2 + 6 eta_p) / (c(theta) eta_p))`` (discrete) and
-  ``exp(2 sigma M theta^2 t / (c(theta) eta_p))`` (continuous), valid for
-  ``|theta| < eta_p / (2 M)`` with ``c(theta) = sqrt(1 - 4 theta^2 M^2 / eta_p^2)``;
-* the assembled two-sided tail bounds
-  ``2 ||nu/mu||_{L_p,mu} exp(-n eta_p delta^2 / (4 q M sqrt((2+6 eta_p)^2 sigma^2 + delta^2)))``
-  and its continuous-time analogue with ``sqrt(4 sigma^2 + delta^2)``,
+* the exponential-moment bound
+  ``exp(a sigma M theta^2 n / (c(theta) eta_p))`` (t in place of n), valid
+  for ``|theta| < eta_p / (2 M)`` with
+  ``c(theta) = sqrt(1 - 4 theta^2 M^2 / eta_p^2)``;
+* the assembled two-sided tail bound
+  ``2 ||nu/mu||_{L_p,mu} exp(-n eta_p delta^2 / (4 q M sqrt(a^2 sigma^2 + delta^2)))``,
   where q = p/(p-1).
 
 Exponents are computed first and exponentiated last; bounds at or above 1
@@ -154,43 +155,47 @@ def c_theta(theta: float, M: float, eta_p: float) -> float:
     return math.sqrt(1.0 - (2.0 * theta * M / eta_p) ** 2)
 
 
-def mgf_bound_discrete(theta: float, n: int, M: float, sigma: float, eta_p: float) -> float:
-    """Exponential-moment bound for the n-step sum of a centered observable.
+def _a(mode: str, eta_p: float) -> float:
+    # the only constant that differs between the two time scales
+    if mode == "discrete":
+        return 2.0 + 6.0 * eta_p
+    if mode == "continuous":
+        return 2.0
+    raise InvalidQuery(f"unknown mode {mode!r}")
 
+
+def mgf_bound(mode: str, theta: float, horizon: float, M: float, sigma: float,
+              eta_p: float) -> float:
+    """Exponential-moment bound for the n-step sum or the integral over [0, t].
+
+    ``horizon`` is n for ``mode='discrete'`` and t for ``'continuous'``;
     ``sigma`` is the standard-deviation bound (sqrt of the variance proxy).
     Always >= 1; equals 1 at theta = 0.
     """
-    if n < 1:
+    a = _a(mode, eta_p)
+    if mode == "discrete" and horizon < 1:
         raise InvalidQuery("n must be >= 1")
-    c = c_theta(theta, M, eta_p)
-    return _exp(n * sigma * M * theta**2 * (2.0 + 6.0 * eta_p) / (c * eta_p))
-
-
-def mgf_bound_continuous(theta: float, t: float, M: float, sigma: float, eta_p: float) -> float:
-    """Exponential-moment bound for the time integral over [0, t]."""
-    if t < 0:
+    if mode == "continuous" and horizon < 0:
         raise InvalidQuery("t must be >= 0")
     c = c_theta(theta, M, eta_p)
-    return _exp(2.0 * sigma * M * theta**2 * t / (c * eta_p))
+    # the operand orders n sigma M theta^2 a (discrete) and a sigma M theta^2 t
+    # (continuous) round differently; each mode keeps its own
+    lead, trail = (horizon, a) if mode == "discrete" else (a, horizon)
+    return _exp(lead * sigma * M * theta**2 * trail / (c * eta_p))
 
 
-def optimal_theta_discrete(delta: float, M: float, sigma: float, eta_p: float, q: float) -> float:
-    """Chernoff parameter minimizing the assembled discrete tail bound.
+def optimal_theta(mode: str, delta: float, M: float, sigma: float, eta_p: float,
+                  q: float) -> float:
+    """Chernoff parameter minimizing the assembled tail bound.
 
-    ``delta eta_p / (2 q M sqrt((2 + 6 eta_p)^2 sigma^2 + delta^2))``;
-    zero at delta = 0, on the validity boundary when sigma = 0.
+    ``delta eta_p / (2 q M sqrt(a^2 sigma^2 + delta^2))`` with a = 2 + 6 eta_p
+    (discrete) or a = 2 (continuous); zero at delta = 0, on the validity
+    boundary when sigma = 0.
     """
+    a = _a(mode, eta_p)
     if delta == 0.0:
         return 0.0
-    radical = math.sqrt((2.0 + 6.0 * eta_p) ** 2 * sigma**2 + delta**2)
-    return delta * eta_p / (2.0 * q * M * radical)
-
-
-def optimal_theta_continuous(delta: float, M: float, sigma: float, eta_p: float, q: float) -> float:
-    """Continuous-time analogue, with radical sqrt(4 sigma^2 + delta^2)."""
-    if delta == 0.0:
-        return 0.0
-    radical = math.sqrt(4.0 * sigma**2 + delta**2)
+    radical = math.sqrt(a**2 * sigma**2 + delta**2)
     return delta * eta_p / (2.0 * q * M * radical)
 
 
@@ -207,41 +212,18 @@ def _assemble(query: BoundQuery, exponent: float, theta: float, c: float,
     )
 
 
-def tail_bound_discrete(query: BoundQuery) -> BoundResult:
-    """Two-sided tail bound P(|1/n sum f(Z_k)| >= delta) for discrete time."""
-    if query.mode != "discrete":
-        raise InvalidQuery("query mode must be 'discrete'")
-    sigma = math.sqrt(query.sigma2)
-    delta, M, eta, q = query.delta, query.M, query.eta_p, query.q
-    theta = optimal_theta_discrete(delta, M, sigma, eta, q)
-    if delta == 0.0:
-        return _assemble(query, 0.0, 0.0, 1.0, False)
-    radical = math.sqrt((2.0 + 6.0 * eta) ** 2 * query.sigma2 + delta**2)
-    exponent = -query.n * eta * delta**2 / (4.0 * q * M * radical)
-    c = (2.0 + 6.0 * eta) * sigma / radical
-    return _assemble(query, exponent, theta, c, boundary=sigma == 0.0)
-
-
-def tail_bound_continuous(query: BoundQuery) -> BoundResult:
-    """Two-sided tail bound P(|1/t int f(Z_s) ds| >= delta) for continuous time."""
-    if query.mode != "continuous":
-        raise InvalidQuery("query mode must be 'continuous'")
-    sigma = math.sqrt(query.sigma2)
-    delta, M, eta, q = query.delta, query.M, query.eta_p, query.q
-    theta = optimal_theta_continuous(delta, M, sigma, eta, q)
-    if delta == 0.0:
-        return _assemble(query, 0.0, 0.0, 1.0, False)
-    radical = math.sqrt(4.0 * query.sigma2 + delta**2)
-    exponent = -query.t * eta * delta**2 / (4.0 * q * M * radical)
-    c = 2.0 * sigma / radical
-    return _assemble(query, exponent, theta, c, boundary=sigma == 0.0)
-
-
 def tail_bound(query: BoundQuery) -> BoundResult:
-    """Dispatch on the query mode."""
-    if query.mode == "discrete":
-        return tail_bound_discrete(query)
-    return tail_bound_continuous(query)
+    """Two-sided tail bound P(|time average of f| >= delta) over the horizon."""
+    sigma = math.sqrt(query.sigma2)
+    delta, M, eta, q = query.delta, query.M, query.eta_p, query.q
+    theta = optimal_theta(query.mode, delta, M, sigma, eta, q)
+    if delta == 0.0:
+        return _assemble(query, 0.0, 0.0, 1.0, False)
+    a = _a(query.mode, eta)
+    radical = math.sqrt(a**2 * query.sigma2 + delta**2)
+    exponent = -query.horizon * eta * delta**2 / (4.0 * q * M * radical)
+    c = a * sigma / radical
+    return _assemble(query, exponent, theta, c, boundary=sigma == 0.0)
 
 
 def bound_sweep(query_template: BoundQuery, sweep_axis: str, values) -> list[BoundResult]:

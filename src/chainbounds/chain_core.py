@@ -247,10 +247,6 @@ def make_distribution(weights, space=None, tolerance: float = ROW_SUM_TOLERANCE)
     return Distribution(space, _freeze(w), support)
 
 
-def uniform_distribution(space: StateSpace) -> Distribution:
-    return make_distribution(np.full(space.size, 1.0 / space.size), space)
-
-
 def _support_graph(op: ChainOperator) -> np.ndarray:
     a = op.entries > 0
     if isinstance(op, GeneratorMatrix):
@@ -389,14 +385,6 @@ def adjoint(P: TransitionMatrix, mu: Distribution) -> TransitionMatrix:
     check_invariant(P, mu)
     star = (w[None, :] * P.entries.T) / w[:, None]
     return validate_transition_matrix(star, P.space, P.row_sum_tolerance)
-
-
-def additive_symmetrization(P: TransitionMatrix, mu: Distribution) -> TransitionMatrix:
-    """The self-adjoint average (P + P*)/2, row-stochastic with invariant mu."""
-    star = adjoint(P, mu)
-    return validate_transition_matrix(
-        0.5 * (P.entries + star.entries), P.space, P.row_sum_tolerance
-    )
 
 
 def radon_nikodym_norm(nu: Distribution, mu: Distribution, p: float) -> float:

@@ -18,7 +18,6 @@ from . import bounds as bounds_mod
 from . import examples as examples_mod
 from .chain_core import (
     ChainData,
-    GeneratorMatrix,
     check_invariant,
     is_irreducible,
     load_chain,
@@ -32,9 +31,7 @@ from .exact_oracle import exact_mgf_continuous, exact_mgf_discrete
 from .simulate import SimConfig, empirical_mgf, path_averages, tail_report
 from .spectral import (
     gap_report,
-    generator_gap_report,
     ip_gap,
-    ip_gap_generator,
     numerical_radius_complex,
     numerical_radius_real,
     pseudo_gap,
@@ -108,6 +105,19 @@ def _centered_observable(values, mu):
     return obs
 
 
+def _horizon_and_eta(chain: ChainData, args, mu) -> tuple[dict, float]:
+    """The ``{"n": ...}`` or ``{"t": ...}`` horizon of the run, and eta_p."""
+    if chain.kind == "discrete":
+        if args.n is None:
+            raise SchemaError("discrete chains need --n")
+        horizon = {"n": args.n}
+    else:
+        if args.t is None:
+            raise SchemaError("jump processes need --t")
+        horizon = {"t": args.t}
+    return horizon, ip_gap(chain.operator, mu)
+
+
 def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
@@ -119,10 +129,7 @@ def _emit_json(obj) -> None:
 def _cmd_gaps(args) -> int:
     chain = load_chain(args.chain)
     mu = _resolve_mu(chain)
-    if chain.kind == "discrete":
-        report = gap_report(chain.transition, mu, k_max=args.pseudo_kmax)
-    else:
-        report = generator_gap_report(chain.generator, mu)
+    report = gap_report(chain.operator, mu, k_max=args.pseudo_kmax)
     if args.output_format == "human":
         d = report.to_dict()
         for key in ("eta_p", "eta_s", "eta_a", "eta"):
@@ -169,25 +176,14 @@ def _cmd_mgf(args) -> int:
     obs = _centered_observable(_resolve_f(chain, args.f), mu)
     sigma = math.sqrt(obs.sigma2)
     theta = args.theta
-    if chain.kind == "discrete":
-        if args.n is None:
-            raise SchemaError("discrete chains need --n")
-        eta = ip_gap(chain.transition, mu)
-        exact = exact_mgf_discrete(chain.transition, mu, obs, theta, args.n)
-        horizon = {"n": args.n}
-    else:
-        if args.t is None:
-            raise SchemaError("jump processes need --t")
-        eta = ip_gap_generator(chain.generator, mu)
-        exact = exact_mgf_continuous(chain.generator, mu, obs, theta, args.t)
-        horizon = {"t": args.t}
+    horizon, eta = _horizon_and_eta(chain, args, mu)
+    (length,) = horizon.values()
+    exact_mgf = exact_mgf_discrete if chain.kind == "discrete" else exact_mgf_continuous
+    exact = exact_mgf(chain.operator, mu, obs, theta, length)
     in_range = obs.M > 0 and abs(theta) < eta / (2.0 * obs.M)
     bound = None
     if in_range:
-        if chain.kind == "discrete":
-            bound = bounds_mod.mgf_bound_discrete(theta, args.n, obs.M, sigma, eta)
-        else:
-            bound = bounds_mod.mgf_bound_continuous(theta, args.t, obs.M, sigma, eta)
+        bound = bounds_mod.mgf_bound(chain.kind, theta, length, obs.M, sigma, eta)
     empirical = None
     if args.replicas is not None:
         config = SimConfig(
@@ -223,16 +219,7 @@ def _cmd_verify(args) -> int:
     nu = _resolve_nu(chain, args.nu, mu)
     p = _parse_p(args.p)
     nu_norm = radon_nikodym_norm(nu, mu, p)
-    if chain.kind == "discrete":
-        if args.n is None:
-            raise SchemaError("discrete chains need --n")
-        eta = ip_gap(chain.transition, mu)
-        horizon_kwargs = {"n": args.n}
-    else:
-        if args.t is None:
-            raise SchemaError("jump processes need --t")
-        eta = ip_gap_generator(chain.generator, mu)
-        horizon_kwargs = {"t": args.t}
+    horizon_kwargs, eta = _horizon_and_eta(chain, args, mu)
     deltas = _parse_floats(args.delta_grid)
     if not deltas:
         raise SchemaError("--delta-grid needs at least one value")

@@ -24,7 +24,6 @@ import scipy.linalg
 from .chain_core import (
     Distribution,
     GeneratorMatrix,
-    Observable,
     TransitionMatrix,
     observable_values,
     stationary_distribution,
@@ -34,22 +33,6 @@ from .errors import DimensionMismatch, Overflow, TooLarge
 PATH_ENUMERATION_CAP = 10**7
 DP_CELL_CAP = 4_000_001
 _GRID_DENOMINATOR_CAP = 10**6
-
-
-@dataclass(frozen=True, eq=False)
-class TransferOperator:
-    """The tilted kernel ``P diag(e^(theta f))``; reduces to P at theta = 0."""
-
-    matrix: np.ndarray
-    theta: float
-    f: Observable
-
-
-def transfer_operator(P: TransitionMatrix, f, theta: float) -> TransferOperator:
-    fv = _match(P, f)
-    obs = f if isinstance(f, Observable) else None
-    matrix = P.entries * np.exp(theta * fv)[None, :]
-    return TransferOperator(matrix, theta, obs)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,19 +1,23 @@
 """Spectral-gap quantities in the mu-weighted geometry.
 
-All gaps are computed on the similarity transform
-``D_mu^(1/2) Op D_mu^(-1/2)``, which carries the weighted inner product
-<f, g>_mu to the Euclidean one. The invariant direction sqrt(mu) is removed
-either by a rank-one deflation shift (for operators that annihilate it) or
-by explicit orthogonal projection (for the operator norm of P), so no
-basis of the complement is ever constructed. Also provides the real and
-complex numerical radius, whose power inequality holds only over the
-complex field.
+A chain or jump process is embedded once, by the similarity
+``D_mu^(1/2) Op D_mu^(-1/2)`` that carries the weighted inner product
+<f, g>_mu to the Euclidean one (:func:`embed_weighted`). The embedding holds
+the transition side M = D^(1/2) P D^(-1/2) of a chain and the generator side
+D^(1/2) L D^(-1/2), with L = P - I for a chain and L = Q for a jump process.
+Every gap is read off these matrices, and :func:`gap_report` derives all of
+them from one embedding. The chain is reversible exactly when M is
+symmetric. The invariant direction sqrt(mu) is removed either by a rank-one
+deflation shift (for operators that annihilate it) or by explicit
+orthogonal projection (for the operator norm of P), so no basis of the
+complement is ever constructed. Also provides the real and complex
+numerical radius, whose power inequality holds only over the complex field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +27,6 @@ from .chain_core import (
     GeneratorMatrix,
     TransitionMatrix,
     _check_mu_positive,
-    adjoint,
     check_invariant,
     observable_values,
     stationary_distribution,
@@ -38,65 +41,50 @@ DEFAULT_PSEUDO_KMAX = 20
 DEFAULT_RADIUS_GRID = 720
 
 
-@dataclass(frozen=True)
-class Laplacian:
-    """Marker for embedding P - I instead of P itself."""
-
-    transition: TransitionMatrix
-
-
-def laplacian(P: TransitionMatrix) -> Laplacian:
-    return Laplacian(P)
-
-
 @dataclass(frozen=True, eq=False)
 class WeightedOperator:
-    """Euclidean representative ``D_mu^(1/2) Op D_mu^(-1/2)`` of an operator.
+    """A chain or jump process in the sqrt(mu) similarity, mu invariant.
 
-    ``kind`` records what the operator does to constants: a stochastic
-    matrix fixes sqrt(mu), a Laplacian or generator annihilates it and (for
-    invariant mu) maps into its orthogonal complement.
+    ``matrix`` is ``D_mu^(1/2) P D_mu^(-1/2)`` for a chain and None for a
+    jump process. ``generator`` is ``D_mu^(1/2) L D_mu^(-1/2)`` with
+    L = P - I for a chain and L = Q for a jump process. sqrt(mu) is fixed by
+    ``matrix`` and annihilated by ``generator``, whose range is orthogonal
+    to it.
     """
 
-    matrix: np.ndarray
     sqrt_mu: np.ndarray
-    kind: str  # 'stochastic' | 'laplacian' | 'generator'
+    matrix: np.ndarray | None
+    generator: np.ndarray
 
 
-def embed_weighted(
-    op: Union[TransitionMatrix, GeneratorMatrix, Laplacian], mu: Distribution
-) -> WeightedOperator:
-    """Embed an operator into Euclidean space via the sqrt(mu) similarity.
+def embed_weighted(op: ChainOperator, mu: Distribution) -> WeightedOperator:
+    """Embed a chain or jump process via the sqrt(mu) similarity.
 
-    ``matrix(i, j) = sqrt(mu(i)) Op(i, j) / sqrt(mu(j))``. For Laplacian and
-    generator embeddings, mu must be invariant so that the range is
-    orthogonal to sqrt(mu) (checked; raises NotInvariant).
+    Entry (i, j) of each embedded matrix is ``sqrt(mu(i)) Op(i, j) /
+    sqrt(mu(j))``. A chain's generator side is embedded from P - I itself,
+    not formed as ``matrix - I``, which would round differently.
 
     Raises
     ------
     ZeroMass
         If mu vanishes somewhere.
     NotInvariant
-        For L/Q embeddings when mu is not invariant.
+        When mu is not invariant.
     """
-    if isinstance(op, Laplacian):
-        base = op.transition
-        raw = base.entries - np.eye(base.n_states)
-        kind = "laplacian"
-        check_invariant(base, mu)
-    elif isinstance(op, TransitionMatrix):
-        raw = op.entries
-        kind = "stochastic"
-    elif isinstance(op, GeneratorMatrix):
-        raw = op.entries
-        kind = "generator"
-        check_invariant(op, mu)
-    else:
+    if not isinstance(op, (TransitionMatrix, GeneratorMatrix)):
         raise DimensionMismatch(f"cannot embed object of type {type(op).__name__}")
-    w = _check_mu_positive(mu, raw.shape[0])
+    w = _check_mu_positive(mu, op.n_states)
+    check_invariant(op, mu)
     s = np.sqrt(w)
-    matrix = (s[:, None] * raw) / s[None, :]
-    return WeightedOperator(matrix, s, kind)
+
+    def similar(a: np.ndarray) -> np.ndarray:
+        return (s[:, None] * a) / s[None, :]
+
+    if isinstance(op, GeneratorMatrix):
+        return WeightedOperator(s, None, similar(op.entries))
+    return WeightedOperator(
+        s, similar(op.entries), similar(op.entries - np.eye(op.n_states))
+    )
 
 
 def _require_multi_state(mu: Distribution) -> None:
@@ -106,8 +94,21 @@ def _require_multi_state(mu: Distribution) -> None:
         )
 
 
-def _deflated_smallest_sv(W: WeightedOperator, shift: float):
-    d = W.matrix + shift * np.outer(W.sqrt_mu, W.sqrt_mu)
+def _embed_chain(P: TransitionMatrix, mu: Distribution) -> WeightedOperator:
+    _require_multi_state(mu)
+    W = embed_weighted(P, mu)
+    if W.matrix is None:
+        raise DimensionMismatch("this gap is defined for discrete-time chains only")
+    return W
+
+
+def _deflated_smallest_sv(W: WeightedOperator):
+    if W.matrix is not None:
+        shift = DEFLATION_SHIFT
+    else:
+        # generator singular values are unbounded; pick the shift above them
+        shift = float(np.linalg.norm(W.generator, 2)) + 1.0
+    d = W.generator + shift * np.outer(W.sqrt_mu, W.sqrt_mu)
     sv, vt = np.linalg.svd(d)[1:]
     smallest = float(sv[-1])
     if smallest <= SV_ZERO_RTOL * float(sv[0]):
@@ -115,25 +116,16 @@ def _deflated_smallest_sv(W: WeightedOperator, shift: float):
     return smallest, vt[-1]
 
 
-def ip_gap(P: TransitionMatrix, mu: Distribution) -> float:
-    """Iterated Poincare gap: smallest singular value of P - I on mean-zero.
+def ip_gap(op: ChainOperator, mu: Distribution) -> float:
+    """Iterated Poincare gap: smallest singular value of L on mean-zero.
 
-    Equivalently the best constant eta in
-    ``Var_mu[h] <= eta^(-2) E_mu[((P - I) h)^2]``. Always in [0, 2]; strictly
-    positive for irreducible chains.
+    L is P - I for a chain and Q for a jump process. Equivalently the best
+    constant eta in ``Var_mu[h] <= eta^(-2) E_mu[(L h)^2]``. Strictly
+    positive for irreducible chains; at most 2 for a chain, unbounded
+    (units 1/time) for a jump process.
     """
     _require_multi_state(mu)
-    W = embed_weighted(laplacian(P), mu)
-    return _deflated_smallest_sv(W, DEFLATION_SHIFT)[0]
-
-
-def ip_gap_generator(Q: GeneratorMatrix, mu: Distribution) -> float:
-    """Iterated Poincare gap of a generator (units 1/time, no upper cap)."""
-    _require_multi_state(mu)
-    W = embed_weighted(Q, mu)
-    # generator singular values are unbounded; pick the shift above them
-    shift = float(np.linalg.norm(W.matrix, 2)) + 1.0
-    return _deflated_smallest_sv(W, shift)[0]
+    return _deflated_smallest_sv(embed_weighted(op, mu))[0]
 
 
 def ip_gap_minimizer(op: ChainOperator, mu: Distribution):
@@ -143,13 +135,8 @@ def ip_gap_minimizer(op: ChainOperator, mu: Distribution):
     ``||L h||_mu = eta_p ||h||_mu`` with E_mu[h] = 0.
     """
     _require_multi_state(mu)
-    if isinstance(op, TransitionMatrix):
-        W = embed_weighted(laplacian(op), mu)
-        shift = DEFLATION_SHIFT
-    else:
-        W = embed_weighted(op, mu)
-        shift = float(np.linalg.norm(W.matrix, 2)) + 1.0
-    gap, v = _deflated_smallest_sv(W, shift)
+    W = embed_weighted(op, mu)
+    gap, v = _deflated_smallest_sv(W)
     return gap, v / W.sqrt_mu
 
 
@@ -159,6 +146,10 @@ def _projected(W: WeightedOperator) -> np.ndarray:
     return proj @ W.matrix @ proj
 
 
+def _absolute_gap(W: WeightedOperator) -> float:
+    return 1.0 - float(np.linalg.svd(_projected(W), compute_uv=False)[0])
+
+
 def absolute_gap(P: TransitionMatrix, mu: Distribution) -> float:
     """1 minus the mu-operator norm of P on mean-zero functions.
 
@@ -166,20 +157,15 @@ def absolute_gap(P: TransitionMatrix, mu: Distribution) -> float:
     complement of sqrt(mu), which P leaves invariant. May be exactly zero
     for irreducible chains.
     """
-    _require_multi_state(mu)
-    check_invariant(P, mu)
-    W = embed_weighted(P, mu)
-    lam_a = float(np.linalg.svd(_projected(W), compute_uv=False)[0])
-    return 1.0 - lam_a
+    return _absolute_gap(_embed_chain(P, mu))
 
 
-def _symmetric_top_eigenvalue(P: TransitionMatrix, mu: Distribution) -> float:
+def _symmetric_gap(W: WeightedOperator) -> float:
     # top mean-zero eigenvalue of (M + M^T)/2, via deflation of the
     # sqrt(mu) eigenvalue 1 down to -1 (all others are >= -1 already)
-    W = embed_weighted(P, mu)
     sym = 0.5 * (W.matrix + W.matrix.T)
     deflated = sym - 2.0 * np.outer(W.sqrt_mu, W.sqrt_mu)
-    return float(np.linalg.eigvalsh(deflated)[-1])
+    return 1.0 - float(np.linalg.eigvalsh(deflated)[-1])
 
 
 def symmetric_gap(P: TransitionMatrix, mu: Distribution) -> float:
@@ -190,9 +176,11 @@ def symmetric_gap(P: TransitionMatrix, mu: Distribution) -> float:
     [0, 2]; values above 1 occur for strongly antisymmetric chains and are
     returned unclamped.
     """
-    _require_multi_state(mu)
-    check_invariant(P, mu)
-    return 1.0 - _symmetric_top_eigenvalue(P, mu)
+    return _symmetric_gap(_embed_chain(P, mu))
+
+
+def _asymmetry(W: WeightedOperator) -> float:
+    return float(np.abs(W.matrix - W.matrix.T).max())
 
 
 def ordinary_gap(
@@ -202,19 +190,21 @@ def ordinary_gap(
 ) -> float:
     """Classical spectral gap 1 - lambda_2 of a reversible chain.
 
+    P is reversible exactly when its embedding M is symmetric; the gap then
+    equals the symmetric gap.
+
     Raises
     ------
     NotReversible
-        When P differs from its time reversal beyond ``tolerance``.
+        When M differs from its transpose beyond ``tolerance``.
     """
-    _require_multi_state(mu)
-    star = adjoint(P, mu)
-    dev = float(np.abs(P.entries - star.entries).max())
+    W = _embed_chain(P, mu)
+    dev = _asymmetry(W)
     if dev > tolerance:
         raise NotReversible(
-            f"P differs from its reversal by {dev!r} (> {tolerance!r})"
+            f"the mu-embedding of P is asymmetric by {dev!r} (> {tolerance!r})"
         )
-    return 1.0 - _symmetric_top_eigenvalue(P, mu)
+    return _symmetric_gap(W)
 
 
 @dataclass(frozen=True)
@@ -233,22 +223,9 @@ class PseudoGapResult:
         return cls(float(d["value"]), int(d["k"]), int(d["k_max"]))
 
 
-def pseudo_gap(
-    P: TransitionMatrix, mu: Distribution, k_max: int = DEFAULT_PSEUDO_KMAX
-) -> PseudoGapResult:
-    """max over 1 <= k <= k_max of gap((P*)^k P^k) / k.
-
-    The k-supremum defining the pseudo spectral gap is truncated at
-    ``k_max``; the result is a lower bound on the supremum. The product
-    embeds to (M^k)^T M^k, a PSD stochastic self-adjoint operator, whose
-    second-largest eigenvalue is extracted by the same deflation as the
-    symmetric gap.
-    """
-    _require_multi_state(mu)
+def _pseudo_gap(W: WeightedOperator, k_max: int) -> PseudoGapResult:
     if k_max < 1:
         raise DimensionMismatch("k_max must be >= 1")
-    check_invariant(P, mu)
-    W = embed_weighted(P, mu)
     defl = 2.0 * np.outer(W.sqrt_mu, W.sqrt_mu)
     best_value, best_k = -np.inf, 1
     mk = np.eye(W.matrix.shape[0])
@@ -260,6 +237,20 @@ def pseudo_gap(
         if value > best_value:
             best_value, best_k = value, k
     return PseudoGapResult(best_value, best_k, k_max)
+
+
+def pseudo_gap(
+    P: TransitionMatrix, mu: Distribution, k_max: int = DEFAULT_PSEUDO_KMAX
+) -> PseudoGapResult:
+    """max over 1 <= k <= k_max of gap((P*)^k P^k) / k.
+
+    The k-supremum defining the pseudo spectral gap is truncated at
+    ``k_max``; the result is a lower bound on the supremum. The product
+    embeds to (M^k)^T M^k, a PSD stochastic self-adjoint operator, whose
+    second-largest eigenvalue is extracted by the same deflation as the
+    symmetric gap.
+    """
+    return _pseudo_gap(_embed_chain(P, mu), k_max)
 
 
 class PoincareCheck(NamedTuple):
@@ -287,10 +278,7 @@ def verify_iterated_poincare(
     if hv.size != w.size:
         raise DimensionMismatch("h does not match the state space")
     if eta_p is None:
-        if isinstance(op, TransitionMatrix):
-            eta_p = ip_gap(op, mu)
-        else:
-            eta_p = ip_gap_generator(op, mu)
+        eta_p = ip_gap(op, mu)
     if isinstance(op, TransitionMatrix):
         lh = op.entries @ hv - hv
     else:
@@ -429,37 +417,29 @@ def _tolerances() -> dict:
 
 
 def gap_report(
-    P: TransitionMatrix,
+    op: ChainOperator,
     mu: Distribution | None = None,
     k_max: int | None = DEFAULT_PSEUDO_KMAX,
 ) -> GapReport:
-    """Assemble every gap of a discrete-time chain into one report.
+    """Assemble every gap of a chain or jump process into one report.
 
-    mu defaults to the stationary distribution. ``eta`` is filled only when
-    the chain is reversible within tolerance; ``pseudo`` is skipped when
-    ``k_max`` is None.
+    The operator is embedded once and every gap is derived from that
+    embedding. mu defaults to the stationary distribution. A jump process
+    defines only ``eta_p``. For a chain, ``eta`` is filled only when it is
+    reversible within tolerance, and then equals ``eta_s``; ``pseudo`` is
+    skipped when ``k_max`` is None.
     """
     if mu is None:
-        mu = stationary_distribution(P)
+        mu = stationary_distribution(op)
     if mu.n_states == 1:
-        return GapReport(0.0, 0.0, 0.0, 0.0, None, True, _tolerances())
-    eta_p = ip_gap(P, mu)
-    eta_s = symmetric_gap(P, mu)
-    eta_a = absolute_gap(P, mu)
-    try:
-        eta = ordinary_gap(P, mu)
-    except NotReversible:
-        eta = None
-    pseudo = None if k_max is None else pseudo_gap(P, mu, k_max)
+        zero = 0.0 if isinstance(op, TransitionMatrix) else None
+        return GapReport(0.0, zero, zero, zero, None, True, _tolerances())
+    W = embed_weighted(op, mu)
+    eta_p = _deflated_smallest_sv(W)[0]
+    if W.matrix is None:
+        return GapReport(eta_p, None, None, None, None, False, _tolerances())
+    eta_s = _symmetric_gap(W)
+    eta_a = _absolute_gap(W)
+    eta = eta_s if _asymmetry(W) <= REVERSIBILITY_TOLERANCE else None
+    pseudo = None if k_max is None else _pseudo_gap(W, k_max)
     return GapReport(eta_p, eta_s, eta_a, eta, pseudo, False, _tolerances())
-
-
-def generator_gap_report(Q: GeneratorMatrix, mu: Distribution | None = None) -> GapReport:
-    """Gap report of a jump process; only the IP gap is defined."""
-    if mu is None:
-        mu = stationary_distribution(Q)
-    if mu.n_states == 1:
-        return GapReport(0.0, None, None, None, None, True, _tolerances())
-    return GapReport(
-        ip_gap_generator(Q, mu), None, None, None, None, False, _tolerances()
-    )

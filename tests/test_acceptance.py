@@ -97,7 +97,7 @@ def test_criterion_4_discrete_mgf_dominance():
             for theta in np.linspace(-0.95 * theta_cap, 0.95 * theta_cap, 11):
                 for n in (1, 5, 20, 50):
                     exact = cb.exact_mgf_discrete(P, mu, f, float(theta), n)
-                    bound = cb.mgf_bound_discrete(float(theta), n, f.M, sigma, eta_p)
+                    bound = cb.mgf_bound("discrete", float(theta), n, f.M, sigma, eta_p)
                     assert exact <= bound * (1 + 1e-9)
 
 
@@ -142,7 +142,7 @@ def test_criterion_5_discrete_tail_dominance_exact():
                         mode="discrete", n=n, delta=float(delta), M=f.M,
                         sigma2=f.sigma2, eta_p=eta_p,
                     )
-                    bound = cb.tail_bound_discrete(query).probability_bound
+                    bound = cb.tail_bound(query).probability_bound
                     assert exact <= bound * (1 + 1e-12)
 
 
@@ -177,13 +177,13 @@ def test_criterion_7_continuous_dominance():
         for Q in generators:
             mu = cb.stationary_distribution(Q)
             f = random_centered_observable(rng, mu)
-            eta_p = cb.ip_gap_generator(Q, mu)
+            eta_p = cb.ip_gap(Q, mu)
             sigma = math.sqrt(f.sigma2)
             theta_cap = eta_p / (2.0 * f.M)
             for theta in np.linspace(-0.9 * theta_cap, 0.9 * theta_cap, 7):
                 for t in (0.5, 2.0, 10.0):
                     exact = cb.exact_mgf_continuous(Q, mu, f, float(theta), t)
-                    bound = cb.mgf_bound_continuous(float(theta), t, f.M, sigma, eta_p)
+                    bound = cb.mgf_bound("continuous", float(theta), t, f.M, sigma, eta_p)
                     assert exact <= bound * (1 + 1e-9)
             # Monte Carlo tail at t = 100 against the continuous theorem
             for delta in (0.1 * f.M, 0.3 * f.M):
@@ -191,7 +191,7 @@ def test_criterion_7_continuous_dominance():
                     mode="continuous", t=100.0, delta=float(delta), M=f.M,
                     sigma2=f.sigma2, eta_p=eta_p,
                 )
-                bound = cb.tail_bound_continuous(query)
+                bound = cb.tail_bound(query)
                 cfg = cb.SimConfig(
                     replicas=10_000, seed=7070, init=mu, t=100.0, delta=float(delta)
                 )
@@ -245,8 +245,8 @@ def test_criterion_10_initial_distribution_handling(capsys):
         assert norm_inf == pytest.approx(4.0, abs=1e-13)
         base = dict(mode="discrete", n=200, delta=0.2, M=1.0, sigma2=0.5,
                     eta_p=0.6, p=math.inf)
-        b1 = cb.tail_bound_discrete(cb.BoundQuery(nu_norm=1.0, **base))
-        b4 = cb.tail_bound_discrete(cb.BoundQuery(nu_norm=norm_inf, **base))
+        b1 = cb.tail_bound(cb.BoundQuery(nu_norm=1.0, **base))
+        b4 = cb.tail_bound(cb.BoundQuery(nu_norm=norm_inf, **base))
         assert b4.probability_bound == pytest.approx(
             4.0 * b1.probability_bound, rel=1e-12
         )

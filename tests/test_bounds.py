@@ -36,44 +36,44 @@ class TestCTheta:
 
 class TestMgfBounds:
     def test_discrete_at_zero(self):
-        assert cb.mgf_bound_discrete(0.0, 10, 1.0, 1.0, 1.0) == 1.0
+        assert cb.mgf_bound("discrete", 0.0, 10, 1.0, 1.0, 1.0) == 1.0
 
     def test_discrete_hand_value(self):
         # n=10, sigma=M=1, eta_p=1, theta=1/4: exp(10 * (1/16) * 8 / sqrt(3/4))
-        val = cb.mgf_bound_discrete(0.25, 10, 1.0, 1.0, 1.0)
+        val = cb.mgf_bound("discrete", 0.25, 10, 1.0, 1.0, 1.0)
         assert val == pytest.approx(math.exp(5.0 / math.sqrt(0.75)), rel=1e-12)
 
     def test_doubling_n_squares(self):
-        a = cb.mgf_bound_discrete(0.2, 7, 1.0, 0.5, 1.2)
-        b = cb.mgf_bound_discrete(0.2, 14, 1.0, 0.5, 1.2)
+        a = cb.mgf_bound("discrete", 0.2, 7, 1.0, 0.5, 1.2)
+        b = cb.mgf_bound("discrete", 0.2, 14, 1.0, 0.5, 1.2)
         assert b == pytest.approx(a**2, rel=1e-12)
 
     def test_continuous_trivial_points(self):
-        assert cb.mgf_bound_continuous(0.7, 0.0, 1.0, 1.0, 4.0) == 1.0
-        assert cb.mgf_bound_continuous(0.0, 3.0, 1.0, 1.0, 4.0) == 1.0
+        assert cb.mgf_bound("continuous", 0.7, 0.0, 1.0, 1.0, 4.0) == 1.0
+        assert cb.mgf_bound("continuous", 0.0, 3.0, 1.0, 1.0, 4.0) == 1.0
 
     def test_continuous_hand_value(self):
-        val = cb.mgf_bound_continuous(1.0, 1.0, 1.0, 1.0, 4.0)
+        val = cb.mgf_bound("continuous", 1.0, 1.0, 1.0, 1.0, 4.0)
         assert val == pytest.approx(math.exp(0.5 / math.sqrt(0.75)), rel=1e-12)
 
     def test_theta_domain_enforced(self):
         with pytest.raises(errors.ThetaOutOfRange):
-            cb.mgf_bound_discrete(0.5, 5, 1.0, 1.0, 1.0)
+            cb.mgf_bound("discrete", 0.5, 5, 1.0, 1.0, 1.0)
 
 
 class TestOptimalTheta:
     def test_zero_delta(self):
-        assert cb.optimal_theta_discrete(0.0, 1.0, 0.3, 1.0, 1.0) == 0.0
-        assert cb.optimal_theta_continuous(0.0, 1.0, 0.3, 1.0, 1.0) == 0.0
+        assert cb.optimal_theta("discrete", 0.0, 1.0, 0.3, 1.0, 1.0) == 0.0
+        assert cb.optimal_theta("continuous", 0.0, 1.0, 0.3, 1.0, 1.0) == 0.0
 
     def test_hand_value(self):
         # (2 + 6)^2 * 0.1 + 0.01 = 6.41
-        theta = cb.optimal_theta_discrete(0.1, 1.0, math.sqrt(0.1), 1.0, 1.0)
+        theta = cb.optimal_theta("discrete", 0.1, 1.0, math.sqrt(0.1), 1.0, 1.0)
         assert theta == pytest.approx(0.1 / (2 * math.sqrt(6.41)), rel=1e-12)
 
     def test_large_delta_limit_is_boundary(self):
         eta, M, q = 1.4, 0.8, 2.0
-        theta = cb.optimal_theta_discrete(1e12, M, 1.0, eta, q)
+        theta = cb.optimal_theta("discrete", 1e12, M, 1.0, eta, q)
         assert theta == pytest.approx(eta / (2 * q * M), rel=1e-6)
 
     def test_domain_guard_when_sigma_positive(self):
@@ -85,21 +85,21 @@ class TestOptimalTheta:
             eta = float(rng.uniform(0.05, 2))
             q = float(rng.uniform(1, 4))
             for theta in (
-                cb.optimal_theta_discrete(delta, M, sigma, eta, q),
-                cb.optimal_theta_continuous(delta, M, sigma, eta, q),
+                cb.optimal_theta("discrete", delta, M, sigma, eta, q),
+                cb.optimal_theta("continuous", delta, M, sigma, eta, q),
             ):
                 assert abs(q * theta) < eta / (2 * M)
 
 
 class TestTailBoundDiscrete:
     def test_zero_delta_vacuous(self):
-        res = cb.tail_bound_discrete(_query(delta=0.0, nu_norm=1.5))
+        res = cb.tail_bound(_query(delta=0.0, nu_norm=1.5))
         assert res.probability_bound == pytest.approx(3.0)
         assert res.exponent == 0.0
         assert res.vacuous
 
     def test_hand_value(self):
-        res = cb.tail_bound_discrete(_query())
+        res = cb.tail_bound(_query())
         assert res.exponent == pytest.approx(-10.0 / (4 * math.sqrt(6.41)), rel=1e-12)
         assert res.probability_bound == pytest.approx(
             2 * math.exp(-10.0 / (4 * math.sqrt(6.41))), rel=1e-12
@@ -107,8 +107,8 @@ class TestTailBoundDiscrete:
         assert not res.vacuous
 
     def test_doubling_n_squares_exp_part(self):
-        a = cb.tail_bound_discrete(_query(n=1000))
-        b = cb.tail_bound_discrete(_query(n=2000))
+        a = cb.tail_bound(_query(n=1000))
+        b = cb.tail_bound(_query(n=2000))
         assert b.probability_bound / 2 == pytest.approx(
             (a.probability_bound / 2) ** 2, rel=1e-12
         )
@@ -123,7 +123,7 @@ class TestTailBoundDiscrete:
                 eta_p=float(rng.uniform(0.05, 2)),
                 p=float(rng.uniform(1.01, 20)),
             )
-            res = cb.tail_bound_discrete(q)
+            res = cb.tail_bound(q)
             sigma = math.sqrt(q.sigma2)
             radical = math.sqrt((2 + 6 * q.eta_p) ** 2 * q.sigma2 + q.delta**2)
             assert res.c_theta == pytest.approx(
@@ -154,14 +154,14 @@ class TestTailBoundDiscrete:
                 p=float(rng.choice([math.inf, 2.0, 1.5])),
                 nu_norm=float(rng.uniform(1, 3)),
             )
-            res = cb.tail_bound_discrete(q)
+            res = cb.tail_bound(q)
             sigma = math.sqrt(q.sigma2)
             limit = q.eta_p / (2 * q.M * q.q)
             theta_star = res.theta_used
             assert 0 < theta_star < limit
 
             def assembled(theta):
-                mgf = cb.mgf_bound_discrete(q.q * theta, q.n, q.M, sigma, q.eta_p)
+                mgf = cb.mgf_bound("discrete", q.q * theta, q.n, q.M, sigma, q.eta_p)
                 return 2 * q.nu_norm * math.exp(-theta * q.n * q.delta) * mgf ** (1 / q.q)
 
             assert assembled(theta_star) == pytest.approx(
@@ -172,14 +172,14 @@ class TestTailBoundDiscrete:
                 assert assembled(theta) >= res.probability_bound * (1 - 1e-12)
 
     def test_sigma_zero_boundary_limit(self):
-        res = cb.tail_bound_discrete(_query(sigma2=0.0, delta=0.5))
+        res = cb.tail_bound(_query(sigma2=0.0, delta=0.5))
         assert res.boundary_limit
         assert res.c_theta == 0.0
         assert res.exponent == pytest.approx(-1000 * 1.0 * 0.5 / 4.0, rel=1e-12)
         assert res.theta_used == pytest.approx(0.5, rel=1e-12)  # eta/(2qM)
 
     def test_underflow_keeps_exponent(self):
-        res = cb.tail_bound_discrete(_query(n=10**7, delta=1.0))
+        res = cb.tail_bound(_query(n=10**7, delta=1.0))
         assert res.probability_bound == 0.0
         assert res.exponent < -745
         assert not res.vacuous
@@ -187,14 +187,14 @@ class TestTailBoundDiscrete:
 
 class TestTailBoundContinuous:
     def test_zero_delta_vacuous(self):
-        res = cb.tail_bound_continuous(
+        res = cb.tail_bound(
             _query(mode="continuous", n=None, t=5.0, delta=0.0)
         )
         assert res.probability_bound == pytest.approx(2.0)
         assert res.vacuous
 
     def test_hand_value(self):
-        res = cb.tail_bound_continuous(
+        res = cb.tail_bound(
             _query(mode="continuous", n=None, t=100.0, delta=0.5, sigma2=0.25, eta_p=3.0)
         )
         assert res.exponent == pytest.approx(-75.0 / (4 * math.sqrt(1.25)), rel=1e-12)
@@ -203,21 +203,135 @@ class TestTailBoundContinuous:
         )
 
     def test_time_doubling_squares_exp_part(self):
-        a = cb.tail_bound_continuous(_query(mode="continuous", n=None, t=10.0))
-        b = cb.tail_bound_continuous(_query(mode="continuous", n=None, t=20.0))
+        a = cb.tail_bound(_query(mode="continuous", n=None, t=10.0))
+        b = cb.tail_bound(_query(mode="continuous", n=None, t=20.0))
         assert b.probability_bound / 2 == pytest.approx(
             (a.probability_bound / 2) ** 2, rel=1e-12
         )
 
     def test_c_identity(self):
         q = _query(mode="continuous", n=None, t=3.0, delta=0.7, sigma2=0.09)
-        res = cb.tail_bound_continuous(q)
+        res = cb.tail_bound(q)
         assert res.c_theta == pytest.approx(
             2 * 0.3 / math.sqrt(4 * 0.09 + 0.49), abs=1e-12
         )
         assert res.theta_used == pytest.approx(
-            cb.optimal_theta_continuous(0.7, 1.0, 0.3, 1.0, 1.0), rel=1e-12
+            cb.optimal_theta("continuous", 0.7, 1.0, 0.3, 1.0, 1.0), rel=1e-12
         )
+
+
+# The discrete and continuous formulas as they stood before the two time
+# scales shared one implementation. They are the reference the merged
+# functions must reproduce bit for bit, operand order included.
+
+def _ref_mgf_bound_discrete(theta, n, M, sigma, eta_p):
+    c = cb.c_theta(theta, M, eta_p)
+    return _ref_exp(n * sigma * M * theta**2 * (2.0 + 6.0 * eta_p) / (c * eta_p))
+
+
+def _ref_mgf_bound_continuous(theta, t, M, sigma, eta_p):
+    c = cb.c_theta(theta, M, eta_p)
+    return _ref_exp(2.0 * sigma * M * theta**2 * t / (c * eta_p))
+
+
+def _ref_exp(x):
+    return math.exp(x) if x < 709.0 else math.inf
+
+
+def _ref_optimal_theta_discrete(delta, M, sigma, eta_p, q):
+    if delta == 0.0:
+        return 0.0
+    radical = math.sqrt((2.0 + 6.0 * eta_p) ** 2 * sigma**2 + delta**2)
+    return delta * eta_p / (2.0 * q * M * radical)
+
+
+def _ref_optimal_theta_continuous(delta, M, sigma, eta_p, q):
+    if delta == 0.0:
+        return 0.0
+    radical = math.sqrt(4.0 * sigma**2 + delta**2)
+    return delta * eta_p / (2.0 * q * M * radical)
+
+
+def _ref_result(query, exponent, theta, c, boundary):
+    bound = 2.0 * query.nu_norm * math.exp(exponent)
+    return cb.BoundResult(bound, exponent, theta, c, bound >= 1.0, boundary)
+
+
+def _ref_tail_bound_discrete(query):
+    sigma = math.sqrt(query.sigma2)
+    delta, M, eta, q = query.delta, query.M, query.eta_p, query.q
+    theta = _ref_optimal_theta_discrete(delta, M, sigma, eta, q)
+    if delta == 0.0:
+        return _ref_result(query, 0.0, 0.0, 1.0, False)
+    radical = math.sqrt((2.0 + 6.0 * eta) ** 2 * query.sigma2 + delta**2)
+    exponent = -query.n * eta * delta**2 / (4.0 * q * M * radical)
+    c = (2.0 + 6.0 * eta) * sigma / radical
+    return _ref_result(query, exponent, theta, c, sigma == 0.0)
+
+
+def _ref_tail_bound_continuous(query):
+    sigma = math.sqrt(query.sigma2)
+    delta, M, eta, q = query.delta, query.M, query.eta_p, query.q
+    theta = _ref_optimal_theta_continuous(delta, M, sigma, eta, q)
+    if delta == 0.0:
+        return _ref_result(query, 0.0, 0.0, 1.0, False)
+    radical = math.sqrt(4.0 * query.sigma2 + delta**2)
+    exponent = -query.t * eta * delta**2 / (4.0 * q * M * radical)
+    c = 2.0 * sigma / radical
+    return _ref_result(query, exponent, theta, c, sigma == 0.0)
+
+
+_REFERENCE = {
+    "discrete": (_ref_mgf_bound_discrete, _ref_optimal_theta_discrete, _ref_tail_bound_discrete),
+    "continuous": (_ref_mgf_bound_continuous, _ref_optimal_theta_continuous, _ref_tail_bound_continuous),
+}
+
+
+class TestMergedMatchesReference:
+    def _cases(self):
+        rng = np.random.default_rng(2024)
+        for i in range(4000):
+            mode = ("discrete", "continuous")[i % 2]
+            M = float(rng.uniform(0.1, 5.0))
+            eta = float(rng.uniform(0.01, 2.0 if mode == "discrete" else 8.0))
+            sigma2 = (0.0, float(rng.uniform(0.0, 1.0)) * M**2)[i % 5 != 0]
+            delta = (0.0, float(rng.uniform(0.0, 3.0)) * M)[i % 7 != 0]
+            p = (math.inf, float(rng.uniform(1.01, 30.0)))[i % 3 != 0]
+            if mode == "discrete":
+                # every 11th horizon is long enough that the exponent underflows
+                horizon = 10**9 if i % 11 == 0 else int(np.exp(rng.uniform(0.0, 14.0)))
+                kw = {"n": horizon}
+            else:
+                horizon = 1e9 if i % 11 == 0 else (0.0, float(np.exp(rng.uniform(-3.0, 14.0))))[i % 13 != 0]
+                kw = {"t": horizon}
+            query = cb.BoundQuery(mode=mode, delta=delta, M=M, sigma2=sigma2, eta_p=eta,
+                                  p=p, nu_norm=float(rng.uniform(1.0, 3.0)), **kw)
+            theta = float(rng.uniform(-1.0, 1.0)) * eta / (2.0 * M) * (1 - 1e-12)
+            yield mode, query, horizon, theta
+
+    def test_bit_identical_on_seeded_grid(self):
+        underflows = vacuous = 0
+        for mode, query, horizon, theta in self._cases():
+            ref_mgf, ref_theta, ref_tail = _REFERENCE[mode]
+            sigma = math.sqrt(query.sigma2)
+            got = cb.tail_bound(query)
+            assert got == ref_tail(query)
+            assert cb.optimal_theta(mode, query.delta, query.M, sigma, query.eta_p, query.q) == \
+                ref_theta(query.delta, query.M, sigma, query.eta_p, query.q)
+            for th in (theta, 0.0):
+                assert cb.mgf_bound(mode, th, horizon, query.M, sigma, query.eta_p) == \
+                    ref_mgf(th, horizon, query.M, sigma, query.eta_p)
+            underflows += got.probability_bound == 0.0 and got.exponent < -745
+            vacuous += got.vacuous
+        assert underflows > 0 and vacuous > 0
+
+    def test_horizon_and_mode_validated(self):
+        with pytest.raises(errors.InvalidQuery):
+            cb.mgf_bound("discrete", 0.1, 0, 1.0, 1.0, 1.0)
+        with pytest.raises(errors.InvalidQuery):
+            cb.mgf_bound("continuous", 0.1, -1.0, 1.0, 1.0, 1.0)
+        with pytest.raises(errors.InvalidQuery):
+            cb.optimal_theta("hourly", 0.1, 1.0, 1.0, 1.0, 1.0)
 
 
 class TestQueryValidation:
@@ -246,7 +360,7 @@ class TestQueryValidation:
             _query(mode="continuous")  # has n, lacks t
 
     def test_result_roundtrip(self):
-        res = cb.tail_bound_discrete(_query())
+        res = cb.tail_bound(_query())
         blob = json.dumps(res.to_dict())
         assert cb.BoundResult.from_dict(json.loads(blob)) == res
 
@@ -263,15 +377,15 @@ class TestMonotonicity:
                 eta_p=float(rng.uniform(0.1, 1.9)),
                 nu_norm=float(rng.uniform(1, 2)),
             )
-            base = cb.tail_bound_discrete(q).probability_bound
+            base = cb.tail_bound(q).probability_bound
             # nonincreasing in n, delta, eta_p
-            assert cb.tail_bound_discrete(dataclasses.replace(q, n=q.n + 50)).probability_bound <= base + 1e-15
-            assert cb.tail_bound_discrete(dataclasses.replace(q, delta=q.delta * 1.1)).probability_bound <= base + 1e-15
-            assert cb.tail_bound_discrete(dataclasses.replace(q, eta_p=min(q.eta_p * 1.1, 2.0))).probability_bound <= base + 1e-15
+            assert cb.tail_bound(dataclasses.replace(q, n=q.n + 50)).probability_bound <= base + 1e-15
+            assert cb.tail_bound(dataclasses.replace(q, delta=q.delta * 1.1)).probability_bound <= base + 1e-15
+            assert cb.tail_bound(dataclasses.replace(q, eta_p=min(q.eta_p * 1.1, 2.0))).probability_bound <= base + 1e-15
             # nondecreasing in M, sigma2, nu_norm
-            assert cb.tail_bound_discrete(dataclasses.replace(q, M=q.M * 1.1)).probability_bound >= base - 1e-15
-            assert cb.tail_bound_discrete(dataclasses.replace(q, sigma2=q.sigma2 * 1.1)).probability_bound >= base - 1e-15
-            assert cb.tail_bound_discrete(dataclasses.replace(q, nu_norm=q.nu_norm * 1.1)).probability_bound >= base - 1e-15
+            assert cb.tail_bound(dataclasses.replace(q, M=q.M * 1.1)).probability_bound >= base - 1e-15
+            assert cb.tail_bound(dataclasses.replace(q, sigma2=q.sigma2 * 1.1)).probability_bound >= base - 1e-15
+            assert cb.tail_bound(dataclasses.replace(q, nu_norm=q.nu_norm * 1.1)).probability_bound >= base - 1e-15
 
 
 class TestBoundSweep:

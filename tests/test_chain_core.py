@@ -167,35 +167,6 @@ class TestAdjoint:
             cb.adjoint(P, cb.make_distribution([0.5, 0.5]))
 
 
-class TestAdditiveSymmetrization:
-    def test_reversible_fixed_point(self):
-        P = cb.validate_transition_matrix([[0.7, 0.3], [0.3, 0.7]])
-        mu = cb.stationary_distribution(P)
-        assert np.abs(cb.additive_symmetrization(P, mu).entries - P.entries).max() <= 1e-12
-
-    def test_four_state_hand_value(self):
-        P = zero_absolute_gap_chain()
-        mu = cb.stationary_distribution(P)
-        A = cb.additive_symmetrization(P, mu)
-        expected = 0.5 * (P.entries + P.entries.T)
-        assert np.abs(A.entries - expected).max() <= 1e-12
-        assert set(np.round(A.entries, 12).ravel()) <= {0.0, 0.25, 0.5}
-
-    def test_flip_unchanged(self):
-        P = cb.validate_transition_matrix([[0, 1], [1, 0]])
-        mu = cb.stationary_distribution(P)
-        assert np.abs(cb.additive_symmetrization(P, mu).entries - P.entries).max() == 0.0
-
-    def test_self_adjoint_under_mu(self):
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            P = random_transition(rng, int(rng.integers(2, 10)))
-            mu = cb.stationary_distribution(P)
-            A = cb.additive_symmetrization(P, mu).entries
-            D = np.diag(mu.weights)
-            assert np.abs(D @ A - A.T @ D).max() <= 1e-12
-
-
 class TestRadonNikodymNorm:
     def test_equal_measures_give_one(self):
         mu = cb.make_distribution([0.3, 0.2, 0.5])

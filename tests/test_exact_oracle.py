@@ -118,15 +118,6 @@ class TestConditionalMgf:
             assert float(mu.weights @ cond.values) == pytest.approx(whole, rel=1e-12)
             assert (cond.values > 0).all()
 
-    def test_transfer_operator_type(self):
-        P = zero_absolute_gap_chain()
-        mu = _uniform(4)
-        f = cb.make_observable([1, 0, 0, -1], mu)
-        op = cb.transfer_operator(P, f, 0.0)
-        assert np.abs(op.matrix - P.entries).max() == 0.0
-        op2 = cb.transfer_operator(P, f, 0.3)
-        assert (op2.matrix >= 0).all()
-
     def test_symmetrized_transfer_form_agrees(self):
         # same MGF through the half-tilted inner-product form
         # <e^(tf/2), (E P E)^(n-1) e^(tf/2)>_mu with E = diag(e^(tf/2))

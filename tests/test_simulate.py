@@ -282,7 +282,7 @@ class TestEmpiricalTail:
         query = cb.BoundQuery(
             mode="discrete", n=60, delta=0.3 * f.M, M=f.M, sigma2=f.sigma2, eta_p=eta
         )
-        bound = cb.tail_bound_discrete(query)
+        bound = cb.tail_bound(query)
         cfg = cb.SimConfig(replicas=3000, seed=11, init=mu, n=60, delta=query.delta)
         rep = cb.empirical_tail(cfg, P, f, bound=bound)
         assert rep.consistent is True
@@ -292,7 +292,7 @@ class TestEmpiricalTail:
         Q = cb.validate_generator(np.zeros((2, 2)))
         mu = _uniform(2)
         f = cb.make_observable([1.0, -1.0], mu)
-        bound = cb.tail_bound_continuous(
+        bound = cb.tail_bound(
             cb.BoundQuery(mode="continuous", t=5.0, delta=0.1, M=1.0, sigma2=0.5, eta_p=1.0)
         )
         cfg = cb.SimConfig(replicas=10, seed=0, init=mu, t=5.0, delta=0.1)
@@ -380,7 +380,7 @@ class TestEmpiricalMgf:
         P = zero_absolute_gap_chain()
         mu = _uniform(4)
         f = cb.make_observable([1, 0, 0, -1], mu)
-        bound = cb.tail_bound_discrete(
+        bound = cb.tail_bound(
             cb.BoundQuery(mode="discrete", n=10, delta=0.2, M=1.0, sigma2=0.5, eta_p=0.6)
         )
         cfg = cb.SimConfig(replicas=100, seed=1, init=mu, n=10, delta=0.2)

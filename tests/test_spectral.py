@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import chainbounds as cb
-from chainbounds import errors
+from chainbounds import errors, spectral
 from chainbounds.examples import skew_matrix, zero_absolute_gap_chain
 from conftest import random_reversible, random_transition
 
@@ -21,14 +21,15 @@ class TestEmbedWeighted:
         P = cb.validate_transition_matrix([[0.7, 0.3], [0.3, 0.7]])
         W = cb.embed_weighted(P, _uniform(2))
         assert np.abs(W.matrix - P.entries).max() <= 1e-15
-        assert W.kind == "stochastic"
+        assert np.abs(W.generator - (P.entries - np.eye(2))).max() <= 1e-15
 
     def test_generator_embedding_hand_value(self):
         Q = cb.validate_generator([[-1, 1], [2, -2]])
         mu = cb.stationary_distribution(Q)
         W = cb.embed_weighted(Q, mu)
         expected = np.array([[-1.0, math.sqrt(2.0)], [math.sqrt(2.0), -2.0]])
-        assert np.abs(W.matrix - expected).max() <= 1e-12
+        assert np.abs(W.generator - expected).max() <= 1e-12
+        assert W.matrix is None
 
     def test_sqrt_mu_relations(self):
         rng = np.random.default_rng(2)
@@ -36,16 +37,18 @@ class TestEmbedWeighted:
             P = random_transition(rng, int(rng.integers(2, 9)))
             mu = cb.stationary_distribution(P)
             s = np.sqrt(mu.weights)
-            WP = cb.embed_weighted(P, mu)
-            assert np.abs(WP.matrix @ s - s).max() <= 1e-10
-            WL = cb.embed_weighted(cb.laplacian(P), mu)
-            assert np.abs(WL.matrix @ s).max() <= 1e-10
-            assert np.abs(s @ WL.matrix).max() <= 1e-10  # range orthogonality
+            W = cb.embed_weighted(P, mu)
+            # formed from P - I itself; matrix - I would round differently
+            L = P.entries - np.eye(P.n_states)
+            assert np.array_equal(W.generator, (s[:, None] * L) / s[None, :])
+            assert np.abs(W.matrix @ s - s).max() <= 1e-10
+            assert np.abs(W.generator @ s).max() <= 1e-10
+            assert np.abs(s @ W.generator).max() <= 1e-10  # range orthogonality
 
     def test_laplacian_requires_invariant_mu(self):
         P = cb.validate_transition_matrix([[0.9, 0.1], [0.5, 0.5]])
         with pytest.raises(errors.NotInvariant):
-            cb.embed_weighted(cb.laplacian(P), _uniform(2))
+            cb.embed_weighted(P, _uniform(2))
 
 
 class TestIpGap:
@@ -74,7 +77,7 @@ class TestIpGap:
             P = random_transition(rng, int(rng.integers(2, 12)))
             mu = cb.stationary_distribution(P)
             s = np.sqrt(mu.weights)
-            M = cb.embed_weighted(cb.laplacian(P), mu).matrix
+            M = cb.embed_weighted(P, mu).generator
             basis = np.linalg.svd(np.eye(s.size) - np.outer(s, s))[0][:, : s.size - 1]
             oracle = np.linalg.svd(basis.T @ M @ basis, compute_uv=False).min()
             assert cb.ip_gap(P, mu) == pytest.approx(oracle, abs=1e-11)
@@ -84,18 +87,18 @@ class TestIpGapGenerator:
     def test_two_state_rates_sum(self):
         Q = cb.validate_generator([[-1, 1], [2, -2]])
         mu = cb.stationary_distribution(Q)
-        assert cb.ip_gap_generator(Q, mu) == pytest.approx(3.0, abs=1e-12)
+        assert cb.ip_gap(Q, mu) == pytest.approx(3.0, abs=1e-12)
 
     def test_zero_generator(self):
         Q = cb.validate_generator(np.zeros((2, 2)))
-        assert cb.ip_gap_generator(Q, _uniform(2)) == pytest.approx(0.0, abs=1e-14)
+        assert cb.ip_gap(Q, _uniform(2)) == pytest.approx(0.0, abs=1e-14)
 
     def test_symmetric_fast_generator_beyond_fixed_shift(self):
-        # gap 4 exceeds the Laplacian deflation constant; the generator
+        # gap 4 exceeds the chain's deflation constant; the generator
         # path must scale its shift
         Q = cb.validate_generator([[-2, 2], [2, -2]])
         mu = cb.stationary_distribution(Q)
-        assert cb.ip_gap_generator(Q, mu) == pytest.approx(4.0, abs=1e-12)
+        assert cb.ip_gap(Q, mu) == pytest.approx(4.0, abs=1e-12)
 
 
 class TestSymmetricAndAbsoluteGap:
@@ -275,9 +278,49 @@ class TestGapReport:
 
     def test_generator_report(self):
         Q = cb.validate_generator([[-1, 1], [2, -2]])
-        report = cb.generator_gap_report(Q)
+        report = cb.gap_report(Q)
         assert report.eta_p == pytest.approx(3.0, abs=1e-12)
         assert report.eta_s is None and report.eta_a is None and report.pseudo is None
+
+    def test_embeds_once_and_checks_invariance_once(self, monkeypatch):
+        counts = {"embed": 0, "invariant": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(spectral, "embed_weighted", counting("embed", spectral.embed_weighted))
+        monkeypatch.setattr(spectral, "check_invariant", counting("invariant", spectral.check_invariant))
+        rng = np.random.default_rng(3)
+        P = random_reversible(rng, 6)
+        for op, mu in ((P, None), (P, cb.stationary_distribution(P)),
+                       (cb.validate_generator([[-1, 1], [2, -2]]), None)):
+            counts.update(embed=0, invariant=0)
+            cb.gap_report(op, mu)
+            assert counts == {"embed": 1, "invariant": 1}
+
+    def test_eta_is_eta_s_for_reversible_chains(self):
+        rng = np.random.default_rng(41)
+        for _ in range(25):
+            report = cb.gap_report(random_reversible(rng, int(rng.integers(2, 12))))
+            assert report.eta is not None
+            assert report.eta == report.eta_s
+
+    def test_drift_birth_death_chain_is_finite(self):
+        # valid and reversible, but its invariant law spans ~120 decades;
+        # re-validating the time reversal as a transition matrix used to
+        # raise RowSumViolation here
+        n = 100
+        a = np.zeros((n, n))
+        for i in range(n):
+            a[i, min(i + 1, n - 1)] += 0.45
+            a[i, max(i - 1, 0)] += 0.55
+        report = cb.gap_report(cb.validate_transition_matrix(a))
+        values = [report.eta_p, report.eta_s, report.eta_a, report.pseudo.value]
+        assert all(math.isfinite(v) for v in values)
+        assert report.eta is None or report.eta == report.eta_s
 
     def test_ordering_enforced_at_construction(self):
         with pytest.raises(ArithmeticError):
