@@ -281,18 +281,7 @@ def _cmd_sweep(args) -> int:
         seed_kwargs["t"] = typed[0]
     if args.axis == "delta" and args.delta is None:
         seed_kwargs["delta"] = typed[0]
-    template = bounds_mod.BoundQuery(
-        mode=args.mode,
-        n=seed_kwargs.get("n", args.n),
-        t=seed_kwargs.get("t", args.t),
-        delta=seed_kwargs.get("delta", args.delta),
-        M=args.M,
-        sigma2=args.sigma2,
-        eta_p=args.eta_p,
-        p=_parse_p(args.p),
-        nu_norm=args.nu_norm,
-    )
-    results = bounds_mod.bound_sweep(template, args.axis, typed)
+    results = bounds_mod.bound_sweep(_query_from_args(args, **seed_kwargs), args.axis, typed)
     if args.output_format == "json":
         _emit_json([
             {"axis": args.axis, "value": v, **r.to_dict()}

@@ -228,9 +228,12 @@ def _pseudo_gap(W: WeightedOperator, k_max: int) -> PseudoGapResult:
         raise DimensionMismatch("k_max must be >= 1")
     defl = 2.0 * np.outer(W.sqrt_mu, W.sqrt_mu)
     best_value, best_k = -np.inf, 1
-    mk = np.eye(W.matrix.shape[0])
+    mk = W.matrix
     for k in range(1, k_max + 1):
-        mk = mk @ W.matrix
+        if (1.0 + ORDERING_SLACK) / k <= best_value:
+            break  # step k scores at most 1/k; neither it nor any later k can win
+        if k > 1:
+            mk = mk @ W.matrix
         sym = mk.T @ mk
         lam2 = float(np.linalg.eigvalsh(sym - defl)[-1])
         value = (1.0 - lam2) / k
@@ -249,6 +252,13 @@ def pseudo_gap(
     embeds to (M^k)^T M^k, a PSD stochastic self-adjoint operator, whose
     second-largest eigenvalue is extracted by the same deflation as the
     symmetric gap.
+
+    The scan stops at the first k with (1 + ORDERING_SLACK) / k <= best.
+    This is exact: (M^k)^T M^k is PSD and n >= 2, so by Weyl's inequality
+    the deflated eigenvalue lam2 is >= 0 and step k scores at most 1/k,
+    which falls with k; the slack absorbs eigvalsh rounding. A periodic
+    chain, whose every value is 0, still scans all k. ``k_max`` in the
+    result is the requested truncation either way.
     """
     return _pseudo_gap(_embed_chain(P, mu), k_max)
 
@@ -294,6 +304,21 @@ def verify_iterated_poincare(
     return PoincareCheck(lhs, rhs, lhs <= rhs + 1e-9 * max(1.0, rhs))
 
 
+_RADIUS_BUDGET = 1 << 20  # complex entries per phase batch of _radius_at
+
+
+def _extreme_abs(ev: np.ndarray) -> np.ndarray:
+    # largest |eigenvalue| from eigvalsh output, ascending along the last axis
+    return np.maximum(np.abs(ev[..., 0]), np.abs(ev[..., -1]))
+
+
+def _square(B) -> np.ndarray:
+    a = np.asarray(B, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch("numerical radius requires a square matrix")
+    return a
+
+
 def numerical_radius_real(B) -> float:
     """sup over real unit vectors of |<B x, x>|.
 
@@ -301,46 +326,52 @@ def numerical_radius_real(B) -> float:
     particular every skew-symmetric matrix has real numerical radius zero
     even though its powers need not.
     """
-    a = np.asarray(B, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch("numerical radius requires a square matrix")
-    ev = np.linalg.eigvalsh(0.5 * (a + a.T))
-    return float(max(abs(ev[0]), abs(ev[-1])))
+    a = _square(B)
+    return float(_extreme_abs(np.linalg.eigvalsh(0.5 * (a + a.T))))
 
 
 def _radius_at(theta: np.ndarray, S: np.ndarray, K: np.ndarray) -> np.ndarray:
-    # largest |eigenvalue| of cos(t) S + i sin(t) K through the real
-    # symmetric 2n x 2n embedding [[c S, -s K], [s K, c S]]
+    # largest |eigenvalue| of the Hermitian form cos(t) S + i sin(t) K,
+    # built and solved in phase batches of at most _RADIUS_BUDGET entries
     n = S.shape[0]
     c, s = np.cos(theta), np.sin(theta)
-    emb = np.zeros((theta.size, 2 * n, 2 * n))
-    emb[:, :n, :n] = c[:, None, None] * S
-    emb[:, n:, n:] = c[:, None, None] * S
-    emb[:, :n, n:] = -s[:, None, None] * K
-    emb[:, n:, :n] = s[:, None, None] * K
-    ev = np.linalg.eigvalsh(emb)
-    return np.maximum(np.abs(ev[:, 0]), np.abs(ev[:, -1]))
+    out = np.empty(theta.size)
+    batch = max(1, _RADIUS_BUDGET // (n * n))
+    h = np.empty((min(theta.size, batch), n, n), dtype=complex)
+    for start in range(0, theta.size, len(h)):
+        stop = min(start + len(h), theta.size)
+        form = h[: stop - start]
+        np.multiply(c[start:stop, None, None], S, out=form.real)
+        np.multiply(s[start:stop, None, None], K, out=form.imag)
+        out[start:stop] = _extreme_abs(np.linalg.eigvalsh(form))
+    return out
 
 
 def numerical_radius_complex(B, grid_points: int = DEFAULT_RADIUS_GRID) -> float:
     """Complex-field numerical radius sup_{|x|=1} |<B x, x>| of a real matrix.
 
     Evaluated as the maximum over a uniform phase grid on [0, pi) of the
-    top eigenvalue magnitude of the Hermitian part of e^(i theta) B,
-    realized through the equivalent real 2n x 2n symmetric embedding, with
-    one parabolic refinement pass around the best grid point. Grid maxima
-    never decrease under refinement; accuracy is O(grid_points^-2).
+    top eigenvalue magnitude of the Hermitian part of e^(i theta) B, the
+    n x n Hermitian form cos(theta) S + i sin(theta) K with S and K the
+    symmetric and skew parts of B (Johnson 1978), with one parabolic
+    refinement pass around the best grid point. The forms are built and
+    solved in phase batches of at most 2^20 complex entries, so memory
+    stays bounded as ``grid_points`` grows. At theta = 0 the form is S
+    itself, and that grid point is solved exactly as
+    :func:`numerical_radius_real` solves it, so the result is never below
+    the real radius. Grid maxima never decrease under refinement; accuracy
+    is O(grid_points^-2).
     """
     if grid_points < 8:
         raise DimensionMismatch("grid_points must be >= 8")
-    a = np.asarray(B, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch("numerical radius requires a square matrix")
+    a = _square(B)
     S = 0.5 * (a + a.T)
     K = 0.5 * (a - a.T)
     step = np.pi / grid_points
     thetas = np.arange(grid_points) * step
-    vals = _radius_at(thetas, S, K)
+    vals = np.empty(grid_points)
+    vals[0] = _extreme_abs(np.linalg.eigvalsh(S))
+    vals[1:] = _radius_at(thetas[1:], S, K)
     j = int(np.argmax(vals))
     best = float(vals[j])
     # parabola through the argmax and its cyclic neighbours (period pi)

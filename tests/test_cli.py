@@ -81,6 +81,74 @@ class TestGaps:
         assert json.loads(capsys.readouterr().err)["error"] == "NotInvariant"
 
 
+_GAPS_TAIL = """  "degenerate": false,
+  "tolerances": {
+    "reversibility": 1e-10,
+    "ordering_slack": 1e-09,
+    "sv_zero_rtol": 1e-10
+  }
+}
+"""
+
+# `gaps` JSON stdout, recorded byte for byte before the pseudo-gap early
+# stop: best k = 1, best k > 1 (a cycle holding only at state 0), and a
+# periodic chain whose values are all rounding noise, so every k is scanned
+GOLDEN_GAPS = {
+    "best-k-1": (
+        [[0.5, 0.3, 0.2], [0.2, 0.6, 0.2], [0.3, 0.3, 0.4]],
+        """{
+  "eta_p": 0.6928203230275509,
+  "eta_s": 0.6922649730810375,
+  "eta_a": 0.6906038252386791,
+  "eta": null,
+  "pseudo": {
+    "value": 0.9042740070430624,
+    "k": 1,
+    "k_max": 20
+  },
+""" + _GAPS_TAIL,
+    ),
+    "best-k-5": (
+        [[0.5, 0.5, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1],
+         [1, 0, 0, 0, 0]],
+        """{
+  "eta_p": 0.8710860620711349,
+  "eta_s": 0.5000000000000002,
+  "eta_a": -2.220446049250313e-16,
+  "eta": null,
+  "pseudo": {
+    "value": 0.12760184604338953,
+    "k": 5,
+    "k_max": 20
+  },
+""" + _GAPS_TAIL,
+    ),
+    "periodic": (
+        [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+        """{
+  "eta_p": 1.7320508075688774,
+  "eta_s": 1.4999999999999998,
+  "eta_a": 0.0,
+  "eta": null,
+  "pseudo": {
+    "value": -1.1102230246251566e-17,
+    "k": 20,
+    "k_max": 20
+  },
+""" + _GAPS_TAIL,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_GAPS))
+def test_gaps_json_matches_golden(name, tmp_path, capsys):
+    rows, expected = GOLDEN_GAPS[name]
+    labels = [str(i) for i in range(len(rows))]
+    rc = cli.main(["gaps", _chain_file(tmp_path, {"labels": labels, "P": rows})])
+    assert rc == 0
+    assert capsys.readouterr().out == expected
+
+
 class TestBound:
     ARGS = [
         "bound", "--mode", "discrete", "--n", "1000", "--delta", "0.1",

@@ -1,12 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import chainbounds as cb
 from chainbounds import errors, spectral
-from chainbounds.examples import skew_matrix, zero_absolute_gap_chain
+from chainbounds.examples import flip_chain, skew_matrix, zero_absolute_gap_chain
 from conftest import random_reversible, random_transition
 
 GOLDEN_IP_GAP = math.sqrt((3.0 - math.sqrt(5.0)) / 2.0)  # 4-state example
@@ -174,6 +175,94 @@ class TestPseudoGap:
         assert res.k == 2
 
 
+def _reference_pseudo_gap(W, k_max):
+    # the full k_max-step scan that the early stop replaced
+    defl = 2.0 * np.outer(W.sqrt_mu, W.sqrt_mu)
+    best_value, best_k = -np.inf, 1
+    mk = np.eye(W.matrix.shape[0])
+    for k in range(1, k_max + 1):
+        mk = mk @ W.matrix
+        sym = mk.T @ mk
+        lam2 = float(np.linalg.eigvalsh(sym - defl)[-1])
+        value = (1.0 - lam2) / k
+        if value > best_value:
+            best_value, best_k = value, k
+    return cb.PseudoGapResult(best_value, best_k, k_max)
+
+
+def _sharpened(rng, n):
+    # near-deterministic rows: a Dirichlet draw raised to a power, kept positive
+    a = rng.dirichlet(np.full(n, 0.3), size=n) ** rng.uniform(2.0, 6.0) + 1e-6
+    return cb.validate_transition_matrix(a / a.sum(axis=1)[:, None])
+
+
+def _lazy_cycle(rng, n):
+    # deterministic moves around a cycle, with holding at some states; the
+    # one-step value is small and the best k is often above 1
+    hold = np.where(rng.random(n) < 0.6, 0.0, rng.uniform(0.1, 0.9, n))
+    hold[rng.integers(n)] = rng.uniform(0.1, 0.9)
+    a = np.diag(hold) + np.roll(np.diag(1.0 - hold), 1, axis=1)
+    return cb.validate_transition_matrix(a)
+
+
+def _drift_chain(n, up):
+    # birth-death chain with holding at the ends; mu from detailed balance
+    a = np.zeros((n, n))
+    for i in range(n):
+        a[i, min(i + 1, n - 1)] += up
+        a[i, max(i - 1, 0)] += 1.0 - up
+    w = (up / (1.0 - up)) ** np.arange(n)
+    return cb.validate_transition_matrix(a), cb.make_distribution(w / w.sum())
+
+
+class TestPseudoGapEarlyStop:
+    def _assert_parity(self, P, mu=None, k_max=20):
+        W = cb.embed_weighted(P, cb.stationary_distribution(P) if mu is None else mu)
+        got = spectral._pseudo_gap(W, k_max)
+        want = _reference_pseudo_gap(W, k_max)
+        assert (got.value, got.k, got.k_max) == (want.value, want.k, want.k_max)
+        return got
+
+    def test_bit_identical_on_seeded_families(self):
+        rng = np.random.default_rng(2015)
+        builders = (
+            lambda n: random_transition(rng, n),
+            lambda n: random_reversible(rng, n),
+            lambda n: _sharpened(rng, n),
+            lambda n: _lazy_cycle(rng, n),
+        )
+        later_k = 0
+        for builder in builders:
+            for _ in range(75):
+                res = self._assert_parity(builder(int(rng.integers(2, 31))))
+                later_k += res.k > 1
+        assert later_k >= 100  # the stop must not hide a later optimum
+
+    def test_bit_identical_on_named_chains(self):
+        for n, up in ((100, 0.45), (60, 0.4), (30, 0.2)):
+            self._assert_parity(*_drift_chain(n, up))
+        assert self._assert_parity(flip_chain()).k_max == 20
+        assert self._assert_parity(zero_absolute_gap_chain()).k == 2
+        rng = np.random.default_rng(6)
+        for P in (random_transition(rng, 8), _lazy_cycle(rng, 7), flip_chain()):
+            assert self._assert_parity(P, k_max=1).k_max == 1
+
+    def test_dense_chain_solves_one_eigenproblem(self, monkeypatch):
+        P = random_transition(np.random.default_rng(50), 50)
+        W = cb.embed_weighted(P, cb.stationary_distribution(P))
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        res = spectral._pseudo_gap(W, 20)
+        assert calls == [(50, 50)]
+        assert (res.k, res.k_max) == (1, 20)
+
+
 class TestIteratedPoincare:
     def test_constant_h_trivial(self):
         P = zero_absolute_gap_chain()
@@ -255,6 +344,82 @@ class TestNumericalRadius:
             w = cb.numerical_radius_complex(B)
             B = B / w
             assert cb.numerical_radius_complex(B @ B) <= 1.0 + 2e-3
+
+    def test_complex_never_below_real(self):
+        rng = np.random.default_rng(1978)
+        sizes = [int(rng.integers(1, 30)) for _ in range(40)] + [100]
+        for n in sizes:
+            B = rng.normal(size=(n, n))
+            assert cb.numerical_radius_complex(B) >= cb.numerical_radius_real(B)
+        S = rng.normal(size=(20, 20))
+        S = S + S.T  # attains its radius at phase zero
+        assert cb.numerical_radius_complex(S) >= cb.numerical_radius_real(S)
+
+
+def _reference_radius_at(theta, S, K):
+    # the real symmetric 2n x 2n embedding [[c S, -s K], [s K, c S]] of the
+    # Hermitian form, all phases at once, that the n x n form replaced
+    n = S.shape[0]
+    c, s = np.cos(theta), np.sin(theta)
+    emb = np.zeros((theta.size, 2 * n, 2 * n))
+    emb[:, :n, :n] = c[:, None, None] * S
+    emb[:, n:, n:] = c[:, None, None] * S
+    emb[:, :n, n:] = -s[:, None, None] * K
+    emb[:, n:, :n] = s[:, None, None] * K
+    ev = np.linalg.eigvalsh(emb)
+    return np.maximum(np.abs(ev[:, 0]), np.abs(ev[:, -1]))
+
+
+def _reference_radius(B, grid_points=720):
+    S, K = 0.5 * (B + B.T), 0.5 * (B - B.T)
+    step = np.pi / grid_points
+    thetas = np.arange(grid_points) * step
+    vals = _reference_radius_at(thetas, S, K)
+    j = int(np.argmax(vals))
+    best = float(vals[j])
+    ym, y0, yp = vals[(j - 1) % grid_points], vals[j], vals[(j + 1) % grid_points]
+    denom = ym - 2.0 * y0 + yp
+    if denom < 0:
+        offset = 0.5 * (ym - yp) / denom
+        refined = _reference_radius_at(np.array([thetas[j] + offset * step]), S, K)
+        best = max(best, float(refined[0]))
+    return best
+
+
+class TestHermitianRadius:
+    def test_matches_real_embedding(self):
+        rng = np.random.default_rng(1005)
+        for n in list(range(2, 13)) + [20, 31, 40]:
+            B = rng.normal(size=(n, n))
+            S, K = 0.5 * (B + B.T), 0.5 * (B - B.T)
+            thetas = rng.uniform(0.0, np.pi, 64)
+            want = _reference_radius_at(thetas, S, K)
+            got = spectral._radius_at(thetas, S, K)
+            assert np.abs(got - want).max() <= 1e-13 * want.max()
+            ref = _reference_radius(B, grid_points=180)
+            assert abs(cb.numerical_radius_complex(B, grid_points=180) - ref) <= 1e-13 * ref
+
+    def test_batches_do_not_change_values(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        B = rng.normal(size=(7, 7))
+        S, K = 0.5 * (B + B.T), 0.5 * (B - B.T)
+        thetas = np.arange(1, 100) * (np.pi / 100)
+        whole = spectral._radius_at(thetas, S, K)
+        # 2, 1 and 13 phases per batch: partial last batches and single phases
+        for budget in (100, 1, 13 * 49):
+            monkeypatch.setattr(spectral, "_RADIUS_BUDGET", budget)
+            assert np.array_equal(spectral._radius_at(thetas, S, K), whole)
+
+    def test_memory_bounded_in_grid(self):
+        n, grid = 40, 2880
+        B = np.random.default_rng(4).normal(size=(n, n))
+        tracemalloc.start()
+        try:
+            cb.numerical_radius_complex(B, grid_points=grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < grid * (2 * n) ** 2 * 8 / 4
 
 
 class TestGapReport:
