@@ -73,6 +73,8 @@ class BoundQuery:
         else:
             if self.n is not None or self.t is None or self.t < 0:
                 raise InvalidQuery("continuous queries need a horizon t >= 0")
+        if self.delta is None:
+            raise InvalidQuery("delta is missing: a tail bound needs delta >= 0")
         if not self.delta >= 0:
             raise InvalidQuery("delta must be >= 0")
         if not self.M > 0:

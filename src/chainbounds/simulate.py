@@ -3,12 +3,18 @@
 Randomness is organized as counter-based per-replica substreams: replica r
 of a run seeded with s draws from ``Philox(SeedSequence(s, spawn_key=(r,)))``,
 so reports are bit-reproducible, independent of evaluation order, and
-stable when the replica count changes. Chain paths draw each replica's
+stable when the replica count changes. The Philox keys of a whole run come
+from one vectorised pass that reproduces numpy's ``SeedSequence`` hash, so
+no per-replica ``SeedSequence`` is built. Chain paths draw each replica's
 stream in horizon blocks of a fixed total size, so memory is O(replicas x
-block) whatever the horizon; jump processes are sampled by their
+block) whatever the horizon. Jump processes are sampled by their
 holding-time representation (no uniformization), which makes time
-integrals of observables exact given the path. Both pick the next state by
-bisection over clamped row CDFs.
+integrals of observables exact given the path; their replicas run in
+chunks whose two step-major (block x chunk) draw buffers hold at most
+``_JUMP_BUDGET`` draws each, so memory does not grow with the replica
+count (it still grows with the horizon once one replica's block exceeds
+the budget). Both samplers pick the next state by bisection over clamped
+row CDFs.
 
 ``path_averages`` simulates once; ``tail_report`` thresholds its output at
 one delta, so a whole delta grid (as in the CLI's ``verify``) costs one
@@ -20,10 +26,12 @@ heavy-tail warning.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy.special import betaincinv, ndtri
 
 from .bounds import BoundResult
@@ -39,11 +47,95 @@ from .errors import InvalidCounts, InvalidQuery, NotCentered, NotIrreducible
 DEFAULT_ALPHA = 0.05
 
 
+# numpy.random.SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+class _PhiloxKey(ISeedSequence):
+    """Seeds a Philox with a key computed ahead, without a SeedSequence."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
+def _replica_keys(seed: int, ids: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(r,)).generate_state(2, uint64)`` per id.
+
+    The same hash as numpy's: the seed words are mixed into the pool once,
+    as Python ints, then each id's one or two 32-bit spawn words are mixed
+    in over uint64 arrays. Every product and difference is masked to 32
+    bits, so both forms wrap modulo 2^32 as numpy's uint32 words do.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ (result >> 16)
+
+    words = [(seed >> shift) & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    pool = [hashmix(word) for word in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    pool = np.array(pool, dtype=np.uint64)[:, None].repeat(ids.size, axis=1)
+    low = ids & _MASK32
+    for dst in range(_POOL_SIZE):
+        pool[dst] = mix(pool[dst], hashmix(low))
+    # ids >= 2^32 have a second spawn word, mixed in with the next constants
+    wide = np.flatnonzero(ids >> 32)
+    high = ids[wide] >> 32
+    for dst in range(_POOL_SIZE):
+        pool[dst, wide] = mix(pool[dst, wide], hashmix(high))
+    hash_const = _INIT_B
+    state = []
+    for word in pool:
+        word = word ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        word = word * hash_const & _MASK32
+        state.append(word ^ (word >> 16))
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
+
+
+def _replica_rngs(seed: int, ids: np.ndarray) -> list[np.random.Generator]:
+    """``replica_rng(seed, r)`` for every r of the uint64 array ``ids``."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise InvalidQuery(f"seed must be >= 0, got {seed}")
+    keys = _replica_keys(seed, ids.astype(np.uint64, copy=False))
+    return [np.random.Generator(np.random.Philox(_PhiloxKey(key))) for key in keys.tolist()]
+
+
 def replica_rng(seed: int, replica: int) -> np.random.Generator:
-    """Counter-based generator for one replica, stable across run sizes."""
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(replica,)))
-    )
+    """Counter-based generator for one replica, stable across run sizes.
+
+    It draws exactly what ``Philox(SeedSequence(seed, spawn_key=(replica,)))``
+    draws. The key comes from the vectorised pass that seeds whole runs
+    (``_replica_rngs``), of which this is the one-replica case.
+    """
+    replica = operator.index(replica)
+    if not 0 <= replica < 1 << 64:
+        raise InvalidQuery(f"replica ids lie in [0, 2**64), got {replica}")
+    return _replica_rngs(seed, np.array([replica], dtype=np.uint64))[0]
 
 
 @dataclass(frozen=True)
@@ -188,12 +280,12 @@ def _pick_rows(table: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarr
     width = table.shape[1]
     flat = table.ravel()
     start = states * width
-    pos = start - 1  # flat index of the last entry known to be <= u
+    pos = start.copy()  # flat index of the first entry not known to be <= u
     step = width >> 1
     while step:
-        pos += step * (flat[pos + step] <= u)
+        pos += step * (flat[step - 1:][pos] <= u)
         step >>= 1
-    return pos + 1 - start
+    return pos - start
 
 
 def sample_dtmc(
@@ -295,7 +387,7 @@ def _dtmc_sums(
     steps; consecutive ``random(k)`` calls continue one stream, so the
     sums equal those of single ``random(n)`` draws.
     """
-    rngs = [replica_rng(seed, r) for r in range(replicas)]
+    rngs = _replica_rngs(seed, np.arange(replicas))
     table = _pick_table(_cdf_rows(P.entries))
     init_cdf = np.cumsum(init.weights)
     init_cdf[-1] = 1.0
@@ -316,70 +408,100 @@ def _dtmc_sums(
     return sums
 
 
+# Draws held per jump-sampler buffer (at most 32 MB of float64). Each step
+# issues about 30 numpy calls per chunk, so narrower chunks save memory but
+# cost time: on 10^4 replicas of block 1269, budgets 2^20, 2^21, 2^22 and
+# 2^23 took 1.05, 1.00, 0.67 and 0.65 s, with tracemalloc peaks of 17, 32,
+# 55 and 110 MB (2-vCPU VM, numpy 2.4).
+_JUMP_BUDGET = 1 << 22
+# Replicas drawn row-major into a stage, then copied step-major in one
+# transposed copy: 64 rows keep the copy's source cache lines in L1.
+_DRAW_TILE = 64
+
+
 def _ctmc_integrals(
     Q: GeneratorMatrix, init: Distribution, fv: np.ndarray,
     t: float, seed: int, replicas: int,
 ) -> np.ndarray:
-    """Per-replica time integrals of f over [0, t] (matches sample_ctmc)."""
+    """Per-replica time integrals of f over [0, t] (matches sample_ctmc).
+
+    Replicas run in equal chunks of at most ``max(1, _JUMP_BUDGET // block)``;
+    two step-major (block x chunk) draw buffers are allocated once and reused
+    by every chunk and draw round, so memory is O(_JUMP_BUDGET) whatever the
+    replica count.
+    """
     block = _ctmc_block_size(Q, t)
+    # +0.0 at absorbing states, whatever the sign of zero on the diagonal:
+    # a draw over it is inf, or nan for a zero draw, and either ends the path
+    # like the scalar sampler's infinite hold (-inf would never end it)
     rates = -Q.entries.diagonal()
+    rates = np.where(rates > 0, rates, 0.0)
     table = _pick_table(_jump_cdf(Q))
     init_cdf = np.cumsum(init.weights)
     init_cdf[-1] = 1.0
-    # replica chunks keep the (replicas x block) draw buffers bounded
-    chunk = max(1, int(2e7 // max(block, 1)))
+    widest = max(1, _JUMP_BUDGET // max(block, 1))
+    chunk = -(-replicas // -(-replicas // widest))  # equal chunks, none wider
+    exps = np.empty((block, chunk))
+    jumps = np.empty((block, chunk))
     out = np.empty(replicas)
     for start in range(0, replicas, chunk):
-        stop = min(start + chunk, replicas)
-        out[start:stop] = _ctmc_integrals_chunk(
-            rates, table, init_cdf, fv, t, seed, range(start, stop), block
+        rngs = _replica_rngs(seed, np.arange(start, min(start + chunk, replicas)))
+        out[start:start + len(rngs)] = _ctmc_integrals_chunk(
+            rngs, init_cdf, rates, table, fv, t, exps, jumps
         )
     return out
 
 
 def _ctmc_integrals_chunk(
-    rates: np.ndarray, table: np.ndarray, init_cdf: np.ndarray, fv: np.ndarray,
-    t: float, seed: int, replica_ids, block: int,
+    rngs: list, init_cdf: np.ndarray, rates: np.ndarray, table: np.ndarray,
+    fv: np.ndarray, t: float, exps: np.ndarray, jumps: np.ndarray,
 ) -> np.ndarray:
-    rngs = [replica_rng(seed, r) for r in replica_ids]
-    replicas = len(rngs)
+    """Integrals of one chunk of replicas, one draw round at a time.
+
+    A round draws ``block`` holding times and jump uniforms for every
+    replica still running, into column k of the step-major buffers for the
+    k-th of them, so step j reads row j; the draws reach the buffers through
+    a row-major stage of ``_DRAW_TILE`` replicas. The running replicas'
+    index, state, remaining time and round accumulator are compacted only at
+    steps where some path ends; a path ends where ``hold < rem`` fails,
+    which an infinite or nan hold (zero exit rate) does.
+    """
     u0 = np.array([rng.random() for rng in rngs])
-    states = np.minimum(
-        np.searchsorted(init_cdf, u0, side="right"), init_cdf.size - 1
-    )
-    integrals = np.zeros(replicas)
-    if block == 0 or t == 0:
-        return integrals + fv[states] * t
-    remaining = np.full(replicas, t)
-    active = np.arange(replicas)
-    while active.size:
-        exps = np.empty((active.size, block))
-        jumps = np.empty((active.size, block))
-        for row, r in enumerate(active):
-            exps[row] = rngs[r].standard_exponential(block)
-            jumps[row] = rngs[r].random(block)
-        st = states[active]
-        rem = remaining[active]
-        acc = np.zeros(active.size)
-        alive = np.ones(active.size, dtype=bool)
-        for j in range(block):
-            rate = rates[st]
-            with np.errstate(divide="ignore"):
-                hold = np.where(rate > 0, exps[:, j] / np.where(rate > 0, rate, 1.0), np.inf)
-            ending = alive & (hold >= rem)
-            cont = alive & ~ending
-            acc[ending] += fv[st[ending]] * rem[ending]
-            alive[ending] = False
-            acc[cont] += fv[st[cont]] * hold[cont]
-            rem[cont] -= hold[cont]
-            if cont.any():
-                st[cont] = _pick_rows(table, st[cont], jumps[cont, j])
-            if not alive.any():
-                break
-        integrals[active] += acc
-        states[active] = st
-        remaining[active] = np.where(alive, rem, 0.0)
-        active = active[alive]
+    st = np.minimum(np.searchsorted(init_cdf, u0, side="right"), init_cdf.size - 1)
+    integrals = np.zeros(len(rngs))
+    if len(exps) == 0 or t == 0:
+        return integrals + fv[st] * t
+    ids = np.arange(len(rngs))
+    rem = np.full(len(rngs), t)
+    stage = np.empty((min(_DRAW_TILE, len(rngs)), len(exps)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while ids.size:
+            for k in range(0, ids.size, len(stage)):
+                tile = [rngs[r] for r in ids[k:k + len(stage)].tolist()]
+                rows = stage[:len(tile)]
+                for rng, row in zip(tile, rows):
+                    rng.standard_exponential(out=row)
+                exps[:, k:k + len(tile)] = rows.T
+                for rng, row in zip(tile, rows):
+                    rng.random(out=row)
+                jumps[:, k:k + len(tile)] = rows.T
+            col = np.arange(ids.size)
+            acc = np.zeros(ids.size)
+            for exps_j, jumps_j in zip(exps, jumps):
+                hold = exps_j[col] / rates[st]
+                going = hold < rem
+                if not going.all():
+                    ending = ~going
+                    integrals[ids[ending]] += acc[ending] + fv[st[ending]] * rem[ending]
+                    ids, col, st, rem, acc, hold = (
+                        ids[going], col[going], st[going], rem[going], acc[going], hold[going]
+                    )
+                    if not ids.size:
+                        break
+                acc += fv[st] * hold
+                rem -= hold
+                st = _pick_rows(table, st, jumps_j[col])
+            integrals[ids] += acc
     return integrals
 
 

@@ -149,6 +149,88 @@ def test_gaps_json_matches_golden(name, tmp_path, capsys):
     assert capsys.readouterr().out == expected
 
 
+_JUMP_DOC = {"labels": ["x", "y", "z"], "Q": [[-2, 1, 1], [1, -1, 0], [2, 2, -4]],
+             "f": [1, -1, 0.5]}
+
+# sampler stdout, recorded byte for byte before the vectorised key pass and
+# the chunked jump sampler: any change to a replica's stream shows here
+GOLDEN_SAMPLER = {
+    "mgf-jump": (
+        _JUMP_DOC,
+        ["mgf", "--theta", "0.2", "--t", "5", "--replicas", "300", "--seed", "17"],
+        """{
+  "mode": "continuous",
+  "t": 5.0,
+  "theta": 0.2,
+  "eta_p": 2.257842677588063,
+  "M": 1.1363636363636362,
+  "sigma2": 0.9132231404958677,
+  "exact": 1.0748171789768628,
+  "theta_in_range": true,
+  "bound": 1.2170217121871147,
+  "within_bound": true,
+  "empirical": {
+    "kind": "mgf",
+    "estimate": 1.0928599887150703,
+    "ci_low": 1.0449955469254402,
+    "ci_high": 1.1407244305047004,
+    "replicas_used": 300,
+    "seed": 17,
+    "bound_compared": 1.2170217121871147,
+    "consistent": true,
+    "heavy_tail": false
+  }
+}
+""",
+    ),
+    "verify-chain-csv": (
+        {"labels": ["a", "b", "c", "d"], "P": ZERO_ABSOLUTE_GAP_ROWS, "f": [1, 0, 0, -1]},
+        ["verify", "--n", "60", "--delta-grid", "0.05,0.1,0.3", "--replicas", "300",
+         "--seed", "17"],
+        """param,estimate,ci_low,ci_high,bound,consistent
+0.05,0.74,0.6864771167527293,0.7887131884646669,1.9885498898165423,true
+0.1,0.4766666666666667,0.4189581580700267,0.5348404577247352,1.9546017026631097,true
+0.3,0.0033333333333333335,8.438913231780044e-05,0.018431252048067885,1.6274359014155122,true
+""",
+    ),
+    "verify-jump-json": (
+        _JUMP_DOC,
+        ["verify", "--t", "20", "--delta-grid", "0.1", "--replicas", "300", "--seed", "17",
+         "--output-format", "json"],
+        """[
+  {
+    "param": 0.1,
+    "kind": "tail",
+    "estimate": 0.5633333333333334,
+    "ci_low": 0.5051513681360884,
+    "ci_high": 0.620252068176669,
+    "replicas_used": 300,
+    "seed": 17,
+    "bound_compared": {
+      "probability_bound": 1.898832425465355,
+      "exponent": -0.05190799619096934,
+      "theta_used": 0.051907996190969335,
+      "c_theta": 0.9986340256545485,
+      "vacuous": true,
+      "boundary_limit": false
+    },
+    "consistent": true,
+    "heavy_tail": false
+  }
+]
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SAMPLER))
+def test_sampler_output_matches_golden(name, tmp_path, capsys):
+    doc, argv, expected = GOLDEN_SAMPLER[name]
+    rc = cli.main([argv[0], _chain_file(tmp_path, doc), *argv[1:]])
+    assert rc == 0
+    assert capsys.readouterr().out == expected
+
+
 class TestBound:
     ARGS = [
         "bound", "--mode", "discrete", "--n", "1000", "--delta", "0.1",
@@ -372,6 +454,20 @@ class TestSweep:
             "--n", "100", "--M", "1", "--sigma2", "0.1", "--eta-p", "1",
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("axis,horizon", [
+        ("n", ["--mode", "discrete"]),
+        ("t", ["--mode", "continuous"]),
+        ("eta_p", ["--mode", "discrete", "--n", "100"]),
+    ])
+    def test_missing_delta_exit_two(self, axis, horizon, capsys):
+        rc = cli.main([
+            "sweep", *horizon, "--axis", axis, "--values", "5,10",
+            "--M", "1", "--sigma2", "0.5", "--eta-p", "0.3",
+        ])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidQuery" and "delta" in err["message"]
 
 
 class TestRadius:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import chainbounds as cb
-from chainbounds import errors
+from chainbounds import errors, simulate
 from chainbounds.examples import zero_absolute_gap_chain
 from chainbounds.simulate import (
     _cdf_rows,
@@ -19,6 +19,8 @@ from chainbounds.simulate import (
     _jump_cdf,
     _pick_rows,
     _pick_table,
+    _replica_keys,
+    _replica_rngs,
     replica_rng,
 )
 from conftest import random_transition
@@ -131,6 +133,195 @@ class TestSamplers:
         small = _dtmc_sums(P, mu, fv, 10, seed=7, replicas=50)
         large = _dtmc_sums(P, mu, fv, 10, seed=7, replicas=120)
         assert (small == large[:50]).all()
+
+
+def _reference_rng(seed, replica):
+    # numpy's own derivation, which the vectorised key pass reproduces
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(replica,)))
+    )
+
+
+class TestReplicaKeys:
+    SEEDS = (0, 1, 2**31 - 1, 2**32, 2**64 + 3, 2**130 + 9)
+    IDS = [*range(300), 2**16, 2**31, 2**32 - 1, 2**32, 2**40 + 5, 2**64 - 1]
+
+    def test_keys_equal_seed_sequence_state(self):
+        ids = np.array(self.IDS, dtype=np.uint64)
+        for seed in self.SEEDS:
+            keys = _replica_keys(seed, ids)
+            assert keys.dtype == np.uint64 and keys.shape == (ids.size, 2)
+            for r, key in zip(self.IDS, keys):
+                reference = np.random.SeedSequence(entropy=seed, spawn_key=(r,))
+                assert (key == reference.generate_state(2, np.uint64)).all(), (seed, r)
+
+    def test_first_draws_equal_reference_streams(self):
+        ids = np.array(self.IDS, dtype=np.uint64)
+        for seed in self.SEEDS:
+            for rng, r in zip(_replica_rngs(seed, ids), self.IDS):
+                ref = _reference_rng(seed, r)
+                one = replica_rng(seed, r)
+                assert rng.random() == ref.random() == one.random()
+                assert (rng.standard_exponential() == ref.standard_exponential()
+                        == one.standard_exponential())
+
+    def test_out_of_range_ids_and_seeds_rejected(self):
+        for seed, replica in ((0, -1), (0, 2**64), (-1, 0)):
+            with pytest.raises(errors.InvalidQuery):
+                replica_rng(seed, replica)
+        assert _replica_rngs(0, np.arange(0)) == []
+
+    def test_runs_build_no_seed_sequence(self, monkeypatch):
+        built = []
+
+        class Counting(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", Counting)
+        P = zero_absolute_gap_chain()
+        _dtmc_sums(P, _uniform(4), np.array([1.0, 0.0, 0.0, -1.0]), 3, seed=2, replicas=1000)
+        Q = cb.validate_generator([[-1, 1], [2, -2]])
+        _ctmc_integrals(Q, _uniform(2), np.array([1.0, -1.0]), 2.0, seed=2, replicas=1000)
+        assert built == []
+        assert not isinstance(replica_rng(2, 5).bit_generator.seed_seq, np.random.SeedSequence)
+
+
+def _reference_ctmc_integrals(Q, init, fv, t, seed, replicas):
+    # the masked-loop jump sampler that the chunked step-major one replaced
+    block = simulate._ctmc_block_size(Q, t)
+    rates = -Q.entries.diagonal()
+    table = _pick_table(_jump_cdf(Q))
+    init_cdf = np.cumsum(init.weights)
+    init_cdf[-1] = 1.0
+    chunk = max(1, int(2e7 // max(block, 1)))
+    out = np.empty(replicas)
+    for start in range(0, replicas, chunk):
+        stop = min(start + chunk, replicas)
+        out[start:stop] = _reference_ctmc_integrals_chunk(
+            rates, table, init_cdf, fv, t, seed, range(start, stop), block
+        )
+    return out
+
+
+def _reference_ctmc_integrals_chunk(rates, table, init_cdf, fv, t, seed, replica_ids, block):
+    rngs = [_reference_rng(seed, r) for r in replica_ids]
+    replicas = len(rngs)
+    u0 = np.array([rng.random() for rng in rngs])
+    states = np.minimum(
+        np.searchsorted(init_cdf, u0, side="right"), init_cdf.size - 1
+    )
+    integrals = np.zeros(replicas)
+    if block == 0 or t == 0:
+        return integrals + fv[states] * t
+    remaining = np.full(replicas, t)
+    active = np.arange(replicas)
+    while active.size:
+        exps = np.empty((active.size, block))
+        jumps = np.empty((active.size, block))
+        for row, r in enumerate(active):
+            exps[row] = rngs[r].standard_exponential(block)
+            jumps[row] = rngs[r].random(block)
+        st = states[active]
+        rem = remaining[active]
+        acc = np.zeros(active.size)
+        alive = np.ones(active.size, dtype=bool)
+        for j in range(block):
+            rate = rates[st]
+            with np.errstate(divide="ignore"):
+                hold = np.where(rate > 0, exps[:, j] / np.where(rate > 0, rate, 1.0), np.inf)
+            ending = alive & (hold >= rem)
+            cont = alive & ~ending
+            acc[ending] += fv[st[ending]] * rem[ending]
+            alive[ending] = False
+            acc[cont] += fv[st[cont]] * hold[cont]
+            rem[cont] -= hold[cont]
+            if cont.any():
+                st[cont] = _pick_rows(table, st[cont], jumps[cont, j])
+            if not alive.any():
+                break
+        integrals[active] += acc
+        states[active] = st
+        remaining[active] = np.where(alive, rem, 0.0)
+        active = active[alive]
+    return integrals
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestJumpSamplerParity:
+    def _check(self, Q, init, fv, t, seed, replicas):
+        got = _ctmc_integrals(Q, init, fv, t, seed, replicas)
+        assert _same_bits(got, _reference_ctmc_integrals(Q, init, fv, t, seed, replicas))
+
+    def _process(self):
+        rng = np.random.default_rng(31)
+        rates = rng.uniform(0.1, 3.0, size=(5, 5)) * (rng.random((5, 5)) < 0.7)
+        np.fill_diagonal(rates, 0.0)
+        rates[np.arange(5), (np.arange(5) + 1) % 5] += 0.5
+        Q = cb.validate_generator(rates - np.diag(rates.sum(axis=1)))
+        return Q, cb.stationary_distribution(Q), rng.normal(size=5)
+
+    def test_replica_counts_around_the_chunk(self, monkeypatch):
+        Q, mu, fv = self._process()
+        t = 4.0
+        block = simulate._ctmc_block_size(Q, t)
+        monkeypatch.setattr(simulate, "_JUMP_BUDGET", 7 * block + 3)
+        chunk = 7
+        for replicas in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3, 60):
+            self._check(Q, mu, fv, t, 3, replicas)
+        # draw stages narrower than a chunk, and one replica wide
+        for tile in (1, 3):
+            monkeypatch.setattr(simulate, "_DRAW_TILE", tile)
+            self._check(Q, mu, fv, t, 3, 2 * chunk + 3)
+
+    def test_absorbing_states(self):
+        rows = np.array([[-1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+                         [2.0, 1.0, -4.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
+        Q = cb.validate_generator(rows)
+        # validation leaves -0.0 on the absorbing diagonals; a matrix built
+        # directly can hold +0.0, a rate of -0.0, and must end paths alike
+        plus_zero = cb.GeneratorMatrix(Q.space, Q.entries + 0.0)
+        assert np.signbit(-plus_zero.entries.diagonal()[[1, 3]]).all()
+        init = cb.make_distribution([0.4, 0.1, 0.3, 0.2])
+        fv = np.array([1.0, -2.0, 0.5, 3.0])
+        for t in (0.5, 6.0):
+            self._check(Q, init, fv, t, 11, 300)
+            self._check(plus_zero, init, fv, t, 11, 300)
+
+    def test_zero_generator_and_tiny_horizon(self):
+        Q0 = cb.validate_generator(np.zeros((3, 3)))
+        assert simulate._ctmc_block_size(Q0, 5.0) == 0
+        self._check(Q0, _uniform(3), np.array([1.0, -0.0, -1.0]), 5.0, 4, 50)
+        Q, mu, fv = self._process()
+        self._check(Q, mu, fv, 1e-9, 5, 200)
+        self._check(Q, mu, fv, 0.05, 5, 200)
+
+    def test_several_draw_rounds(self, monkeypatch):
+        Q, mu, fv = self._process()
+        for block in (1, 2, 5):
+            monkeypatch.setattr(simulate, "_ctmc_block_size", lambda Q, t, b=block: b)
+            self._check(Q, mu, fv, 6.0, 9, 150)
+            monkeypatch.setattr(simulate, "_JUMP_BUDGET", 4 * block)
+            self._check(Q, mu, fv, 6.0, 9, 41)
+            monkeypatch.undo()
+
+    def test_jump_memory_bounded_in_replicas(self):
+        Q = cb.validate_generator([[-10.0, 10.0], [10.0, -10.0]])
+        fv = np.array([1.0, -1.0])
+        t, replicas = 100.0, 16_600
+        block = simulate._ctmc_block_size(Q, t)
+        assert replicas * block > 5 * simulate._JUMP_BUDGET  # six chunks
+        tracemalloc.start()
+        try:
+            _ctmc_integrals(Q, _uniform(2), fv, t, seed=1, replicas=replicas)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < replicas * block * 2 * 8 / 4
 
 
 def _reference_pick(cdf, states, u):
