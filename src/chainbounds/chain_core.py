@@ -36,7 +36,6 @@ POST_NORMALIZATION_TOLERANCE = 1e-12
 CENTERING_TOLERANCE = 1e-10
 INVARIANCE_TOLERANCE = 1e-9
 STATIONARY_RESIDUAL_TOLERANCE = 1e-12
-DIRECT_SOLVE_SIZE_LIMIT = 2000
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -278,70 +277,69 @@ def is_irreducible(op: ChainOperator) -> bool:
     return _reaches_all(adj) and _reaches_all(adj.T)
 
 
-def _stationary_direct(A: np.ndarray) -> np.ndarray:
-    # A is the balance operator acting on row vectors, transposed:
-    # solve A w = 0 with one equation replaced by normalization.
-    n = A.shape[0]
-    B = A.copy()
-    B[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    w = np.linalg.solve(B, b)
-    # one step of iterative refinement
-    w += np.linalg.solve(B, b - B @ w)
-    return w
+# States per block of the stationary solve. With one BLAS thread, dense chains
+# of n = 400 / 600 / 2000 states took 0.011 / 0.023 / 0.55 s at 16, 0.012 /
+# 0.021 / 0.35 s at 32 and 0.019 / 0.029 / 0.30 s at 64: small blocks make
+# the trailing matmuls thin, large ones cost O(b^2) per eliminated state.
+_GTH_BLOCK = 32
 
 
-def _stationary_power(P: np.ndarray, tol: float, max_iter: int = 20000) -> np.ndarray:
-    n = P.shape[0]
-    w = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        nxt = w @ P
-        nxt /= nxt.sum()
-        if np.abs(nxt - w).max() <= 0.1 * tol:
-            return nxt
-        w = nxt
-    raise SolverFailure("power iteration did not converge")
+def _gth_solve(entries: np.ndarray) -> np.ndarray:
+    """Invariant probability vector by blocked GTH elimination.
+
+    Reads off-diagonal entries only. Each trailing block B of states is
+    folded into the stochastic complement A_LL + A_LB G A_BL of the leading
+    states L, G = (D_B - A_BB)^-1 with D_B the off-diagonal row sums of B
+    (Meyer 1989). GTH steps (Grassmann, Taksar & Heyman 1985) on
+    [[0, 0, I], [I, r, A_BB]], r the row sums of A_BL, leave G in the
+    leading corner; then mu_B = mu_L A_LB G. No step subtracts.
+    """
+    a = np.array(entries, dtype=float)
+    n = a.shape[0]
+    blocks = []
+    for k1 in range(n, 1, -_GTH_BLOCK):
+        k0 = max(1, k1 - _GTH_BLOCK)
+        b = k1 - k0
+        z = np.zeros((2 * b, 2 * b + 1))
+        z[:b, b + 1:] = np.eye(b)
+        z[b:, :b] = np.eye(b)
+        z[b:, b] = a[k0:k1, :k0].sum(axis=1)
+        z[b:, b + 1:] = a[k0:k1, k0:k1]
+        for j in range(b - 1, -1, -1):
+            p, c = b + j, b + 1 + j
+            z[:p, c] /= z[p, b:c].sum()
+            z[:p, :c] += np.outer(z[:p, c], z[p, :c])
+        g = z[:b, :b]
+        a[:k0, :k0] += a[:k0, k0:k1] @ (g @ a[k0:k1, :k0])
+        blocks.append((k0, k1, g))
+    w = np.ones(n)
+    for k0, k1, g in reversed(blocks):
+        w[k0:k1] = (w[:k0] @ a[:k0, k0:k1]) @ g
+    return w / w.sum()
 
 
 def stationary_distribution(op: ChainOperator) -> Distribution:
     """Unique invariant distribution of an irreducible chain or jump process.
 
-    Solves mu P = mu (resp. mu Q = 0) by a direct linear solve with the
-    normalization sum(mu) = 1 replacing one balance equation; falls back to
-    power iteration above ``DIRECT_SOLVE_SIZE_LIMIT`` states. The result
-    satisfies the balance equation to max-norm residual 1e-12.
+    One blocked GTH solve of mu P = mu (resp. mu Q = 0) serves every size and
+    both time scales. It never subtracts, so every mu(i) has a small relative
+    error, even where mu spans hundreds of decades. The result must be
+    positive and satisfy the balance equation to max-norm residual 1e-12.
 
     Raises
     ------
     NotIrreducible
         When the support graph is not strongly connected.
     SolverFailure
-        When the residual or positivity requirement cannot be met.
+        When the residual or positivity requirement is not met, for instance
+        when some mu(i) underflows.
     """
     if not is_irreducible(op):
         raise NotIrreducible("support graph is not strongly connected")
-    n = op.space.size
-    if n == 1:
-        return make_distribution([1.0], op.space)
-    discrete = isinstance(op, TransitionMatrix)
-    if discrete:
-        A = op.entries.T - np.eye(n)
-    else:
-        A = op.entries.T
-    if n <= DIRECT_SOLVE_SIZE_LIMIT:
-        w = _stationary_direct(A)
-    elif discrete:
-        w = _stationary_power(op.entries, STATIONARY_RESIDUAL_TOLERANCE)
-    else:
-        # uniformize the generator into a stochastic kernel with the same mu
-        lam = 1.05 * max(float(-op.entries.diagonal().min()), 1e-300)
-        w = _stationary_power(
-            np.eye(n) + op.entries / lam, STATIONARY_RESIDUAL_TOLERANCE
-        )
-    w = w / w.sum()
-    if w.min() <= 0:
+    w = _gth_solve(op.entries)
+    if not w.min() > 0:  # also catches NaN from an underflowed pivot
         raise SolverFailure("stationary solve produced nonpositive mass")
+    discrete = isinstance(op, TransitionMatrix)
     residual = float(np.abs(w @ op.entries - (w if discrete else 0.0)).max())
     if residual > STATIONARY_RESIDUAL_TOLERANCE:
         raise SolverFailure(f"stationary residual {residual!r} above tolerance")

