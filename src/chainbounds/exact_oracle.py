@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .chain_core import (
     Distribution,
@@ -196,6 +195,8 @@ def matrix_exponential(A, t: float = 1.0) -> np.ndarray:
         raise DimensionMismatch("matrix exponential requires finite entries")
     if t == 0.0 or not a.any():
         return np.eye(a.shape[0])
+    import scipy.linalg
+
     with np.errstate(over="ignore", invalid="ignore"):
         out = scipy.linalg.expm(t * a)
     if not np.isfinite(out).all():

@@ -32,7 +32,6 @@ from typing import Union
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
-from scipy.special import betaincinv, ndtri
 
 from .bounds import BoundResult
 from .chain_core import (
@@ -233,6 +232,8 @@ def clopper_pearson(successes: int, trials: int, alpha: float = DEFAULT_ALPHA):
         raise InvalidCounts(f"invalid counts ({successes}, {trials})")
     if not 0 < alpha < 1:
         raise InvalidCounts(f"alpha = {alpha!r} outside (0, 1)")
+    from scipy.special import betaincinv
+
     half = alpha / 2.0
     if successes == 0:
         low = 0.0
@@ -606,6 +607,8 @@ def empirical_mgf(
         sd = float(samples.std(ddof=1))
     else:
         sd = 0.0
+    from scipy.special import ndtri
+
     z = float(ndtri(1.0 - config.alpha / 2.0))
     half_width = z * sd / math.sqrt(config.replicas)
     top = max(1, int(0.01 * config.replicas))

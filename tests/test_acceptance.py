@@ -230,8 +230,7 @@ def test_criterion_9_numerical_radius():
             n = int(rng.integers(2, 7))
             B = rng.normal(size=(n, n))
             w = cb.numerical_radius_complex(B)
-            B = B / w
-            assert cb.numerical_radius_complex(B @ B) <= 1.0 + 2e-3
+            assert cb.numerical_radius_complex(B @ B) <= w**2 * (1 + 1e-12)
 
 
 def test_criterion_10_initial_distribution_handling(capsys):

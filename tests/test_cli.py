@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -495,6 +499,38 @@ class TestSweep:
         assert err["error"] == "InvalidQuery" and "delta" in err["message"]
 
 
+class TestImports:
+    def test_light_commands_skip_scipy(self, tmp_path):
+        # scipy is imported only inside the functions that use it, so the
+        # CLI import, gaps and bound never load any scipy module
+        src = str(Path(cb.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        runs = {
+            "gaps": ["gaps", _four_state_file(tmp_path)],
+            "bound": ["bound", "--mode", "discrete", "--n", "100", "--delta", "0.1",
+                      "--M", "1", "--sigma2", "0.5", "--eta-p", "0.3"],
+        }
+        seen_path = tmp_path / "seen.json"
+        code = f"""
+import json, sys
+import chainbounds.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+seen = {{"import": scipy_modules()}}
+for name, argv in {runs!r}.items():
+    seen[name] = [cli.main(argv), scipy_modules()]
+open({str(seen_path)!r}, "w").write(json.dumps(seen))
+"""
+        done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        seen = json.loads(seen_path.read_text())
+        assert seen == {"import": [], "gaps": [0, []], "bound": [0, []]}
+
+
 class TestRadius:
     def test_skew_file(self, tmp_path, capsys):
         path = tmp_path / "m.json"
@@ -502,13 +538,14 @@ class TestRadius:
         rc = cli.main(["radius", str(path)])
         doc = json.loads(capsys.readouterr().out)
         assert rc == 0
+        assert set(doc) == {"real", "complex"}
         assert doc["real"] == 0.0
         assert doc["complex"] == pytest.approx(1.0, abs=1e-9)
 
     def test_wrapped_matrix_key(self, tmp_path, capsys):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"B": [[0, 1], [0, 0]]}))
-        rc = cli.main(["radius", str(path), "--grid-points", "1440"])
+        rc = cli.main(["radius", str(path)])
         doc = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert doc["complex"] == pytest.approx(0.5, abs=1e-9)

@@ -324,17 +324,35 @@ class TestNumericalRadius:
         assert cb.numerical_radius_complex([[0, 1], [0, 0]]) == pytest.approx(
             0.5, abs=1e-9
         )
+        assert cb.numerical_radius_complex(np.zeros((3, 3))) == 0.0
+        assert cb.numerical_radius_complex([[-3.0]]) == 3.0
+        # the n x n nilpotent Jordan block has w = cos(pi / (n + 1))
+        for n in (3, 6):
+            J = np.diag(np.ones(n - 1), 1)
+            assert cb.numerical_radius_complex(J) == pytest.approx(
+                math.cos(math.pi / (n + 1)), rel=1e-14
+            )
+        # a skew matrix is normal, so its radius is its spectral radius
+        K = np.array([[0.0, 2.0, -1.0], [-2.0, 0.0, 0.5], [1.0, -0.5, 0.0]])
+        assert cb.numerical_radius_complex(K) == pytest.approx(
+            np.abs(np.linalg.eigvals(K)).max(), rel=1e-14
+        )
+        # singular rank one: w(u v^T) = (|u| |v| + |v . u|) / 2
+        u, v = np.array([1.0, 2.0, 3.0]), np.array([0.5, -1.0, 2.0])
+        want = 0.5 * (np.linalg.norm(u) * np.linalg.norm(v) + abs(u @ v))
+        assert cb.numerical_radius_complex(np.outer(u, v)) == pytest.approx(want, rel=1e-14)
 
-    def test_grid_refinement_monotone(self):
-        rng = np.random.default_rng(77)
-        B = rng.normal(size=(4, 4))
-        coarse = cb.numerical_radius_complex(B, grid_points=90)
-        fine = cb.numerical_radius_complex(B, grid_points=720)
-        assert fine >= coarse - 1e-14
-
-    def test_grid_points_floor(self):
-        with pytest.raises(errors.DimensionMismatch):
-            cb.numerical_radius_complex(np.eye(2), grid_points=4)
+    def test_interior_maximum(self):
+        # a triangular matrix whose radius peaks near theta = 0.82, away from
+        # the start phases 0 and pi/2
+        B = np.array([[2.0, 3.0, -1.0, 3.0], [0.0, -1.0, -2.0, -3.0],
+                      [0.0, 0.0, 0.0, 3.0], [0.0, 0.0, 0.0, 1.0]])
+        S, K = 0.5 * (B + B.T), 0.5 * (B - B.T)
+        w = cb.numerical_radius_complex(B)
+        ends = spectral._radius_at(np.array([0.0, np.pi / 2]), S, K)
+        assert w >= 1.05 * ends.max()
+        assert w == pytest.approx(_fine_radius(B), rel=1e-13)
+        assert w >= _reference_radius(B) * (1 - 1e-13)
 
     def test_complex_power_inequality_sample(self):
         rng = np.random.default_rng(123)
@@ -342,8 +360,7 @@ class TestNumericalRadius:
             n = int(rng.integers(2, 7))
             B = rng.normal(size=(n, n))
             w = cb.numerical_radius_complex(B)
-            B = B / w
-            assert cb.numerical_radius_complex(B @ B) <= 1.0 + 2e-3
+            assert cb.numerical_radius_complex(B @ B) <= w**2 * (1 + 1e-12)
 
     def test_complex_never_below_real(self):
         rng = np.random.default_rng(1978)
@@ -354,6 +371,32 @@ class TestNumericalRadius:
         S = rng.normal(size=(20, 20))
         S = S + S.T  # attains its radius at phase zero
         assert cb.numerical_radius_complex(S) >= cb.numerical_radius_real(S)
+
+    def test_iteration_bound_raises(self, monkeypatch):
+        B = np.random.default_rng(4).normal(size=(12, 12))  # settles in 4 rounds
+        w = cb.numerical_radius_complex(B)
+        monkeypatch.setattr(spectral, "_RADIUS_MAX_ROUNDS", 1)
+        with pytest.raises(errors.SolverFailure, match="unsettled"):
+            cb.numerical_radius_complex(B)
+        monkeypatch.setattr(spectral, "_RADIUS_MAX_ROUNDS", 50)
+        assert cb.numerical_radius_complex(B) == w
+
+    def test_unimodular_tolerance(self, monkeypatch):
+        # near the maximum the level crossings merge into double roots that
+        # rounding moves off the unit circle; a filter of 1e-12 drops them
+        # and stops short, the chosen one does not
+        mats = [np.random.default_rng(s).normal(size=(12, 12)) for s in range(10)]
+        exact = [_fine_radius(B) for B in mats]
+        got = [cb.numerical_radius_complex(B) for B in mats]
+        assert all(abs(g - e) <= 1e-13 * e for g, e in zip(got, exact))
+        monkeypatch.setattr(spectral, "_UNIMODULAR_TOL", 1e-12)
+        short = [cb.numerical_radius_complex(B) for B in mats]
+        assert min(s / e - 1.0 for s, e in zip(short, exact)) < -1e-12
+
+    def test_non_finite_rejected(self):
+        for f in (cb.numerical_radius_real, cb.numerical_radius_complex):
+            with pytest.raises(errors.DimensionMismatch):
+                f([[np.nan, 1.0], [0.0, 0.0]])
 
 
 def _reference_radius_at(theta, S, K):
@@ -371,6 +414,8 @@ def _reference_radius_at(theta, S, K):
 
 
 def _reference_radius(B, grid_points=720):
+    # the phase-grid maximum with one parabolic refinement that the level-set
+    # iteration replaced: a lower bound on the radius
     S, K = 0.5 * (B + B.T), 0.5 * (B - B.T)
     step = np.pi / grid_points
     thetas = np.arange(grid_points) * step
@@ -386,6 +431,39 @@ def _reference_radius(B, grid_points=720):
     return best
 
 
+def _fine_radius(B):
+    # phase-grid maximum on [0, pi/2] (the radius is even with period pi),
+    # then 11 zooms of 8 phases onto the cells around the best phase, which
+    # end at a phase spacing of 2.5e-8
+    B = np.asarray(B, dtype=float)
+    S, K = 0.5 * (B + B.T), 0.5 * (B - B.T)
+    thetas = np.linspace(0.0, np.pi / 2, 64)
+    best = 0.0
+    for _ in range(12):
+        vals = spectral._radius_at(thetas, S, K)
+        j = int(np.argmax(vals))
+        best = max(best, float(vals[j]))
+        step = thetas[1] - thetas[0]
+        thetas = np.linspace(max(thetas[j] - step, 0.0), min(thetas[j] + step, np.pi / 2), 8)
+    return best
+
+
+def _seeded_radius_matrices(count):
+    # Gaussian, triangular, perturbed Jordan and shifted, n = 2..39
+    rng = np.random.default_rng(2005)
+    for i in range(count):
+        n = int(rng.integers(2, 40))
+        B = rng.normal(size=(n, n))
+        kind = i % 4
+        if kind == 1:
+            B = np.triu(B)
+        elif kind == 2:
+            B = np.diag(np.ones(n - 1), 1) + 1e-3 * B
+        elif kind == 3:
+            B = B + 3.0 * np.eye(n)
+        yield B
+
+
 class TestHermitianRadius:
     def test_matches_real_embedding(self):
         rng = np.random.default_rng(1005)
@@ -396,8 +474,12 @@ class TestHermitianRadius:
             want = _reference_radius_at(thetas, S, K)
             got = spectral._radius_at(thetas, S, K)
             assert np.abs(got - want).max() <= 1e-13 * want.max()
-            ref = _reference_radius(B, grid_points=180)
-            assert abs(cb.numerical_radius_complex(B, grid_points=180) - ref) <= 1e-13 * ref
+            assert cb.numerical_radius_complex(B) >= _reference_radius(B) * (1 - 1e-13)
+
+    def test_matches_fine_reference(self):
+        for B in _seeded_radius_matrices(300):
+            want = _fine_radius(B)
+            assert abs(cb.numerical_radius_complex(B) - want) <= 1e-12 * want
 
     def test_batches_do_not_change_values(self, monkeypatch):
         rng = np.random.default_rng(9)
@@ -410,16 +492,17 @@ class TestHermitianRadius:
             monkeypatch.setattr(spectral, "_RADIUS_BUDGET", budget)
             assert np.array_equal(spectral._radius_at(thetas, S, K), whole)
 
-    def test_memory_bounded_in_grid(self):
-        n, grid = 40, 2880
-        B = np.random.default_rng(4).normal(size=(n, n))
-        tracemalloc.start()
-        try:
-            cb.numerical_radius_complex(B, grid_points=grid)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < grid * (2 * n) ** 2 * 8 / 4
+    def test_memory_bounded_in_n(self):
+        # the 2n x 2n pencil and its eigensolver workspace: O(n^2) bytes
+        for n in (40, 120):
+            B = np.random.default_rng(4).normal(size=(n, n))
+            tracemalloc.start()
+            try:
+                cb.numerical_radius_complex(B)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * n * n * 8
 
 
 class TestGapReport:

@@ -110,7 +110,8 @@ def _check_solution(op) -> cb.Distribution:
     mu = cb.stationary_distribution(op)
     w = mu.weights
     balance = w @ op.entries - (w if isinstance(op, cb.TransitionMatrix) else 0.0)
-    assert np.abs(balance).max() <= chain_core.STATIONARY_RESIDUAL_TOLERANCE
+    scale = max(1.0, float(np.abs(op.entries).max()))
+    assert np.abs(balance).max() <= chain_core.STATIONARY_RESIDUAL_TOLERANCE * scale
     assert w.min() > 0
     return mu
 
@@ -161,6 +162,21 @@ def test_spread_rates_property(Q):
         return
     assert _relative_error(mu.weights, _reference_gth(Q.entries)) <= 1e-12
     assert eta_p >= 0.0
+
+
+def test_residual_tolerance_scales_with_rates():
+    # rates from 1e-6 to 1e6 on 11 states: mu matches the unblocked
+    # reference to 7e-16, yet its balance residual is 7e-11 in absolute units
+    rng = np.random.default_rng(0)
+    n = int(rng.integers(2, 13))
+    rates = np.where(rng.random((n, n)) < 0.5, 10.0 ** rng.uniform(-6, 6, (n, n)), 0.0)
+    rates[np.arange(n), np.arange(1, n + 1) % n] = 10.0 ** rng.uniform(-6, 6, n)
+    np.fill_diagonal(rates, 0.0)
+    np.fill_diagonal(rates, -rates.sum(axis=1))
+    Q = cb.validate_generator(rates)
+    mu = _check_solution(Q)
+    assert np.abs(mu.weights @ Q.entries).max() > 10 * chain_core.STATIONARY_RESIDUAL_TOLERANCE
+    assert _relative_error(mu.weights, _reference_gth(Q.entries)) <= 1e-13
 
 
 @st.composite
