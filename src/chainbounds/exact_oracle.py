@@ -2,8 +2,11 @@
 
 Finite-chain MGFs are iterated transfer-operator products
 ``init^T diag(e^(theta f)) (P diag(e^(theta f)))^(n-1) 1`` with running
-log-rescaling so horizons up to 10^4 stay inside double range; jump-process
-MGFs use the Feynman-Kac matrix exponential ``exp(t (Q + theta diag(f)))``.
+log-rescaling, so long horizons stay inside double range. Once the rescaled
+vector repeats bit for bit, the remaining steps are replayed from one period,
+so the cost grows with the steps until that repeat, not with n, and the
+result is bit-identical to the full iteration. Jump-process MGFs use the
+Feynman-Kac matrix exponential ``exp(t (Q + theta diag(f)))``.
 Small-instance tail probabilities are computed exactly by dynamic
 programming on a common value grid, or by full path enumeration below a
 path-count cap. The module also numerically verifies the two structural
@@ -32,6 +35,9 @@ from .errors import DimensionMismatch, Overflow, TooLarge
 PATH_ENUMERATION_CAP = 10**7
 DP_CELL_CAP = 4_000_001
 _GRID_DENOMINATOR_CAP = 10**6
+# Most log increments the discrete oracle holds at once (0.5 MB of float64):
+# the longest period its replay detects, and the terms per accumulate call.
+_REPLAY_TERMS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +57,12 @@ def _match(op, f) -> np.ndarray:
 
 
 def _log_conditional_mgf(P: TransitionMatrix, fv: np.ndarray, theta: float, n: int):
-    # returns (u, log_scale) with conditional mgf = u * exp(log_scale)
+    # returns (u, log_scale) with conditional mgf = u * exp(log_scale). The
+    # rescaled step u -> P (w u) / max is a fixed map on doubles, so once u
+    # repeats bit for bit, every later step replays one period. Brent's cycle
+    # detection (BIT 1980) keeps one saved bit pattern of u and the log
+    # increments since then; the save moves after 1, 2, 4, ... steps, and
+    # every _REPLAY_TERMS steps from then on, so memory stays bounded in n.
     if n < 1:
         raise DimensionMismatch("horizon n must be >= 1")
     tf = theta * fv
@@ -59,14 +70,41 @@ def _log_conditional_mgf(P: TransitionMatrix, fv: np.ndarray, theta: float, n: i
     w = np.exp(tf - shift)
     u = np.ones(P.n_states)
     log_scale = shift
-    for _ in range(n - 1):
+    saved, increments, power = u.tobytes(), [], 1
+    for step in range(1, n):
         u = P.entries @ (w * u)
         m = float(u.max())
         u /= m
-        log_scale += shift + math.log(m)
+        increment = shift + math.log(m)
+        log_scale += increment
+        increments.append(increment)
+        if u.tobytes() == saved:
+            rest = n - 1 - step
+            log_scale = _replay_sum(log_scale, np.array(increments), rest)
+            for _ in range(rest % len(increments)):
+                u = P.entries @ (w * u)
+                u /= float(u.max())
+            break
+        if len(increments) == power:
+            saved, increments = u.tobytes(), []
+            power = min(2 * power, _REPLAY_TERMS)
     u = w * u
     m = float(u.max())
     return u / m, log_scale + math.log(m)
+
+
+def _replay_sum(total: float, period: np.ndarray, count: int) -> float:
+    # total plus the first `count` terms of the periodic sequence, added one
+    # at a time in order: accumulate is sequential, so it equals a scalar +=
+    # loop bit for bit. Each chunk starts at a period boundary.
+    tile = np.tile(period, max(1, -(-min(count, _REPLAY_TERMS) // period.size)))
+    buf = np.empty(tile.size + 1)
+    for start in range(0, count, tile.size):
+        k = min(tile.size, count - start)
+        buf[0] = total
+        buf[1:k + 1] = tile[:k]
+        total = float(np.add.accumulate(buf[:k + 1])[-1])
+    return total
 
 
 def conditional_mgf_discrete(P: TransitionMatrix, f, theta: float, n: int) -> ConditionalMgf:
@@ -89,7 +127,10 @@ def exact_mgf_discrete(
 
     ``E[exp(theta sum_{k=1}^n f(Z_k))]`` with Z_1 drawn from init. Exact up
     to floating error (relative ~1e-12 for n <= 1e4 thanks to the running
-    rescale). Returns inf if the value exceeds double range.
+    rescale). The cost grows with the number of steps until the rescaled
+    vector first repeats bit for bit, not with n: later steps replay one
+    period, and the result is bit-identical to iterating all n - 1 steps.
+    Returns inf if the value exceeds double range.
     """
     fv = _match(P, f)
     if init.n_states != P.n_states:

@@ -334,6 +334,13 @@ def _extreme_abs(ev: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(ev[..., 0]), np.abs(ev[..., -1]))
 
 
+def _radius_operand(B) -> np.ndarray:
+    a = _as_square(B)
+    if a.size == 0:
+        raise DimensionMismatch("numerical radius needs a non-empty matrix")
+    return a
+
+
 def numerical_radius_real(B) -> float:
     """sup over real unit vectors of |<B x, x>|.
 
@@ -341,7 +348,7 @@ def numerical_radius_real(B) -> float:
     particular every skew-symmetric matrix has real numerical radius zero
     even though its powers need not.
     """
-    a = _as_square(B)
+    a = _radius_operand(B)
     return float(_extreme_abs(np.linalg.eigvalsh(0.5 * (a + a.T))))
 
 
@@ -403,8 +410,10 @@ def numerical_radius_complex(B) -> float:
     ------
     SolverFailure
         When the iteration has not settled after ``_RADIUS_MAX_ROUNDS`` rounds.
+    DimensionMismatch
+        When B is not a finite, non-empty square matrix.
     """
-    a = _as_square(B)
+    a = _radius_operand(B)
     S = 0.5 * (a + a.T)
     K = 0.5 * (a - a.T)
     # phase 0 and seven more evenly spaced phases; pi/2 is among them, and

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import chainbounds as cb
-from chainbounds import errors
+from chainbounds import errors, exact_oracle
 from chainbounds.examples import zero_absolute_gap_chain
 from conftest import random_generator, random_transition
 
@@ -82,6 +82,114 @@ class TestExactMgfDiscrete:
             assert vals[0.0] <= 0.5 * (vals[-0.2] + vals[0.2]) + 1e-12
             assert vals[0.2] <= 0.5 * (vals[0.0] + vals[0.4]) + 1e-12
             assert vals[-0.2] <= 0.5 * (vals[-0.4] + vals[0.0]) + 1e-12
+
+
+def _reference_log_conditional_mgf(P, fv, theta, horizons):
+    """The full rescaled iteration, without replay, read at every horizon.
+
+    One pass up to max(horizons); entry n holds the (u, log_scale) pair that
+    ``n - 1`` transfer steps and the final tilt give.
+    """
+    tf = theta * fv
+    shift = float(tf.max())
+    w = np.exp(tf - shift)
+    u = np.ones(P.n_states)
+    log_scale = shift
+    out = {}
+    for n in range(1, max(horizons) + 1):
+        if n > 1:
+            u = P.entries @ (w * u)
+            m = float(u.max())
+            u /= m
+            log_scale += shift + math.log(m)
+        if n in horizons:
+            v = w * u
+            m = float(v.max())
+            out[n] = (v / m, log_scale + math.log(m))
+    return out
+
+
+def _replay_chain(rng, k, kind):
+    P = random_transition(rng, k, sparsify=0.6 if kind == "sparse" else 0.0)
+    if kind == "lazy":  # slow mixing: most mass stays put each step
+        P = cb.validate_transition_matrix(0.95 * np.eye(k) + 0.05 * P.entries)
+    return P
+
+
+class TestOracleReplay:
+    """The cycle replay of the rescaled iteration is bit-identical to it."""
+
+    THETAS = (0.0, 1e-3, -1e-3, 4.0)
+
+    def _compare(self, monkeypatch, cases):
+        # cases: (P, fv, theta, horizons); returns (n, period) for every
+        # compared horizon, with period None where the replay never fired
+        periods, seen = [], []
+        replay_sum = exact_oracle._replay_sum
+
+        def recording(total, period, count):
+            seen.append(period.size)
+            return replay_sum(total, period, count)
+
+        monkeypatch.setattr(exact_oracle, "_replay_sum", recording)
+        for P, fv, theta, horizons in cases:
+            want = _reference_log_conditional_mgf(P, fv, theta, horizons)
+            for n in horizons:
+                seen.clear()
+                u, log_scale = exact_oracle._log_conditional_mgf(P, fv, theta, n)
+                assert u.tobytes() == want[n][0].tobytes(), (P.n_states, theta, n)
+                assert log_scale == want[n][1], (P.n_states, theta, n)
+                periods.append((n, seen[0] if seen else None))
+        return periods
+
+    def test_bit_identical_to_full_iteration(self, monkeypatch):
+        rng = np.random.default_rng(1980)
+        cases = []
+        for i in range(50):
+            k = 2 + (i * 37) % 59  # sizes 2..60
+            P = _replay_chain(rng, k, ("dense", "sparse", "lazy")[i % 3])
+            fv = rng.normal(size=k)
+            for theta in self.THETAS:
+                cases.append((P, fv, theta, (1, 2, 3, 100, 2000)))
+        periods = self._compare(monkeypatch, cases)
+        assert len(periods) >= 1000
+        # 171 replays with a period above 1 (up to 39); 44 chains still in
+        # their transient at n = 100
+        assert sum(p is not None and p > 1 for _, p in periods) >= 100
+        assert sum(p is None and n >= 100 for n, p in periods) >= 20
+
+    def test_bounded_window_bit_identical(self, monkeypatch):
+        # a 3-term window misses longer periods and replays in many chunks
+        monkeypatch.setattr(exact_oracle, "_REPLAY_TERMS", 3)
+        rng = np.random.default_rng(31)
+        cases = []
+        for i in range(12):
+            k = int(rng.integers(2, 30))
+            P = _replay_chain(rng, k, ("dense", "sparse", "lazy")[i % 3])
+            cases.append((P, rng.normal(size=k), self.THETAS[i % 4], (2, 100, 2000)))
+        periods = self._compare(monkeypatch, cases)
+        assert {p for _, p in periods} - {None} <= {1, 2, 3}
+        assert any(p is not None and p > 1 for _, p in periods)
+
+    def test_long_horizon_bit_identical(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        cases = []
+        for k, kind in ((3, "lazy"), (12, "dense"), (40, "sparse")):
+            P = _replay_chain(rng, k, kind)
+            fv = rng.normal(size=k)
+            cases.append((P, fv, 0.5, (1, 2, 3, 100, 2000, 10**5)))
+        periods = self._compare(monkeypatch, cases)
+        assert periods[-1][1] is not None
+
+    def test_exact_mgf_at_a_million_steps(self):
+        rng = np.random.default_rng(20)
+        P = random_transition(rng, 20)
+        mu = cb.stationary_distribution(P)
+        f = cb.make_observable(rng.normal(size=20), mu)
+        theta, n = 0.01, 10**6
+        u, log_scale = _reference_log_conditional_mgf(P, f.values, theta, (n,))[n]
+        want = math.exp(math.log(float(mu.weights @ u)) + log_scale)
+        assert cb.exact_mgf_discrete(P, mu, f, theta, n) == want
 
 
 class TestConditionalMgf:

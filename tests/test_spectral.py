@@ -398,6 +398,13 @@ class TestNumericalRadius:
             with pytest.raises(errors.DimensionMismatch):
                 f([[np.nan, 1.0], [0.0, 0.0]])
 
+    @pytest.mark.parametrize(
+        "radius", [cb.numerical_radius_real, cb.numerical_radius_complex]
+    )
+    def test_empty_matrix_rejected(self, radius):
+        with pytest.raises(errors.DimensionMismatch, match="non-empty"):
+            radius(np.zeros((0, 0)))
+
 
 def _reference_radius_at(theta, S, K):
     # the real symmetric 2n x 2n embedding [[c S, -s K], [s K, c S]] of the

@@ -155,11 +155,10 @@ def spread_rate_matrices(draw):
 @PROPERTY
 @given(spread_rate_matrices())
 def test_spread_rates_property(Q):
-    try:
-        mu = _check_solution(Q)
-        eta_p = cb.gap_report(Q, mu).eta_p
-    except errors.ChainBoundsError:
-        return
+    # every generator drawn here is valid and irreducible, so a typed error
+    # is a wrongly rejected chain and fails the test
+    mu = _check_solution(Q)
+    eta_p = cb.gap_report(Q, mu).eta_p
     assert _relative_error(mu.weights, _reference_gth(Q.entries)) <= 1e-12
     assert eta_p >= 0.0
 
@@ -197,6 +196,10 @@ def near_decomposable_chains(draw):
 @PROPERTY
 @given(near_decomposable_chains())
 def test_near_decomposable_property(P):
+    # the SV_ZERO_RTOL snap still sets eta_p to 0 on some of these
+    # irreducible chains (ROADMAP "Certified gaps on ill-conditioned
+    # chains"), so a typed error is tolerated here until that item lands;
+    # none of the 40 examples raises one today
     try:
         mu = _check_solution(P)
         _check_gap_ordering(P, mu)
