@@ -101,7 +101,7 @@ class InvalidQuery(ChainBoundsError):
 
 
 class TooLarge(ChainBoundsError):
-    """Exact enumeration would exceed the configured path-count cap."""
+    """A computation would exceed a size cap (enumerated paths, DP cells, table indices)."""
 
 
 class InvalidCounts(ChainBoundsError):

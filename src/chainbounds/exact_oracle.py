@@ -116,7 +116,11 @@ def conditional_mgf_discrete(P: TransitionMatrix, f, theta: float, n: int) -> Co
     """
     fv = _match(P, f)
     u, log_scale = _log_conditional_mgf(P, fv, theta, n)
-    values = u * math.exp(log_scale) if log_scale < 709 else u * np.inf
+    if log_scale < 709:
+        values = u * math.exp(log_scale)
+    else:  # entrywise in the log domain: 0 where u is 0, inf only on overflow
+        with np.errstate(divide="ignore", over="ignore"):
+            values = np.exp(np.log(u) + log_scale)
     return ConditionalMgf(values, float(n), theta)
 
 
@@ -137,8 +141,10 @@ def exact_mgf_discrete(
         raise DimensionMismatch("init distribution does not match the chain")
     u, log_scale = _log_conditional_mgf(P, fv, theta, n)
     r = float(init.weights @ u)
-    log_value = math.log(r) + log_scale
-    return math.exp(log_value) if log_value < 709 else math.inf
+    try:
+        return math.exp(math.log(r) + log_scale)
+    except OverflowError:
+        return math.inf
 
 
 def exact_log_mgf_discrete(

@@ -13,8 +13,10 @@ integrals of observables exact given the path; their replicas run in
 chunks whose two step-major (block x chunk) draw buffers hold at most
 ``_JUMP_BUDGET`` draws each, so memory does not grow with the replica
 count (it still grows with the horizon once one replica's block exceeds
-the budget). Both samplers pick the next state by bisection over clamped
-row CDFs.
+the budget). Both samplers pick every state, the first one included,
+from an exact guide table over the steps of the clamped row CDFs: one
+bucket lookup, then a bisection over the few steps inside the bucket, with
+the same ``cdf <= u`` compares as a scan of the whole row.
 
 ``path_averages`` simulates once; ``tail_report`` thresholds its output at
 one delta, so a whole delta grid (as in the CLI's ``verify``) costs one
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -41,7 +43,7 @@ from .chain_core import (
     TransitionMatrix,
     is_irreducible,
 )
-from .errors import InvalidCounts, InvalidQuery, NotCentered, NotIrreducible
+from .errors import InvalidCounts, InvalidQuery, NotCentered, NotIrreducible, TooLarge
 
 DEFAULT_ALPHA = 0.05
 
@@ -260,35 +262,129 @@ def _pick(cdf_row: np.ndarray, u: float) -> int:
     return min(int(np.searchsorted(cdf_row, u, side="right")), cdf_row.size - 1)
 
 
-def _pick_table(cdf: np.ndarray) -> np.ndarray:
-    """Row CDFs clamped to <= 1 and padded to a power-of-two width with 2.0.
+class _PickTable(NamedTuple):
+    """Guide table over the steps of clamped row CDFs (see ``_pick_table``)."""
 
-    Clamping makes every row non-decreasing (a cumsum that rounds above 1
-    before its last column, which ``_cdf_rows`` resets to 1.0, would not
-    be), and changes no comparison with a uniform u < 1.
+    guide: np.ndarray  # rows x buckets, flat: index of the first candidate step
+    values: np.ndarray  # step CDF values, row after row, each row padded with 2.0
+    columns: np.ndarray  # the column of each step
+    buckets: int  # K, a power of two
+    levels: int  # bisection levels after the guide lookup
+
+
+# Most guide entries (rows x buckets) a table holds, unless it has more rows:
+# 128 KB of int32.
+_GUIDE_CAP = 1 << 15
+# CDF entries clamped at a time while a table is built, so that the build
+# holds little more than the table itself.
+_BUILD_BLOCK = 1 << 18
+
+
+def _row_steps(cdf: np.ndarray):
+    """Yield (first row, steps per row, value, int32 column, int32 row) by row blocks.
+
+    A step is column 0 or a column where the clamped row strictly rises.
     """
-    states = cdf.shape[1]
-    table = np.full((cdf.shape[0], 1 << (states - 1).bit_length()), 2.0)
-    table[:, :states] = np.minimum(cdf, 1.0)
-    return table
+    rows, states = cdf.shape
+    per = max(1, _BUILD_BLOCK // states)
+    for lo in range(0, rows, per):
+        clamped = np.minimum(cdf[lo:lo + per], 1.0)
+        rising = np.empty(clamped.shape, dtype=bool)
+        rising[:, 0] = True
+        np.greater(clamped[:, 1:], clamped[:, :-1], out=rising[:, 1:])
+        row = np.arange(lo, lo + len(clamped), dtype=np.int32)[:, None]
+        column = np.arange(states, dtype=np.int32)
+        yield (
+            lo, rising.sum(axis=1), clamped[rising],
+            np.broadcast_to(column, rising.shape)[rising],
+            np.broadcast_to(row, rising.shape)[rising],
+        )
 
 
-def _pick_rows(table: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _pick_table(cdf: np.ndarray) -> _PickTable:
+    """Exact guide table (Chen & Asau 1974) for picks from row CDFs.
+
+    Each row is clamped to <= 1, which makes it non-decreasing (a cumsum
+    that rounds above 1 before its last column, which ``_cdf_rows`` resets
+    to 1.0, would not be) and changes no comparison with a uniform u < 1.
+    A pick is the first column whose value exceeds u, which is always a
+    step: column 0 or a column where the row strictly rises. Only the steps
+    are kept, so their values rise strictly and the last is 1.0. Guide
+    entry (i, b) of K buckets points at the first step of row i whose value
+    exceeds b/K. K is the smallest power of two from about twice the most
+    steps in a row that leaves at most one step strictly inside any bucket,
+    unless the guide would outgrow ``_GUIDE_CAP``; crowded buckets then cost
+    extra bisection levels, at worst as many as a bisection over the row.
+    The rows are read in blocks of ``_BUILD_BLOCK`` entries, once per pass.
+    """
+    rows = cdf.shape[0]
+    steps = np.concatenate([block[1] for block in _row_steps(cdf)])
+    widest = 1 << max(1, _GUIDE_CAP // rows).bit_length() - 1
+    buckets = min(1 << int(2 * steps.max() - 1).bit_length(), widest)
+    while True:
+        crowd = 0
+        for _, _, value, _, row in _row_steps(cdf):
+            # value * buckets is exact: a power-of-two scale of a value in
+            # [0, 1]; row * buckets + bucket < max(_GUIDE_CAP, rows) fits int32
+            scaled = value * buckets
+            bucket = scaled.astype(np.int32)
+            inside = scaled != bucket
+            key = (row * buckets + bucket)[inside]
+            crowd = max(crowd, int(np.bincount(key, minlength=1).max()))
+        if crowd <= 1 or buckets == widest:
+            break
+        buckets *= 2
+    levels = crowd.bit_length()
+    # a bisection level reads position pos + step - 1 with pos at most the
+    # answer, itself at most the row's last step, and step <= 2^(levels-1);
+    # so 2^(levels-1) - 1 entries of 2.0 (above every u) after each row keep
+    # every read inside the row or its padding
+    pad = max(0, (1 << levels >> 1) - 1)
+    first = np.cumsum(steps + pad) - (steps + pad)  # flat index of each row's step 0
+    size = int(first[-1] + steps[-1] + pad)
+    if size > np.iinfo(np.int32).max:
+        raise TooLarge(f"{size} pick-table entries exceed int32 indexing")
+    values = np.full(size, 2.0)
+    columns = np.zeros(size, dtype=np.int32)
+    guide = np.empty((rows, buckets), dtype=np.int32)
+    for lo, block_steps, value, column, row in _row_steps(cdf):
+        hi = lo + block_steps.size
+        rank = np.arange(value.size) - np.repeat(np.cumsum(block_steps) - block_steps, block_steps)
+        where = first[row] + rank
+        values[where] = value
+        columns[where] = column
+        # #{step values <= b/K} = #{steps with ceil(value K) <= b}
+        below = np.bincount(
+            (row - lo) * (buckets + 1) + np.ceil(value * buckets).astype(np.int32),
+            minlength=(hi - lo) * (buckets + 1),
+        ).reshape(hi - lo, buckets + 1)[:, :buckets]
+        np.cumsum(below, axis=1, out=guide[lo:hi])
+        guide[lo:hi] += first[lo:hi, None].astype(np.int32)
+    return _PickTable(guide.ravel(), values, columns, buckets, levels)
+
+
+def _pick_rows(table: _PickTable, states: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Next states: ``(cdf[states] <= u).sum(axis=1)`` for u in [0, 1).
 
-    Bisection over the rows of ``_pick_table``: log2(width) gathers per
-    replica instead of a compare over every state. The last CDF column is
-    1.0 > u, so the count never exceeds the last state.
+    One guide lookup, ``table.levels`` bisection levels and one column
+    gather per replica, each over the running replicas; ``take`` gathers
+    with the table's int32 indices without converting them.
     """
-    width = table.shape[1]
-    flat = table.ravel()
-    start = states * width
-    pos = start.copy()  # flat index of the first entry not known to be <= u
-    step = width >> 1
-    while step:
-        pos += step * (flat[step - 1:][pos] <= u)
+    guide, values, columns, buckets, levels = table
+    # Exact: b = floor(u K) needs no rounding (u K scales u by a power of
+    # two), and b/K <= u < (b+1)/K. The guide entry counts the steps whose
+    # values are <= b/K; any other step value <= u lies strictly inside
+    # bucket b, which holds fewer than 2^levels of them. So the first step
+    # above u lies in the window of 2^levels positions from the entry, and
+    # the bisection finds it with the same ``<= u`` compare as a full scan.
+    pos = guide.take(states * buckets + (u * buckets).astype(guide.dtype))
+    step = 1 << levels >> 1
+    while step > 1:
+        pos += step * (values[step - 1:].take(pos) <= u)
         step >>= 1
-    return pos - start
+    if step:
+        pos += values.take(pos) <= u
+    return columns.take(pos)
 
 
 def sample_dtmc(
@@ -412,8 +508,7 @@ def _dtmc_sums(
     """
     rngs = _replica_rngs(seed, np.arange(replicas))
     table = _pick_table(_cdf_rows(P.entries))
-    init_cdf = np.cumsum(init.weights)
-    init_cdf[-1] = 1.0
+    first = _pick_table(_cdf_rows(init.weights[None, :]))
     u = np.empty((min(n, _draw_block(replicas)), replicas))
     stage = np.empty((min(_DRAW_TILE, replicas), len(u)))
     for start in range(0, n, len(u)):
@@ -421,21 +516,20 @@ def _dtmc_sums(
         _stage_draws(rngs, np.random.Generator.random, draws, stage)
         for k, uk in enumerate(draws, start):
             if k == 0:
-                states = np.minimum(
-                    np.searchsorted(init_cdf, uk, side="right"), init_cdf.size - 1
-                )
-                sums = fv[states].astype(float)
+                states = _pick_rows(first, np.zeros(replicas, dtype=np.int32), uk)
+                sums = fv.take(states).astype(float)
             else:
                 states = _pick_rows(table, states, uk)
-                sums += fv[states]
+                sums += fv.take(states)
     return sums
 
 
 # Draws held per jump-sampler buffer (at most 32 MB of float64). Each step
-# issues about 30 numpy calls per chunk, so narrower chunks save memory but
-# cost time: on 10^4 replicas of block 1269, budgets 2^20, 2^21, 2^22 and
-# 2^23 took 1.05, 1.00, 0.67 and 0.65 s, with tracemalloc peaks of 17, 32,
-# 55 and 110 MB (2-vCPU VM, numpy 2.4).
+# issues about 17 numpy calls per chunk, so narrower chunks save memory but
+# cost time: on 10^4 replicas of block 1269 with a one-level guide-table
+# pick, budgets 2^20, 2^21, 2^22 and 2^23 took 1.03, 0.79, 0.74 and 0.82 s
+# (best of three; the last two differ by less than the host's noise), with
+# tracemalloc peaks of 16, 30, 53 and 105 MB (2-vCPU VM, numpy 2.4).
 _JUMP_BUDGET = 1 << 22
 
 
@@ -457,8 +551,7 @@ def _ctmc_integrals(
     rates = -Q.entries.diagonal()
     rates = np.where(rates > 0, rates, 0.0)
     table = _pick_table(_jump_cdf(Q))
-    init_cdf = np.cumsum(init.weights)
-    init_cdf[-1] = 1.0
+    first = _pick_table(_cdf_rows(init.weights[None, :]))
     widest = max(1, _JUMP_BUDGET // max(block, 1))
     chunk = -(-replicas // -(-replicas // widest))  # equal chunks, none wider
     exps = np.empty((block, chunk))
@@ -467,13 +560,13 @@ def _ctmc_integrals(
     for start in range(0, replicas, chunk):
         rngs = _replica_rngs(seed, np.arange(start, min(start + chunk, replicas)))
         out[start:start + len(rngs)] = _ctmc_integrals_chunk(
-            rngs, init_cdf, rates, table, fv, t, exps, jumps
+            rngs, first, rates, table, fv, t, exps, jumps
         )
     return out
 
 
 def _ctmc_integrals_chunk(
-    rngs: list, init_cdf: np.ndarray, rates: np.ndarray, table: np.ndarray,
+    rngs: list, first: _PickTable, rates: np.ndarray, table: _PickTable,
     fv: np.ndarray, t: float, exps: np.ndarray, jumps: np.ndarray,
 ) -> np.ndarray:
     """Integrals of one chunk of replicas, one draw round at a time.
@@ -487,7 +580,7 @@ def _ctmc_integrals_chunk(
     which an infinite or nan hold (zero exit rate) does.
     """
     u0 = np.array([rng.random() for rng in rngs])
-    st = np.minimum(np.searchsorted(init_cdf, u0, side="right"), init_cdf.size - 1)
+    st = _pick_rows(first, np.zeros(len(rngs), dtype=np.int32), u0)
     integrals = np.zeros(len(rngs))
     if len(exps) == 0 or t == 0:
         return integrals + fv[st] * t
@@ -502,7 +595,7 @@ def _ctmc_integrals_chunk(
             col = np.arange(ids.size)
             acc = np.zeros(ids.size)
             for exps_j, jumps_j in zip(exps, jumps):
-                hold = exps_j[col] / rates[st]
+                hold = exps_j[col] / rates.take(st)
                 going = hold < rem
                 if not going.all():
                     ending = ~going
@@ -512,7 +605,7 @@ def _ctmc_integrals_chunk(
                     )
                     if not ids.size:
                         break
-                acc += fv[st] * hold
+                acc += fv.take(st) * hold
                 rem -= hold
                 st = _pick_rows(table, st, jumps_j[col])
             integrals[ids] += acc

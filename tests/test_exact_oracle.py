@@ -68,6 +68,15 @@ class TestExactMgfDiscrete:
         logval = cb.exact_log_mgf_discrete(P, mu, fv, 1.0, 10_000)
         assert math.isfinite(logval) and logval > 700  # plain value would overflow
 
+    def test_representable_near_double_max(self):
+        # the constant f = 1 at theta = 0.5 gives log MGF = n / 2 exactly
+        P = cb.validate_transition_matrix([[0.5, 0.5], [0.5, 0.5]])
+        mu, fv = _uniform(2), np.array([1.0, 1.0])
+        got = cb.exact_mgf_discrete(P, mu, fv, 0.5, 1419)
+        assert got == math.exp(709.5) == 1.3549863193146328e308
+        # log(DBL_MAX) = 709.78...: one step further overflows
+        assert cb.exact_mgf_discrete(P, mu, fv, 0.5, 1420) == math.inf
+
     def test_convex_in_theta_and_one_at_zero(self):
         rng = np.random.default_rng(12)
         for _ in range(5):
@@ -251,6 +260,24 @@ class TestConditionalMgf:
         whole = cb.exact_mgf_continuous(Q, mu, fv, 0.3, 1.7)
         assert float(mu.weights @ cond.values) == pytest.approx(whole, rel=1e-12)
         assert (cond.values > 0).all()
+
+
+    @pytest.mark.filterwarnings("error")
+    def test_past_double_range_no_nan(self):
+        # log_scale >= 709 and u underflows to 0 in state 1: no inf * 0 = nan
+        P = cb.validate_transition_matrix([[0.5, 0.5], [0.5, 0.5]])
+        got = cb.conditional_mgf_discrete(P, np.array([1.0, -800.0]), 1.0, 5000)
+        assert got.values[0] == math.inf
+        assert not np.isnan(got.values).any()
+
+    @pytest.mark.filterwarnings("error")
+    def test_past_double_range_keeps_representable_entries(self):
+        # E[e^(sum f)] from each state of the identity chain is e^(n f(z)):
+        # e^750 overflows, e^600 does not
+        P = cb.validate_transition_matrix(np.eye(2))
+        got = cb.conditional_mgf_discrete(P, np.array([1.0, 0.8]), 1.0, 750)
+        assert got.values[0] == math.inf
+        assert got.values[1] == pytest.approx(math.exp(600.0), rel=1e-12)
 
 
 class TestLaplacianIdentity:

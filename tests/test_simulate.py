@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import chainbounds as cb
 from chainbounds import errors, simulate
@@ -192,7 +194,7 @@ def _reference_ctmc_integrals(Q, init, fv, t, seed, replicas):
     # the masked-loop jump sampler that the chunked step-major one replaced
     block = simulate._ctmc_block_size(Q, t)
     rates = -Q.entries.diagonal()
-    table = _pick_table(_jump_cdf(Q))
+    cdf = _jump_cdf(Q)
     init_cdf = np.cumsum(init.weights)
     init_cdf[-1] = 1.0
     chunk = max(1, int(2e7 // max(block, 1)))
@@ -200,12 +202,12 @@ def _reference_ctmc_integrals(Q, init, fv, t, seed, replicas):
     for start in range(0, replicas, chunk):
         stop = min(start + chunk, replicas)
         out[start:stop] = _reference_ctmc_integrals_chunk(
-            rates, table, init_cdf, fv, t, seed, range(start, stop), block
+            rates, cdf, init_cdf, fv, t, seed, range(start, stop), block
         )
     return out
 
 
-def _reference_ctmc_integrals_chunk(rates, table, init_cdf, fv, t, seed, replica_ids, block):
+def _reference_ctmc_integrals_chunk(rates, cdf, init_cdf, fv, t, seed, replica_ids, block):
     rngs = [_reference_rng(seed, r) for r in replica_ids]
     replicas = len(rngs)
     u0 = np.array([rng.random() for rng in rngs])
@@ -238,7 +240,7 @@ def _reference_ctmc_integrals_chunk(rates, table, init_cdf, fv, t, seed, replica
             acc[cont] += fv[st[cont]] * hold[cont]
             rem[cont] -= hold[cont]
             if cont.any():
-                st[cont] = _pick_rows(table, st[cont], jumps[cont, j])
+                st[cont] = _reference_pick(cdf, st[cont], jumps[cont, j])
             if not alive.any():
                 break
         integrals[active] += acc
@@ -325,9 +327,19 @@ class TestJumpSamplerParity:
 
 
 def _reference_pick(cdf, states, u):
-    # the O(states) compare-and-sum pick that the bisection replaced
+    # the O(states) compare-and-sum pick that the guide table replaced
     idx = (cdf[states] <= u[:, None]).sum(axis=1)
     return np.minimum(idx, cdf.shape[1] - 1)
+
+
+@st.composite
+def sparse_stochastic_matrices(draw):
+    n = draw(st.integers(1, 64))
+    weights = draw(hnp.arrays(float, (n, n), elements=st.sampled_from(
+        [0.0, 0.0, 0.0, 1e-300, 1e-17, 1e-9, 0.1, 0.3, 1.0, 7.0]
+    )))
+    weights[np.arange(n), draw(hnp.arrays(np.intp, n, elements=st.integers(0, n - 1)))] += 1.0
+    return weights / weights.sum(axis=1)[:, None]
 
 
 class TestPick:
@@ -345,6 +357,20 @@ class TestPick:
         self._check(
             cdf, np.array([i for i, _ in ties]), np.array([v for _, v in ties])
         )
+        self._check_edges(cdf)
+
+    def _check_edges(self, cdf):
+        # u at every bucket edge b/K, just below every edge and each entry of
+        # the row, at 0 and at 1 - 2^-53
+        buckets = _pick_table(cdf).buckets
+        edges = np.arange(buckets) / buckets
+        edges = np.concatenate([edges, np.nextafter(edges[1:], 0.0), [np.nextafter(1.0, 0.0)]])
+        states, u = [], []
+        for i, row in enumerate(np.minimum(cdf, 1.0)):
+            row_u = np.concatenate([edges, np.nextafter(row[row > 0.0], 0.0), row[row < 1.0]])
+            states.append(np.full(row_u.size, i))
+            u.append(row_u)
+        self._check(cdf, np.concatenate(states), np.concatenate(u))
 
     def test_random_sizes_with_zero_columns(self):
         rng = np.random.default_rng(21)
@@ -376,6 +402,88 @@ class TestPick:
         cdf = _jump_cdf(Q)
         assert cdf[1].tolist() == [0.0, 1.0, 1.0, 1.0, 1.0]
         self._check_all_rows(cdf, np.random.default_rng(2))
+
+    def test_steps_finer_than_the_buckets(self):
+        # 200 steps inside one bucket of a one-row table at the cap, and 64
+        # dense rows whose 2^15 guide entries still leave crowded buckets
+        row = np.full(202, 1e-12)
+        row[0], row[-1] = 0.5, 0.5 - 200e-12
+        clustered = _cdf_rows(row[None, :])
+        table = _pick_table(clustered)
+        assert table.buckets == simulate._GUIDE_CAP and table.levels == 8
+        self._check_all_rows(clustered, np.random.default_rng(3))
+        u = 0.5 + np.arange(-2, 205) * 1e-12
+        self._check(clustered, np.zeros(u.size, dtype=np.intp), u)
+        dense = _cdf_rows(random_transition(np.random.default_rng(4), 64).entries)
+        table = _pick_table(dense)
+        assert table.guide.size == simulate._GUIDE_CAP and table.levels > 1
+        self._check_all_rows(dense, np.random.default_rng(5))
+
+    def test_all_mass_on_one_state(self):
+        for size, target in ((1, 0), (3, 0), (5, 2), (6, 5), (9, 8)):
+            row = np.zeros(size)
+            row[target] = 1.0
+            cdf = _cdf_rows(np.vstack([row, np.full(size, 1.0 / size)]))
+            table = _pick_table(cdf)
+            assert table.levels <= 1
+            self._check_all_rows(cdf, np.random.default_rng(size))
+            u = np.random.default_rng(6).random(100)
+            assert (_pick_rows(table, np.zeros(100, dtype=np.intp), u) == target).all()
+
+    def test_sparse_rows_with_long_flat_runs(self):
+        rng = np.random.default_rng(7)
+        m = np.zeros((40, 300))
+        for i in range(40):
+            m[i, rng.choice(300, size=rng.integers(1, 5), replace=False)] = rng.random()
+            m[i] /= m[i].sum()
+        cdf = _cdf_rows(m)
+        table = _pick_table(cdf)
+        # the table keeps steps, not columns, so flat runs add no level
+        assert table.values.size < 40 * 10 and table.levels == 1
+        self._check_all_rows(cdf, rng)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(sparse_stochastic_matrices())
+    def test_matches_full_scan(self, m):
+        cdf = _cdf_rows(m)
+        self._check_edges(cdf)
+        u = np.random.default_rng(m.shape[0]).random(50 * m.shape[0])
+        self._check(cdf, np.arange(u.size) % m.shape[0], u)
+
+    def test_rows_read_in_blocks(self, monkeypatch):
+        # the table does not depend on how many rows each build pass reads
+        rng = np.random.default_rng(9)
+        cdfs = [
+            _cdf_rows(random_transition(rng, 40, sparsify=0.7).entries),
+            _cdf_rows(random_transition(rng, 64).entries),  # padded rows
+        ]
+        whole = [_pick_table(cdf) for cdf in cdfs]
+        assert whole[1].levels > 1
+        for block in (1, 39, 100, 4096):
+            monkeypatch.setattr(simulate, "_BUILD_BLOCK", block)
+            for cdf, expected in zip(cdfs, whole):
+                got = _pick_table(cdf)
+                assert (got.buckets, got.levels) == (expected.buckets, expected.levels)
+                for name in ("guide", "values", "columns"):
+                    assert np.array_equal(getattr(got, name), getattr(expected, name))
+
+    def test_guide_bounded_on_a_dense_chain(self):
+        rng = np.random.default_rng(8)
+        cdf = _cdf_rows(random_transition(rng, 2000).entries)
+        tracemalloc.start()
+        try:
+            table = _pick_table(cdf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the build reads the rows in blocks, so it holds little beyond the table
+        assert peak < 1.5 * sum(a.nbytes for a in (table.guide, table.values, table.columns))
+        assert table.guide.size <= simulate._GUIDE_CAP
+        assert table.guide.dtype == np.int32
+        # never deeper than a bisection over the row
+        assert table.levels <= (cdf.shape[1] - 1).bit_length()
+        states = rng.integers(2000, size=5000)
+        self._check(cdf, states, rng.random(states.size))
 
 
 class TestClopperPearson:
