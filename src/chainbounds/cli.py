@@ -27,7 +27,7 @@ from .chain_core import (
     stationary_distribution,
 )
 from .errors import ChainBoundsError, NotIrreducible, SchemaError
-from .exact_oracle import exact_mgf_continuous, exact_mgf_discrete
+from .exact_oracle import exact_mgf
 from .simulate import SimConfig, empirical_mgf, path_averages, tail_report
 from .spectral import (
     gap_report,
@@ -184,7 +184,6 @@ def _cmd_mgf(args) -> int:
     config = None if args.replicas is None else _sim_config(args, mu, horizon, theta=theta)
     eta = ip_gap(chain.operator, mu)
     (length,) = horizon.values()
-    exact_mgf = exact_mgf_discrete if chain.kind == "discrete" else exact_mgf_continuous
     exact = exact_mgf(chain.operator, mu, obs, theta, length)
     in_range = obs.M > 0 and abs(theta) < eta / (2.0 * obs.M)
     bound = None

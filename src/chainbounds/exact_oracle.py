@@ -1,6 +1,8 @@
 """Exact (non-Monte-Carlo) ground truth for moment-generating functions.
 
-Finite-chain MGFs are iterated transfer-operator products
+The MGF oracles take a chain P with a horizon of n steps or a jump process
+Q with a horizon t, and evaluate the same tilted kernel for both. Chain MGFs
+are iterated transfer-operator products
 ``init^T diag(e^(theta f)) (P diag(e^(theta f)))^(n-1) 1`` with running
 log-rescaling, so long horizons stay inside double range. Once the rescaled
 vector repeats bit for bit, the remaining steps are replayed from one period,
@@ -30,7 +32,7 @@ from .chain_core import (
     observable_values,
     stationary_distribution,
 )
-from .errors import DimensionMismatch, Overflow, TooLarge
+from .errors import DimensionMismatch, InvalidQuery, Overflow, TooLarge
 
 PATH_ENUMERATION_CAP = 10**7
 DP_CELL_CAP = 4_000_001
@@ -56,6 +58,26 @@ def _match(op, f) -> np.ndarray:
     return fv
 
 
+def _checked(op, f, theta: float, horizon, init: Distribution | None = None) -> np.ndarray:
+    # the values of f, once f, init, theta and the horizon (n >= 1 steps of a
+    # chain, time t >= 0 of a jump process) fit the operator
+    fv = _match(op, f)
+    if init is not None and init.n_states != op.n_states:
+        raise DimensionMismatch("init distribution does not match the chain")
+    if not math.isfinite(theta):
+        raise InvalidQuery("theta must be finite")
+    if isinstance(op, GeneratorMatrix):
+        if horizon < 0:
+            raise DimensionMismatch("t must be >= 0")
+    elif horizon < 1:
+        raise DimensionMismatch("horizon n must be >= 1")
+    return fv
+
+
+def _feynman_kac(Q: GeneratorMatrix, fv: np.ndarray, theta: float, t: float) -> np.ndarray:
+    return matrix_exponential(Q.entries + theta * np.diag(fv), t)
+
+
 def _log_conditional_mgf(P: TransitionMatrix, fv: np.ndarray, theta: float, n: int):
     # returns (u, log_scale) with conditional mgf = u * exp(log_scale). The
     # rescaled step u -> P (w u) / max is a fixed map on doubles, so once u
@@ -63,8 +85,6 @@ def _log_conditional_mgf(P: TransitionMatrix, fv: np.ndarray, theta: float, n: i
     # detection (BIT 1980) keeps one saved bit pattern of u and the log
     # increments since then; the save moves after 1, 2, 4, ... steps, and
     # every _REPLAY_TERMS steps from then on, so memory stays bounded in n.
-    if n < 1:
-        raise DimensionMismatch("horizon n must be >= 1")
     tf = theta * fv
     shift = float(tf.max())
     w = np.exp(tf - shift)
@@ -107,52 +127,53 @@ def _replay_sum(total: float, period: np.ndarray, count: int) -> float:
     return total
 
 
-def conditional_mgf_discrete(P: TransitionMatrix, f, theta: float, n: int) -> ConditionalMgf:
-    """E[exp(theta sum_{k=1}^n f(Z_k)) | Z_1 = z] for every state z.
+def conditional_mgf(op, f, theta: float, horizon) -> ConditionalMgf:
+    """E[exp(theta S) | start at z] for every state z; see :func:`exact_mgf` for S.
 
-    Computed as ``diag(e^(theta f)) (P diag(e^(theta f)))^(n-1) 1``. The
-    mu-average of the values equals :func:`exact_mgf_discrete` with
-    init = mu.
+    ``diag(e^(theta f)) (P diag(e^(theta f)))^(n-1) 1`` for a chain, and
+    ``exp(t (Q + theta diag f)) 1`` for a jump process. The mu-average of
+    the values equals :func:`exact_mgf` with init = mu.
     """
-    fv = _match(P, f)
-    u, log_scale = _log_conditional_mgf(P, fv, theta, n)
-    if log_scale < 709:
-        values = u * math.exp(log_scale)
-    else:  # entrywise in the log domain: 0 where u is 0, inf only on overflow
-        with np.errstate(divide="ignore", over="ignore"):
-            values = np.exp(np.log(u) + log_scale)
-    return ConditionalMgf(values, float(n), theta)
+    fv = _checked(op, f, theta, horizon)
+    if isinstance(op, GeneratorMatrix):
+        values = _feynman_kac(op, fv, theta, horizon) @ np.ones(op.n_states)
+    else:
+        u, log_scale = _log_conditional_mgf(op, fv, theta, horizon)
+        if log_scale < 709:
+            values = u * math.exp(log_scale)
+        else:  # entrywise in the log domain: 0 where u is 0, inf only on overflow
+            with np.errstate(divide="ignore", over="ignore"):
+                values = np.exp(np.log(u) + log_scale)
+    return ConditionalMgf(values, float(horizon), theta)
 
 
-def exact_mgf_discrete(
-    P: TransitionMatrix, init: Distribution, f, theta: float, n: int
-) -> float:
-    """Exact MGF of the n-step sum started from ``init``.
+def exact_mgf(op, init: Distribution, f, theta: float, horizon) -> float:
+    """Exact MGF ``E[exp(theta S)]`` of the additive functional S from ``init``.
 
-    ``E[exp(theta sum_{k=1}^n f(Z_k))]`` with Z_1 drawn from init. Exact up
-    to floating error (relative ~1e-12 for n <= 1e4 thanks to the running
-    rescale). The cost grows with the number of steps until the rescaled
-    vector first repeats bit for bit, not with n: later steps replay one
-    period, and the result is bit-identical to iterating all n - 1 steps.
-    Returns inf if the value exceeds double range.
+    For a chain P, S = sum_{k=1}^n f(Z_k) with Z_1 drawn from init; exact
+    up to floating error (relative ~1e-12 for n <= 1e4 thanks to the
+    running rescale), and inf past double range. For a jump process Q,
+    S = int_0^t f(Z_s) ds with Z_0 drawn from init, and the MGF is
+    ``init^T exp(t (Q + theta diag(f))) 1`` (Feynman-Kac); 1 at t = 0.
     """
-    fv = _match(P, f)
-    if init.n_states != P.n_states:
-        raise DimensionMismatch("init distribution does not match the chain")
-    u, log_scale = _log_conditional_mgf(P, fv, theta, n)
-    r = float(init.weights @ u)
+    if isinstance(op, GeneratorMatrix):
+        fv = _checked(op, f, theta, horizon, init)
+        if horizon == 0.0:
+            return 1.0
+        return float(init.weights @ _feynman_kac(op, fv, theta, horizon) @ np.ones(op.n_states))
+    log_mgf = exact_log_mgf(op, init, f, theta, horizon)
     try:
-        return math.exp(math.log(r) + log_scale)
+        return math.exp(log_mgf)
     except OverflowError:
         return math.inf
 
 
-def exact_log_mgf_discrete(
-    P: TransitionMatrix, init: Distribution, f, theta: float, n: int
-) -> float:
-    """log of :func:`exact_mgf_discrete`, safe for horizons where it overflows."""
-    fv = _match(P, f)
-    u, log_scale = _log_conditional_mgf(P, fv, theta, n)
+def exact_log_mgf(op, init: Distribution, f, theta: float, horizon) -> float:
+    """log of :func:`exact_mgf`; finite for chain horizons where that overflows."""
+    if isinstance(op, GeneratorMatrix):
+        return math.log(exact_mgf(op, init, f, theta, horizon))
+    fv = _checked(op, f, theta, horizon, init)
+    u, log_scale = _log_conditional_mgf(op, fv, theta, horizon)
     return math.log(float(init.weights @ u)) + log_scale
 
 
@@ -212,7 +233,7 @@ def verify_laplacian_identity(
         raise DimensionMismatch(f"state index {z} out of range")
     if m ** (n + 1) > PATH_ENUMERATION_CAP:
         raise TooLarge(f"{m}^{n + 1} paths exceed the cap {PATH_ENUMERATION_CAP}")
-    G = conditional_mgf_discrete(P, fv, theta, n).values
+    G = conditional_mgf(P, fv, theta, n).values
     lhs = float((P.entries @ G - G)[z])
 
     # totals cover z_{1:n+1}; the head sum drops the last state, the tail
@@ -251,33 +272,6 @@ def matrix_exponential(A, t: float = 1.0) -> np.ndarray:
     return out
 
 
-def exact_mgf_continuous(
-    Q: GeneratorMatrix, init: Distribution, f, theta: float, t: float
-) -> float:
-    """Exact MGF of the time integral, by the Feynman-Kac representation.
-
-    ``E[exp(theta int_0^t f(Z_s) ds)] = init^T exp(t (Q + theta diag(f))) 1``
-    with Z_0 drawn from init. Returns 1 at t = 0.
-    """
-    fv = _match(Q, f)
-    if init.n_states != Q.n_states:
-        raise DimensionMismatch("init distribution does not match the chain")
-    if t < 0:
-        raise DimensionMismatch("t must be >= 0")
-    if t == 0.0:
-        return 1.0
-    tilted = Q.entries + theta * np.diag(fv)
-    return float(init.weights @ matrix_exponential(tilted, t) @ np.ones(Q.n_states))
-
-
-def conditional_mgf_continuous(Q: GeneratorMatrix, f, theta: float, t: float) -> ConditionalMgf:
-    """Feynman-Kac conditional MGF vector ``exp(t (Q + theta diag f)) 1``."""
-    fv = _match(Q, f)
-    tilted = Q.entries + theta * np.diag(fv)
-    values = matrix_exponential(tilted, t) @ np.ones(Q.n_states)
-    return ConditionalMgf(values, t, theta)
-
-
 class APrimeCheck(NamedTuple):
     lhs: float
     rhs: float
@@ -303,12 +297,11 @@ def verify_a_prime_identity(
     fv = _match(Q, f)
     if mu is None:
         mu = stationary_distribution(Q)
-    tilted = Q.entries + theta * np.diag(fv)
     ones = np.ones(Q.n_states)
-    expm_t = matrix_exponential(tilted, t)
+    expm_t = _feynman_kac(Q, fv, theta, t)
     h = 6e-6 * max(1.0, abs(t))
-    step_fwd = matrix_exponential(tilted, h)
-    step_bwd = matrix_exponential(tilted, -h)
+    step_fwd = _feynman_kac(Q, fv, theta, h)
+    step_bwd = _feynman_kac(Q, fv, theta, -h)
     a_fwd = float(mu.weights @ (expm_t @ step_fwd) @ ones)
     a_bwd = float(mu.weights @ (expm_t @ step_bwd) @ ones)
     lhs = (a_fwd - a_bwd) / (2.0 * h)

@@ -258,10 +258,6 @@ def _cdf_rows(matrix: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _pick(cdf_row: np.ndarray, u: float) -> int:
-    return min(int(np.searchsorted(cdf_row, u, side="right")), cdf_row.size - 1)
-
-
 class _PickTable(NamedTuple):
     """Guide table over the steps of clamped row CDFs (see ``_pick_table``)."""
 
@@ -398,13 +394,12 @@ def sample_dtmc(
     if n < 1:
         raise InvalidQuery("path length n must be >= 1")
     u = rng.random(n)
-    cdf = _cdf_rows(P.entries)
-    init_cdf = np.cumsum(init.weights)
-    init_cdf[-1] = 1.0
+    table = _pick_table(_cdf_rows(P.entries))
+    first = _pick_table(_cdf_rows(init.weights[None, :]))
     path = np.empty(n, dtype=np.int64)
-    path[0] = _pick(init_cdf, u[0])
+    path[:1] = _pick_rows(first, np.zeros(1, dtype=np.int32), u[:1])
     for k in range(1, n):
-        path[k] = _pick(cdf[path[k - 1]], u[k])
+        path[k:k + 1] = _pick_rows(table, path[k - 1:k], u[k:k + 1])
     return path
 
 
@@ -442,10 +437,9 @@ def sample_ctmc(
     if t < 0:
         raise InvalidQuery("time horizon must be >= 0")
     rates = -Q.entries.diagonal()
-    jump_cdf = _jump_cdf(Q)
-    init_cdf = np.cumsum(init.weights)
-    init_cdf[-1] = 1.0
-    state = _pick(init_cdf, rng.random())
+    table = _pick_table(_jump_cdf(Q))
+    first = _pick_table(_cdf_rows(init.weights[None, :]))
+    state = int(_pick_rows(first, np.zeros(1, dtype=np.int32), np.array([rng.random()]))[0])
     if t == 0:
         return [(state, 0.0)]
     block = _ctmc_block_size(Q, t)
@@ -464,7 +458,7 @@ def sample_ctmc(
                 return segments
             segments.append((state, float(hold)))
             remaining -= hold
-            state = _pick(jump_cdf[state], jumps[j])
+            state = int(_pick_rows(table, np.array([state]), jumps[j:j + 1])[0])
 
 
 # Uniforms held per horizon block, summed over replicas (8 MB of float64).

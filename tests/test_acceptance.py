@@ -96,7 +96,7 @@ def test_criterion_4_discrete_mgf_dominance():
             theta_cap = eta_p / (2.0 * f.M)
             for theta in np.linspace(-0.95 * theta_cap, 0.95 * theta_cap, 11):
                 for n in (1, 5, 20, 50):
-                    exact = cb.exact_mgf_discrete(P, mu, f, float(theta), n)
+                    exact = cb.exact_mgf(P, mu, f, float(theta), n)
                     bound = cb.mgf_bound("discrete", float(theta), n, f.M, sigma, eta_p)
                     assert exact <= bound * (1 + 1e-9)
 
@@ -182,7 +182,7 @@ def test_criterion_7_continuous_dominance():
             theta_cap = eta_p / (2.0 * f.M)
             for theta in np.linspace(-0.9 * theta_cap, 0.9 * theta_cap, 7):
                 for t in (0.5, 2.0, 10.0):
-                    exact = cb.exact_mgf_continuous(Q, mu, f, float(theta), t)
+                    exact = cb.exact_mgf(Q, mu, f, float(theta), t)
                     bound = cb.mgf_bound("continuous", float(theta), t, f.M, sigma, eta_p)
                     assert exact <= bound * (1 + 1e-9)
             # Monte Carlo tail at t = 100 against the continuous theorem

@@ -250,7 +250,7 @@ def test_negative_seed_fails_before_gap_bound_and_oracle(argv, tmp_path, capsys,
 
         monkeypatch.setattr(owner, name, counted)
 
-    for name in ("ip_gap", "gap_report", "exact_mgf_discrete", "empirical_mgf", "path_averages"):
+    for name in ("ip_gap", "gap_report", "exact_mgf", "empirical_mgf", "path_averages"):
         count(cli, name)
     for name in ("tail_bound", "mgf_bound"):
         count(cli.bounds_mod, name)
@@ -337,6 +337,21 @@ class TestMgf:
         assert rc == 0
         assert doc["mode"] == "continuous"
         assert doc["exact"] <= doc["bound"] * (1 + 1e-9)
+
+    @pytest.mark.parametrize("theta", ["nan", "inf"])
+    @pytest.mark.parametrize("kind", ["chain", "jump"])
+    def test_non_finite_theta_is_exit_two(self, tmp_path, capsys, theta, kind):
+        if kind == "chain":
+            path, horizon = _four_state_file(tmp_path), ["--n", "10"]
+        else:
+            doc = {"labels": ["x", "y"], "Q": [[-1, 1], [2, -2]], "f": [1, -1]}
+            path, horizon = _chain_file(tmp_path, doc), ["--t", "2.0"]
+        rc = cli.main(["mgf", path, "--theta", theta, *horizon])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        err = json.loads(captured.err.splitlines()[-1])
+        assert err == {"error": "InvalidQuery", "message": "theta must be finite"}
 
 
 class TestVerify:

@@ -32,14 +32,14 @@ class TestExactMgfDiscrete:
         P = random_transition(rng, 4)
         mu = cb.stationary_distribution(P)
         f = cb.make_observable(rng.normal(size=4), mu)
-        assert cb.exact_mgf_discrete(P, mu, f, 0.0, 7) == pytest.approx(1.0, rel=1e-14)
+        assert cb.exact_mgf(P, mu, f, 0.0, 7) == pytest.approx(1.0, rel=1e-14)
 
     def test_flip_chain_two_steps_cancel(self):
         P = cb.validate_transition_matrix([[0, 1], [1, 0]])
         mu = _uniform(2)
         f = np.array([1.0, -1.0])
         for theta in (-2.0, -0.3, 0.5, 3.0):
-            assert cb.exact_mgf_discrete(P, mu, f, theta, 2) == pytest.approx(1.0, rel=1e-14)
+            assert cb.exact_mgf(P, mu, f, theta, 2) == pytest.approx(1.0, rel=1e-14)
 
     def test_iid_rows_factorize(self):
         rng = np.random.default_rng(5)
@@ -48,7 +48,7 @@ class TestExactMgfDiscrete:
         mu = cb.make_distribution(w)
         fv = rng.normal(size=3)
         theta, n = 0.4, 6
-        got = cb.exact_mgf_discrete(P, mu, fv, theta, n)
+        got = cb.exact_mgf(P, mu, fv, theta, n)
         expected = float(w @ np.exp(theta * fv)) ** n
         assert got == pytest.approx(expected, rel=1e-12)
 
@@ -57,25 +57,25 @@ class TestExactMgfDiscrete:
         P = random_transition(rng, 3)
         mu = cb.stationary_distribution(P)
         fv = rng.normal(size=3)
-        val = cb.exact_mgf_discrete(P, mu, fv, 0.6, 12)
-        logval = cb.exact_log_mgf_discrete(P, mu, fv, 0.6, 12)
+        val = cb.exact_mgf(P, mu, fv, 0.6, 12)
+        logval = cb.exact_log_mgf(P, mu, fv, 0.6, 12)
         assert math.log(val) == pytest.approx(logval, abs=1e-12)
 
     def test_long_horizon_no_overflow_in_log(self):
         P = cb.validate_transition_matrix([[0.9, 0.1], [0.2, 0.8]])
         mu = cb.stationary_distribution(P)
         fv = np.array([1.0, -1.0])
-        logval = cb.exact_log_mgf_discrete(P, mu, fv, 1.0, 10_000)
+        logval = cb.exact_log_mgf(P, mu, fv, 1.0, 10_000)
         assert math.isfinite(logval) and logval > 700  # plain value would overflow
 
     def test_representable_near_double_max(self):
         # the constant f = 1 at theta = 0.5 gives log MGF = n / 2 exactly
         P = cb.validate_transition_matrix([[0.5, 0.5], [0.5, 0.5]])
         mu, fv = _uniform(2), np.array([1.0, 1.0])
-        got = cb.exact_mgf_discrete(P, mu, fv, 0.5, 1419)
+        got = cb.exact_mgf(P, mu, fv, 0.5, 1419)
         assert got == math.exp(709.5) == 1.3549863193146328e308
         # log(DBL_MAX) = 709.78...: one step further overflows
-        assert cb.exact_mgf_discrete(P, mu, fv, 0.5, 1420) == math.inf
+        assert cb.exact_mgf(P, mu, fv, 0.5, 1420) == math.inf
 
     def test_convex_in_theta_and_one_at_zero(self):
         rng = np.random.default_rng(12)
@@ -84,7 +84,7 @@ class TestExactMgfDiscrete:
             mu = cb.stationary_distribution(P)
             f = cb.make_observable(rng.normal(size=4), mu)
             vals = {
-                t: cb.exact_mgf_discrete(P, mu, f, t, 6)
+                t: cb.exact_mgf(P, mu, f, t, 6)
                 for t in (-0.4, -0.2, 0.0, 0.2, 0.4)
             }
             assert vals[0.0] == pytest.approx(1.0, rel=1e-13)
@@ -198,7 +198,7 @@ class TestOracleReplay:
         theta, n = 0.01, 10**6
         u, log_scale = _reference_log_conditional_mgf(P, f.values, theta, (n,))[n]
         want = math.exp(math.log(float(mu.weights @ u)) + log_scale)
-        assert cb.exact_mgf_discrete(P, mu, f, theta, n) == want
+        assert cb.exact_mgf(P, mu, f, theta, n) == want
 
 
 class TestConditionalMgf:
@@ -206,19 +206,19 @@ class TestConditionalMgf:
         rng = np.random.default_rng(3)
         P = random_transition(rng, 3)
         fv = rng.normal(size=3)
-        got = cb.conditional_mgf_discrete(P, fv, 0.7, 1)
+        got = cb.conditional_mgf(P, fv, 0.7, 1)
         assert np.abs(got.values - np.exp(0.7 * fv)).max() <= 1e-14
 
     def test_theta_zero_all_ones(self):
         P = zero_absolute_gap_chain()
-        got = cb.conditional_mgf_discrete(P, np.array([1.0, 0, 0, -1.0]), 0.0, 5)
+        got = cb.conditional_mgf(P, np.array([1.0, 0, 0, -1.0]), 0.0, 5)
         assert np.abs(got.values - 1.0).max() <= 1e-13
 
     def test_four_state_matches_path_enumeration(self):
         P = zero_absolute_gap_chain()
         mu = _uniform(4)
         f = cb.make_observable([1, 0, 0, -1], mu)
-        got = cb.conditional_mgf_discrete(P, f, 0.5, 3)
+        got = cb.conditional_mgf(P, f, 0.5, 3)
         brute = np.array([_brute_conditional(P, f.values, 0.5, 3, z) for z in range(4)])
         assert np.abs(got.values - brute).max() <= 1e-13
 
@@ -230,8 +230,8 @@ class TestConditionalMgf:
             fv = rng.normal(size=P.n_states)
             theta = float(rng.uniform(-0.8, 0.8))
             n = int(rng.integers(1, 9))
-            cond = cb.conditional_mgf_discrete(P, fv, theta, n)
-            whole = cb.exact_mgf_discrete(P, mu, fv, theta, n)
+            cond = cb.conditional_mgf(P, fv, theta, n)
+            whole = cb.exact_mgf(P, mu, fv, theta, n)
             assert float(mu.weights @ cond.values) == pytest.approx(whole, rel=1e-12)
             assert (cond.values > 0).all()
 
@@ -248,7 +248,7 @@ class TestConditionalMgf:
         vec = np.linalg.matrix_power(core, n - 1) @ half
         sym_form = float(mu.weights @ (half * vec))
         assert sym_form == pytest.approx(
-            cb.exact_mgf_discrete(P, mu, fv, theta, n), rel=1e-12
+            cb.exact_mgf(P, mu, fv, theta, n), rel=1e-12
         )
 
     def test_continuous_conditional_mu_average(self):
@@ -256,8 +256,8 @@ class TestConditionalMgf:
         Q = random_generator(rng, 3)
         mu = cb.stationary_distribution(Q)
         fv = rng.normal(size=3)
-        cond = cb.conditional_mgf_continuous(Q, fv, 0.3, 1.7)
-        whole = cb.exact_mgf_continuous(Q, mu, fv, 0.3, 1.7)
+        cond = cb.conditional_mgf(Q, fv, 0.3, 1.7)
+        whole = cb.exact_mgf(Q, mu, fv, 0.3, 1.7)
         assert float(mu.weights @ cond.values) == pytest.approx(whole, rel=1e-12)
         assert (cond.values > 0).all()
 
@@ -266,7 +266,7 @@ class TestConditionalMgf:
     def test_past_double_range_no_nan(self):
         # log_scale >= 709 and u underflows to 0 in state 1: no inf * 0 = nan
         P = cb.validate_transition_matrix([[0.5, 0.5], [0.5, 0.5]])
-        got = cb.conditional_mgf_discrete(P, np.array([1.0, -800.0]), 1.0, 5000)
+        got = cb.conditional_mgf(P, np.array([1.0, -800.0]), 1.0, 5000)
         assert got.values[0] == math.inf
         assert not np.isnan(got.values).any()
 
@@ -275,7 +275,7 @@ class TestConditionalMgf:
         # E[e^(sum f)] from each state of the identity chain is e^(n f(z)):
         # e^750 overflows, e^600 does not
         P = cb.validate_transition_matrix(np.eye(2))
-        got = cb.conditional_mgf_discrete(P, np.array([1.0, 0.8]), 1.0, 750)
+        got = cb.conditional_mgf(P, np.array([1.0, 0.8]), 1.0, 750)
         assert got.values[0] == math.inf
         assert got.values[1] == pytest.approx(math.exp(600.0), rel=1e-12)
 
@@ -338,12 +338,12 @@ class TestExactMgfContinuous:
     def test_time_zero(self):
         Q = cb.validate_generator([[-1, 1], [2, -2]])
         mu = cb.stationary_distribution(Q)
-        assert cb.exact_mgf_continuous(Q, mu, np.array([1.0, -1.0]), 0.4, 0.0) == 1.0
+        assert cb.exact_mgf(Q, mu, np.array([1.0, -1.0]), 0.4, 0.0) == 1.0
 
     def test_theta_zero_semigroup_preserves_one(self):
         Q = cb.validate_generator([[-1, 1], [2, -2]])
         mu = cb.stationary_distribution(Q)
-        assert cb.exact_mgf_continuous(Q, mu, np.array([1.0, -1.0]), 0.0, 3.0) == pytest.approx(
+        assert cb.exact_mgf(Q, mu, np.array([1.0, -1.0]), 0.0, 3.0) == pytest.approx(
             1.0, rel=1e-12
         )
 
@@ -353,7 +353,7 @@ class TestExactMgfContinuous:
         mu = cb.stationary_distribution(Q)
         fv = np.array([1.0, -1.0])
         theta, t = 0.35, 1.0
-        got = cb.exact_mgf_continuous(Q, mu, fv, theta, t)
+        got = cb.exact_mgf(Q, mu, fv, theta, t)
         A = Q.entries + theta * np.diag(fv)
         h = 1e-4
         Ah = h * A
@@ -370,7 +370,7 @@ class TestExactMgfContinuous:
         mu = cb.stationary_distribution(Q)
         f = cb.make_observable(rng.normal(size=3), mu)
         theta, t = 0.25, 0.8
-        got = cb.exact_mgf_continuous(Q, mu, f, theta, t)
+        got = cb.exact_mgf(Q, mu, f, theta, t)
         A = Q.entries + theta * np.diag(f.values)
         h = 1e-4
         Ah = h * A
@@ -472,3 +472,188 @@ class TestExactTailDiscrete:
         # start at state 0: sum over 3 steps is f0+f1+f0 = 1 exactly
         val = cb.exact_tail_discrete(P, nu, np.array([1.0, -1.0]), 3, 1.0 / 3.0)
         assert val == 1.0
+
+
+# The five MGF oracles as they stood before conditional_mgf, exact_mgf and
+# exact_log_mgf served both time scales, kept verbatim as the reference the
+# folded functions must reproduce bit for bit. The horizon check that the
+# discrete replay used to make is restated in _ref_log_conditional_mgf.
+
+def _ref_log_conditional_mgf(P, fv, theta, n):
+    if n < 1:
+        raise errors.DimensionMismatch("horizon n must be >= 1")
+    return exact_oracle._log_conditional_mgf(P, fv, theta, n)
+
+
+def _ref_conditional_mgf_discrete(P, f, theta, n):
+    fv = exact_oracle._match(P, f)
+    u, log_scale = _ref_log_conditional_mgf(P, fv, theta, n)
+    if log_scale < 709:
+        values = u * math.exp(log_scale)
+    else:  # entrywise in the log domain: 0 where u is 0, inf only on overflow
+        with np.errstate(divide="ignore", over="ignore"):
+            values = np.exp(np.log(u) + log_scale)
+    return cb.ConditionalMgf(values, float(n), theta)
+
+
+def _ref_exact_mgf_discrete(P, init, f, theta, n):
+    fv = exact_oracle._match(P, f)
+    if init.n_states != P.n_states:
+        raise errors.DimensionMismatch("init distribution does not match the chain")
+    u, log_scale = _ref_log_conditional_mgf(P, fv, theta, n)
+    r = float(init.weights @ u)
+    try:
+        return math.exp(math.log(r) + log_scale)
+    except OverflowError:
+        return math.inf
+
+
+def _ref_exact_log_mgf_discrete(P, init, f, theta, n):
+    fv = exact_oracle._match(P, f)
+    u, log_scale = _ref_log_conditional_mgf(P, fv, theta, n)
+    return math.log(float(init.weights @ u)) + log_scale
+
+
+def _ref_exact_mgf_continuous(Q, init, f, theta, t):
+    fv = exact_oracle._match(Q, f)
+    if init.n_states != Q.n_states:
+        raise errors.DimensionMismatch("init distribution does not match the chain")
+    if t < 0:
+        raise errors.DimensionMismatch("t must be >= 0")
+    if t == 0.0:
+        return 1.0
+    tilted = Q.entries + theta * np.diag(fv)
+    return float(init.weights @ cb.matrix_exponential(tilted, t) @ np.ones(Q.n_states))
+
+
+def _ref_conditional_mgf_continuous(Q, f, theta, t):
+    fv = exact_oracle._match(Q, f)
+    tilted = Q.entries + theta * np.diag(fv)
+    values = cb.matrix_exponential(tilted, t) @ np.ones(Q.n_states)
+    return cb.ConditionalMgf(values, t, theta)
+
+
+def _same_bits(got, want):
+    if isinstance(want, cb.ConditionalMgf):
+        return (got.values.tobytes() == want.values.tobytes()
+                and got.horizon == want.horizon and got.theta == want.theta)
+    return np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except (errors.ChainBoundsError, ValueError) as exc:
+        return type(exc)
+
+
+class TestFoldMatchesReference:
+    """The folded oracles equal the five old ones bit for bit, or raise alike."""
+
+    def _compare(self, new, ref, *args):
+        got, want = _outcome(new, *args), _outcome(ref, *args)
+        if isinstance(want, type):
+            assert got is want, (ref.__name__, args[2:])
+        else:
+            assert not isinstance(got, type) and _same_bits(got, want), (ref.__name__, args[2:])
+        return want
+
+    def _check_chain(self, P, init, fv, theta, n):
+        return [
+            self._compare(cb.conditional_mgf, _ref_conditional_mgf_discrete, P, fv, theta, n),
+            self._compare(cb.exact_mgf, _ref_exact_mgf_discrete, P, init, fv, theta, n),
+            self._compare(cb.exact_log_mgf, _ref_exact_log_mgf_discrete, P, init, fv, theta, n),
+        ]
+
+    def _check_jump(self, Q, init, fv, theta, t):
+        return [
+            self._compare(cb.conditional_mgf, _ref_conditional_mgf_continuous, Q, fv, theta, t),
+            self._compare(cb.exact_mgf, _ref_exact_mgf_continuous, Q, init, fv, theta, t),
+        ]
+
+    def test_bit_identical_on_seeded_grid(self, monkeypatch):
+        replays = []
+        replay_sum = exact_oracle._replay_sum
+
+        def recording(total, period, count):
+            replays.append(period.size)
+            return replay_sum(total, period, count)
+
+        monkeypatch.setattr(exact_oracle, "_replay_sum", recording)
+        mismatch = errors.DimensionMismatch
+        rng = np.random.default_rng(2026)
+        for i in range(300):
+            k = 1 + (i // 2) % 12
+            fv = rng.normal(size=k)
+            init = cb.make_distribution(rng.dirichlet(np.ones(k)))
+            x = float(rng.uniform(0.05, 2.0))
+            if i % 2 == 0:
+                # one chain in seven is lazy: slow to mix, so its replay starts late
+                P = _replay_chain(rng, k, ("dense", "sparse", "lazy")[min(2, (i // 2) % 7 // 3)])
+                for theta in (0.0, -x, x):
+                    for n in (1, 2, 7, 500, 20000):
+                        self._check_chain(P, init, fv, theta, n)
+                assert self._check_chain(P, init, fv, x, 0) == [mismatch] * 3
+                assert self._check_chain(P, init, fv[:-1], x, 1) == [mismatch] * 3
+            else:
+                Q = random_generator(rng, k, rate_scale=float(rng.uniform(0.1, 3.0)))
+                for theta in (0.0, -x, x):
+                    for t in (0.0, 0.01, 1.0, 7.5):
+                        self._check_jump(Q, init, fv, theta, t)
+                assert self._check_jump(Q, init, fv[:-1], x, 1.0) == [mismatch] * 2
+                assert self._compare(
+                    cb.exact_mgf, _ref_exact_mgf_continuous, Q, init, fv, x, -1.0
+                ) is mismatch
+        assert sum(p > 1 for p in replays) >= 10 and len(replays) >= 300
+
+    def test_overflow_and_underflow_cases(self):
+        P = cb.validate_transition_matrix([[0.5, 0.5], [0.5, 0.5]])
+        mu, fv = _uniform(2), np.array([1.0, 1.0])
+        for n in (1419, 1420):
+            self._check_chain(P, mu, fv, 0.5, n)
+        assert _ref_exact_mgf_discrete(P, mu, fv, 0.5, 1420) == math.inf
+        low = np.array([1.0, -800.0])
+        cond = self._compare(cb.conditional_mgf, _ref_conditional_mgf_discrete, P, low, 1.0, 5000)
+        assert cond.values[0] == math.inf and cond.values[1] == 0.0
+
+
+class TestOracleInputs:
+    P = cb.validate_transition_matrix([[0.9, 0.1], [0.2, 0.8]])
+    Q = cb.validate_generator([[-1, 1], [2, -2]])
+    F = np.array([1.0, -1.0])
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", ["chain", "jump"])
+    def test_non_finite_theta_is_typed(self, theta, kind):
+        op = self.P if kind == "chain" else self.Q
+        mu = cb.stationary_distribution(op)
+        calls = [
+            lambda: cb.conditional_mgf(op, self.F, theta, 3),
+            lambda: cb.exact_mgf(op, mu, self.F, theta, 3),
+            lambda: cb.exact_log_mgf(op, mu, self.F, theta, 3),
+        ]
+        for call in calls:
+            with pytest.raises(errors.InvalidQuery, match="theta must be finite"):
+                call()
+
+    @pytest.mark.parametrize("kind", ["chain", "jump"])
+    def test_wrong_length_init_is_typed(self, kind):
+        op = self.P if kind == "chain" else self.Q
+        for call in (cb.exact_mgf, cb.exact_log_mgf):
+            with pytest.raises(errors.DimensionMismatch, match="init distribution"):
+                call(op, _uniform(3), self.F, 0.3, 4)
+
+    def test_negative_t_rejected(self):
+        mu = cb.stationary_distribution(self.Q)
+        with pytest.raises(errors.DimensionMismatch, match="t must be >= 0"):
+            cb.conditional_mgf(self.Q, self.F, 0.3, -2.0)
+        for call in (cb.exact_mgf, cb.exact_log_mgf):
+            with pytest.raises(errors.DimensionMismatch, match="t must be >= 0"):
+                call(self.Q, mu, self.F, 0.3, -2.0)
+
+    def test_jump_log_mgf_is_log_of_mgf(self):
+        mu = cb.stationary_distribution(self.Q)
+        assert cb.exact_log_mgf(self.Q, mu, self.F, 0.3, 1.7) == math.log(
+            cb.exact_mgf(self.Q, mu, self.F, 0.3, 1.7)
+        )
+        assert cb.exact_log_mgf(self.Q, mu, self.F, 0.3, 0.0) == 0.0

@@ -650,7 +650,7 @@ class TestEmpiricalMgf:
         mu = cb.stationary_distribution(P)
         f = cb.make_observable(rng.normal(size=3), mu)
         theta, n = 0.3, 10
-        exact = cb.exact_mgf_discrete(P, mu, f, theta, n)
+        exact = cb.exact_mgf(P, mu, f, theta, n)
         cfg = cb.SimConfig(replicas=20_000, seed=8, init=mu, n=n, theta=theta)
         rep = cb.empirical_mgf(cfg, P, f, bound=None)
         assert rep.ci_low <= exact <= rep.ci_high
@@ -660,7 +660,7 @@ class TestEmpiricalMgf:
         mu = cb.stationary_distribution(Q)
         f = cb.make_observable([1.0, -1.0], mu)
         theta, t = 0.3, 2.0
-        exact = cb.exact_mgf_continuous(Q, mu, f, theta, t)
+        exact = cb.exact_mgf(Q, mu, f, theta, t)
         cfg = cb.SimConfig(replicas=20_000, seed=9, init=mu, t=t, theta=theta)
         rep = cb.empirical_mgf(cfg, Q, f)
         assert rep.ci_low <= exact <= rep.ci_high
