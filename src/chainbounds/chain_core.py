@@ -377,19 +377,6 @@ def check_invariant(op: ChainOperator, mu: Distribution,
         )
 
 
-def adjoint(P: TransitionMatrix, mu: Distribution) -> TransitionMatrix:
-    """Time reversal of ``P`` under the mu-weighted inner product.
-
-    ``P*(i, j) = mu(j) P(j, i) / mu(i)``. Requires mu strictly positive and
-    invariant; the result is row-stochastic with the same invariant mu and
-    satisfies <P f, g>_mu = <f, P* g>_mu for all f, g.
-    """
-    w = _check_mu_positive(mu, P.n_states)
-    check_invariant(P, mu)
-    star = (w[None, :] * P.entries.T) / w[:, None]
-    return validate_transition_matrix(star, P.space, P.row_sum_tolerance)
-
-
 def radon_nikodym_norm(nu: Distribution, mu: Distribution, p: float) -> float:
     """p-moment norm of the density d(nu)/d(mu).
 

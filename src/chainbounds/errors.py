@@ -109,7 +109,7 @@ class InvalidCounts(ChainBoundsError):
 
 
 class Overflow(ChainBoundsError):
-    """Matrix exponential left the representable floating-point range."""
+    """A matrix exponential or an MGF left the representable floating-point range."""
 
 
 class SchemaError(ChainBoundsError):

@@ -152,7 +152,8 @@ def exact_mgf(op, init: Distribution, f, theta: float, horizon) -> float:
 
     For a chain P, S = sum_{k=1}^n f(Z_k) with Z_1 drawn from init; exact
     up to floating error (relative ~1e-12 for n <= 1e4 thanks to the
-    running rescale), and inf past double range. For a jump process Q,
+    running rescale), inf past double range, and Overflow where
+    :func:`exact_log_mgf` raises it. For a jump process Q,
     S = int_0^t f(Z_s) ds with Z_0 drawn from init, and the MGF is
     ``init^T exp(t (Q + theta diag(f))) 1`` (Feynman-Kac); 1 at t = 0.
     """
@@ -169,12 +170,20 @@ def exact_mgf(op, init: Distribution, f, theta: float, horizon) -> float:
 
 
 def exact_log_mgf(op, init: Distribution, f, theta: float, horizon) -> float:
-    """log of :func:`exact_mgf`; finite for chain horizons where that overflows."""
+    """log of :func:`exact_mgf`; finite for chain horizons where that overflows.
+
+    Raises Overflow when the computed MGF (for a chain, its rescaled value)
+    underflows to 0: the true MGF is positive, and its log is lost.
+    """
     if isinstance(op, GeneratorMatrix):
-        return math.log(exact_mgf(op, init, f, theta, horizon))
-    fv = _checked(op, f, theta, horizon, init)
-    u, log_scale = _log_conditional_mgf(op, fv, theta, horizon)
-    return math.log(float(init.weights @ u)) + log_scale
+        mass, log_scale = exact_mgf(op, init, f, theta, horizon), 0.0
+    else:
+        fv = _checked(op, f, theta, horizon, init)
+        u, log_scale = _log_conditional_mgf(op, fv, theta, horizon)
+        mass = float(init.weights @ u)
+    if not mass > 0:
+        raise Overflow("the computed MGF underflowed to 0 in double precision")
+    return math.log(mass) + log_scale
 
 
 def _expand_paths(P: TransitionMatrix, start, n_steps: int, fv: np.ndarray):

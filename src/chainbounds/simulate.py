@@ -5,18 +5,18 @@ of a run seeded with s draws from ``Philox(SeedSequence(s, spawn_key=(r,)))``,
 so reports are bit-reproducible, independent of evaluation order, and
 stable when the replica count changes. The Philox keys of a whole run come
 from one vectorised pass that reproduces numpy's ``SeedSequence`` hash, so
-no per-replica ``SeedSequence`` is built. Chain paths draw each replica's
-stream in horizon blocks of a fixed total size, so memory is O(replicas x
-block) whatever the horizon. Jump processes are sampled by their
-holding-time representation (no uniformization), which makes time
-integrals of observables exact given the path; their replicas run in
-chunks whose two step-major (block x chunk) draw buffers hold at most
-``_JUMP_BUDGET`` draws each, so memory does not grow with the replica
-count (it still grows with the horizon once one replica's block exceeds
-the budget). Both samplers pick every state, the first one included,
-from an exact guide table over the steps of the clamped row CDFs: one
-bucket lookup, then a bisection over the few steps inside the bucket, with
-the same ``cdf <= u`` compares as a scan of the whole row.
+no per-replica ``SeedSequence`` is built. Both samplers run through one
+chunk driver with a draw budget each. Chain paths are drawn in horizon
+blocks of ``_DRAW_BUDGET`` uniforms, so memory does not grow with the
+horizon. Jump processes are sampled by their holding-time representation
+(no uniformization), which makes time integrals of observables exact
+given the path; their replicas run in chunks of ``_JUMP_BUDGET`` draws
+per buffer, so memory does not grow with the replica count (it still
+grows with the horizon once one replica's block exceeds the budget). Both
+samplers pick every state, the first one included, from an exact guide
+table over the steps of the clamped row CDFs: one bucket lookup, then a
+bisection over the few steps inside the bucket, with the same ``cdf <= u``
+compares as a scan of the whole row.
 
 ``path_averages`` simulates once; ``tail_report`` thresholds its output at
 one delta, so a whole delta grid (as in the CLI's ``verify``) costs one
@@ -27,6 +27,7 @@ heavy-tail warning.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -383,26 +384,6 @@ def _pick_rows(table: _PickTable, states: np.ndarray, u: np.ndarray) -> np.ndarr
     return columns.take(pos)
 
 
-def sample_dtmc(
-    P: TransitionMatrix, init: Distribution, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """One chain trajectory of length n (state indices).
-
-    Consumes exactly n uniforms: one for the initial state, one per
-    transition.
-    """
-    if n < 1:
-        raise InvalidQuery("path length n must be >= 1")
-    u = rng.random(n)
-    table = _pick_table(_cdf_rows(P.entries))
-    first = _pick_table(_cdf_rows(init.weights[None, :]))
-    path = np.empty(n, dtype=np.int64)
-    path[:1] = _pick_rows(first, np.zeros(1, dtype=np.int32), u[:1])
-    for k in range(1, n):
-        path[k:k + 1] = _pick_rows(table, path[k - 1:k], u[k:k + 1])
-    return path
-
-
 def _ctmc_block_size(Q: GeneratorMatrix, t: float) -> int:
     lam = float(-Q.entries.diagonal().min())
     if lam <= 0:
@@ -423,52 +404,18 @@ def _jump_cdf(Q: GeneratorMatrix) -> np.ndarray:
     return _cdf_rows(jump)
 
 
-def sample_ctmc(
-    Q: GeneratorMatrix, init: Distribution, t: float, rng: np.random.Generator
-) -> list[tuple[int, float]]:
-    """One jump path truncated at total time t, as (state, holding) pairs.
-
-    Holding times are exponential with the state's exit rate; absorbing
-    states (zero rate) hold for the remaining time. Randomness is consumed
-    in fixed-size blocks (one uniform for the initial state, then pairs of
-    exponential/uniform blocks), so the draw pattern depends only on
-    (Q, t).
-    """
-    if t < 0:
-        raise InvalidQuery("time horizon must be >= 0")
-    rates = -Q.entries.diagonal()
-    table = _pick_table(_jump_cdf(Q))
-    first = _pick_table(_cdf_rows(init.weights[None, :]))
-    state = int(_pick_rows(first, np.zeros(1, dtype=np.int32), np.array([rng.random()]))[0])
-    if t == 0:
-        return [(state, 0.0)]
-    block = _ctmc_block_size(Q, t)
-    if block == 0:
-        return [(state, t)]
-    segments: list[tuple[int, float]] = []
-    remaining = t
-    while True:
-        exps = rng.standard_exponential(block)
-        jumps = rng.random(block)
-        for j in range(block):
-            rate = rates[state]
-            hold = exps[j] / rate if rate > 0 else math.inf
-            if hold >= remaining:
-                segments.append((state, remaining))
-                return segments
-            segments.append((state, float(hold)))
-            remaining -= hold
-            state = int(_pick_rows(table, np.array([state]), jumps[j:j + 1])[0])
-
-
-# Uniforms held per horizon block, summed over replicas (8 MB of float64).
+# Uniforms held per chain draw buffer, summed over replicas (8 MB of float64).
+# Below the jump budget: a chain run is one chunk, so its buffer holds up to
+# the whole budget, and 2^22 would add 24 MB to a 10^4-replica run's peak.
 _DRAW_BUDGET = 1 << 20
 
-
-def _draw_block(replicas: int) -> int:
-    """Steps per horizon block of ``_dtmc_sums`` for this many replicas."""
-    return max(1, _DRAW_BUDGET // replicas)
-
+# Draws held per jump-sampler buffer (at most 32 MB of float64). Each step
+# issues about 17 numpy calls per chunk, so narrower chunks save memory but
+# cost time: on 10^4 replicas of block 1269 with a one-level guide-table
+# pick, budgets 2^20, 2^21, 2^22 and 2^23 took 1.03, 0.79, 0.74 and 0.82 s
+# (best of three; the last two differ by less than the host's noise), with
+# tracemalloc peaks of 16, 30, 53 and 105 MB (2-vCPU VM, numpy 2.4).
+_JUMP_BUDGET = 1 << 22
 
 # Replicas drawn row-major into a stage, then copied step-major in one
 # transposed copy: 64 rows keep the copy's source cache lines in L1.
@@ -490,88 +437,89 @@ def _stage_draws(rngs: list, draw, out: np.ndarray, stage: np.ndarray) -> None:
         out[:, k:k + len(tile)] = rows.T
 
 
+def _chunked(seed: int, replicas: int, block: int, budget: int, buffers: int, run) -> np.ndarray:
+    """Per-replica results of ``run(rngs, *draw_buffers, stage)``, chunk by chunk.
+
+    Replicas run in equal chunks of at most ``max(1, budget // block)``, so
+    memory does not grow with the replica count. ``buffers`` step-major
+    (block x chunk) draw buffers and a ``_DRAW_TILE``-row stage are
+    allocated once; ``run`` gets them cut to its chunk's width.
+    """
+    widest = max(1, budget // max(block, 1))
+    chunk = -(-replicas // -(-replicas // widest))  # equal chunks, none wider
+    draws = np.empty((buffers, block, chunk))
+    stage = np.empty((min(_DRAW_TILE, chunk), block))
+    out = np.empty(replicas)
+    for start in range(0, replicas, chunk):
+        rngs = _replica_rngs(seed, np.arange(start, min(start + chunk, replicas)))
+        out[start:start + len(rngs)] = run(rngs, *draws[:, :, :len(rngs)], stage)
+    return out
+
+
 def _dtmc_sums(
     P: TransitionMatrix, init: Distribution, fv: np.ndarray,
     n: int, seed: int, replicas: int,
 ) -> np.ndarray:
-    """Per-replica sums of f along length-n paths (matches sample_dtmc).
+    """Per-replica sums of f along length-n paths.
 
-    Each replica's stream is drawn in horizon blocks of ``_draw_block``
-    steps; consecutive ``random(k)`` calls continue one stream, so the
-    sums equal those of single ``random(n)`` draws.
+    Replica r's path takes n uniforms of its stream, one for the initial
+    state and one per transition, in horizon blocks of up to
+    ``_DRAW_BUDGET // replicas`` steps; consecutive ``random(k)`` calls
+    continue one stream, so the sums equal those of single ``random(n)`` draws.
     """
-    rngs = _replica_rngs(seed, np.arange(replicas))
     table = _pick_table(_cdf_rows(P.entries))
     first = _pick_table(_cdf_rows(init.weights[None, :]))
-    u = np.empty((min(n, _draw_block(replicas)), replicas))
-    stage = np.empty((min(_DRAW_TILE, replicas), len(u)))
-    for start in range(0, n, len(u)):
-        draws = u[: n - start]
-        _stage_draws(rngs, np.random.Generator.random, draws, stage)
-        for k, uk in enumerate(draws, start):
-            if k == 0:
-                states = _pick_rows(first, np.zeros(replicas, dtype=np.int32), uk)
-                sums = fv.take(states).astype(float)
-            else:
-                states = _pick_rows(table, states, uk)
-                sums += fv.take(states)
-    return sums
 
+    def run(rngs, u, stage):
+        for start in range(0, n, len(u)):
+            draws = u[: n - start]
+            _stage_draws(rngs, np.random.Generator.random, draws, stage)
+            for k, uk in enumerate(draws, start):
+                if k == 0:
+                    states = _pick_rows(first, np.zeros(len(rngs), dtype=np.int32), uk)
+                    sums = fv.take(states).astype(float)
+                else:
+                    states = _pick_rows(table, states, uk)
+                    sums += fv.take(states)
+        return sums
 
-# Draws held per jump-sampler buffer (at most 32 MB of float64). Each step
-# issues about 17 numpy calls per chunk, so narrower chunks save memory but
-# cost time: on 10^4 replicas of block 1269 with a one-level guide-table
-# pick, budgets 2^20, 2^21, 2^22 and 2^23 took 1.03, 0.79, 0.74 and 0.82 s
-# (best of three; the last two differ by less than the host's noise), with
-# tracemalloc peaks of 16, 30, 53 and 105 MB (2-vCPU VM, numpy 2.4).
-_JUMP_BUDGET = 1 << 22
+    return _chunked(seed, replicas, min(n, max(1, _DRAW_BUDGET // replicas)), _DRAW_BUDGET, 1, run)
 
 
 def _ctmc_integrals(
     Q: GeneratorMatrix, init: Distribution, fv: np.ndarray,
     t: float, seed: int, replicas: int,
 ) -> np.ndarray:
-    """Per-replica time integrals of f over [0, t] (matches sample_ctmc).
+    """Per-replica time integrals of f over [0, t].
 
-    Replicas run in equal chunks of at most ``max(1, _JUMP_BUDGET // block)``;
-    two step-major (block x chunk) draw buffers are allocated once and reused
-    by every chunk and draw round, so memory is O(_JUMP_BUDGET) whatever the
-    replica count.
+    Replica r's stream gives one uniform for the initial state, then rounds
+    of ``_ctmc_block_size`` holding-time exponentials and as many jump
+    uniforms until its path passes t; a zero exit rate holds to the end.
     """
-    block = _ctmc_block_size(Q, t)
     # +0.0 at absorbing states, whatever the sign of zero on the diagonal:
     # a draw over it is inf, or nan for a zero draw, and either ends the path
-    # like the scalar sampler's infinite hold (-inf would never end it)
+    # like an infinite hold (-inf would never end it)
     rates = -Q.entries.diagonal()
     rates = np.where(rates > 0, rates, 0.0)
     table = _pick_table(_jump_cdf(Q))
     first = _pick_table(_cdf_rows(init.weights[None, :]))
-    widest = max(1, _JUMP_BUDGET // max(block, 1))
-    chunk = -(-replicas // -(-replicas // widest))  # equal chunks, none wider
-    exps = np.empty((block, chunk))
-    jumps = np.empty((block, chunk))
-    out = np.empty(replicas)
-    for start in range(0, replicas, chunk):
-        rngs = _replica_rngs(seed, np.arange(start, min(start + chunk, replicas)))
-        out[start:start + len(rngs)] = _ctmc_integrals_chunk(
-            rngs, first, rates, table, fv, t, exps, jumps
-        )
-    return out
+    run = functools.partial(_ctmc_integrals_chunk, first, rates, table, fv, t)
+    return _chunked(seed, replicas, _ctmc_block_size(Q, t), _JUMP_BUDGET, 2, run)
 
 
 def _ctmc_integrals_chunk(
-    rngs: list, first: _PickTable, rates: np.ndarray, table: _PickTable,
-    fv: np.ndarray, t: float, exps: np.ndarray, jumps: np.ndarray,
+    first: _PickTable, rates: np.ndarray, table: _PickTable, fv: np.ndarray, t: float,
+    rngs: list, exps: np.ndarray, jumps: np.ndarray, stage: np.ndarray,
 ) -> np.ndarray:
     """Integrals of one chunk of replicas, one draw round at a time.
 
     A round draws ``block`` holding times and jump uniforms for every
     replica still running, into column k of the step-major buffers for the
     k-th of them, so step j reads row j; the draws reach the buffers through
-    a row-major stage of ``_DRAW_TILE`` replicas. The running replicas'
-    index, state, remaining time and round accumulator are compacted only at
-    steps where some path ends; a path ends where ``hold < rem`` fails,
-    which an infinite or nan hold (zero exit rate) does.
+    the row-major stage. The running replicas' index, state, remaining time
+    and round accumulator are compacted only at steps where some path ends;
+    a path ends where ``hold < rem`` fails, which an infinite or nan hold
+    (zero exit rate) does.
     """
     u0 = np.array([rng.random() for rng in rngs])
     st = _pick_rows(first, np.zeros(len(rngs), dtype=np.int32), u0)
@@ -580,7 +528,6 @@ def _ctmc_integrals_chunk(
         return integrals + fv[st] * t
     ids = np.arange(len(rngs))
     rem = np.full(len(rngs), t)
-    stage = np.empty((min(_DRAW_TILE, len(rngs)), len(exps)))
     with np.errstate(divide="ignore", invalid="ignore"):
         while ids.size:
             running = [rngs[r] for r in ids.tolist()]

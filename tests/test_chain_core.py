@@ -120,53 +120,6 @@ class TestIrreducibility:
         assert cb.is_irreducible(cb.validate_generator([[-1, 1], [2, -2]]))
 
 
-class TestAdjoint:
-    def test_symmetric_uniform_fixed_point(self):
-        P = cb.validate_transition_matrix([[0.7, 0.3], [0.3, 0.7]])
-        mu = cb.stationary_distribution(P)
-        assert np.abs(cb.adjoint(P, mu).entries - P.entries).max() <= 1e-12
-
-    def test_four_state_is_transpose(self):
-        P = zero_absolute_gap_chain()
-        mu = cb.stationary_distribution(P)
-        star = cb.adjoint(P, mu)
-        assert np.abs(star.entries - P.entries.T).max() <= 1e-12
-        assert np.abs(star.entries.sum(axis=1) - 1.0).max() <= 1e-12
-
-    def test_three_cycle_reverses(self):
-        P = cb.validate_transition_matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-        mu = cb.stationary_distribution(P)
-        assert np.abs(cb.adjoint(P, mu).entries - P.entries.T).max() <= 1e-12
-
-    def test_duality_and_involution_fuzz(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            P = random_transition(rng, int(rng.integers(2, 10)))
-            mu = cb.stationary_distribution(P)
-            star = cb.adjoint(P, mu)
-            assert np.abs(cb.adjoint(star, mu).entries - P.entries).max() <= 1e-12
-            w = mu.weights
-            for _ in range(10):
-                f = rng.normal(size=P.n_states)
-                g = rng.normal(size=P.n_states)
-                lhs = float(w @ ((P.entries @ f) * g))
-                rhs = float(w @ (f * (star.entries @ g)))
-                nf = math.sqrt(w @ f**2)
-                ng = math.sqrt(w @ g**2)
-                assert abs(lhs - rhs) <= 1e-10 * nf * ng
-
-    def test_zero_mass_rejected(self):
-        P = cb.validate_transition_matrix([[0.5, 0.5], [0.5, 0.5]])
-        mu = cb.make_distribution([1.0, 0.0])
-        with pytest.raises(errors.ZeroMass):
-            cb.adjoint(P, mu)
-
-    def test_not_invariant_rejected(self):
-        P = cb.validate_transition_matrix([[0.9, 0.1], [0.5, 0.5]])
-        with pytest.raises(errors.NotInvariant):
-            cb.adjoint(P, cb.make_distribution([0.5, 0.5]))
-
-
 class TestRadonNikodymNorm:
     def test_equal_measures_give_one(self):
         mu = cb.make_distribution([0.3, 0.2, 0.5])

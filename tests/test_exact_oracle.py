@@ -651,6 +651,22 @@ class TestOracleInputs:
             with pytest.raises(errors.DimensionMismatch, match="t must be >= 0"):
                 call(self.Q, mu, self.F, 0.3, -2.0)
 
+    @pytest.mark.parametrize("n", [5, 5000])
+    def test_chain_underflow_is_typed(self, n):
+        # the rescaled MGF from state 1 underflows to 0; the true MGF is
+        # positive (about e^734 at n = 5000), so neither 0 nor a log is right
+        P = cb.validate_transition_matrix([[0.5, 0.5], [0.5, 0.5]])
+        init = cb.make_distribution([0.0, 1.0])
+        for call in (cb.exact_mgf, cb.exact_log_mgf):
+            with pytest.raises(errors.Overflow):
+                call(P, init, np.array([1.0, -800.0]), 1.0, n)
+
+    def test_jump_log_mgf_underflow_is_typed(self):
+        mu = cb.stationary_distribution(self.Q)
+        assert cb.exact_mgf(self.Q, mu, np.ones(2), -200.0, 7.5) == 0.0
+        with pytest.raises(errors.Overflow):
+            cb.exact_log_mgf(self.Q, mu, np.ones(2), -200.0, 7.5)
+
     def test_jump_log_mgf_is_log_of_mgf(self):
         mu = cb.stationary_distribution(self.Q)
         assert cb.exact_log_mgf(self.Q, mu, self.F, 0.3, 1.7) == math.log(

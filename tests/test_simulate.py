@@ -12,11 +12,13 @@ from hypothesis.extra import numpy as hnp
 
 import chainbounds as cb
 from chainbounds import errors, simulate
+from chainbounds.chain_core import Distribution, GeneratorMatrix, TransitionMatrix
+from chainbounds.errors import InvalidQuery
 from chainbounds.examples import zero_absolute_gap_chain
 from chainbounds.simulate import (
     _cdf_rows,
+    _ctmc_block_size,
     _ctmc_integrals,
-    _draw_block,
     _dtmc_sums,
     _jump_cdf,
     _pick_rows,
@@ -32,18 +34,84 @@ def _uniform(n):
     return cb.make_distribution(np.full(n, 1.0 / n))
 
 
+# The scalar samplers: one replica's path from its own generator. They are
+# the reference for the per-replica stream layout of the vectorised ones.
+
+
+def sample_dtmc(
+    P: TransitionMatrix, init: Distribution, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """One chain trajectory of length n (state indices).
+
+    Consumes exactly n uniforms: one for the initial state, one per
+    transition.
+    """
+    if n < 1:
+        raise InvalidQuery("path length n must be >= 1")
+    u = rng.random(n)
+    table = _pick_table(_cdf_rows(P.entries))
+    first = _pick_table(_cdf_rows(init.weights[None, :]))
+    path = np.empty(n, dtype=np.int64)
+    path[:1] = _pick_rows(first, np.zeros(1, dtype=np.int32), u[:1])
+    for k in range(1, n):
+        path[k:k + 1] = _pick_rows(table, path[k - 1:k], u[k:k + 1])
+    return path
+
+
+def sample_ctmc(
+    Q: GeneratorMatrix, init: Distribution, t: float, rng: np.random.Generator
+) -> list[tuple[int, float]]:
+    """One jump path truncated at total time t, as (state, holding) pairs.
+
+    Holding times are exponential with the state's exit rate; absorbing
+    states (zero rate) hold for the remaining time. Randomness is consumed
+    in fixed-size blocks (one uniform for the initial state, then pairs of
+    exponential/uniform blocks), so the draw pattern depends only on
+    (Q, t).
+    """
+    if t < 0:
+        raise InvalidQuery("time horizon must be >= 0")
+    rates = -Q.entries.diagonal()
+    table = _pick_table(_jump_cdf(Q))
+    first = _pick_table(_cdf_rows(init.weights[None, :]))
+    state = int(_pick_rows(first, np.zeros(1, dtype=np.int32), np.array([rng.random()]))[0])
+    if t == 0:
+        return [(state, 0.0)]
+    block = _ctmc_block_size(Q, t)
+    if block == 0:
+        return [(state, t)]
+    segments: list[tuple[int, float]] = []
+    remaining = t
+    while True:
+        exps = rng.standard_exponential(block)
+        jumps = rng.random(block)
+        for j in range(block):
+            rate = rates[state]
+            hold = exps[j] / rate if rate > 0 else math.inf
+            if hold >= remaining:
+                segments.append((state, remaining))
+                return segments
+            segments.append((state, float(hold)))
+            remaining -= hold
+            state = int(_pick_rows(table, np.array([state]), jumps[j:j + 1])[0])
+
+
 class TestSamplers:
     def test_identity_chain_constant_path(self):
         P = cb.validate_transition_matrix(np.eye(3))
         init = cb.make_distribution([0, 1, 0])
-        path = cb.sample_dtmc(P, init, 5, replica_rng(0, 0))
-        assert (path == 1).all()
+        for state in range(3):
+            sums = _dtmc_sums(P, init, np.eye(3)[state], 5, seed=0, replicas=8)
+            assert (sums == (5.0 if state == 1 else 0.0)).all()
 
     def test_flip_chain_alternates(self):
+        # the visits to each state over every prefix pin the path 0, 1, 0, 1, ...
         P = cb.validate_transition_matrix([[0, 1], [1, 0]])
         init = cb.make_distribution([1.0, 0.0])
-        path = cb.sample_dtmc(P, init, 6, replica_rng(0, 0))
-        assert (path == np.array([0, 1, 0, 1, 0, 1])).all()
+        for n in range(1, 7):
+            for state, visits in ((0, (n + 1) // 2), (1, n // 2)):
+                sums = _dtmc_sums(P, init, np.eye(2)[state], n, seed=0, replicas=8)
+                assert (sums == visits).all()
 
     def test_one_step_frequencies(self):
         rng = np.random.default_rng(13)
@@ -59,32 +127,34 @@ class TestSamplers:
         assert abs(p_hat - P.entries[0, 1]) <= 3 * se
 
     def test_ctmc_zero_generator_single_segment(self):
+        # every path holds its initial state for the whole horizon
         Q = cb.validate_generator(np.zeros((2, 2)))
-        segs = cb.sample_ctmc(Q, _uniform(2), 7.5, replica_rng(1, 0))
-        assert len(segs) == 1 and segs[0][1] == 7.5
+        fv = np.array([1.0, -2.0])
+        ints = _ctmc_integrals(Q, _uniform(2), fv, 7.5, seed=1, replicas=64)
+        assert set(ints.tolist()) == {7.5, -15.0}
 
     def test_ctmc_durations_sum_to_horizon(self):
         Q = cb.validate_generator([[-1, 1], [2, -2]])
         mu = cb.stationary_distribution(Q)
-        for r in range(5):
-            segs = cb.sample_ctmc(Q, mu, 13.0, replica_rng(2, r))
-            assert sum(d for _, d in segs) == pytest.approx(13.0, abs=1e-9)
-            assert all(d >= 0 for _, d in segs)
+        total = _ctmc_integrals(Q, mu, np.ones(2), 13.0, seed=2, replicas=50)
+        assert total == pytest.approx(np.full(50, 13.0), abs=1e-9)
+        for state in range(2):
+            occupation = _ctmc_integrals(Q, mu, np.eye(2)[state], 13.0, seed=2, replicas=50)
+            assert ((occupation >= 0) & (occupation <= 13.0 + 1e-9)).all()
 
     def test_ctmc_occupation_fraction(self):
         # long-run fraction of time in state 0 should approach 2/3
         Q = cb.validate_generator([[-1, 1], [2, -2]])
         mu = cb.stationary_distribution(Q)
-        segs = cb.sample_ctmc(Q, mu, 10_000.0, replica_rng(3, 0))
-        time0 = sum(d for s, d in segs if s == 0)
-        frac = time0 / 10_000.0
+        time0 = _ctmc_integrals(Q, mu, np.array([1.0, 0.0]), 1000.0, seed=3, replicas=20)
+        frac = float(time0.mean()) / 1000.0
         # asymptotic variance heuristic: 3 sigma with sigma ~ sqrt(var/t)
         assert abs(frac - 2 / 3) <= 0.02
 
     def test_ctmc_mean_holding_time(self):
         Q = cb.validate_generator([[-1, 1], [2, -2]])
         mu = cb.stationary_distribution(Q)
-        segs = cb.sample_ctmc(Q, mu, 10_000.0, replica_rng(4, 0))
+        segs = sample_ctmc(Q, mu, 10_000.0, replica_rng(4, 0))
         holds0 = [d for s, d in segs[:-1] if s == 0]  # full (untruncated) holds
         mean = float(np.mean(holds0))
         se = float(np.std(holds0, ddof=1)) / math.sqrt(len(holds0))
@@ -96,25 +166,63 @@ class TestSamplers:
         fv = np.array([1.0, 0.0, 0.0, -1.0])
         sums = _dtmc_sums(P, mu, fv, 30, seed=5, replicas=12)
         for r in range(12):
-            path = cb.sample_dtmc(P, mu, 30, replica_rng(5, r))
+            path = sample_dtmc(P, mu, 30, replica_rng(5, r))
             assert fv[path].sum() == sums[r]
         Q = cb.validate_generator([[-1, 1], [2, -2]])
         muq = cb.stationary_distribution(Q)
         fq = np.array([1.0, -1.0])
         ints = _ctmc_integrals(Q, muq, fq, 20.0, seed=6, replicas=12)
         for r in range(12):
-            segs = cb.sample_ctmc(Q, muq, 20.0, replica_rng(6, r))
+            segs = sample_ctmc(Q, muq, 20.0, replica_rng(6, r))
             manual = sum(fq[s] * d for s, d in segs)
             assert manual == pytest.approx(ints[r], abs=1e-12)
         # horizons on both sides of the draw-block boundaries
         replicas = 4096
-        block = _draw_block(replicas)
+        block = max(1, simulate._DRAW_BUDGET // replicas)
         assert block > 2
         for n in (1, block - 1, block, block + 1, 2 * block + 3):
             sums = _dtmc_sums(P, mu, fv, n, seed=8, replicas=replicas)
             for r in (0, 1, replicas // 2, replicas - 1):
-                path = cb.sample_dtmc(P, mu, n, replica_rng(8, r))
+                path = sample_dtmc(P, mu, n, replica_rng(8, r))
                 assert fv[path].sum() == sums[r]
+
+    def test_replica_counts_around_the_chunk(self, monkeypatch):
+        # a budget of 12 draws: one horizon block of up to 12 // replicas
+        # steps, and above 12 replicas one step per block in equal chunks
+        rng = np.random.default_rng(17)
+        P = random_transition(rng, 5, sparsify=0.4)
+        mu = cb.stationary_distribution(P)
+        fv = rng.normal(size=5)
+        chunks = []
+        rngs = simulate._replica_rngs
+
+        def recording(seed, ids):
+            chunks.append(ids.size)
+            return rngs(seed, ids)
+
+        monkeypatch.setattr(simulate, "_replica_rngs", recording)
+        monkeypatch.setattr(simulate, "_DRAW_BUDGET", 12)
+
+        def check(n, replicas):
+            chunks.clear()
+            got = _dtmc_sums(P, mu, fv, n, 3, replicas)
+            # summed step by step, as the sampler adds
+            want = np.array([
+                np.cumsum(fv[sample_dtmc(P, mu, n, _reference_rng(3, r))])[-1]
+                for r in range(replicas)
+            ])
+            assert _same_bits(got, want), (n, replicas)
+            return list(chunks)
+
+        for replicas in (1, 5, 11, 12, 13, 27):
+            for n in (1, 2, 3, 11, 12, 13, 27):
+                check(n, replicas)
+        assert check(5, 13) == [7, 6] and check(5, 27) == [9, 9, 9]
+        # draw stages narrower than a chunk, and one replica wide
+        for tile in (1, 3):
+            monkeypatch.setattr(simulate, "_DRAW_TILE", tile)
+            check(4, 27)
+            check(13, 1)
 
     def test_dtmc_memory_bounded_in_horizon(self):
         P = zero_absolute_gap_chain()

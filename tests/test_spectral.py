@@ -51,6 +51,18 @@ class TestEmbedWeighted:
         with pytest.raises(errors.NotInvariant):
             cb.embed_weighted(P, _uniform(2))
 
+    def test_zero_mass_rejected(self):
+        P = cb.validate_transition_matrix([[0.5, 0.5], [0.5, 0.5]])
+        mu = cb.make_distribution([1.0, 0.0])
+        for call in (cb.embed_weighted, cb.gap_report):
+            with pytest.raises(errors.ZeroMass):
+                call(P, mu)
+
+    def test_not_invariant_rejected(self):
+        P = cb.validate_transition_matrix([[0.9, 0.1], [0.5, 0.5]])
+        with pytest.raises(errors.NotInvariant):
+            cb.gap_report(P, cb.make_distribution([0.5, 0.5]))
+
 
 class TestIpGap:
     def test_flip_chain_attains_cap(self):
