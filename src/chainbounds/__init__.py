@@ -58,16 +58,12 @@ from .spectral import (
     GapReport,
     PseudoGapResult,
     WeightedOperator,
-    absolute_gap,
     embed_weighted,
     gap_report,
     ip_gap,
     ip_gap_minimizer,
     numerical_radius_complex,
     numerical_radius_real,
-    ordinary_gap,
-    pseudo_gap,
-    symmetric_gap,
     verify_iterated_poincare,
 )
 
@@ -89,7 +85,6 @@ __all__ = [
     "StateSpace",
     "TransitionMatrix",
     "WeightedOperator",
-    "absolute_gap",
     "bound_sweep",
     "c_theta",
     "check_invariant",
@@ -113,14 +108,11 @@ __all__ = [
     "numerical_radius_complex",
     "numerical_radius_real",
     "optimal_theta",
-    "ordinary_gap",
     "parse_chain",
-    "pseudo_gap",
     "radon_nikodym_norm",
     "replica_rng",
     "stationary_distribution",
     "sweep_to_csv",
-    "symmetric_gap",
     "tail_bound",
     "validate_generator",
     "validate_transition_matrix",

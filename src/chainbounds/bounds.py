@@ -88,6 +88,8 @@ class BoundQuery:
         for name in ("delta", "M", "sigma2", "eta_p", "nu_norm"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidQuery(f"{name} must be finite")
+        if self.t is not None and not math.isfinite(self.t):
+            raise InvalidQuery("t must be finite")
         object.__setattr__(self, "q", _q_from_p(self.p))
 
     @property
@@ -136,17 +138,6 @@ class BoundResult:
             "vacuous": self.vacuous,
             "boundary_limit": self.boundary_limit,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BoundResult":
-        return cls(
-            probability_bound=float(d["probability_bound"]),
-            exponent=float(d["exponent"]),
-            theta_used=float(d["theta_used"]),
-            c_theta=float(d["c_theta"]),
-            vacuous=bool(d["vacuous"]),
-            boundary_limit=bool(d.get("boundary_limit", False)),
-        )
 
 
 def c_theta(theta: float, M: float, eta_p: float) -> float:

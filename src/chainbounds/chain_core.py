@@ -2,7 +2,7 @@
 
 Transition matrices, generator (rate) matrices, probability distributions
 and bounded observables over a finite labelled state space, together with
-stationary-distribution, time-reversal and density-norm computations. All
+stationary-distribution, invariance and density-norm computations. All
 types are immutable after validation; every operation is a pure function
 of its inputs.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -99,7 +99,6 @@ class TransitionMatrix:
 
     space: StateSpace
     entries: np.ndarray
-    row_sum_tolerance: float = ROW_SUM_TOLERANCE
 
     @property
     def n_states(self) -> int:
@@ -155,19 +154,16 @@ class Observable:
 ChainOperator = Union[TransitionMatrix, GeneratorMatrix]
 
 
-def validate_transition_matrix(
-    raw, labels=None, row_sum_tolerance: float = ROW_SUM_TOLERANCE
-) -> TransitionMatrix:
+def validate_transition_matrix(raw, labels=None) -> TransitionMatrix:
     """Validate and row-renormalize a candidate transition matrix.
 
     Parameters
     ----------
     raw : array_like
-        Square matrix of nonnegative reals.
+        Square matrix of nonnegative reals, rows summing to 1 within
+        ``ROW_SUM_TOLERANCE``.
     labels : sequence of str, optional
         State labels; defaults to "0", "1", ....
-    row_sum_tolerance : float
-        Maximum allowed deviation of each input row sum from 1.
 
     Returns
     -------
@@ -186,17 +182,15 @@ def validate_transition_matrix(
         i, j = map(int, neg[0])
         raise NegativeEntry(i, j, float(a[i, j]))
     sums = a.sum(axis=1)
-    bad = np.flatnonzero(np.abs(sums - 1.0) > row_sum_tolerance)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOLERANCE)
     if bad.size:
         i = int(bad[0])
         raise RowSumViolation(i, float(sums[i]), 1.0)
     a = a / sums[:, None]
-    return TransitionMatrix(space, _freeze(a), row_sum_tolerance)
+    return TransitionMatrix(space, _freeze(a))
 
 
-def validate_generator(
-    raw, labels=None, row_sum_tolerance: float = ROW_SUM_TOLERANCE
-) -> GeneratorMatrix:
+def validate_generator(raw, labels=None) -> GeneratorMatrix:
     """Validate a candidate rate matrix.
 
     Off-diagonal entries must be nonnegative and each row must sum to zero
@@ -214,7 +208,7 @@ def validate_generator(
         raise NegativeOffDiagonal(i, j, float(a[i, j]))
     scale = max(1.0, float(np.abs(a).max()))
     sums = a.sum(axis=1)
-    bad = np.flatnonzero(np.abs(sums) > row_sum_tolerance * scale)
+    bad = np.flatnonzero(np.abs(sums) > ROW_SUM_TOLERANCE * scale)
     if bad.size:
         i = int(bad[0])
         raise RowSumViolation(i, float(sums[i]), 0.0)
@@ -222,7 +216,7 @@ def validate_generator(
     return GeneratorMatrix(space, _freeze(a))
 
 
-def make_distribution(weights, space=None, tolerance: float = ROW_SUM_TOLERANCE) -> Distribution:
+def make_distribution(weights, space=None) -> Distribution:
     """Validate a probability vector and record its support."""
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1:
@@ -239,7 +233,7 @@ def make_distribution(weights, space=None, tolerance: float = ROW_SUM_TOLERANCE)
         i = int(np.argmin(w))
         raise InvalidDistribution(f"negative weight {w[i]!r} at index {i}")
     total = float(w.sum())
-    if abs(total - 1.0) > tolerance:
+    if abs(total - 1.0) > ROW_SUM_TOLERANCE:
         raise InvalidDistribution(f"weights sum to {total!r}, expected 1")
     w = w / total
     support = tuple(int(i) for i in np.flatnonzero(w > 0))
@@ -361,8 +355,7 @@ def _check_mu_positive(mu: Distribution, n: int) -> np.ndarray:
     return w
 
 
-def check_invariant(op: ChainOperator, mu: Distribution,
-                    tolerance: float = INVARIANCE_TOLERANCE) -> None:
+def check_invariant(op: ChainOperator, mu: Distribution) -> None:
     """Raise NotInvariant unless mu P = mu (resp. mu Q = 0) within tolerance."""
     w = mu.weights
     if isinstance(op, TransitionMatrix):
@@ -371,7 +364,7 @@ def check_invariant(op: ChainOperator, mu: Distribution,
     else:
         residual = float(np.abs(w @ op.entries).max())
         scale = max(1.0, float(np.abs(op.entries).max()))
-    if residual > tolerance * scale:
+    if residual > INVARIANCE_TOLERANCE * scale:
         raise NotInvariant(
             f"distribution is not invariant (residual {residual!r})"
         )
@@ -410,18 +403,13 @@ def radon_nikodym_norm(nu: Distribution, mu: Distribution, p: float) -> float:
     return float((wm[mask] @ ratio**p) ** (1.0 / p))
 
 
-def make_observable(
-    values,
-    mu: Distribution,
-    auto_center: bool = True,
-    tolerance: float = CENTERING_TOLERANCE,
-) -> Observable:
+def make_observable(values, mu: Distribution, auto_center: bool = True) -> Observable:
     """Build an observable with exact moments under ``mu``.
 
     With ``auto_center`` the values are shifted by -E_mu[values]; otherwise
-    a mean beyond ``tolerance`` raises :class:`NotCentered`. ``M`` is the
-    sup-norm of the stored values and ``sigma2`` their exact variance
-    under mu.
+    a mean beyond ``CENTERING_TOLERANCE`` raises :class:`NotCentered`.
+    ``M`` is the sup-norm of the stored values and ``sigma2`` their exact
+    variance under mu.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size != mu.n_states:
@@ -430,8 +418,8 @@ def make_observable(
     mean = float(w @ v)
     if auto_center:
         v = v - mean
-    elif abs(mean) > tolerance:
-        raise NotCentered(f"E_mu[f] = {mean!r} exceeds tolerance {tolerance!r}")
+    elif abs(mean) > CENTERING_TOLERANCE:
+        raise NotCentered(f"E_mu[f] = {mean!r} exceeds tolerance {CENTERING_TOLERANCE!r}")
     mean_stored = float(w @ v)
     m_bound = float(np.abs(v).max())
     sigma2 = max(float(w @ v**2) - mean_stored**2, 0.0)
@@ -441,7 +429,7 @@ def make_observable(
         mean_mu=mean_stored,
         M=m_bound,
         sigma2=sigma2,
-        centered=abs(mean_stored) <= tolerance,
+        centered=abs(mean_stored) <= CENTERING_TOLERANCE,
     )
 
 

@@ -80,10 +80,6 @@ class DegenerateStateSpace(ChainBoundsError):
     """Gap undefined: the mean-zero subspace of a 1-state space is {0}."""
 
 
-class NotReversible(ChainBoundsError):
-    """Operator differs from its time reversal beyond tolerance."""
-
-
 class GapZero(ChainBoundsError):
     """Variance inequality is vacuous because the gap is zero."""
 

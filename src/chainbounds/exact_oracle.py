@@ -383,12 +383,16 @@ def exact_tail_discrete(
     ------
     TooLarge
         When neither route fits its cap.
+    InvalidQuery
+        When delta is NaN.
     """
     fv = _match(P, f)
     if init.n_states != P.n_states:
         raise DimensionMismatch("init distribution does not match the chain")
     if n < 1:
         raise DimensionMismatch("horizon n must be >= 1")
+    if math.isnan(delta):
+        raise InvalidQuery("delta must not be NaN")
     if delta <= 0:
         return 1.0
     if not fv.any():

@@ -168,6 +168,8 @@ class SimConfig:
             raise InvalidQuery("alpha must lie in (0, 1)")
         if self.delta is not None and self.delta < 0:
             raise InvalidQuery("delta must be >= 0")
+        if self.t is not None and not math.isfinite(self.t):
+            raise InvalidQuery("horizon t must be finite")
 
 
 @dataclass(frozen=True)
@@ -206,23 +208,6 @@ class SimReport:
             "consistent": self.consistent,
             "heavy_tail": self.heavy_tail,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SimReport":
-        bound = d["bound_compared"]
-        if isinstance(bound, dict):
-            bound = BoundResult.from_dict(bound)
-        return cls(
-            kind=str(d["kind"]),
-            estimate=float(d["estimate"]),
-            ci_low=float(d["ci_low"]),
-            ci_high=float(d["ci_high"]),
-            replicas_used=int(d["replicas_used"]),
-            seed=int(d["seed"]),
-            bound_compared=bound,
-            consistent=None if d["consistent"] is None else bool(d["consistent"]),
-            heavy_tail=bool(d.get("heavy_tail", False)),
-        )
 
 
 def clopper_pearson(successes: int, trials: int, alpha: float = DEFAULT_ALPHA):

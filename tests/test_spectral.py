@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -116,73 +117,73 @@ class TestIpGapGenerator:
 
 class TestSymmetricAndAbsoluteGap:
     def test_four_state_values(self):
-        P = zero_absolute_gap_chain()
-        mu = _uniform(4)
-        assert cb.symmetric_gap(P, mu) == pytest.approx(0.5, abs=1e-12)
-        assert cb.absolute_gap(P, mu) == pytest.approx(0.0, abs=1e-10)
+        report = cb.gap_report(zero_absolute_gap_chain(), _uniform(4))
+        assert report.eta_s == pytest.approx(0.5, abs=1e-12)
+        assert report.eta_a == pytest.approx(0.0, abs=1e-10)
 
     def test_flip_chain(self):
         P = cb.validate_transition_matrix([[0, 1], [1, 0]])
-        mu = _uniform(2)
-        assert cb.symmetric_gap(P, mu) == pytest.approx(2.0, abs=1e-12)
-        assert cb.absolute_gap(P, mu) == pytest.approx(0.0, abs=1e-12)
+        report = cb.gap_report(P, _uniform(2))
+        assert report.eta_s == pytest.approx(2.0, abs=1e-12)
+        assert report.eta_a == pytest.approx(0.0, abs=1e-12)
 
     def test_lazy_reversible(self):
         P = cb.validate_transition_matrix([[0.7, 0.3], [0.3, 0.7]])
-        mu = _uniform(2)
-        assert cb.symmetric_gap(P, mu) == pytest.approx(0.6, abs=1e-12)
-        assert cb.absolute_gap(P, mu) == pytest.approx(0.6, abs=1e-12)
+        report = cb.gap_report(P, _uniform(2))
+        assert report.eta_s == pytest.approx(0.6, abs=1e-12)
+        assert report.eta_a == pytest.approx(0.6, abs=1e-12)
 
     def test_projector_chain_full_gap(self):
         P = cb.validate_transition_matrix([[0.5, 0.5], [0.5, 0.5]])
-        assert cb.absolute_gap(P, _uniform(2)) == pytest.approx(1.0, abs=1e-12)
+        assert cb.gap_report(P, _uniform(2)).eta_a == pytest.approx(1.0, abs=1e-12)
 
 
 class TestOrdinaryGap:
     def test_reversible_values(self):
         P = cb.validate_transition_matrix([[0.7, 0.3], [0.3, 0.7]])
-        assert cb.ordinary_gap(P, _uniform(2)) == pytest.approx(0.6, abs=1e-12)
-        assert cb.ordinary_gap(
+        assert cb.gap_report(P, _uniform(2)).eta == pytest.approx(0.6, abs=1e-12)
+        assert cb.gap_report(
             cb.validate_transition_matrix(np.eye(2)), _uniform(2)
-        ) == pytest.approx(0.0, abs=1e-14)
+        ).eta == pytest.approx(0.0, abs=1e-14)
 
     def test_nonreversible_rejected(self):
-        with pytest.raises(errors.NotReversible):
-            cb.ordinary_gap(zero_absolute_gap_chain(), _uniform(4))
+        # a chain beyond REVERSIBILITY_TOLERANCE reports no ordinary gap
+        assert cb.gap_report(zero_absolute_gap_chain(), _uniform(4)).eta is None
 
     def test_reversible_consistency_fuzz(self):
         rng = np.random.default_rng(23)
         for _ in range(15):
             P = random_reversible(rng, int(rng.integers(2, 10)))
             mu = cb.stationary_distribution(P)
-            assert abs(cb.ordinary_gap(P, mu) - cb.symmetric_gap(P, mu)) <= 1e-10
+            report = cb.gap_report(P, mu)
+            assert abs(report.eta - report.eta_s) <= 1e-10
             # eigenvalue route for the absolute gap of a reversible chain
             W = cb.embed_weighted(P, mu).matrix
             ev = np.linalg.eigvalsh(0.5 * (W + W.T))
             lam_abs = max(abs(ev[0]), abs(ev[-2]))
-            assert abs(cb.absolute_gap(P, mu) - (1.0 - lam_abs)) <= 1e-10
+            assert abs(report.eta_a - (1.0 - lam_abs)) <= 1e-10
 
 
 class TestPseudoGap:
     def test_flip_chain_zero_for_all_k(self):
         P = cb.validate_transition_matrix([[0, 1], [1, 0]])
-        res = cb.pseudo_gap(P, _uniform(2), k_max=4)
+        res = cb.gap_report(P, _uniform(2), k_max=4).pseudo
         assert res.value == pytest.approx(0.0, abs=1e-12)
         assert res.k_max == 4
 
     def test_projector_chain(self):
         P = cb.validate_transition_matrix([[0.5, 0.5], [0.5, 0.5]])
-        res = cb.pseudo_gap(P, _uniform(2), k_max=1)
+        res = cb.gap_report(P, _uniform(2), k_max=1).pseudo
         assert res.value == pytest.approx(1.0, abs=1e-12)
         assert res.k == 1
 
     def test_reversible_squaring(self):
         P = cb.validate_transition_matrix([[0.7, 0.3], [0.3, 0.7]])
-        res = cb.pseudo_gap(P, _uniform(2), k_max=1)
+        res = cb.gap_report(P, _uniform(2), k_max=1).pseudo
         assert res.value == pytest.approx(1.0 - 0.4**2, abs=1e-12)
 
     def test_four_state_truncation(self):
-        res = cb.pseudo_gap(zero_absolute_gap_chain(), _uniform(4), k_max=20)
+        res = cb.gap_report(zero_absolute_gap_chain(), _uniform(4), k_max=20).pseudo
         assert res.value == pytest.approx(0.5, abs=1e-12)
         assert res.k == 2
 
@@ -529,8 +530,7 @@ class TestGapReport:
         P = zero_absolute_gap_chain()
         report = cb.gap_report(P)
         blob = json.dumps(report.to_dict())
-        again = cb.GapReport.from_dict(json.loads(blob))
-        assert again == report
+        assert json.loads(blob) == report.to_dict() == dataclasses.asdict(report)
 
     def test_reversible_fills_eta(self):
         P = cb.validate_transition_matrix([[0.7, 0.3], [0.3, 0.7]])
@@ -597,10 +597,8 @@ class TestGapReport:
         rng = np.random.default_rng(31)
         for _ in range(100):
             P = random_transition(rng, int(rng.integers(2, 12)), sparsify=0.4)
-            mu = cb.stationary_distribution(P)
-            eta_p = cb.ip_gap(P, mu)
-            eta_s = cb.symmetric_gap(P, mu)
-            eta_a = cb.absolute_gap(P, mu)
+            report = cb.gap_report(P, cb.stationary_distribution(P), k_max=None)
+            eta_p, eta_s, eta_a = report.eta_p, report.eta_s, report.eta_a
             assert eta_p >= eta_s - 1e-9 >= eta_a - 2e-9
             assert eta_p > 0 and eta_s > 0
             assert eta_p <= 2.0 + 1e-12

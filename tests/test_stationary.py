@@ -205,3 +205,42 @@ def test_near_decomposable_property(P):
         _check_gap_ordering(P, mu)
     except errors.ChainBoundsError:
         return
+
+
+def _index_observable(mu) -> cb.Observable:
+    # the state index, centred under mu and scaled to M = 1
+    index = cb.make_observable(np.arange(mu.n_states, dtype=float), mu)
+    return cb.make_observable(index.values / index.M, mu)
+
+
+def _assert_oracle_dominated(op, mode, horizon, eta_p):
+    # exact MGF at theta = eta_p / (4M) against the theorem's bound, with the
+    # slack the CLI's within_bound uses
+    mu = cb.stationary_distribution(op)
+    f = _index_observable(mu)
+    theta = eta_p / (4.0 * f.M)
+    exact = cb.exact_mgf(op, mu, f, theta, horizon)
+    bound = cb.mgf_bound(mode, theta, horizon, f.M, np.sqrt(f.sigma2), eta_p)
+    assert exact <= bound * (1 + 1e-9)
+
+
+@PROPERTY
+@given(birth_death_chains())
+def test_birth_death_oracle_dominated(chain):
+    P, _ = chain
+    eta_p = cb.gap_report(P, k_max=None).eta_p
+    _assert_oracle_dominated(P, "discrete", 50, eta_p)
+
+
+@PROPERTY
+@given(spread_rate_matrices())
+def test_spread_rates_oracle_dominated(Q):
+    # at t = 1/eta_p the bound's exponent is of order one, so it is not lost
+    # in rounding against the exact value
+    eta_p = cb.gap_report(Q).eta_p
+    _assert_oracle_dominated(Q, "continuous", 1.0 / eta_p, eta_p)
+
+
+# The near-decomposable family is left out: where its eta_p snaps to 0 no
+# theta is valid, which belongs to the certified-gap item (ROADMAP
+# "Certified gaps on ill-conditioned chains").
