@@ -70,6 +70,12 @@ class BoundQuery:
         if self.mode == "discrete":
             if self.t is not None or self.n is None or self.n < 1:
                 raise InvalidQuery("discrete queries need a horizon n >= 1")
+            try:
+                n = float(self.n)
+            except OverflowError:
+                n = math.inf
+            if not math.isfinite(n):
+                raise InvalidQuery("horizon n must be finite and fit a float")
         else:
             if self.n is not None or self.t is None or self.t < 0:
                 raise InvalidQuery("continuous queries need a horizon t >= 0")

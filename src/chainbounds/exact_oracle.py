@@ -60,13 +60,15 @@ def _match(op, f) -> np.ndarray:
 
 def _checked(op, f, theta: float, horizon, init: Distribution | None = None) -> np.ndarray:
     # the values of f, once f, init, theta and the horizon (n >= 1 steps of a
-    # chain, time t >= 0 of a jump process) fit the operator
+    # chain, finite time t >= 0 of a jump process) fit the operator
     fv = _match(op, f)
     if init is not None and init.n_states != op.n_states:
         raise DimensionMismatch("init distribution does not match the chain")
     if not math.isfinite(theta):
         raise InvalidQuery("theta must be finite")
     if isinstance(op, GeneratorMatrix):
+        if not math.isfinite(horizon):
+            raise InvalidQuery("horizon t must be finite")
         if horizon < 0:
             raise DimensionMismatch("t must be >= 0")
     elif horizon < 1:

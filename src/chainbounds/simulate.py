@@ -5,18 +5,22 @@ of a run seeded with s draws from ``Philox(SeedSequence(s, spawn_key=(r,)))``,
 so reports are bit-reproducible, independent of evaluation order, and
 stable when the replica count changes. The Philox keys of a whole run come
 from one vectorised pass that reproduces numpy's ``SeedSequence`` hash, so
-no per-replica ``SeedSequence`` is built. Both samplers run through one
-chunk driver with a draw budget each. Chain paths are drawn in horizon
-blocks of ``_DRAW_BUDGET`` uniforms, so memory does not grow with the
-horizon. Jump processes are sampled by their holding-time representation
-(no uniformization), which makes time integrals of observables exact
-given the path; their replicas run in chunks of ``_JUMP_BUDGET`` draws
-per buffer, so memory does not grow with the replica count (it still
-grows with the horizon once one replica's block exceeds the budget). Both
-samplers pick every state, the first one included, from an exact guide
-table over the steps of the clamped row CDFs: one bucket lookup, then a
-bisection over the few steps inside the bucket, with the same ``cdf <= u``
-compares as a scan of the whole row.
+no per-replica ``SeedSequence`` is built, and no per-replica generator
+either: a counter-based stream (Salmon et al., SC 2011) at draw 4c of
+``Generator.random`` is just the state (key, counter c), so one generator
+per run is re-pointed at each replica's stream (``_Repointed``). Both
+samplers run through one chunk driver with a draw budget each. Chain paths
+are drawn in horizon blocks of a multiple of 4 steps, in replica chunks
+that hold ``_DRAW_BUDGET`` uniforms, so memory grows with neither the
+horizon nor the replica count. Jump processes are sampled by their
+holding-time representation (no uniformization), which makes time
+integrals of observables exact given the path; their replicas run in
+chunks of ``_JUMP_BUDGET`` draws per buffer, so memory does not grow with
+the replica count (it still grows with the horizon once one replica's
+block exceeds the budget). Both samplers pick every state, the first one
+included, from an exact guide table over the steps of the clamped row
+CDFs: one bucket lookup, then a bisection over the few steps inside the
+bucket, with the same ``cdf <= u`` compares as a scan of the whole row.
 
 ``path_averages`` simulates once; ``tail_report`` thresholds its output at
 one delta, so a whole delta grid (as in the CLI's ``verify``) costs one
@@ -44,7 +48,7 @@ from .chain_core import (
     TransitionMatrix,
     is_irreducible,
 )
-from .errors import InvalidCounts, InvalidQuery, NotCentered, NotIrreducible, TooLarge
+from .errors import InvalidCounts, InvalidQuery, NotCentered, NotIrreducible
 
 DEFAULT_ALPHA = 0.05
 
@@ -76,6 +80,10 @@ def _replica_keys(seed: int, ids: np.ndarray) -> np.ndarray:
     in over uint64 arrays. Every product and difference is masked to 32
     bits, so both forms wrap modulo 2^32 as numpy's uint32 words do.
     """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise InvalidQuery(f"seed must be >= 0, got {seed}")
+    ids = ids.astype(np.uint64, copy=False)
     hash_const = _INIT_A
 
     def hashmix(value):
@@ -118,26 +126,62 @@ def _replica_keys(seed: int, ids: np.ndarray) -> np.ndarray:
     return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
 
 
-def _replica_rngs(seed: int, ids: np.ndarray) -> list[np.random.Generator]:
-    """``replica_rng(seed, r)`` for every r of the uint64 array ``ids``."""
-    seed = operator.index(seed)
-    if seed < 0:
-        raise InvalidQuery(f"seed must be >= 0, got {seed}")
-    keys = _replica_keys(seed, ids.astype(np.uint64, copy=False))
-    return [np.random.Generator(np.random.Philox(_PhiloxKey(key))) for key in keys.tolist()]
+def _key_rng(key) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
 def replica_rng(seed: int, replica: int) -> np.random.Generator:
     """Counter-based generator for one replica, stable across run sizes.
 
     It draws exactly what ``Philox(SeedSequence(seed, spawn_key=(replica,)))``
-    draws. The key comes from the vectorised pass that seeds whole runs
-    (``_replica_rngs``), of which this is the one-replica case.
+    draws. The key comes from the vectorised pass that keys whole runs
+    (``_replica_keys``).
     """
     replica = operator.index(replica)
     if not 0 <= replica < 1 << 64:
         raise InvalidQuery(f"replica ids lie in [0, 2**64), got {replica}")
-    return _replica_rngs(seed, np.array([replica], dtype=np.uint64))[0]
+    return _key_rng(_replica_keys(seed, np.array([replica], dtype=np.uint64)).tolist()[0])
+
+
+class _Repointed:
+    """One Philox generator that ``at`` and ``random_rows`` re-point to replica streams.
+
+    numpy's Philox steps its counter before each block of four 64-bit
+    words, so after 4c words of the stream with key ``key`` its state is
+    (counter c, key) with the block used up. ``Generator.random`` takes one
+    word per double, so draw position 4c of a replica's stream of
+    ``random`` draws is that state, which a state assignment sets without a
+    generator per replica.
+    """
+
+    def __init__(self):
+        self.rng = _key_rng([0, 0])
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+    def at(self, key: list, position: int = 0) -> np.random.Generator:
+        """The generator, at draw ``position`` (a multiple of 4) of the stream of ``key``."""
+        inner = self._state["state"]
+        inner["counter"][0] = position >> 2
+        inner["key"] = key
+        self.rng.bit_generator.state = self._state
+        return self.rng
+
+    def random_rows(self, keys: list, position: int, rows: np.ndarray) -> None:
+        """Fill row i with ``random`` draws of the stream of keys[i] from ``position``."""
+        state, bit_generator, random = self._state, self.rng.bit_generator, self.rng.random
+        inner = state["state"]
+        inner["counter"][0] = position >> 2
+        for key, row in zip(keys, rows):
+            inner["key"] = key
+            bit_generator.state = state
+            random(out=row)
 
 
 @dataclass(frozen=True)
@@ -248,14 +292,14 @@ class _PickTable(NamedTuple):
     """Guide table over the steps of clamped row CDFs (see ``_pick_table``)."""
 
     guide: np.ndarray  # rows x buckets, flat: index of the first candidate step
-    values: np.ndarray  # step CDF values, row after row, each row padded with 2.0
+    values: np.ndarray  # step CDF values times K, row after row, each padded with 2K
     columns: np.ndarray  # the column of each step
     buckets: int  # K, a power of two
     levels: int  # bisection levels after the guide lookup
 
 
 # Most guide entries (rows x buckets) a table holds, unless it has more rows:
-# 128 KB of int32.
+# 256 KB of 64-bit indices.
 _GUIDE_CAP = 1 << 15
 # CDF entries clamped at a time while a table is built, so that the build
 # holds little more than the table itself.
@@ -291,7 +335,9 @@ def _pick_table(cdf: np.ndarray) -> _PickTable:
     to 1.0, would not be) and changes no comparison with a uniform u < 1.
     A pick is the first column whose value exceeds u, which is always a
     step: column 0 or a column where the row strictly rises. Only the steps
-    are kept, so their values rise strictly and the last is 1.0. Guide
+    are kept, so their values rise strictly and the last is 1.0; the table
+    holds them times K (exact, K being a power of two), so that a pick
+    compares them with u K, which also finds the bucket. Guide
     entry (i, b) of K buckets points at the first step of row i whose value
     exceeds b/K. K is the smallest power of two from about twice the most
     steps in a row that leaves at most one step strictly inside any bucket,
@@ -319,21 +365,19 @@ def _pick_table(cdf: np.ndarray) -> _PickTable:
     levels = crowd.bit_length()
     # a bisection level reads position pos + step - 1 with pos at most the
     # answer, itself at most the row's last step, and step <= 2^(levels-1);
-    # so 2^(levels-1) - 1 entries of 2.0 (above every u) after each row keep
+    # so 2^(levels-1) - 1 entries of 2K (above every u K) after each row keep
     # every read inside the row or its padding
     pad = max(0, (1 << levels >> 1) - 1)
     first = np.cumsum(steps + pad) - (steps + pad)  # flat index of each row's step 0
     size = int(first[-1] + steps[-1] + pad)
-    if size > np.iinfo(np.int32).max:
-        raise TooLarge(f"{size} pick-table entries exceed int32 indexing")
-    values = np.full(size, 2.0)
-    columns = np.zeros(size, dtype=np.int32)
-    guide = np.empty((rows, buckets), dtype=np.int32)
+    values = np.full(size, 2.0 * buckets)
+    columns = np.zeros(size, dtype=np.intp)
+    guide = np.empty((rows, buckets), dtype=np.intp)
     for lo, block_steps, value, column, row in _row_steps(cdf):
         hi = lo + block_steps.size
         rank = np.arange(value.size) - np.repeat(np.cumsum(block_steps) - block_steps, block_steps)
         where = first[row] + rank
-        values[where] = value
+        values[where] = value * buckets
         columns[where] = column
         # #{step values <= b/K} = #{steps with ceil(value K) <= b}
         below = np.bincount(
@@ -341,32 +385,39 @@ def _pick_table(cdf: np.ndarray) -> _PickTable:
             minlength=(hi - lo) * (buckets + 1),
         ).reshape(hi - lo, buckets + 1)[:, :buckets]
         np.cumsum(below, axis=1, out=guide[lo:hi])
-        guide[lo:hi] += first[lo:hi, None].astype(np.int32)
+        guide[lo:hi] += first[lo:hi, None]
     return _PickTable(guide.ravel(), values, columns, buckets, levels)
 
 
-def _pick_rows(table: _PickTable, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Next states: ``(cdf[states] <= u).sum(axis=1)`` for u in [0, 1).
+def _pick_steps(table: _PickTable, offsets, scaled: np.ndarray) -> np.ndarray:
+    """Table positions of the picks from rows ``offsets // K`` at u = ``scaled / K``.
 
-    One guide lookup, ``table.levels`` bisection levels and one column
-    gather per replica, each over the running replicas; ``take`` gathers
-    with the table's int32 indices without converting them.
+    ``offsets`` are rows times K and ``scaled`` is u K for u in [0, 1), so
+    a caller that keeps both scaled saves a product per pick. One guide
+    lookup, ``table.levels`` bisection levels, each over the running
+    replicas; the table's indices are ``intp``, which ``take`` uses as they
+    are (it converts any other index type on every call).
     """
-    guide, values, columns, buckets, levels = table
-    # Exact: b = floor(u K) needs no rounding (u K scales u by a power of
-    # two), and b/K <= u < (b+1)/K. The guide entry counts the steps whose
-    # values are <= b/K; any other step value <= u lies strictly inside
-    # bucket b, which holds fewer than 2^levels of them. So the first step
-    # above u lies in the window of 2^levels positions from the entry, and
-    # the bisection finds it with the same ``<= u`` compare as a full scan.
-    pos = guide.take(states * buckets + (u * buckets).astype(guide.dtype))
+    guide, values, _, _, levels = table
+    # Exact: b = floor(u K) needs no rounding, and b/K <= u < (b+1)/K. The
+    # guide entry counts the steps whose values are <= b/K; any other step
+    # value <= u lies strictly inside bucket b, which holds fewer than
+    # 2^levels of them. So the first step above u lies in the window of
+    # 2^levels positions from the entry, and the bisection finds it with the
+    # same ``<= u`` compare as a full scan, scaled by K on both sides.
+    pos = guide.take(offsets + scaled.astype(np.intp))
     step = 1 << levels >> 1
     while step > 1:
-        pos += step * (values[step - 1:].take(pos) <= u)
+        pos += step * (values[step - 1:].take(pos) <= scaled)
         step >>= 1
     if step:
-        pos += values.take(pos) <= u
-    return columns.take(pos)
+        pos += values.take(pos) <= scaled
+    return pos
+
+
+def _pick_rows(table: _PickTable, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Next states: ``(cdf[states] <= u).sum(axis=1)`` for u in [0, 1)."""
+    return table.columns.take(_pick_steps(table, states * table.buckets, u * table.buckets))
 
 
 def _ctmc_block_size(Q: GeneratorMatrix, t: float) -> int:
@@ -390,9 +441,17 @@ def _jump_cdf(Q: GeneratorMatrix) -> np.ndarray:
 
 
 # Uniforms held per chain draw buffer, summed over replicas (8 MB of float64).
-# Below the jump budget: a chain run is one chunk, so its buffer holds up to
-# the whole budget, and 2^22 would add 24 MB to a 10^4-replica run's peak.
 _DRAW_BUDGET = 1 << 20
+
+# Steps per chain draw block once the replicas are too many for longer
+# blocks to fit the budget; a multiple of 4, so that every block starts at a
+# draw position the re-pointed generator can reach. Each block costs one
+# fill call per replica and each chunk about 9 numpy calls per step, so it
+# trades fill calls against chunks: on the verify-dtmc chain (n = 1000,
+# 10^4 replicas), 256, 384, 512 and 1024 (blocks of 252, 336, 500 and 1000
+# steps) took medians of 0.231, 0.228, 0.213 and 0.228 s over 12
+# interleaved runs (2-vCPU VM, numpy 2.4, one BLAS thread).
+_CHAIN_BLOCK = 512
 
 # Draws held per jump-sampler buffer (at most 32 MB of float64). Each step
 # issues about 17 numpy calls per chunk, so narrower chunks save memory but
@@ -407,38 +466,56 @@ _JUMP_BUDGET = 1 << 22
 _DRAW_TILE = 64
 
 
-def _stage_draws(rngs: list, draw, out: np.ndarray, stage: np.ndarray) -> None:
-    """Fill column k of the step-major ``out`` with ``len(out)`` draws of rngs[k].
+def _stage_draws(draw, count: int, outs, stages) -> None:
+    """Fill column k of each step-major out with replica k's draws.
 
-    ``draw`` is a ``Generator`` method such as ``Generator.random``; each
-    tile of ``len(stage)`` replicas draws into the rows of ``stage`` and
-    reaches ``out`` in one transposed copy.
+    The replicas go in tiles of ``len(stage)``: ``draw(k, *tiles)`` fills
+    row i of each tile, one tile per out, with the draws of replica k + i,
+    and each tile reaches its out in one transposed copy.
     """
-    for k in range(0, len(rngs), len(stage)):
-        tile = rngs[k:k + len(stage)]
-        rows = stage[:len(tile), :len(out)]
-        for rng, row in zip(tile, rows):
-            draw(rng, out=row)
-        out[:, k:k + len(tile)] = rows.T
+    tile = len(stages[0])
+    for k in range(0, count, tile):
+        width = min(tile, count - k)
+        tiles = [stage[:width, :len(out)] for stage, out in zip(stages, outs)]
+        draw(k, *tiles)
+        for out, rows in zip(outs, tiles):
+            out[:, k:k + width] = rows.T
 
 
 def _chunked(seed: int, replicas: int, block: int, budget: int, buffers: int, run) -> np.ndarray:
-    """Per-replica results of ``run(rngs, *draw_buffers, stage)``, chunk by chunk.
+    """Per-replica results of ``run(stream, keys, *draw_buffers, *stages)``, chunk by chunk.
 
     Replicas run in equal chunks of at most ``max(1, budget // block)``, so
-    memory does not grow with the replica count. ``buffers`` step-major
-    (block x chunk) draw buffers and a ``_DRAW_TILE``-row stage are
-    allocated once; ``run`` gets them cut to its chunk's width.
+    memory does not grow with the replica count; ``keys`` are the chunk's
+    Philox keys and ``stream`` one ``_Repointed`` generator for the run.
+    ``buffers`` step-major (block x chunk) draw buffers and as many
+    ``_DRAW_TILE``-row stages are allocated once; ``run`` gets the buffers
+    cut to its chunk's width.
     """
     widest = max(1, budget // max(block, 1))
     chunk = -(-replicas // -(-replicas // widest))  # equal chunks, none wider
     draws = np.empty((buffers, block, chunk))
-    stage = np.empty((min(_DRAW_TILE, chunk), block))
+    stages = np.empty((buffers, min(_DRAW_TILE, chunk), block))
+    stream = _Repointed()
     out = np.empty(replicas)
     for start in range(0, replicas, chunk):
-        rngs = _replica_rngs(seed, np.arange(start, min(start + chunk, replicas)))
-        out[start:start + len(rngs)] = run(rngs, *draws[:, :, :len(rngs)], stage)
+        keys = _replica_keys(seed, np.arange(start, min(start + chunk, replicas))).tolist()
+        out[start:start + len(keys)] = run(stream, keys, *draws[:, :, :len(keys)], *stages)
     return out
+
+
+def _chain_block(n: int, replicas: int) -> int:
+    """Steps per chain draw block: all n, or balanced blocks of a multiple of 4.
+
+    A block may hold ``_DRAW_BUDGET // replicas`` steps, or ``_CHAIN_BLOCK``
+    if that is more, which splits the replicas into chunks; a horizon
+    beyond it is cut into that many blocks of nearly equal length.
+    """
+    steps = max(_CHAIN_BLOCK, _DRAW_BUDGET // replicas // 4 * 4)
+    if n <= steps:
+        return n
+    blocks = -(-n // steps)
+    return 4 * -(-n // (4 * blocks))
 
 
 def _dtmc_sums(
@@ -448,27 +525,39 @@ def _dtmc_sums(
     """Per-replica sums of f along length-n paths.
 
     Replica r's path takes n uniforms of its stream, one for the initial
-    state and one per transition, in horizon blocks of up to
-    ``_DRAW_BUDGET // replicas`` steps; consecutive ``random(k)`` calls
-    continue one stream, so the sums equal those of single ``random(n)`` draws.
+    state and one per transition, in horizon blocks of ``_chain_block``
+    steps; each block re-points the run's generator at the block's first
+    draw position, so the sums equal those of single ``random(n)`` draws.
+    The replicas' rows are kept as guide offsets (row times K) and the
+    draws of a block are scaled by K once; a pick's table position gives
+    the next offset and the next f value directly.
     """
     table = _pick_table(_cdf_rows(P.entries))
     first = _pick_table(_cdf_rows(init.weights[None, :]))
+    offset_at, first_offset_at = table.columns * table.buckets, first.columns * table.buckets
+    f_at, first_f_at = fv.take(table.columns), fv.take(first.columns).astype(float)
 
-    def run(rngs, u, stage):
+    def run(stream, keys, u, stage):
         for start in range(0, n, len(u)):
             draws = u[: n - start]
-            _stage_draws(rngs, np.random.Generator.random, draws, stage)
-            for k, uk in enumerate(draws, start):
-                if k == 0:
-                    states = _pick_rows(first, np.zeros(len(rngs), dtype=np.int32), uk)
-                    sums = fv.take(states).astype(float)
-                else:
-                    states = _pick_rows(table, states, uk)
-                    sums += fv.take(states)
+
+            def draw(k, rows, start=start):
+                stream.random_rows(keys[k:k + len(rows)], start, rows)
+
+            _stage_draws(draw, len(keys), (draws,), (stage,))
+            if start == 0:
+                pos = _pick_steps(first, 0, draws[0] * first.buckets)
+                offsets = first_offset_at.take(pos)
+                sums = first_f_at.take(pos)
+                draws = draws[1:]
+            draws *= table.buckets
+            for scaled in draws:
+                pos = _pick_steps(table, offsets, scaled)
+                offset_at.take(pos, out=offsets)
+                sums += f_at.take(pos)
         return sums
 
-    return _chunked(seed, replicas, min(n, max(1, _DRAW_BUDGET // replicas)), _DRAW_BUDGET, 1, run)
+    return _chunked(seed, replicas, _chain_block(n, replicas), _DRAW_BUDGET, 1, run)
 
 
 def _ctmc_integrals(
@@ -494,30 +583,53 @@ def _ctmc_integrals(
 
 def _ctmc_integrals_chunk(
     first: _PickTable, rates: np.ndarray, table: _PickTable, fv: np.ndarray, t: float,
-    rngs: list, exps: np.ndarray, jumps: np.ndarray, stage: np.ndarray,
+    stream: _Repointed, keys: list, exps: np.ndarray, jumps: np.ndarray,
+    exp_stage: np.ndarray, jump_stage: np.ndarray,
 ) -> np.ndarray:
     """Integrals of one chunk of replicas, one draw round at a time.
 
     A round draws ``block`` holding times and jump uniforms for every
     replica still running, into column k of the step-major buffers for the
-    k-th of them, so step j reads row j; the draws reach the buffers through
-    the row-major stage. The running replicas' index, state, remaining time
-    and round accumulator are compacted only at steps where some path ends;
-    a path ends where ``hold < rem`` fails, which an infinite or nan hold
-    (zero exit rate) does.
+    k-th of them, so step j reads row j. The first round draws each
+    replica's initial uniform too, from the run's generator re-pointed at
+    the start of the replica's stream; exponentials take a varying number
+    of words, so a replica that needs a later round gets its own generator,
+    which replays the first round once. The running replicas' index,
+    state, remaining time and round accumulator are compacted only at
+    steps where some path ends; a path ends where ``hold < rem`` fails,
+    which an infinite or nan hold (zero exit rate) does.
     """
-    u0 = np.array([rng.random() for rng in rngs])
-    st = _pick_rows(first, np.zeros(len(rngs), dtype=np.int32), u0)
-    integrals = np.zeros(len(rngs))
+    u0 = np.empty(len(keys))
+
+    def first_round(k, exp_rows, jump_rows):
+        for i, exp_row, jump_row in zip(range(k, len(keys)), exp_rows, jump_rows):
+            rng = stream.at(keys[i])
+            u0[i] = rng.random()
+            rng.standard_exponential(out=exp_row)
+            rng.random(out=jump_row)
+
+    _stage_draws(first_round, len(keys), (exps, jumps), (exp_stage, jump_stage))
+    st = _pick_rows(first, np.zeros(len(keys), dtype=np.intp), u0)
+    integrals = np.zeros(len(keys))
     if len(exps) == 0 or t == 0:
         return integrals + fv[st] * t
-    ids = np.arange(len(rngs))
-    rem = np.full(len(rngs), t)
+    later = {}  # the generators of replicas past their first round
+
+    def later_round(k, exp_rows, jump_rows):
+        for replica, exp_row, jump_row in zip(running[k:], exp_rows, jump_rows):
+            rng = later.get(replica)
+            if rng is None:
+                rng = later[replica] = _key_rng(keys[replica])
+                rng.random()
+                rng.standard_exponential(len(exps))
+                rng.random(len(jumps))
+            rng.standard_exponential(out=exp_row)
+            rng.random(out=jump_row)
+
+    ids = np.arange(len(keys))
+    rem = np.full(len(keys), t)
     with np.errstate(divide="ignore", invalid="ignore"):
-        while ids.size:
-            running = [rngs[r] for r in ids.tolist()]
-            _stage_draws(running, np.random.Generator.standard_exponential, exps, stage)
-            _stage_draws(running, np.random.Generator.random, jumps, stage)
+        while True:
             col = np.arange(ids.size)
             acc = np.zeros(ids.size)
             for exps_j, jumps_j in zip(exps, jumps):
@@ -535,7 +647,10 @@ def _ctmc_integrals_chunk(
                 rem -= hold
                 st = _pick_rows(table, st, jumps_j[col])
             integrals[ids] += acc
-    return integrals
+            if not ids.size:
+                return integrals
+            running = ids.tolist()
+            _stage_draws(later_round, len(running), (exps, jumps), (exp_stage, jump_stage))
 
 
 def _centered_values(f: Observable) -> np.ndarray:

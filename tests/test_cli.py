@@ -275,7 +275,8 @@ _BOUND_FLAGS = ["--M", "1", "--sigma2", "0.5", "--eta-p", "1", "--delta", "0.1"]
 
 
 class TestNonFiniteHorizon:
-    """A NaN or infinite t is an input error (exit 2), never a bound or a crash."""
+    """A NaN or infinite t, or an n beyond the float range, is an input error
+    (exit 2), never a bound or a crash."""
 
     def _assert_rejected(self, rc, capsys, message):
         captured = capsys.readouterr()
@@ -298,6 +299,25 @@ class TestNonFiniteHorizon:
         rc = cli.main(["sweep", "--mode", "continuous", "--axis", "t",
                        "--values", "nan,inf", *_BOUND_FLAGS])
         self._assert_rejected(rc, capsys, "t must be finite")
+
+    @pytest.mark.parametrize("replicas", [[], ["--replicas", "10"]])
+    @pytest.mark.parametrize("t", ["inf", "nan"])
+    def test_mgf(self, t, replicas, tmp_path, capsys):
+        # the exact oracle and the sampler reject the horizon alike
+        rc = cli.main(["mgf", _chain_file(tmp_path, _JUMP_2), "--theta", "0.3",
+                       "--t", t, *replicas])
+        self._assert_rejected(rc, capsys, "horizon t must be finite")
+
+    def test_bound_n_beyond_floats(self, capsys):
+        rc = cli.main(["bound", "--mode", "discrete", "--n", str(10**400), *_BOUND_FLAGS])
+        self._assert_rejected(rc, capsys, "horizon n must be finite and fit a float")
+
+    def test_sweep_n_beyond_floats(self, capsys):
+        rc = cli.main(["sweep", "--mode", "discrete", "--axis", "n",
+                       "--values", f"5,{10**400}", *_BOUND_FLAGS])
+        self._assert_rejected(
+            rc, capsys, f"row 1 (value {10**400}): horizon n must be finite and fit a float"
+        )
 
 
 class TestBound:

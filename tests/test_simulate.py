@@ -26,7 +26,6 @@ from chainbounds.simulate import (
     _pick_rows,
     _pick_table,
     _replica_keys,
-    _replica_rngs,
     replica_rng,
 )
 from conftest import random_transition
@@ -178,10 +177,11 @@ class TestSamplers:
             segs = sample_ctmc(Q, muq, 20.0, replica_rng(6, r))
             manual = sum(fq[s] * d for s, d in segs)
             assert manual == pytest.approx(ints[r], abs=1e-12)
-        # horizons on both sides of the draw-block boundaries
+        # horizons on both sides of the draw-block boundaries (two chunks from
+        # block - 1 on)
         replicas = 4096
-        block = max(1, simulate._DRAW_BUDGET // replicas)
-        assert block > 2
+        block = simulate._CHAIN_BLOCK
+        assert simulate._chain_block(block + 1, replicas) < block
         for n in (1, block - 1, block, block + 1, 2 * block + 3):
             sums = _dtmc_sums(P, mu, fv, n, seed=8, replicas=replicas)
             for r in (0, 1, replicas // 2, replicas - 1):
@@ -189,21 +189,23 @@ class TestSamplers:
                 assert fv[path].sum() == sums[r]
 
     def test_replica_counts_around_the_chunk(self, monkeypatch):
-        # a budget of 12 draws: one horizon block of up to 12 // replicas
-        # steps, and above 12 replicas one step per block in equal chunks
+        # a budget of 24 draws and 8-step blocks: a block holds
+        # 24 // replicas steps rounded down to a multiple of 4, or 8 if that
+        # is more, and horizons beyond it split into balanced blocks
         rng = np.random.default_rng(17)
         P = random_transition(rng, 5, sparsify=0.4)
         mu = cb.stationary_distribution(P)
         fv = rng.normal(size=5)
         chunks = []
-        rngs = simulate._replica_rngs
+        keys = simulate._replica_keys
 
         def recording(seed, ids):
             chunks.append(ids.size)
-            return rngs(seed, ids)
+            return keys(seed, ids)
 
-        monkeypatch.setattr(simulate, "_replica_rngs", recording)
-        monkeypatch.setattr(simulate, "_DRAW_BUDGET", 12)
+        monkeypatch.setattr(simulate, "_replica_keys", recording)
+        monkeypatch.setattr(simulate, "_DRAW_BUDGET", 24)
+        monkeypatch.setattr(simulate, "_CHAIN_BLOCK", 8)
 
         def check(n, replicas):
             chunks.clear()
@@ -216,15 +218,24 @@ class TestSamplers:
             assert _same_bits(got, want), (n, replicas)
             return list(chunks)
 
-        for replicas in (1, 5, 11, 12, 13, 27):
-            for n in (1, 2, 3, 11, 12, 13, 27):
+        # n = 1, 2, 3 (mod 4) below and above one, two and three 8-step
+        # blocks, in one chunk and in several
+        for replicas in (1, 2, 3, 5, 12, 13, 27):
+            for n in (1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 13, 14, 15, 17, 26, 27):
                 check(n, replicas)
-        assert check(5, 13) == [7, 6] and check(5, 27) == [9, 9, 9]
+        blocks = {(n, r): simulate._chain_block(n, r) for n, r in
+                  ((27, 1), (13, 2), (10, 2), (27, 13), (5, 13), (9, 27))}
+        assert blocks == {(27, 1): 16, (13, 2): 8, (10, 2): 10, (27, 13): 8,
+                          (5, 13): 5, (9, 27): 8}
+        assert check(27, 1) == [1] and check(10, 2) == [2]
+        assert check(5, 13) == [4, 4, 4, 1] and check(27, 13) == [3, 3, 3, 3, 1]
+        assert check(9, 27) == [3] * 9
         # draw stages narrower than a chunk, and one replica wide
         for tile in (1, 3):
             monkeypatch.setattr(simulate, "_DRAW_TILE", tile)
             check(4, 27)
             check(13, 1)
+            check(27, 13)
 
     def test_dtmc_memory_bounded_in_horizon(self):
         P = zero_absolute_gap_chain()
@@ -269,8 +280,10 @@ class TestReplicaKeys:
 
     def test_first_draws_equal_reference_streams(self):
         ids = np.array(self.IDS, dtype=np.uint64)
+        stream = simulate._Repointed()
         for seed in self.SEEDS:
-            for rng, r in zip(_replica_rngs(seed, ids), self.IDS):
+            for key, r in zip(_replica_keys(seed, ids).tolist(), self.IDS):
+                rng = stream.at(key)
                 ref = _reference_rng(seed, r)
                 one = replica_rng(seed, r)
                 assert rng.random() == ref.random() == one.random()
@@ -281,7 +294,7 @@ class TestReplicaKeys:
         for seed, replica in ((0, -1), (0, 2**64), (-1, 0)):
             with pytest.raises(errors.InvalidQuery):
                 replica_rng(seed, replica)
-        assert _replica_rngs(0, np.arange(0)) == []
+        assert _replica_keys(0, np.arange(0)).shape == (0, 2)
 
     def test_runs_build_no_seed_sequence(self, monkeypatch):
         built = []
@@ -298,6 +311,40 @@ class TestReplicaKeys:
         _ctmc_integrals(Q, _uniform(2), np.array([1.0, -1.0]), 2.0, seed=2, replicas=1000)
         assert built == []
         assert not isinstance(replica_rng(2, 5).bit_generator.seed_seq, np.random.SeedSequence)
+
+    def test_repointed_generator_continues_replica_streams(self):
+        # Philox steps its counter once per four words and random() takes one
+        # word per double, so position 4c of a stream is (counter c, key)
+        stream = simulate._Repointed()
+        ids = [0, 1, 5, 2**32 - 1, 2**32, 2**40 + 5, 2**63, 2**64 - 1]
+        m, k = 6, 7
+        for seed in (0, 7, 2**40):
+            keys = _replica_keys(seed, np.array(ids, dtype=np.uint64)).tolist()
+            for r, key in zip(ids, keys):
+                reference = replica_rng(seed, r).random(4 * m + k)
+                for pos in range(0, 4 * m + 1, 4):
+                    got = stream.at(key, pos).random(k)
+                    assert (got == reference[pos:pos + k]).all(), (seed, r, pos)
+                far = replica_rng(seed, r)
+                far.bit_generator.advance(2**40)
+                assert (stream.at(key, 2**42).random(k) == far.random(k)).all()
+
+    def test_chain_runs_build_one_generator(self, monkeypatch):
+        built = []
+
+        class Counting(np.random.Generator):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Generator", Counting)
+        P = zero_absolute_gap_chain()
+        fv = np.array([1.0, 0.0, 0.0, -1.0])
+        # one chunk, several chunks, and several blocks per chunk
+        for n, replicas in ((3, 1), (3, 1000), (1000, 5000), (2000, 3)):
+            built.clear()
+            _dtmc_sums(P, _uniform(4), fv, n, seed=2, replicas=replicas)
+            assert len(built) <= 1, (n, replicas)
 
 
 def _reference_ctmc_integrals(Q, init, fv, t, seed, replicas):
@@ -589,7 +636,7 @@ class TestPick:
         # the build reads the rows in blocks, so it holds little beyond the table
         assert peak < 1.5 * sum(a.nbytes for a in (table.guide, table.values, table.columns))
         assert table.guide.size <= simulate._GUIDE_CAP
-        assert table.guide.dtype == np.int32
+        assert table.guide.dtype == table.columns.dtype == np.intp
         # never deeper than a bisection over the row
         assert table.levels <= (cdf.shape[1] - 1).bit_length()
         states = rng.integers(2000, size=5000)
