@@ -481,12 +481,14 @@ def _schema_vector(obj, key: str, n: int) -> np.ndarray:
     if not isinstance(obj, list) or len(obj) != n:
         raise SchemaError(f'"{key}" must be a list of {n} numbers')
     try:
-        v = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
+        v = np.asarray(obj)  # not dtype=float, which would parse strings
+    except ValueError as exc:  # a ragged nesting
         raise SchemaError(f'"{key}" must contain only numbers') from exc
+    if v.dtype.kind not in "iuf":
+        raise SchemaError(f'"{key}" must contain only numbers')
     if v.ndim != 1:
         raise SchemaError(f'"{key}" must be a flat list of numbers')
-    return v
+    return v.astype(float, copy=False)
 
 
 def parse_chain(obj) -> ChainData:

@@ -8,10 +8,11 @@ D^(1/2) L D^(-1/2), with L = P - I for a chain and L = Q for a jump process.
 Every gap is read off these matrices: :func:`ip_gap` gives the iterated
 Poincare gap alone, and :func:`gap_report` derives all of them from one
 embedding. The chain is reversible exactly when M is symmetric. The
-invariant direction sqrt(mu) is removed either by a rank-one deflation
-shift (for operators that annihilate it) or by explicit orthogonal
-projection (for the operator norm of P), so no basis of the complement is
-ever constructed. Also provides the real and complex numerical radius,
+invariant direction s = sqrt(mu) is removed either by a rank-one deflation
+shift (for operators that annihilate it) or by centring (for the powers of
+P): M fixes s on both sides, so A = M - s s^T is M projected onto the
+complement of s and A^k = M^k - s s^T. No basis of the complement is ever
+constructed. Also provides the real and complex numerical radius,
 whose power inequality holds only over the complex field.
 The complex radius is computed exactly, to rounding, by the level-set
 iteration of Mengi & Overton (2005) over the phase of the Hermitian part.
@@ -144,16 +145,12 @@ def ip_gap_minimizer(op: ChainOperator, mu: Distribution):
     return _smallest_sv(sv), vt[-1] / W.sqrt_mu
 
 
-def _projected(W: WeightedOperator) -> np.ndarray:
-    s = W.sqrt_mu
-    proj = np.eye(s.size) - np.outer(s, s)
-    return proj @ W.matrix @ proj
-
-
-def _absolute_gap(W: WeightedOperator) -> float:
-    # 1 minus the mu-norm of P on mean-zero functions, which P leaves
-    # invariant; may be exactly zero for an irreducible chain
-    return 1.0 - float(np.linalg.svd(_projected(W), compute_uv=False)[0])
+def _norm_sq(a: np.ndarray) -> float:
+    # ||P^k||_mu^2 on mean-zero functions for a = A^k, clamped to [0, 1]
+    # since P contracts the mu-norm. Taken from the Gram of a: the deflated
+    # (M^k)^T M^k - 2 s s^T rounds by order eps, which moves the root by
+    # sqrt(eps) (1.5e-8 on P = 1 mu^T); an order-eps error in a moves it by eps.
+    return min(max(float(np.linalg.eigvalsh(a.T @ a)[-1]), 0.0), 1.0)
 
 
 def _symmetric_gap(W: WeightedOperator) -> float:
@@ -181,28 +178,24 @@ class PseudoGapResult:
         return {"value": self.value, "k": self.k, "k_max": self.k_max}
 
 
-def _pseudo_gap(W: WeightedOperator, k_max: int) -> PseudoGapResult:
+def _pseudo_gap(centred: np.ndarray, norm_sq: float, k_max: int) -> PseudoGapResult:
     # max over 1 <= k <= k_max of gap((P*)^k P^k) / k, a lower bound on the
-    # supremum over all k. (P*)^k P^k embeds to (M^k)^T M^k, deflated as in
-    # the symmetric gap. The scan stops at the first k with
-    # (1 + ORDERING_SLACK) / k <= best, which is exact: (M^k)^T M^k is PSD
-    # and n >= 2, so by Weyl's inequality the deflated lam2 is >= 0 and step
-    # k scores at most 1/k, which falls with k; the slack absorbs eigvalsh
-    # rounding. A periodic chain, whose every value is 0, scans all k, and
-    # ``k_max`` in the result is the requested truncation either way.
+    # supremum over all k. On mean-zero functions (P*)^k P^k embeds to the
+    # Gram of A^k, so step k scores (1 - _norm_sq(A^k)) / k, in [0, 1/k];
+    # ``norm_sq`` is step 1's, shared with the absolute gap. The scan stops
+    # at the first k with (1 + ORDERING_SLACK) / k <= best, which is exact
+    # since 1/k falls with k; the slack absorbs eigvalsh rounding. A periodic
+    # chain scores 0 at every k, to rounding, and scans all k; ``k_max`` in
+    # the result is the requested truncation either way.
     if k_max < 1:
         raise DimensionMismatch("k_max must be >= 1")
-    defl = 2.0 * np.outer(W.sqrt_mu, W.sqrt_mu)
-    best_value, best_k = -np.inf, 1
-    mk = W.matrix
-    for k in range(1, k_max + 1):
+    best_value, best_k = 1.0 - norm_sq, 1
+    ak = centred
+    for k in range(2, k_max + 1):
         if (1.0 + ORDERING_SLACK) / k <= best_value:
             break  # step k scores at most 1/k; neither it nor any later k can win
-        if k > 1:
-            mk = mk @ W.matrix
-        sym = mk.T @ mk
-        lam2 = float(np.linalg.eigvalsh(sym - defl)[-1])
-        value = (1.0 - lam2) / k
+        ak = ak @ centred
+        value = (1.0 - _norm_sq(ak)) / k
         if value > best_value:
             best_value, best_k = value, k
     return PseudoGapResult(best_value, best_k, k_max)
@@ -444,7 +437,9 @@ def gap_report(
     if W.matrix is None:
         return GapReport(eta_p, None, None, None, None, False, _tolerances())
     eta_s = _symmetric_gap(W)
-    eta_a = _absolute_gap(W)
+    centred = W.matrix - np.outer(W.sqrt_mu, W.sqrt_mu)
+    norm_sq = _norm_sq(centred)
+    eta_a = 1.0 - float(np.sqrt(norm_sq))  # may be 0 for an irreducible chain
     eta = eta_s if _asymmetry(W) <= REVERSIBILITY_TOLERANCE else None
-    pseudo = None if k_max is None else _pseudo_gap(W, k_max)
+    pseudo = None if k_max is None else _pseudo_gap(centred, norm_sq, k_max)
     return GapReport(eta_p, eta_s, eta_a, eta, pseudo, False, _tolerances())

@@ -80,6 +80,22 @@ class TestGaps:
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
 
+    @pytest.mark.parametrize("key, value", [
+        ("P", [[0.5, 0.5], ["0.5", "0.5"]]),
+        ("Q", [["-1", "1"], ["1", "-1"]]),
+        ("mu", ["0.5", "0.5"]),
+        ("nu", [0.5, "0.5"]),
+        ("f", ["1", "-1"]),
+    ])
+    def test_numeric_strings_rejected(self, key, value, tmp_path, capsys):
+        doc = {"labels": ["a", "b"], key: value}
+        if key != "Q":
+            doc.setdefault("P", [[0.5, 0.5], [0.5, 0.5]])
+        rc = cli.main(["gaps", _chain_file(tmp_path, doc)])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "SchemaError", "message": f'"{key}" must contain only numbers'}
+
     def test_human_format(self, tmp_path, capsys):
         rc = cli.main(["gaps", _four_state_file(tmp_path), "--output-format", "human"])
         out = capsys.readouterr().out
@@ -105,8 +121,8 @@ _GAPS_TAIL = """  "degenerate": false,
 """
 
 # `gaps` JSON stdout, byte for byte: best k = 1, best k > 1 (a cycle holding
-# only at state 0), and a periodic chain whose values are all rounding noise,
-# so every k is scanned
+# only at state 0), and a periodic chain whose values are all 0, so every k
+# is scanned and k = 1 is kept
 GOLDEN_GAPS = {
     "best-k-1": (
         [[0.5, 0.3, 0.2], [0.2, 0.6, 0.2], [0.3, 0.3, 0.4]],
@@ -116,7 +132,7 @@ GOLDEN_GAPS = {
   "eta_a": 0.6906038252386791,
   "eta": null,
   "pseudo": {
-    "value": 0.9042740070430625,
+    "value": 0.9042740070430622,
     "k": 1,
     "k_max": 20
   },
@@ -128,10 +144,10 @@ GOLDEN_GAPS = {
         """{
   "eta_p": 0.8710860620711348,
   "eta_s": 0.5000000000000002,
-  "eta_a": -2.220446049250313e-16,
+  "eta_a": 0.0,
   "eta": null,
   "pseudo": {
-    "value": 0.12760184604338953,
+    "value": 0.1276018460433895,
     "k": 5,
     "k_max": 20
   },
@@ -145,8 +161,8 @@ GOLDEN_GAPS = {
   "eta_a": 0.0,
   "eta": null,
   "pseudo": {
-    "value": -1.1102230246251566e-17,
-    "k": 20,
+    "value": 0.0,
+    "k": 1,
     "k_max": 20
   },
 """ + _GAPS_TAIL,
@@ -639,10 +655,10 @@ GOLDEN_EXAMPLES = {
   mu    = [0.25, 0.25, 0.25, 0.25]
   eta_p = 0.6180339887498946
   eta_s = 0.4999999999999999
-  eta_a = 0.0
-  pseudo gap (k <= 20) = 0.49999999999999994 at k = 2
+  eta_a = 1.1102230246251565e-16
+  pseudo gap (k <= 20) = 0.5 at k = 2
 [PASS] uniform invariant law: max |mu - 1/4| <= 1e-12
-[PASS] absolute gap vanishes: |eta_a| = 0.0
+[PASS] absolute gap vanishes: |eta_a| = 1.1102230246251565e-16
 [PASS] symmetric gap positive: eta_s = 0.4999999999999999
 [PASS] IP gap positive: eta_p = 0.6180339887498946
 [PASS] gap ordering: eta_p >= eta_s >= eta_a

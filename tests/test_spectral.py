@@ -138,6 +138,63 @@ class TestSymmetricAndAbsoluteGap:
         assert cb.gap_report(P, _uniform(2)).eta_a == pytest.approx(1.0, abs=1e-12)
 
 
+def _reference_absolute_gap(W):
+    # the SVD of the doubly projected embedding that the centred Gram replaced
+    proj = np.eye(W.sqrt_mu.size) - np.outer(W.sqrt_mu, W.sqrt_mu)
+    return 1.0 - float(np.linalg.svd(proj @ W.matrix @ proj, compute_uv=False)[0])
+
+
+def _near_independent(rng, n, eps):
+    # P = 1 mu^T + eps E, with E = R - 1 mu^T for a random stochastic R
+    mu = rng.dirichlet(np.ones(n))
+    return cb.validate_transition_matrix(
+        (1.0 - eps) * mu[None, :] + eps * random_transition(rng, n).entries
+    )
+
+
+def _near_decomposable(rng, sizes, eps):
+    n = sum(sizes)
+    a = np.full((n, n), eps)
+    start = 0
+    for size in sizes:
+        a[start : start + size, start : start + size] = rng.uniform(0.01, 1.0, (size, size))
+        start += size
+    return cb.validate_transition_matrix(a / a.sum(axis=1)[:, None])
+
+
+class TestAbsoluteGapAccuracy:
+    def _assert_close(self, P):
+        # the Gram and the SVD both carry errors of order n eps
+        mu = cb.stationary_distribution(P)
+        got = cb.gap_report(P, mu, k_max=None).eta_a
+        want = _reference_absolute_gap(cb.embed_weighted(P, mu))
+        assert abs(got - want) <= 8 * P.n_states * np.finfo(float).eps
+        assert 0.0 <= got <= 1.0
+
+    def test_matches_svd_on_seeded_grid(self):
+        rng = np.random.default_rng(1998)
+        for _ in range(15):
+            n = int(rng.integers(2, 31))
+            self._assert_close(random_transition(rng, n))
+            self._assert_close(random_transition(rng, n, sparsify=0.6))
+            self._assert_close(random_reversible(rng, n))
+            self._assert_close(_lazy_cycle(rng, n))
+            sizes = rng.integers(1, 7, size=int(rng.integers(2, 4))).tolist()
+            self._assert_close(_near_decomposable(rng, sizes, 10.0 ** rng.uniform(-12, -2)))
+        for n in (5, 50):
+            for eps in (0.0, 1e-12, 1e-8, 1e-4, 1e-2, 0.3, 1.0):
+                self._assert_close(_near_independent(rng, n, eps))
+
+    def test_independent_rows_give_full_gap(self):
+        # P = 1 mu^T: the deflated Gram M^T M - 2 s s^T, whose top eigenvalue
+        # is rounding noise of order eps, put eta_a 1.5e-8 below 1 here
+        rng = np.random.default_rng(400)
+        for n in (5, 50, 400):
+            P = _near_independent(rng, n, 0.0)
+            eta_a = cb.gap_report(P, k_max=None).eta_a
+            assert abs(eta_a - 1.0) <= 8 * n * np.finfo(float).eps
+
+
 class TestOrdinaryGap:
     def test_reversible_values(self):
         P = cb.validate_transition_matrix([[0.7, 0.3], [0.3, 0.7]])
@@ -189,15 +246,15 @@ class TestPseudoGap:
 
 
 def _reference_pseudo_gap(W, k_max):
-    # the full k_max-step scan that the early stop replaced
-    defl = 2.0 * np.outer(W.sqrt_mu, W.sqrt_mu)
+    # the full k_max-step scan that the early stop replaced, on powers of the
+    # centred embedding A = M - s s^T with the Gram eigenvalue clamped to [0, 1]
+    centred = W.matrix - np.outer(W.sqrt_mu, W.sqrt_mu)
     best_value, best_k = -np.inf, 1
-    mk = np.eye(W.matrix.shape[0])
+    ak = np.eye(centred.shape[0])
     for k in range(1, k_max + 1):
-        mk = mk @ W.matrix
-        sym = mk.T @ mk
-        lam2 = float(np.linalg.eigvalsh(sym - defl)[-1])
-        value = (1.0 - lam2) / k
+        ak = ak @ centred
+        lam = float(np.linalg.eigvalsh(ak.T @ ak)[-1])
+        value = (1.0 - min(max(lam, 0.0), 1.0)) / k
         if value > best_value:
             best_value, best_k = value, k
     return cb.PseudoGapResult(best_value, best_k, k_max)
@@ -230,9 +287,9 @@ def _drift_chain(n, up):
 
 class TestPseudoGapEarlyStop:
     def _assert_parity(self, P, mu=None, k_max=20):
-        W = cb.embed_weighted(P, cb.stationary_distribution(P) if mu is None else mu)
-        got = spectral._pseudo_gap(W, k_max)
-        want = _reference_pseudo_gap(W, k_max)
+        mu = cb.stationary_distribution(P) if mu is None else mu
+        got = cb.gap_report(P, mu, k_max).pseudo
+        want = _reference_pseudo_gap(cb.embed_weighted(P, mu), k_max)
         assert (got.value, got.k, got.k_max) == (want.value, want.k, want.k_max)
         return got
 
@@ -259,21 +316,6 @@ class TestPseudoGapEarlyStop:
         rng = np.random.default_rng(6)
         for P in (random_transition(rng, 8), _lazy_cycle(rng, 7), flip_chain()):
             assert self._assert_parity(P, k_max=1).k_max == 1
-
-    def test_dense_chain_solves_one_eigenproblem(self, monkeypatch):
-        P = random_transition(np.random.default_rng(50), 50)
-        W = cb.embed_weighted(P, cb.stationary_distribution(P))
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def counting(a, *args, **kwargs):
-            calls.append(a.shape)
-            return eigvalsh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        res = spectral._pseudo_gap(W, 20)
-        assert calls == [(50, 50)]
-        assert (res.k, res.k_max) == (1, 20)
 
 
 class TestIteratedPoincare:
@@ -567,6 +609,25 @@ class TestGapReport:
             counts.update(embed=0, invariant=0)
             cb.gap_report(op, mu)
             assert counts == {"embed": 1, "invariant": 1}
+
+    def test_dense_chain_takes_one_svd_and_two_eigvalsh(self, monkeypatch):
+        # eta_p takes the SVD; eta_s and the Gram shared by eta_a and the
+        # pseudo gap take one eigvalsh each, and the pseudo scan stops at k = 2
+        P = random_transition(np.random.default_rng(50), 50)
+        mu = cb.stationary_distribution(P)
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(a, *args, **kwargs):
+                calls.append((name, a.shape))
+                return fn(a, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+        res = cb.gap_report(P, mu, k_max=20).pseudo
+        assert sorted(calls) == [("eigvalsh", (50, 50))] * 2 + [("svd", (50, 50))]
+        assert (res.k, res.k_max) == (1, 20)
 
     def test_eta_is_eta_s_for_reversible_chains(self):
         rng = np.random.default_rng(41)
