@@ -102,20 +102,6 @@ class BoundQuery:
     def horizon(self) -> float:
         return self.n if self.mode == "discrete" else self.t
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "n": self.n,
-            "t": self.t,
-            "delta": self.delta,
-            "M": self.M,
-            "sigma2": self.sigma2,
-            "eta_p": self.eta_p,
-            "p": self.p,
-            "nu_norm": self.nu_norm,
-            "q": self.q,
-        }
-
 
 @dataclass(frozen=True)
 class BoundResult:

@@ -32,7 +32,6 @@ from .errors import (
 )
 
 ROW_SUM_TOLERANCE = 1e-9
-POST_NORMALIZATION_TOLERANCE = 1e-12
 CENTERING_TOLERANCE = 1e-10
 INVARIANCE_TOLERANCE = 1e-9
 STATIONARY_RESIDUAL_TOLERANCE = 1e-12
@@ -458,15 +457,10 @@ _CHAIN_KEYS = {"labels", "P", "Q", "mu", "f", "nu"}
 class ChainData:
     """Parsed contents of a chain JSON document."""
 
-    transition: TransitionMatrix | None
-    generator: GeneratorMatrix | None
+    operator: ChainOperator
     mu: Distribution | None
     nu: Distribution | None
     f_values: np.ndarray | None
-
-    @property
-    def operator(self) -> ChainOperator:
-        return self.transition if self.transition is not None else self.generator
 
     @property
     def space(self) -> StateSpace:
@@ -474,21 +468,29 @@ class ChainData:
 
     @property
     def kind(self) -> str:
-        return "discrete" if self.transition is not None else "continuous"
+        return "discrete" if isinstance(self.operator, TransitionMatrix) else "continuous"
 
 
-def _schema_vector(obj, key: str, n: int) -> np.ndarray:
-    if not isinstance(obj, list) or len(obj) != n:
-        raise SchemaError(f'"{key}" must be a list of {n} numbers')
+def _schema_array(obj, name: str, ndim: int, n: int | None = None) -> np.ndarray:
+    """A JSON array of numbers, nested ``ndim`` deep with every side n long, as floats.
+
+    ``n=None`` takes any length, the same on every side. numpy infers the
+    kind, so numeric strings (which ``dtype=float`` would parse) and
+    integers beyond 64 bits (held as objects) are refused; so are JSON
+    booleans, which numpy reads as numbers next to numbers, by their type.
+    """
+    side = "n" if n is None else n
+    shape = f"{name} must be a list of {side} " + f"lists of {side} " * (ndim - 1) + "numbers"
     try:
-        v = np.asarray(obj)  # not dtype=float, which would parse strings
+        a = np.asarray(obj)
     except ValueError as exc:  # a ragged nesting
-        raise SchemaError(f'"{key}" must contain only numbers') from exc
-    if v.dtype.kind not in "iuf":
-        raise SchemaError(f'"{key}" must contain only numbers')
-    if v.ndim != 1:
-        raise SchemaError(f'"{key}" must be a flat list of numbers')
-    return v.astype(float, copy=False)
+        raise SchemaError(shape) from exc
+    if a.ndim != ndim or len(set(a.shape)) != 1 or n not in (None, a.shape[0]):
+        raise SchemaError(shape)
+    rows = obj if ndim == 2 else [obj]
+    if a.dtype.kind not in "iuf" or any(bool in set(map(type, row)) for row in rows):
+        raise SchemaError(f"{name} must contain only numbers")
+    return a.astype(float, copy=False)
 
 
 def parse_chain(obj) -> ChainData:
@@ -511,26 +513,18 @@ def parse_chain(obj) -> ChainData:
     has_p, has_q = "P" in obj, "Q" in obj
     if has_p == has_q:
         raise SchemaError('chain document requires exactly one of "P" or "Q"')
-    matrix_key = "P" if has_p else "Q"
-    rows = obj[matrix_key]
-    if not isinstance(rows, list) or len(rows) != n:
-        raise SchemaError(f'"{matrix_key}" must be a list of {n} rows')
-    mat = [_schema_vector(row, matrix_key, n) for row in rows]
-    transition = generator = None
     if has_p:
-        transition = validate_transition_matrix(np.array(mat), labels)
+        op = validate_transition_matrix(_schema_array(obj["P"], '"P"', 2, n), labels)
     else:
-        generator = validate_generator(np.array(mat), labels)
-    space = (transition or generator).space
-    mu = nu = None
-    f_values = None
+        op = validate_generator(_schema_array(obj["Q"], '"Q"', 2, n), labels)
+    mu = nu = f_values = None
     if "mu" in obj:
-        mu = make_distribution(_schema_vector(obj["mu"], "mu", n), space)
+        mu = make_distribution(_schema_array(obj["mu"], '"mu"', 1, n), op.space)
     if "nu" in obj:
-        nu = make_distribution(_schema_vector(obj["nu"], "nu", n), space)
+        nu = make_distribution(_schema_array(obj["nu"], '"nu"', 1, n), op.space)
     if "f" in obj:
-        f_values = _freeze(_schema_vector(obj["f"], "f", n))
-    return ChainData(transition, generator, mu, nu, f_values)
+        f_values = _freeze(_schema_array(obj["f"], '"f"', 1, n))
+    return ChainData(op, mu, nu, f_values)
 
 
 def load_chain(path) -> ChainData:

@@ -18,17 +18,17 @@ from . import bounds as bounds_mod
 from . import examples as examples_mod
 from .chain_core import (
     ChainData,
+    _schema_array,
     check_invariant,
-    is_irreducible,
     load_chain,
     make_distribution,
     make_observable,
     radon_nikodym_norm,
     stationary_distribution,
 )
-from .errors import ChainBoundsError, NotIrreducible, SchemaError
+from .errors import ChainBoundsError, SchemaError
 from .exact_oracle import exact_mgf
-from .simulate import SimConfig, empirical_mgf, path_averages, tail_report
+from .simulate import SimConfig, empirical_mgf, empirical_tail
 from .spectral import (
     gap_report,
     ip_gap,
@@ -115,10 +115,10 @@ def _horizon(chain: ChainData, args) -> dict:
     return {"t": args.t}
 
 
-def _sim_config(args, init, horizon: dict, **extra) -> SimConfig:
+def _sim_config(args, init, horizon: dict) -> SimConfig:
     """The replication plan, validated before any gap, bound or oracle work."""
     return SimConfig(replicas=args.replicas, seed=args.seed, init=init,
-                     alpha=args.alpha, **horizon, **extra)
+                     alpha=args.alpha, **horizon)
 
 
 def _emit_json(obj) -> None:
@@ -180,7 +180,7 @@ def _cmd_mgf(args) -> int:
     sigma = math.sqrt(obs.sigma2)
     theta = args.theta
     horizon = _horizon(chain, args)
-    config = None if args.replicas is None else _sim_config(args, mu, horizon, theta=theta)
+    config = None if args.replicas is None else _sim_config(args, mu, horizon)
     eta = ip_gap(chain.operator, mu)
     (length,) = horizon.values()
     exact = exact_mgf(chain.operator, mu, obs, theta, length)
@@ -190,7 +190,7 @@ def _cmd_mgf(args) -> int:
         bound = bounds_mod.mgf_bound(chain.kind, theta, length, obs.M, sigma, eta)
     empirical = None
     if config is not None:
-        empirical = empirical_mgf(config, chain.operator, obs, bound=bound).to_dict()
+        empirical = empirical_mgf(config, chain.operator, obs, theta, bound=bound).to_dict()
     out = {
         "mode": chain.kind,
         **horizon,
@@ -234,14 +234,7 @@ def _cmd_verify(args) -> int:
         ))
         for delta in deltas
     ]
-    if chain.kind == "continuous" and not is_irreducible(chain.generator):
-        raise NotIrreducible("bound comparison requested for a reducible generator")
-    # one simulation for the whole grid: each delta thresholds the same paths
-    averages = path_averages(config, chain.operator, obs)
-    rows = [
-        (delta, tail_report(averages, delta, args.seed, args.alpha, bound))
-        for delta, bound in zip(deltas, bounds)
-    ]
+    rows = list(zip(deltas, empirical_tail(config, chain.operator, obs, deltas, bounds)))
     all_consistent = all(report.consistent for _, report in rows)
     if args.output_format == "json":
         _emit_json([
@@ -293,13 +286,7 @@ def _load_matrix_file(path) -> np.ndarray:
         if set(obj) != {"B"}:
             raise SchemaError('matrix document must be a bare 2D array or {"B": [[...]]}')
         obj = obj["B"]
-    try:
-        a = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError("matrix document must contain only numbers") from exc
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise SchemaError("matrix must be square")
-    return a
+    return _schema_array(obj, "matrix document", 2)
 
 
 def _cmd_radius(args) -> int:

@@ -5,9 +5,10 @@ Q with a horizon t, and evaluate the same tilted kernel for both. Chain MGFs
 are iterated transfer-operator products
 ``init^T diag(e^(theta f)) (P diag(e^(theta f)))^(n-1) 1`` with running
 log-rescaling, so long horizons stay inside double range. Once the rescaled
-vector repeats bit for bit, the remaining steps are replayed from one period,
-so the cost grows with the steps until that repeat, not with n, and the
-result is bit-identical to the full iteration. Jump-process MGFs use the
+vector repeats bit for bit, the remaining transfer products are replayed from
+one period; their log-scale increments are still added one at a time, in
+order, so the result is bit-identical to the full iteration and the cost
+stays linear in n, at a much smaller constant. Jump-process MGFs use the
 Feynman-Kac matrix exponential ``exp(t (Q + theta diag(f)))``.
 Small-instance tail probabilities are computed exactly by dynamic
 programming on a common value grid, or by full path enumeration below a

@@ -22,9 +22,9 @@ included, from an exact guide table over the steps of the clamped row
 CDFs: one bucket lookup, then a bisection over the few steps inside the
 bucket, with the same ``cdf <= u`` compares as a scan of the whole row.
 
-``path_averages`` simulates once; ``tail_report`` thresholds its output at
-one delta, so a whole delta grid (as in the CLI's ``verify``) costs one
-simulation. Tail estimates carry exact Clopper-Pearson confidence
+``empirical_tail`` simulates once and thresholds the same path averages at
+every delta of its grid, so a whole grid (as in the CLI's ``verify``) costs
+one simulation. Tail estimates carry exact Clopper-Pearson confidence
 intervals; MGF estimates use a normal approximation with an honest
 heavy-tail warning.
 """
@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -193,8 +194,6 @@ class SimConfig:
     init: Distribution
     n: int | None = None
     t: float | None = None
-    delta: float | None = None
-    theta: float | None = None
     alpha: float = DEFAULT_ALPHA
 
     def __post_init__(self):
@@ -210,8 +209,6 @@ class SimConfig:
             raise InvalidQuery("horizon t must be positive")
         if not 0 < self.alpha < 1:
             raise InvalidQuery("alpha must lie in (0, 1)")
-        if self.delta is not None and self.delta < 0:
-            raise InvalidQuery("delta must be >= 0")
         if self.t is not None and not math.isfinite(self.t):
             raise InvalidQuery("horizon t must be finite")
 
@@ -661,81 +658,59 @@ def _centered_values(f: Observable) -> np.ndarray:
     return f.values
 
 
-def _path_functionals(config: SimConfig, op, f: Observable) -> tuple[np.ndarray, float]:
+def _path_functionals(config: SimConfig, op, f: Observable) -> np.ndarray:
+    """Per-replica sums of f over n steps, or time integrals of f over [0, t]."""
     fv = _centered_values(f)
     if isinstance(op, TransitionMatrix):
         if config.n is None:
             raise InvalidQuery("discrete chains need the step horizon n")
-        sums = _dtmc_sums(op, config.init, fv, config.n, config.seed, config.replicas)
-        return sums, float(config.n)
+        return _dtmc_sums(op, config.init, fv, config.n, config.seed, config.replicas)
     if config.t is None:
         raise InvalidQuery("jump processes need the time horizon t")
-    integrals = _ctmc_integrals(op, config.init, fv, config.t, config.seed, config.replicas)
-    return integrals, float(config.t)
-
-
-def path_averages(config: SimConfig, op, f: Observable) -> np.ndarray:
-    """Per-replica time averages of f over the configured horizon.
-
-    These are S_n / n for chains and (1/t) int_0^t f for jump processes.
-    One simulation serves every tail threshold: ``tail_report`` turns the
-    averages into the estimate for one delta.
-    """
-    totals, horizon = _path_functionals(config, op, f)
-    return totals / horizon
-
-
-def tail_report(
-    averages: np.ndarray, delta: float, seed: int,
-    alpha: float = DEFAULT_ALPHA, bound: BoundResult | None = None,
-) -> SimReport:
-    """Estimate P(|time average| >= delta) from ``path_averages`` output.
-
-    The interval is exact Clopper-Pearson at level ``alpha``; with a
-    ``bound`` the report records whether it is consistent with the data
-    (bound >= lower CI limit). ``seed`` is the simulation's seed, recorded
-    in the report.
-    """
-    replicas = int(averages.size)
-    hits = int(np.count_nonzero(np.abs(averages) >= delta))
-    low, high = clopper_pearson(hits, replicas, alpha)
-    consistent = None
-    if bound is not None:
-        consistent = bool(bound.probability_bound >= low)
-    return SimReport(
-        kind="tail",
-        estimate=hits / replicas,
-        ci_low=low,
-        ci_high=high,
-        replicas_used=replicas,
-        seed=seed,
-        bound_compared=bound,
-        consistent=consistent,
-    )
+    return _ctmc_integrals(op, config.init, fv, config.t, config.seed, config.replicas)
 
 
 def empirical_tail(
-    config: SimConfig, op, f: Observable, bound: BoundResult | None = None
-) -> SimReport:
-    """Estimate P(|time average of f| >= delta) with an exact binomial CI.
+    config: SimConfig, op, f: Observable, deltas: Sequence[float],
+    bounds: Sequence[BoundResult] | None = None,
+) -> list[SimReport]:
+    """Estimate P(|time average of f| >= delta) at each delta, with exact binomial CIs.
 
-    When ``bound`` is given, the report records whether the bound is
-    consistent with the data (bound >= lower CI limit); jump processes must
-    then be irreducible, since the bound presumes an invariant law.
+    One simulation serves the whole grid: each delta thresholds the same
+    per-replica time averages, S_n / n for chains and (1/t) int_0^t f for
+    jump processes. ``bounds``, one BoundResult per delta, makes each
+    report record whether its bound is consistent with the data (bound >=
+    lower CI limit); jump processes must then be irreducible, since the
+    bounds presume an invariant law.
     """
-    if config.delta is None:
-        raise InvalidQuery("tail estimation needs delta in the config")
-    if bound is not None and isinstance(op, GeneratorMatrix) and not is_irreducible(op):
-        raise NotIrreducible(
-            "bound comparison requested for a reducible generator"
-        )
-    return tail_report(
-        path_averages(config, op, f), config.delta, config.seed, config.alpha, bound
-    )
+    if not all(delta >= 0 for delta in deltas):  # NaN too
+        raise InvalidQuery("delta must be >= 0")
+    if bounds is None:
+        bounds = [None] * len(deltas)
+    elif len(bounds) != len(deltas):
+        raise InvalidQuery("bounds must hold one BoundResult per delta")
+    elif isinstance(op, GeneratorMatrix) and not is_irreducible(op):
+        raise NotIrreducible("bound comparison requested for a reducible generator")
+    averages = _path_functionals(config, op, f) / (config.t if config.n is None else config.n)
+    reports = []
+    for delta, bound in zip(deltas, bounds):
+        hits = int(np.count_nonzero(np.abs(averages) >= delta))
+        low, high = clopper_pearson(hits, config.replicas, config.alpha)
+        reports.append(SimReport(
+            kind="tail",
+            estimate=hits / config.replicas,
+            ci_low=low,
+            ci_high=high,
+            replicas_used=config.replicas,
+            seed=config.seed,
+            bound_compared=bound,
+            consistent=None if bound is None else bool(bound.probability_bound >= low),
+        ))
+    return reports
 
 
 def empirical_mgf(
-    config: SimConfig, op, f: Observable, bound: float | None = None
+    config: SimConfig, op, f: Observable, theta: float, bound: float | None = None
 ) -> SimReport:
     """Estimate E[exp(theta * path sum)] with a normal-approximation CI.
 
@@ -743,10 +718,7 @@ def empirical_mgf(
     samples carry more than half of the sample mean the report sets
     ``heavy_tail`` instead of pretending the CI is trustworthy.
     """
-    if config.theta is None:
-        raise InvalidQuery("MGF estimation needs theta in the config")
-    totals, _ = _path_functionals(config, op, f)
-    samples = np.exp(config.theta * totals)
+    samples = np.exp(theta * _path_functionals(config, op, f))
     estimate = float(samples.mean())
     if config.replicas > 1:
         sd = float(samples.std(ddof=1))

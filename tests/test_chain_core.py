@@ -223,7 +223,7 @@ class TestChainSchema:
             self._write(tmp_path, {"labels": ["x", "y"], "Q": [[-1, 1], [2, -2]]})
         )
         assert chain.kind == "continuous"
-        assert chain.generator is not None
+        assert isinstance(chain.operator, cb.GeneratorMatrix)
 
     def test_unknown_keys_rejected(self, tmp_path):
         with pytest.raises(errors.SchemaError):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import chainbounds as cb
-from chainbounds import cli
+from chainbounds import cli, simulate
 from chainbounds.spectral import ORDERING_SLACK
 from chainbounds.examples import FLIP_ROWS, SKEW_ROWS, ZERO_ABSOLUTE_GAP_ROWS
 
@@ -92,6 +92,24 @@ class TestGaps:
         if key != "Q":
             doc.setdefault("P", [[0.5, 0.5], [0.5, 0.5]])
         rc = cli.main(["gaps", _chain_file(tmp_path, doc)])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "SchemaError", "message": f'"{key}" must contain only numbers'}
+
+    @pytest.mark.parametrize("key, value", [
+        ("P", [[True, 0.0], [0.5, 0.5]]),
+        ("Q", [[-1, True], [1, -1]]),
+        ("mu", [True, 0]),
+        ("nu", [0.0, True]),
+        ("f", [True, 0.0]),
+    ])
+    def test_booleans_rejected(self, key, value, tmp_path, capsys):
+        # numpy reads a JSON boolean next to numbers as a number
+        doc = {"labels": ["a", "b"], "f": [1, -1], key: value}
+        if key != "Q":
+            doc.setdefault("P", [[0.5, 0.5], [0.5, 0.5]])
+        rc = cli.main(["verify", _chain_file(tmp_path, doc), "--n", "10", "--t", "1",
+                       "--delta-grid", "0.1", "--replicas", "10"])
         assert rc == 2
         assert json.loads(capsys.readouterr().err) == {
             "error": "SchemaError", "message": f'"{key}" must contain only numbers'}
@@ -276,7 +294,7 @@ def test_negative_seed_fails_before_gap_bound_and_oracle(argv, tmp_path, capsys,
 
         monkeypatch.setattr(owner, name, counted)
 
-    for name in ("ip_gap", "gap_report", "exact_mgf", "empirical_mgf", "path_averages"):
+    for name in ("ip_gap", "gap_report", "exact_mgf", "empirical_mgf", "empirical_tail"):
         count(cli, name)
     for name in ("tail_bound", "mgf_bound"):
         count(cli.bounds_mod, name)
@@ -502,6 +520,26 @@ class TestVerify:
         else:
             assert json.loads(whole) == [json.loads(part)[0] for part in parts]
 
+    @pytest.mark.parametrize("kind", ["discrete", "continuous"])
+    def test_grid_simulates_once(self, tmp_path, capsys, monkeypatch, kind):
+        sampler = "_dtmc_sums" if kind == "discrete" else "_ctmc_integrals"
+        real, calls = getattr(simulate, sampler), []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(simulate, sampler, counted)
+        if kind == "discrete":
+            path, horizon = _four_state_file(tmp_path), ["--n", "30"]
+        else:
+            path, horizon = _chain_file(tmp_path, _JUMP_2), ["--t", "5"]
+        rc = cli.main(["verify", path, *horizon, "--delta-grid", "0.05,0.1,0.3",
+                       "--replicas", "50", "--seed", "3"])
+        assert rc == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+        assert len(calls) == 1
+
     def test_point_mass_nu(self, tmp_path, capsys):
         path = _four_state_file(tmp_path, nu=[1, 0, 0, 0])
         rc = cli.main([
@@ -512,14 +550,17 @@ class TestVerify:
 
     def test_violation_exits_one(self, tmp_path, capsys, monkeypatch):
         # force an inconsistent report to exercise the exit-1 contract
-        def fake_tail(averages, delta, seed, alpha=0.05, bound=None):
-            return cb.SimReport(
-                kind="tail", estimate=0.9, ci_low=0.8, ci_high=0.95,
-                replicas_used=averages.size, seed=seed,
-                bound_compared=bound, consistent=False,
-            )
+        def fake_tail(config, op, f, deltas, bounds=None):
+            return [
+                cb.SimReport(
+                    kind="tail", estimate=0.9, ci_low=0.8, ci_high=0.95,
+                    replicas_used=config.replicas, seed=config.seed,
+                    bound_compared=bound, consistent=False,
+                )
+                for bound in bounds
+            ]
 
-        monkeypatch.setattr(cli, "tail_report", fake_tail)
+        monkeypatch.setattr(cli, "empirical_tail", fake_tail)
         rc = cli.main([
             "verify", _four_state_file(tmp_path), "--n", "10",
             "--delta-grid", "0.9", "--replicas", "10", "--seed", "0",
@@ -646,6 +687,18 @@ class TestRadius:
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"A": [[0]]}))
         assert cli.main(["radius", str(path)]) == 2
+
+    @pytest.mark.parametrize("doc", [
+        [["1", "0"], ["0", "1"]],
+        [[True, 0], [0, 1]],
+        {"B": [[0, 1], [False, 0.5]]},
+    ])
+    def test_non_numbers_rejected(self, doc, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["radius", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "SchemaError", "message": "matrix document must contain only numbers"}
 
 
 # `examples` stdout, byte for byte, with exit code 0 for each

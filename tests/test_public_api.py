@@ -1,5 +1,7 @@
 """The package's public names, pinned so that a change to them is deliberate."""
 
+import dataclasses
+
 import chainbounds as cb
 
 PUBLIC = [
@@ -26,3 +28,9 @@ def test_all_is_pinned():
 def test_every_name_resolves():
     for name in cb.__all__:
         assert getattr(cb, name) is not None, name
+
+
+def test_sim_config_fields_are_pinned():
+    # the replication plan only: per-estimate inputs (delta, theta) are arguments
+    fields = [field.name for field in dataclasses.fields(cb.SimConfig)]
+    assert fields == ["replicas", "seed", "init", "n", "t", "alpha"]

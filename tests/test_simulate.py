@@ -28,7 +28,7 @@ from chainbounds.simulate import (
     _replica_keys,
     replica_rng,
 )
-from conftest import random_transition
+from conftest import random_generator, random_transition
 
 
 def _uniform(n):
@@ -707,8 +707,8 @@ class TestEmpiricalTail:
         P = zero_absolute_gap_chain()
         mu = _uniform(4)
         f = cb.make_observable([1, 0, 0, -1], mu)
-        cfg = cb.SimConfig(replicas=200, seed=0, init=mu, n=10, delta=0.0)
-        rep = cb.empirical_tail(cfg, P, f)
+        cfg = cb.SimConfig(replicas=200, seed=0, init=mu, n=10)
+        (rep,) = cb.empirical_tail(cfg, P, f, [0.0])
         assert rep.estimate == 1.0
         assert rep.ci_high == 1.0
 
@@ -716,8 +716,8 @@ class TestEmpiricalTail:
         P = zero_absolute_gap_chain()
         mu = _uniform(4)
         f = cb.make_observable([1, 0, 0, -1], mu)
-        cfg = cb.SimConfig(replicas=100, seed=0, init=mu, n=10, delta=1.5)
-        rep = cb.empirical_tail(cfg, P, f)
+        cfg = cb.SimConfig(replicas=100, seed=0, init=mu, n=10)
+        (rep,) = cb.empirical_tail(cfg, P, f, [1.5])
         assert rep.estimate == 0.0
         assert rep.ci_low == 0.0
         assert rep.ci_high == pytest.approx(1 - 0.025 ** (1 / 100), rel=1e-12)
@@ -726,8 +726,60 @@ class TestEmpiricalTail:
         P = zero_absolute_gap_chain()
         mu = _uniform(4)
         f = cb.make_observable([1, 0, 0, -1], mu)
-        cfg = cb.SimConfig(replicas=500, seed=42, init=mu, n=25, delta=0.2)
-        assert cb.empirical_tail(cfg, P, f) == cb.empirical_tail(cfg, P, f)
+        cfg = cb.SimConfig(replicas=500, seed=42, init=mu, n=25)
+        assert cb.empirical_tail(cfg, P, f, [0.2]) == cb.empirical_tail(cfg, P, f, [0.2])
+
+    @pytest.mark.parametrize("kind", ["discrete", "continuous"])
+    def test_grid_equals_one_delta_calls(self, kind):
+        # one simulation thresholded at each delta gives the single-delta reports
+        rng = np.random.default_rng(31)
+        if kind == "discrete":
+            op = random_transition(rng, 4)
+            horizon = {"n": 40}
+        else:
+            op = random_generator(rng, 4)
+            horizon = {"t": 8.0}
+        mu = cb.stationary_distribution(op)
+        f = cb.make_observable(rng.normal(size=4), mu)
+        eta = cb.ip_gap(op, mu)
+        deltas = [0.05 * f.M, 0.2 * f.M, 0.5 * f.M]
+        bounds = [
+            cb.tail_bound(cb.BoundQuery(mode=kind, delta=delta, M=f.M, sigma2=f.sigma2,
+                                        eta_p=eta, **horizon))
+            for delta in deltas
+        ]
+        cfg = cb.SimConfig(replicas=300, seed=5, init=mu, **horizon)
+        grid = cb.empirical_tail(cfg, op, f, deltas, bounds)
+        singles = [
+            cb.empirical_tail(cfg, op, f, [delta], [bound])[0]
+            for delta, bound in zip(deltas, bounds)
+        ]
+        assert len(grid) == 3
+        for whole, single in zip(grid, singles):
+            for field in dataclasses.fields(whole):
+                assert getattr(whole, field.name) == getattr(single, field.name), field.name
+
+    @pytest.mark.parametrize("delta", [math.nan, -0.1])
+    def test_invalid_delta_refused_before_simulating(self, delta, monkeypatch):
+        P = zero_absolute_gap_chain()
+        mu = _uniform(4)
+        f = cb.make_observable([1, 0, 0, -1], mu)
+        monkeypatch.setattr(simulate, "_dtmc_sums", None)  # any simulation would fail
+        cfg = cb.SimConfig(replicas=10, seed=0, init=mu, n=5)
+        with pytest.raises(errors.InvalidQuery, match="^delta must be >= 0$"):
+            cb.empirical_tail(cfg, P, f, [0.1, delta])
+
+    def test_one_bound_per_delta(self, monkeypatch):
+        P = zero_absolute_gap_chain()
+        mu = _uniform(4)
+        f = cb.make_observable([1, 0, 0, -1], mu)
+        bound = cb.tail_bound(
+            cb.BoundQuery(mode="discrete", n=5, delta=0.1, M=1.0, sigma2=0.5, eta_p=0.6)
+        )
+        monkeypatch.setattr(simulate, "_dtmc_sums", None)  # any simulation would fail
+        cfg = cb.SimConfig(replicas=10, seed=0, init=mu, n=5)
+        with pytest.raises(errors.InvalidQuery, match="one BoundResult per delta"):
+            cb.empirical_tail(cfg, P, f, [0.1, 0.2], [bound])
 
     def test_bound_comparison_consistency(self):
         rng = np.random.default_rng(50)
@@ -739,8 +791,8 @@ class TestEmpiricalTail:
             mode="discrete", n=60, delta=0.3 * f.M, M=f.M, sigma2=f.sigma2, eta_p=eta
         )
         bound = cb.tail_bound(query)
-        cfg = cb.SimConfig(replicas=3000, seed=11, init=mu, n=60, delta=query.delta)
-        rep = cb.empirical_tail(cfg, P, f, bound=bound)
+        cfg = cb.SimConfig(replicas=3000, seed=11, init=mu, n=60)
+        (rep,) = cb.empirical_tail(cfg, P, f, [query.delta], [bound])
         assert rep.consistent is True
         assert rep.bound_compared is bound
 
@@ -751,19 +803,19 @@ class TestEmpiricalTail:
         bound = cb.tail_bound(
             cb.BoundQuery(mode="continuous", t=5.0, delta=0.1, M=1.0, sigma2=0.5, eta_p=1.0)
         )
-        cfg = cb.SimConfig(replicas=10, seed=0, init=mu, t=5.0, delta=0.1)
+        cfg = cb.SimConfig(replicas=10, seed=0, init=mu, t=5.0)
         with pytest.raises(errors.NotIrreducible):
-            cb.empirical_tail(cfg, Q, f, bound=bound)
+            cb.empirical_tail(cfg, Q, f, [0.1], [bound])
         # without a bound the sampler itself is fine
-        rep = cb.empirical_tail(cfg, Q, f)
+        (rep,) = cb.empirical_tail(cfg, Q, f, [0.1])
         assert rep.consistent is None
 
     def test_uncentered_observable_refused(self):
         P = zero_absolute_gap_chain()
         mu = _uniform(4)
-        cfg = cb.SimConfig(replicas=10, seed=0, init=mu, n=5, delta=0.1)
+        cfg = cb.SimConfig(replicas=10, seed=0, init=mu, n=5)
         with pytest.raises(errors.InvalidQuery):
-            cb.empirical_tail(cfg, P, np.array([1.0, 0, 0, -1.0]))
+            cb.empirical_tail(cfg, P, np.array([1.0, 0, 0, -1.0]), [0.1])
 
     def test_agreement_with_exact_tail(self):
         # CP interval covers the exact probability for nearly all seeds
@@ -775,8 +827,8 @@ class TestEmpiricalTail:
         exact = cb.exact_tail_discrete(P, mu, f, n, delta)
         covered = 0
         for seed in range(20):
-            cfg = cb.SimConfig(replicas=400, seed=seed, init=mu, n=n, delta=delta)
-            rep = cb.empirical_tail(cfg, P, f)
+            cfg = cb.SimConfig(replicas=400, seed=seed, init=mu, n=n)
+            (rep,) = cb.empirical_tail(cfg, P, f, [delta])
             covered += rep.ci_low <= exact <= rep.ci_high
         assert covered >= 17
 
@@ -786,8 +838,8 @@ class TestEmpiricalMgf:
         P = zero_absolute_gap_chain()
         mu = _uniform(4)
         f = cb.make_observable([1, 0, 0, -1], mu)
-        cfg = cb.SimConfig(replicas=50, seed=0, init=mu, n=10, theta=0.0)
-        rep = cb.empirical_mgf(cfg, P, f)
+        cfg = cb.SimConfig(replicas=50, seed=0, init=mu, n=10)
+        rep = cb.empirical_mgf(cfg, P, f, 0.0)
         assert rep.estimate == 1.0
         assert rep.ci_low == rep.ci_high == 1.0
         assert not rep.heavy_tail
@@ -796,8 +848,8 @@ class TestEmpiricalMgf:
         P = cb.validate_transition_matrix([[0, 1], [1, 0]])
         mu = _uniform(2)
         f = cb.make_observable([1.0, -1.0], mu)
-        cfg = cb.SimConfig(replicas=64, seed=3, init=mu, n=2, theta=0.8)
-        rep = cb.empirical_mgf(cfg, P, f)
+        cfg = cb.SimConfig(replicas=64, seed=3, init=mu, n=2)
+        rep = cb.empirical_mgf(cfg, P, f, 0.8)
         assert rep.estimate == pytest.approx(1.0, rel=1e-14)
         assert rep.ci_high - rep.ci_low <= 1e-14
 
@@ -808,8 +860,8 @@ class TestEmpiricalMgf:
         f = cb.make_observable(rng.normal(size=3), mu)
         theta, n = 0.3, 10
         exact = cb.exact_mgf(P, mu, f, theta, n)
-        cfg = cb.SimConfig(replicas=20_000, seed=8, init=mu, n=n, theta=theta)
-        rep = cb.empirical_mgf(cfg, P, f, bound=None)
+        cfg = cb.SimConfig(replicas=20_000, seed=8, init=mu, n=n)
+        rep = cb.empirical_mgf(cfg, P, f, theta, bound=None)
         assert rep.ci_low <= exact <= rep.ci_high
 
     def test_ctmc_mgf_covers_exact(self):
@@ -818,8 +870,8 @@ class TestEmpiricalMgf:
         f = cb.make_observable([1.0, -1.0], mu)
         theta, t = 0.3, 2.0
         exact = cb.exact_mgf(Q, mu, f, theta, t)
-        cfg = cb.SimConfig(replicas=20_000, seed=9, init=mu, t=t, theta=theta)
-        rep = cb.empirical_mgf(cfg, Q, f)
+        cfg = cb.SimConfig(replicas=20_000, seed=9, init=mu, t=t)
+        rep = cb.empirical_mgf(cfg, Q, f, theta)
         assert rep.ci_low <= exact <= rep.ci_high
 
     def test_heavy_tail_flagged(self):
@@ -828,8 +880,8 @@ class TestEmpiricalMgf:
         P = cb.validate_transition_matrix([[0.99, 0.01], [0.99, 0.01]])
         mu = cb.stationary_distribution(P)
         f = cb.make_observable([0.0, 30.0], mu, auto_center=True)
-        cfg = cb.SimConfig(replicas=400, seed=12, init=mu, n=1, theta=1.0)
-        rep = cb.empirical_mgf(cfg, P, f)
+        cfg = cb.SimConfig(replicas=400, seed=12, init=mu, n=1)
+        rep = cb.empirical_mgf(cfg, P, f, 1.0)
         assert rep.heavy_tail
 
     def test_report_roundtrip(self):
@@ -839,8 +891,8 @@ class TestEmpiricalMgf:
         bound = cb.tail_bound(
             cb.BoundQuery(mode="discrete", n=10, delta=0.2, M=1.0, sigma2=0.5, eta_p=0.6)
         )
-        cfg = cb.SimConfig(replicas=100, seed=1, init=mu, n=10, delta=0.2)
-        rep = cb.empirical_tail(cfg, P, f, bound=bound)
+        cfg = cb.SimConfig(replicas=100, seed=1, init=mu, n=10)
+        (rep,) = cb.empirical_tail(cfg, P, f, [0.2], [bound])
         blob = json.dumps(rep.to_dict())
         assert json.loads(blob) == rep.to_dict() == dataclasses.asdict(rep)
 
