@@ -14,7 +14,6 @@ from .bounds import (
     c_theta,
     mgf_bound,
     optimal_theta,
-    sweep_to_csv,
     tail_bound,
 )
 from .chain_core import (
@@ -43,8 +42,6 @@ from .exact_oracle import (
     exact_mgf,
     exact_tail_discrete,
     matrix_exponential,
-    verify_a_prime_identity,
-    verify_laplacian_identity,
 )
 from .simulate import (
     SimConfig,
@@ -52,7 +49,6 @@ from .simulate import (
     clopper_pearson,
     empirical_mgf,
     empirical_tail,
-    replica_rng,
 )
 from .spectral import (
     GapReport,
@@ -61,10 +57,8 @@ from .spectral import (
     embed_weighted,
     gap_report,
     ip_gap,
-    ip_gap_minimizer,
     numerical_radius_complex,
     numerical_radius_real,
-    verify_iterated_poincare,
 )
 
 __version__ = "0.1.0"
@@ -98,7 +92,6 @@ __all__ = [
     "exact_tail_discrete",
     "gap_report",
     "ip_gap",
-    "ip_gap_minimizer",
     "is_irreducible",
     "load_chain",
     "make_distribution",
@@ -110,13 +103,8 @@ __all__ = [
     "optimal_theta",
     "parse_chain",
     "radon_nikodym_norm",
-    "replica_rng",
     "stationary_distribution",
-    "sweep_to_csv",
     "tail_bound",
     "validate_generator",
     "validate_transition_matrix",
-    "verify_a_prime_identity",
-    "verify_iterated_poincare",
-    "verify_laplacian_identity",
 ]

@@ -20,13 +20,11 @@ are returned with a ``vacuous`` flag, never clamped.
 from __future__ import annotations
 
 import dataclasses
-import io
 import math
 from dataclasses import dataclass
 
 from .errors import InvalidQuery, ThetaOutOfRange
 
-SWEEP_CSV_HEADER = "axis,value,exponent,bound,theta,c_theta,vacuous"
 _SWEEP_AXES = ("n", "t", "delta", "eta_p")
 
 
@@ -120,16 +118,6 @@ class BoundResult:
     c_theta: float
     vacuous: bool
     boundary_limit: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "probability_bound": self.probability_bound,
-            "exponent": self.exponent,
-            "theta_used": self.theta_used,
-            "c_theta": self.c_theta,
-            "vacuous": self.vacuous,
-            "boundary_limit": self.boundary_limit,
-        }
 
 
 def c_theta(theta: float, M: float, eta_p: float) -> float:
@@ -238,14 +226,3 @@ def bound_sweep(query_template: BoundQuery, sweep_axis: str, values) -> list[Bou
         raise InvalidQuery("; ".join(row_errors))
     return results
 
-
-def sweep_to_csv(sweep_axis: str, values, results: list[BoundResult]) -> str:
-    """Render sweep results as CSV with round-trip float precision."""
-    out = io.StringIO()
-    out.write(SWEEP_CSV_HEADER + "\n")
-    for value, res in zip(values, results):
-        out.write(
-            f"{sweep_axis},{value!r},{res.exponent!r},{res.probability_bound!r},"
-            f"{res.theta_used!r},{res.c_theta!r},{'true' if res.vacuous else 'false'}\n"
-        )
-    return out.getvalue()

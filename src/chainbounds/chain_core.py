@@ -527,11 +527,15 @@ def parse_chain(obj) -> ChainData:
     return ChainData(op, mu, nu, f_values)
 
 
-def load_chain(path) -> ChainData:
-    """Read and validate a chain JSON file."""
+def _read_json(path):
+    """The document of a JSON file; malformed JSON is a SchemaError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"invalid JSON: {exc}") from exc
-    return parse_chain(obj)
+
+
+def load_chain(path) -> ChainData:
+    """Read and validate a chain JSON file."""
+    return parse_chain(_read_json(path))

@@ -8,6 +8,7 @@ error (with a machine-readable JSON object on stderr).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -18,6 +19,7 @@ from . import bounds as bounds_mod
 from . import examples as examples_mod
 from .chain_core import (
     ChainData,
+    _read_json,
     _schema_array,
     check_invariant,
     load_chain,
@@ -37,6 +39,7 @@ from .spectral import (
 )
 
 VERIFY_CSV_HEADER = "param,estimate,ci_low,ci_high,bound,consistent"
+SWEEP_CSV_HEADER = "axis,value,exponent,bound,theta,c_theta,vacuous"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,9 +112,13 @@ def _horizon(chain: ChainData, args) -> dict:
     if chain.kind == "discrete":
         if args.n is None:
             raise SchemaError("discrete chains need --n")
+        if args.t is not None:
+            raise SchemaError("discrete chains take --n, not --t")
         return {"n": args.n}
     if args.t is None:
         raise SchemaError("jump processes need --t")
+    if args.n is not None:
+        raise SchemaError("jump processes take --t, not --n")
     return {"t": args.t}
 
 
@@ -134,9 +141,8 @@ def _cmd_gaps(args) -> int:
     mu = _resolve_mu(chain)
     report = gap_report(chain.operator, mu, k_max=args.pseudo_kmax)
     if args.output_format == "human":
-        d = report.to_dict()
         for key in ("eta_p", "eta_s", "eta_a", "eta"):
-            print(f"{key} = {d[key]}")
+            print(f"{key} = {getattr(report, key)}")
         if report.pseudo is not None:
             print(
                 f"pseudo gap (k <= {report.pseudo.k_max}, lower bound) = "
@@ -144,7 +150,7 @@ def _cmd_gaps(args) -> int:
             )
         print(f"degenerate = {_bool_csv(report.degenerate)}")
     else:
-        _emit_json(report.to_dict())
+        _emit_json(dataclasses.asdict(report))
     return 0
 
 
@@ -165,11 +171,10 @@ def _query_from_args(args, delta=None, n=None, t=None) -> bounds_mod.BoundQuery:
 def _cmd_bound(args) -> int:
     result = bounds_mod.tail_bound(_query_from_args(args))
     if args.output_format == "human":
-        d = result.to_dict()
-        for key, value in d.items():
+        for key, value in dataclasses.asdict(result).items():
             print(f"{key} = {value}")
     else:
-        _emit_json(result.to_dict())
+        _emit_json(dataclasses.asdict(result))
     return 0
 
 
@@ -190,7 +195,8 @@ def _cmd_mgf(args) -> int:
         bound = bounds_mod.mgf_bound(chain.kind, theta, length, obs.M, sigma, eta)
     empirical = None
     if config is not None:
-        empirical = empirical_mgf(config, chain.operator, obs, theta, bound=bound).to_dict()
+        empirical = dataclasses.asdict(
+            empirical_mgf(config, chain.operator, obs, theta, bound=bound))
     out = {
         "mode": chain.kind,
         **horizon,
@@ -238,7 +244,7 @@ def _cmd_verify(args) -> int:
     all_consistent = all(report.consistent for _, report in rows)
     if args.output_format == "json":
         _emit_json([
-            {"param": delta, **report.to_dict()} for delta, report in rows
+            {"param": delta, **dataclasses.asdict(report)} for delta, report in rows
         ])
     else:
         print(VERIFY_CSV_HEADER)
@@ -248,6 +254,16 @@ def _cmd_verify(args) -> int:
                 f"{report.bound_compared.probability_bound!r},{_bool_csv(report.consistent)}"
             )
     return 0 if all_consistent else 1
+
+
+def sweep_to_csv(sweep_axis: str, values, results: list[bounds_mod.BoundResult]) -> str:
+    """Render sweep results as CSV with round-trip float precision."""
+    rows = [SWEEP_CSV_HEADER] + [
+        f"{sweep_axis},{value!r},{res.exponent!r},{res.probability_bound!r},"
+        f"{res.theta_used!r},{res.c_theta!r},{_bool_csv(res.vacuous)}"
+        for value, res in zip(values, results)
+    ]
+    return "".join(row + "\n" for row in rows)
 
 
 def _cmd_sweep(args) -> int:
@@ -268,20 +284,16 @@ def _cmd_sweep(args) -> int:
     results = bounds_mod.bound_sweep(_query_from_args(args, **seed_kwargs), args.axis, typed)
     if args.output_format == "json":
         _emit_json([
-            {"axis": args.axis, "value": v, **r.to_dict()}
+            {"axis": args.axis, "value": v, **dataclasses.asdict(r)}
             for v, r in zip(typed, results)
         ])
     else:
-        sys.stdout.write(bounds_mod.sweep_to_csv(args.axis, typed, results))
+        sys.stdout.write(sweep_to_csv(args.axis, typed, results))
     return 0
 
 
 def _load_matrix_file(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc}") from exc
+    obj = _read_json(path)
     if isinstance(obj, dict):
         if set(obj) != {"B"}:
             raise SchemaError('matrix document must be a bare 2D array or {"B": [[...]]}')

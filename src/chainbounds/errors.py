@@ -80,10 +80,6 @@ class DegenerateStateSpace(ChainBoundsError):
     """Gap undefined: the mean-zero subspace of a 1-state space is {0}."""
 
 
-class GapZero(ChainBoundsError):
-    """Variance inequality is vacuous because the gap is zero."""
-
-
 class ThetaOutOfRange(ChainBoundsError):
     def __init__(self, theta: float, limit: float):
         self.theta, self.limit = theta, limit

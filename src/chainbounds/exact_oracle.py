@@ -12,9 +12,7 @@ stays linear in n, at a much smaller constant. Jump-process MGFs use the
 Feynman-Kac matrix exponential ``exp(t (Q + theta diag(f)))``.
 Small-instance tail probabilities are computed exactly by dynamic
 programming on a common value grid, or by full path enumeration below a
-path-count cap. The module also numerically verifies the two structural
-identities behind the moment bounds (the action of P - I on conditional
-MGFs, and the time derivative of the continuous MGF).
+path-count cap.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +28,6 @@ from .chain_core import (
     GeneratorMatrix,
     TransitionMatrix,
     observable_values,
-    stationary_distribution,
 )
 from .errors import DimensionMismatch, InvalidQuery, Overflow, TooLarge
 
@@ -192,18 +188,13 @@ def exact_log_mgf(op, init: Distribution, f, theta: float, horizon) -> float:
 def _expand_paths(P: TransitionMatrix, start, n_steps: int, fv: np.ndarray):
     """Expand all paths with ``n_steps`` transitions, pruning zero mass.
 
-    ``start`` is a state index or an initial weight vector. Returns
-    ``(probs, totals, last)`` where ``totals`` sums fv over all
-    ``n_steps + 1`` visited states and ``last`` is the final state of each
-    path.
+    ``start`` is the initial weight vector. Returns ``(probs, totals,
+    last)`` where ``totals`` sums fv over all ``n_steps + 1`` visited states
+    and ``last`` is the final state of each path.
     """
     m = P.n_states
-    if isinstance(start, (int, np.integer)):
-        probs = np.ones(1)
-        last = np.full(1, int(start), dtype=np.int64)
-    else:
-        probs = np.asarray(start, dtype=float).copy()
-        last = np.arange(m, dtype=np.int64)
+    probs = np.asarray(start, dtype=float).copy()
+    last = np.arange(m, dtype=np.int64)
     totals = fv[last].astype(float)
     for _ in range(n_steps):
         probs = (probs[:, None] * P.entries[last, :]).ravel()
@@ -213,52 +204,6 @@ def _expand_paths(P: TransitionMatrix, start, n_steps: int, fv: np.ndarray):
         if not keep.all():
             probs, totals, last = probs[keep], totals[keep], last[keep]
     return probs, totals, last
-
-
-class LaplacianCheck(NamedTuple):
-    lhs: float
-    rhs: float
-    gap: float
-
-
-def verify_laplacian_identity(
-    P: TransitionMatrix, f, theta: float, n: int, z: int
-) -> LaplacianCheck:
-    """Check the action of P - I on the conditional MGF at state z.
-
-    The left side is ``(P G_n - G_n)(z)`` from transfer products. The right
-    side enumerates all length-(n+1) paths from z and evaluates, per path,
-    ``prob * theta (f(z_{n+1}) - f(z_1)) * (e^B - e^A)/(B - A)`` with
-    A, B the theta-scaled sums over the first and last n states (the
-    interpolation factor degenerates to e^A when B = A). The two agree to
-    floating error; ``gap`` must stay below 1e-10 * max(1, |lhs|) on sane
-    inputs.
-
-    Raises
-    ------
-    TooLarge
-        When |states|^(n+1) exceeds the enumeration cap.
-    """
-    fv = _match(P, f)
-    m = P.n_states
-    if not 0 <= z < m:
-        raise DimensionMismatch(f"state index {z} out of range")
-    if m ** (n + 1) > PATH_ENUMERATION_CAP:
-        raise TooLarge(f"{m}^{n + 1} paths exceed the cap {PATH_ENUMERATION_CAP}")
-    G = conditional_mgf(P, fv, theta, n).values
-    lhs = float((P.entries @ G - G)[z])
-
-    # totals cover z_{1:n+1}; the head sum drops the last state, the tail
-    # sum drops the first (which is the fixed start z)
-    probs, totals, last = _expand_paths(P, z, n, fv)
-    A = theta * (totals - fv[last])
-    B = theta * (totals - fv[z])
-    d = B - A
-    base = np.exp(A)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        interp = np.where(np.abs(d) > 1e-300, base * np.expm1(d) / d, base)
-    rhs = float(np.sum(probs * theta * (fv[last] - fv[z]) * interp))
-    return LaplacianCheck(lhs, rhs, abs(lhs - rhs))
 
 
 def matrix_exponential(A, t: float = 1.0) -> np.ndarray:
@@ -282,43 +227,6 @@ def matrix_exponential(A, t: float = 1.0) -> np.ndarray:
     if not np.isfinite(out).all():
         raise Overflow("exp(tA) overflowed double precision")
     return out
-
-
-class APrimeCheck(NamedTuple):
-    lhs: float
-    rhs: float
-    gap: float
-
-
-def verify_a_prime_identity(
-    Q: GeneratorMatrix,
-    f,
-    theta: float,
-    t: float,
-    mu: Distribution | None = None,
-) -> APrimeCheck:
-    """Check d/dt of the stationary MGF against its closed form.
-
-    With a(t) the MGF started from mu, the derivative equals
-    ``sum_z mu(z) theta f(z) G_t(z)``. The left side is a central finite
-    difference with step ~6e-6 max(1, t); the gap should stay below
-    max(1e-6, 1e-4 |lhs|).
-    """
-    if t <= 0:
-        raise DimensionMismatch("t must be > 0")
-    fv = _match(Q, f)
-    if mu is None:
-        mu = stationary_distribution(Q)
-    ones = np.ones(Q.n_states)
-    expm_t = _feynman_kac(Q, fv, theta, t)
-    h = 6e-6 * max(1.0, abs(t))
-    step_fwd = _feynman_kac(Q, fv, theta, h)
-    step_bwd = _feynman_kac(Q, fv, theta, -h)
-    a_fwd = float(mu.weights @ (expm_t @ step_fwd) @ ones)
-    a_bwd = float(mu.weights @ (expm_t @ step_bwd) @ ones)
-    lhs = (a_fwd - a_bwd) / (2.0 * h)
-    rhs = float(np.sum(mu.weights * theta * fv * (expm_t @ ones)))
-    return APrimeCheck(lhs, rhs, abs(lhs - rhs))
 
 
 def _common_grid(fv: np.ndarray):
@@ -388,12 +296,12 @@ def exact_tail_discrete(
         When neither route fits its cap.
     InvalidQuery
         When delta is NaN.
+    DimensionMismatch
+        When P is not a transition matrix.
     """
-    fv = _match(P, f)
-    if init.n_states != P.n_states:
-        raise DimensionMismatch("init distribution does not match the chain")
-    if n < 1:
-        raise DimensionMismatch("horizon n must be >= 1")
+    if not isinstance(P, TransitionMatrix):
+        raise DimensionMismatch(f"exact tails need a transition matrix, not {type(P).__name__}")
+    fv = _checked(P, f, 0.0, n, init)
     if math.isnan(delta):
         raise InvalidQuery("delta must not be NaN")
     if delta <= 0:

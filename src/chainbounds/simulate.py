@@ -131,19 +131,6 @@ def _key_rng(key) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
-def replica_rng(seed: int, replica: int) -> np.random.Generator:
-    """Counter-based generator for one replica, stable across run sizes.
-
-    It draws exactly what ``Philox(SeedSequence(seed, spawn_key=(replica,)))``
-    draws. The key comes from the vectorised pass that keys whole runs
-    (``_replica_keys``).
-    """
-    replica = operator.index(replica)
-    if not 0 <= replica < 1 << 64:
-        raise InvalidQuery(f"replica ids lie in [0, 2**64), got {replica}")
-    return _key_rng(_replica_keys(seed, np.array([replica], dtype=np.uint64)).tolist()[0])
-
-
 class _Repointed:
     """One Philox generator that ``at`` and ``random_rows`` re-point to replica streams.
 
@@ -232,23 +219,6 @@ class SimReport:
     bound_compared: Union[BoundResult, float, None] = None
     consistent: bool | None = None
     heavy_tail: bool = False
-
-    def to_dict(self) -> dict:
-        if isinstance(self.bound_compared, BoundResult):
-            bound = self.bound_compared.to_dict()
-        else:
-            bound = self.bound_compared
-        return {
-            "kind": self.kind,
-            "estimate": self.estimate,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "replicas_used": self.replicas_used,
-            "seed": self.seed,
-            "bound_compared": bound,
-            "consistent": self.consistent,
-            "heavy_tail": self.heavy_tail,
-        }
 
 
 def clopper_pearson(successes: int, trials: int, alpha: float = DEFAULT_ALPHA):

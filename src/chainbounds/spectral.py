@@ -21,7 +21,6 @@ iteration of Mengi & Overton (2005) over the phase of the Hermitian part.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,13 +32,11 @@ from .chain_core import (
     _as_square,
     _check_mu_positive,
     check_invariant,
-    observable_values,
     stationary_distribution,
 )
 from .errors import (
     DegenerateStateSpace,
     DimensionMismatch,
-    GapZero,
     SolverFailure,
 )
 
@@ -133,18 +130,6 @@ def ip_gap(op: ChainOperator, mu: Distribution) -> float:
     return _ip_gap(embed_weighted(op, mu))
 
 
-def ip_gap_minimizer(op: ChainOperator, mu: Distribution):
-    """Gap together with a minimizing mean-zero direction h (state space).
-
-    Returns ``(eta_p, h)`` where h attains
-    ``||L h||_mu = eta_p ||h||_mu`` with E_mu[h] = 0.
-    """
-    _require_multi_state(mu)
-    W = embed_weighted(op, mu)
-    sv, vt = np.linalg.svd(_deflated(W))[1:]
-    return _smallest_sv(sv), vt[-1] / W.sqrt_mu
-
-
 def _norm_sq(a: np.ndarray) -> float:
     # ||P^k||_mu^2 on mean-zero functions for a = A^k, clamped to [0, 1]
     # since P contracts the mu-norm. Taken from the Gram of a: the deflated
@@ -174,9 +159,6 @@ class PseudoGapResult:
     k: int
     k_max: int
 
-    def to_dict(self) -> dict:
-        return {"value": self.value, "k": self.k, "k_max": self.k_max}
-
 
 def _pseudo_gap(centred: np.ndarray, norm_sq: float, k_max: int) -> PseudoGapResult:
     # max over 1 <= k <= k_max of gap((P*)^k P^k) / k, a lower bound on the
@@ -199,47 +181,6 @@ def _pseudo_gap(centred: np.ndarray, norm_sq: float, k_max: int) -> PseudoGapRes
         if value > best_value:
             best_value, best_k = value, k
     return PseudoGapResult(best_value, best_k, k_max)
-
-
-class PoincareCheck(NamedTuple):
-    lhs: float
-    rhs: float
-    holds: bool
-
-
-def verify_iterated_poincare(
-    op: ChainOperator, mu: Distribution, h, eta_p: float | None = None
-) -> PoincareCheck:
-    """Check ``Var_mu[h] <= eta_p^(-2) E_mu[(L h)^2]`` for a given h.
-
-    ``L`` is P - I for a transition matrix and Q itself for a generator.
-    The gap is computed unless supplied. Slack 1e-9 relative to the right
-    side absorbs floating error.
-
-    Raises
-    ------
-    GapZero
-        When the gap is zero and Var_mu[h] > 0 (inequality vacuous).
-    """
-    hv = observable_values(h)
-    w = mu.weights
-    if hv.size != w.size:
-        raise DimensionMismatch("h does not match the state space")
-    if eta_p is None:
-        eta_p = ip_gap(op, mu)
-    if isinstance(op, TransitionMatrix):
-        lh = op.entries @ hv - hv
-    else:
-        lh = op.entries @ hv
-    mean = float(w @ hv)
-    lhs = float(w @ hv**2) - mean**2
-    energy = float(w @ lh**2)
-    if eta_p == 0.0:
-        if lhs > 1e-12 * max(1.0, float(hv @ hv)):
-            raise GapZero("gap is zero; the variance inequality is vacuous")
-        return PoincareCheck(lhs, np.inf, True)
-    rhs = energy / eta_p**2
-    return PoincareCheck(lhs, rhs, lhs <= rhs + 1e-9 * max(1.0, rhs))
 
 
 _RADIUS_BUDGET = 1 << 20  # complex entries per phase batch of _radius_at
@@ -393,17 +334,6 @@ class GapReport:
             raise ArithmeticError(
                 f"gap caps violated: eta_p = {self.eta_p}, eta_a = {self.eta_a}"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "eta_p": self.eta_p,
-            "eta_s": self.eta_s,
-            "eta_a": self.eta_a,
-            "eta": self.eta,
-            "pseudo": None if self.pseudo is None else self.pseudo.to_dict(),
-            "degenerate": self.degenerate,
-            "tolerances": dict(self.tolerances),
-        }
 
 
 def _tolerances() -> dict:

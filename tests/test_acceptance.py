@@ -16,6 +16,8 @@ import chainbounds as cb
 from chainbounds import cli
 from chainbounds.examples import ZERO_ABSOLUTE_GAP_ROWS, zero_absolute_gap_chain
 from conftest import random_centered_observable, random_generator, random_transition
+from test_exact_oracle import verify_a_prime_identity, verify_laplacian_identity
+from test_spectral import ip_gap_minimizer, verify_iterated_poincare
 
 
 @contextlib.contextmanager
@@ -67,7 +69,7 @@ def test_criterion_3_iterated_poincare():
             P = random_transition(rng, n)
             mu = cb.stationary_distribution(P)
             w = mu.weights
-            eta_p, h_min = cb.ip_gap_minimizer(P, mu)
+            eta_p, h_min = ip_gap_minimizer(P, mu)
             # vectorized batch of 100 random h
             H = rng.normal(size=(n, 100))
             means = w @ H
@@ -75,7 +77,7 @@ def test_criterion_3_iterated_poincare():
             LH = P.entries @ H - H
             rhs = (w @ LH**2) / eta_p**2
             assert (lhs <= rhs * (1 + 1e-9) + 1e-15).all()
-            chk = cb.verify_iterated_poincare(P, mu, h_min, eta_p=eta_p)
+            chk = verify_iterated_poincare(P, mu, h_min, eta_p=eta_p)
             assert chk.holds
             assert abs(chk.lhs - chk.rhs) <= 1e-8 * max(1.0, chk.rhs)
 
@@ -206,7 +208,7 @@ def test_criterion_8_structural_identities():
             theta = float(rng.uniform(-1.0, 1.0))
             n = int(rng.integers(1, 5))
             z = int(rng.integers(3))
-            chk = cb.verify_laplacian_identity(P, fv, theta, n, z)
+            chk = verify_laplacian_identity(P, fv, theta, n, z)
             assert chk.gap <= 1e-10 * max(1.0, abs(chk.lhs))
         for _ in range(20):
             Q = random_generator(rng, int(rng.integers(2, 5)))
@@ -214,7 +216,7 @@ def test_criterion_8_structural_identities():
             f = random_centered_observable(rng, mu)
             theta = float(rng.uniform(-0.5, 0.5))
             t = float(rng.uniform(0.2, 2.0))
-            chk = cb.verify_a_prime_identity(Q, f, theta, t, mu)
+            chk = verify_a_prime_identity(Q, f, theta, t, mu)
             assert chk.gap <= 1e-6
 
 

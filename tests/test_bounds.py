@@ -7,7 +7,7 @@ import pytest
 
 import chainbounds as cb
 from chainbounds import errors
-from chainbounds.bounds import SWEEP_CSV_HEADER
+from chainbounds.cli import SWEEP_CSV_HEADER, sweep_to_csv
 
 
 def _query(**overrides):
@@ -366,8 +366,8 @@ class TestQueryValidation:
 
     def test_result_roundtrip(self):
         res = cb.tail_bound(_query())
-        blob = json.dumps(res.to_dict())
-        assert json.loads(blob) == res.to_dict() == dataclasses.asdict(res)
+        blob = json.dumps(dataclasses.asdict(res))
+        assert json.loads(blob) == dataclasses.asdict(res)
 
 
 class TestMonotonicity:
@@ -425,7 +425,7 @@ class TestBoundSweep:
     def test_csv_shape(self):
         values = [1000, 2000]
         rows = cb.bound_sweep(_query(), "n", values)
-        csv = cb.sweep_to_csv("n", values, rows)
+        csv = sweep_to_csv("n", values, rows)
         lines = csv.strip().split("\n")
         assert lines[0] == SWEEP_CSV_HEADER
         first = lines[1].split(",")

@@ -278,6 +278,145 @@ def test_sampler_output_matches_golden(name, tmp_path, capsys):
     assert capsys.readouterr().out == expected
 
 
+# `gaps --output-format human` stdout, byte for byte: a non-reversible chain,
+# a reversible one (eta is printed) and a jump process (no pseudo gap line)
+GOLDEN_GAPS_HUMAN = {
+    "chain": (
+        {"labels": ["0", "1", "2"], "P": GOLDEN_GAPS["best-k-1"][0]},
+        """eta_p = 0.6928203230275505
+eta_s = 0.6922649730810375
+eta_a = 0.6906038252386791
+eta = None
+pseudo gap (k <= 20, lower bound) = 0.9042740070430622 at k = 1
+degenerate = false
+""",
+    ),
+    "reversible": (
+        {"labels": ["a", "b"], "P": [[0.7, 0.3], [0.4, 0.6]]},
+        """eta_p = 0.7000000000000003
+eta_s = 0.7
+eta_a = 0.7
+eta = 0.7
+pseudo gap (k <= 20, lower bound) = 0.91 at k = 1
+degenerate = false
+""",
+    ),
+    "jump": (
+        _JUMP_DOC,
+        """eta_p = 2.257842677588062
+eta_s = None
+eta_a = None
+eta = None
+degenerate = false
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_GAPS_HUMAN))
+def test_gaps_human_matches_golden(name, tmp_path, capsys):
+    doc, expected = GOLDEN_GAPS_HUMAN[name]
+    rc = cli.main(["gaps", _chain_file(tmp_path, doc), "--output-format", "human"])
+    assert rc == 0
+    assert capsys.readouterr().out == expected
+
+
+_SWEEP_ROW = """    "vacuous": true,
+    "boundary_limit": false
+  },
+"""
+
+# `bound` and `sweep` stdout, byte for byte: the key order of every JSON
+# object and human listing, and the CSV renderer
+GOLDEN_BOUNDS = {
+    "bound-json": (
+        ["bound", "--mode", "discrete", "--n", "500", "--delta", "0.1", "--M", "1",
+         "--sigma2", "0.5", "--eta-p", "0.6", "--p", "3", "--nu-norm", "1.5"],
+        """{
+  "probability_bound": 2.6442394084656136,
+  "exponent": -0.12622882294670723,
+  "theta_used": 0.005049152917868287,
+  "c_theta": 0.9996812748923027,
+  "vacuous": true,
+  "boundary_limit": false
+}
+""",
+    ),
+    "bound-boundary-json": (
+        ["bound", "--mode", "continuous", "--t", "40", "--delta", "0.25", "--M", "2",
+         "--sigma2", "0", "--eta-p", "0.3"],
+        """{
+  "probability_bound": 1.3745785575819445,
+  "exponent": -0.375,
+  "theta_used": 0.075,
+  "c_theta": 0.0,
+  "vacuous": true,
+  "boundary_limit": true
+}
+""",
+    ),
+    "bound-human": (
+        ["bound", "--mode", "continuous", "--t", "40", "--delta", "0.25", "--M", "2",
+         "--sigma2", "0.7", "--eta-p", "0.3", "--output-format", "human"],
+        """probability_bound = 1.8921918315675663
+exponent = -0.055411324178019535
+theta_used = 0.011082264835603907
+c_theta = 0.9890227190841618
+vacuous = True
+boundary_limit = False
+""",
+    ),
+    "sweep-csv": (
+        ["sweep", "--mode", "discrete", "--delta", "0.1", "--M", "1", "--sigma2", "0.5",
+         "--eta-p", "0.6", "--axis", "n", "--values", "10,100,100000"],
+        """axis,value,exponent,bound,theta,c_theta,vacuous
+n,10,-0.0037868646884012167,1.9924405928828424,0.007573729376802431,0.9996812748923027,true
+n,100,-0.03786864688401217,1.9256788090826056,0.007573729376802431,0.9996812748923027,true
+n,100000,-37.86864688401217,7.159548193009266e-17,0.007573729376802431,0.9996812748923027,false
+""",
+    ),
+    "sweep-json": (
+        ["sweep", "--mode", "continuous", "--t", "30", "--M", "1", "--sigma2", "0.25",
+         "--eta-p", "0.8", "--axis", "delta", "--values", "0,0.05,0.5",
+         "--output-format", "json"],
+        """[
+  {
+    "axis": "delta",
+    "value": 0.0,
+    "probability_bound": 2.0,
+    "exponent": 0.0,
+    "theta_used": 0.0,
+    "c_theta": 1.0,
+""" + _SWEEP_ROW + """  {
+    "axis": "delta",
+    "value": 0.05,
+    "probability_bound": 1.9702607521272015,
+    "exponent": -0.014981285083167673,
+    "theta_used": 0.019975046777556897,
+    "c_theta": 0.9987523388778446,
+""" + _SWEEP_ROW + """  {
+    "axis": "delta",
+    "value": 0.5,
+    "probability_bound": 0.5228327760349069,
+    "exponent": -1.3416407864998738,
+    "theta_used": 0.17888543819998318,
+    "c_theta": 0.8944271909999159,
+    "vacuous": false,
+    "boundary_limit": false
+  }
+]
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BOUNDS))
+def test_bound_output_matches_golden(name, capsys):
+    argv, expected = GOLDEN_BOUNDS[name]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
 @pytest.mark.parametrize("argv", [
     ["mgf", "--theta", "0.2", "--n", "10", "--replicas", "10", "--seed", "-1"],
     ["verify", "--n", "10", "--delta-grid", "0.1", "--replicas", "10", "--seed", "-1"],
@@ -306,6 +445,24 @@ def test_negative_seed_fails_before_gap_bound_and_oracle(argv, tmp_path, capsys,
 
 _JUMP_2 = {"labels": ["x", "y"], "Q": [[-1, 1], [2, -2]], "f": [1, -1]}
 _BOUND_FLAGS = ["--M", "1", "--sigma2", "0.5", "--eta-p", "1", "--delta", "0.1"]
+
+
+@pytest.mark.parametrize("command", [
+    ["mgf", "--theta", "0.2"],
+    ["verify", "--delta-grid", "0.1", "--replicas", "10"],
+], ids=["mgf", "verify"])
+@pytest.mark.parametrize("doc,flags,message", [
+    ({"labels": ["a", "b"], "P": [[0.5, 0.5], [0.5, 0.5]], "f": [1, -1]},
+     ["--n", "10", "--t", "5"], "discrete chains take --n, not --t"),
+    (_JUMP_2, ["--t", "5", "--n", "7"], "jump processes take --t, not --n"),
+], ids=["chain", "jump"])
+def test_other_time_scale_horizon_rejected(command, doc, flags, message, tmp_path, capsys):
+    rc = cli.main([command[0], _chain_file(tmp_path, doc), *command[1:], *flags])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert json.loads(captured.err.splitlines()[-1]) == {
+        "error": "SchemaError", "message": message}
 
 
 class TestNonFiniteHorizon:

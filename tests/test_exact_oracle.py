@@ -1,5 +1,6 @@
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,6 +13,82 @@ from conftest import random_generator, random_transition
 
 def _uniform(n):
     return cb.make_distribution(np.full(n, 1.0 / n))
+
+
+# The two structural identities behind the moment bounds: the action of
+# P - I on conditional MGFs, and the time derivative of the continuous MGF.
+# They check steps of the proof, not answers, so they live with the tests.
+
+
+class LaplacianCheck(NamedTuple):
+    lhs: float
+    rhs: float
+    gap: float
+
+
+def verify_laplacian_identity(P, f, theta: float, n: int, z: int) -> LaplacianCheck:
+    """Check the action of P - I on the conditional MGF at state z.
+
+    The left side is ``(P G_n - G_n)(z)`` from transfer products. The right
+    side enumerates all length-(n+1) paths from z and evaluates, per path,
+    ``prob * theta (f(z_{n+1}) - f(z_1)) * (e^B - e^A)/(B - A)`` with
+    A, B the theta-scaled sums over the first and last n states (the
+    interpolation factor degenerates to e^A when B = A). The two agree to
+    floating error; ``gap`` must stay below 1e-10 * max(1, |lhs|) on sane
+    inputs. Raises TooLarge when |states|^(n+1) exceeds the enumeration cap.
+    """
+    fv = exact_oracle._match(P, f)
+    m = P.n_states
+    if not 0 <= z < m:
+        raise errors.DimensionMismatch(f"state index {z} out of range")
+    cap = exact_oracle.PATH_ENUMERATION_CAP
+    if m ** (n + 1) > cap:
+        raise errors.TooLarge(f"{m}^{n + 1} paths exceed the cap {cap}")
+    G = cb.conditional_mgf(P, fv, theta, n).values
+    lhs = float((P.entries @ G - G)[z])
+
+    # totals cover z_{1:n+1}; the head sum drops the last state, the tail
+    # sum drops the first (which is the fixed start z)
+    probs, totals, last = exact_oracle._expand_paths(P, np.eye(m)[z], n, fv)
+    A = theta * (totals - fv[last])
+    B = theta * (totals - fv[z])
+    d = B - A
+    base = np.exp(A)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        interp = np.where(np.abs(d) > 1e-300, base * np.expm1(d) / d, base)
+    rhs = float(np.sum(probs * theta * (fv[last] - fv[z]) * interp))
+    return LaplacianCheck(lhs, rhs, abs(lhs - rhs))
+
+
+class APrimeCheck(NamedTuple):
+    lhs: float
+    rhs: float
+    gap: float
+
+
+def verify_a_prime_identity(Q, f, theta: float, t: float, mu=None) -> APrimeCheck:
+    """Check d/dt of the stationary MGF against its closed form.
+
+    With a(t) the MGF started from mu, the derivative equals
+    ``sum_z mu(z) theta f(z) G_t(z)``. The left side is a central finite
+    difference with step ~6e-6 max(1, t); the gap should stay below
+    max(1e-6, 1e-4 |lhs|).
+    """
+    if t <= 0:
+        raise errors.DimensionMismatch("t must be > 0")
+    fv = exact_oracle._match(Q, f)
+    if mu is None:
+        mu = cb.stationary_distribution(Q)
+    ones = np.ones(Q.n_states)
+    expm_t = exact_oracle._feynman_kac(Q, fv, theta, t)
+    h = 6e-6 * max(1.0, abs(t))
+    step_fwd = exact_oracle._feynman_kac(Q, fv, theta, h)
+    step_bwd = exact_oracle._feynman_kac(Q, fv, theta, -h)
+    a_fwd = float(mu.weights @ (expm_t @ step_fwd) @ ones)
+    a_bwd = float(mu.weights @ (expm_t @ step_bwd) @ ones)
+    lhs = (a_fwd - a_bwd) / (2.0 * h)
+    rhs = float(np.sum(mu.weights * theta * fv * (expm_t @ ones)))
+    return APrimeCheck(lhs, rhs, abs(lhs - rhs))
 
 
 def _brute_conditional(P, fv, theta, n, z):
@@ -283,14 +360,14 @@ class TestConditionalMgf:
 class TestLaplacianIdentity:
     def test_constant_f_trivial(self):
         P = zero_absolute_gap_chain()
-        chk = cb.verify_laplacian_identity(P, np.zeros(4), 0.9, 3, 0)
+        chk = verify_laplacian_identity(P, np.zeros(4), 0.9, 3, 0)
         assert chk.lhs == pytest.approx(0.0, abs=1e-15)
         assert chk.rhs == pytest.approx(0.0, abs=1e-15)
 
     def test_theta_zero_trivial(self):
         rng = np.random.default_rng(2)
         P = random_transition(rng, 3)
-        chk = cb.verify_laplacian_identity(P, rng.normal(size=3), 0.0, 3, 1)
+        chk = verify_laplacian_identity(P, rng.normal(size=3), 0.0, 3, 1)
         assert chk.lhs == pytest.approx(0.0, abs=1e-14)
         assert chk.gap <= 1e-14
 
@@ -302,14 +379,14 @@ class TestLaplacianIdentity:
             theta = float(rng.uniform(-1, 1))
             n = int(rng.integers(1, 5))
             z = int(rng.integers(3))
-            chk = cb.verify_laplacian_identity(P, fv, theta, n, z)
+            chk = verify_laplacian_identity(P, fv, theta, n, z)
             assert chk.gap <= 1e-10 * max(1.0, abs(chk.lhs))
 
     def test_enumeration_cap(self):
         rng = np.random.default_rng(1)
         P = random_transition(rng, 10)
         with pytest.raises(errors.TooLarge):
-            cb.verify_laplacian_identity(P, np.zeros(10), 0.5, 7, 0)
+            verify_laplacian_identity(P, np.zeros(10), 0.5, 7, 0)
 
 
 class TestMatrixExponential:
@@ -385,7 +462,7 @@ class TestExactMgfContinuous:
 class TestAPrimeIdentity:
     def test_zero_observable(self):
         Q = cb.validate_generator([[-1, 1], [2, -2]])
-        chk = cb.verify_a_prime_identity(Q, np.zeros(2), 0.5, 1.0)
+        chk = verify_a_prime_identity(Q, np.zeros(2), 0.5, 1.0)
         assert chk.lhs == pytest.approx(0.0, abs=1e-9)
         assert chk.rhs == 0.0
 
@@ -393,7 +470,7 @@ class TestAPrimeIdentity:
         Q = cb.validate_generator([[-1, 1], [2, -2]])
         mu = cb.stationary_distribution(Q)
         f = cb.make_observable([1.0, -1.0], mu)
-        chk = cb.verify_a_prime_identity(Q, f, 0.3, 1.0)
+        chk = verify_a_prime_identity(Q, f, 0.3, 1.0)
         assert chk.gap <= 1e-6
 
     def test_random_instances(self):
@@ -404,7 +481,7 @@ class TestAPrimeIdentity:
             f = cb.make_observable(rng.normal(size=Q.n_states), mu)
             theta = float(rng.uniform(-0.6, 0.6))
             t = float(rng.uniform(0.2, 3.0))
-            chk = cb.verify_a_prime_identity(Q, f, theta, t, mu)
+            chk = verify_a_prime_identity(Q, f, theta, t, mu)
             assert chk.gap <= max(1e-6, 1e-4 * abs(chk.lhs))
 
 
@@ -473,6 +550,15 @@ class TestExactTailDiscrete:
         mu = cb.stationary_distribution(P)
         with pytest.raises(errors.TooLarge):
             cb.exact_tail_discrete(P, mu, rng.normal(size=10), 8, 0.2)
+
+    def test_generator_rejected(self):
+        # a jump process has no step distribution to sum over
+        Q = cb.validate_generator([[-1, 1], [2, -2]])
+        mu = cb.stationary_distribution(Q)
+        for n in (3, 0):
+            with pytest.raises(errors.DimensionMismatch, match="^exact tails need a "
+                               "transition matrix, not GeneratorMatrix$"):
+                cb.exact_tail_discrete(Q, mu, np.array([1.0, -1.0]), n, 0.5)
 
     def test_point_mass_start(self):
         P = cb.validate_transition_matrix([[0, 1], [1, 0]])

@@ -10,17 +10,16 @@ PUBLIC = [
     "SimConfig", "SimReport", "StateSpace", "TransitionMatrix", "WeightedOperator",
     "bound_sweep", "c_theta", "check_invariant", "clopper_pearson", "conditional_mgf",
     "embed_weighted", "empirical_mgf", "empirical_tail", "exact_log_mgf", "exact_mgf",
-    "exact_tail_discrete", "gap_report", "ip_gap", "ip_gap_minimizer", "is_irreducible",
-    "load_chain", "make_distribution", "make_observable", "matrix_exponential",
-    "mgf_bound", "numerical_radius_complex", "numerical_radius_real", "optimal_theta",
-    "parse_chain", "radon_nikodym_norm", "replica_rng", "stationary_distribution",
-    "sweep_to_csv", "tail_bound", "validate_generator", "validate_transition_matrix",
-    "verify_a_prime_identity", "verify_iterated_poincare", "verify_laplacian_identity",
+    "exact_tail_discrete", "gap_report", "ip_gap", "is_irreducible", "load_chain",
+    "make_distribution", "make_observable", "matrix_exponential", "mgf_bound",
+    "numerical_radius_complex", "numerical_radius_real", "optimal_theta", "parse_chain",
+    "radon_nikodym_norm", "stationary_distribution", "tail_bound", "validate_generator",
+    "validate_transition_matrix",
 ]
 
 
 def test_all_is_pinned():
-    assert len(PUBLIC) == 49
+    assert len(PUBLIC) == 43
     assert PUBLIC == sorted(PUBLIC)
     assert sorted(cb.__all__) == PUBLIC
 

