@@ -505,7 +505,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ChainBoundsError as exc:
         return _fail(exc)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         return _fail(exc)
 
 

@@ -67,9 +67,9 @@ def _checked(op, f, theta: float, horizon, init: Distribution | None = None) -> 
         if not math.isfinite(horizon):
             raise InvalidQuery("horizon t must be finite")
         if horizon < 0:
-            raise DimensionMismatch("t must be >= 0")
+            raise InvalidQuery("t must be >= 0")
     elif horizon < 1:
-        raise DimensionMismatch("horizon n must be >= 1")
+        raise InvalidQuery("horizon n must be >= 1")
     return fv
 
 

@@ -9,15 +9,16 @@ no per-replica ``SeedSequence`` is built, and no per-replica generator
 either: a counter-based stream (Salmon et al., SC 2011) at draw 4c of
 ``Generator.random`` is just the state (key, counter c), so one generator
 per run is re-pointed at each replica's stream (``_Repointed``). Both
-samplers run through one chunk driver with a draw budget each. Chain paths
-are drawn in horizon blocks of a multiple of 4 steps, in replica chunks
-that hold ``_DRAW_BUDGET`` uniforms, so memory grows with neither the
-horizon nor the replica count. Jump processes are sampled by their
-holding-time representation (no uniformization), which makes time
-integrals of observables exact given the path; their replicas run in
-chunks of ``_JUMP_BUDGET`` draws per buffer, so memory does not grow with
-the replica count (it still grows with the horizon once one replica's
-block exceeds the budget). Both samplers pick every state, the first one
+samplers draw only fixed-width ``random`` uniforms, in blocks that start at
+multiples of 4, and run their replicas in chunks (``_chunked``) with a
+draw budget each. Chain paths are drawn in horizon blocks of a multiple of
+4 steps, in replica chunks that hold ``_DRAW_BUDGET`` uniforms. Jump
+processes are sampled by their holding-time representation (no
+uniformization), which makes time integrals of observables exact given the
+path: rounds of at most ``_CHAIN_BLOCK`` jump steps, each a hold
+``-log1p(-u) / rate`` and a jump uniform, in replica chunks that hold
+``_JUMP_BUDGET`` draws. So neither sampler's memory grows with the horizon
+or the replica count. Both samplers pick every state, the first one
 included, from an exact guide table over the steps of the clamped row
 CDFs: one bucket lookup, then a bisection over the few steps inside the
 bucket, with the same ``cdf <= u`` compares as a scan of the whole row.
@@ -31,7 +32,6 @@ heavy-tail warning.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from collections.abc import Sequence
@@ -127,12 +127,8 @@ def _replica_keys(seed: int, ids: np.ndarray) -> np.ndarray:
     return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
 
 
-def _key_rng(key) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
-
-
 class _Repointed:
-    """One Philox generator that ``at`` and ``random_rows`` re-point to replica streams.
+    """One Philox generator that ``random_rows`` re-points to replica streams.
 
     numpy's Philox steps its counter before each block of four 64-bit
     words, so after 4c words of the stream with key ``key`` its state is
@@ -143,7 +139,7 @@ class _Repointed:
     """
 
     def __init__(self):
-        self.rng = _key_rng([0, 0])
+        self.rng = np.random.Generator(np.random.Philox(_PhiloxKey([0, 0])))
         self._state = {
             "bit_generator": "Philox",
             "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
@@ -153,16 +149,8 @@ class _Repointed:
             "uinteger": 0,
         }
 
-    def at(self, key: list, position: int = 0) -> np.random.Generator:
-        """The generator, at draw ``position`` (a multiple of 4) of the stream of ``key``."""
-        inner = self._state["state"]
-        inner["counter"][0] = position >> 2
-        inner["key"] = key
-        self.rng.bit_generator.state = self._state
-        return self.rng
-
     def random_rows(self, keys: list, position: int, rows: np.ndarray) -> None:
-        """Fill row i with ``random`` draws of the stream of keys[i] from ``position``."""
+        """Fill row i with draws of keys[i]'s stream from ``position``, a multiple of 4."""
         state, bit_generator, random = self._state, self.rng.bit_generator, self.rng.random
         inner = state["state"]
         inner["counter"][0] = position >> 2
@@ -382,19 +370,6 @@ def _pick_steps(table: _PickTable, offsets, scaled: np.ndarray) -> np.ndarray:
     return pos
 
 
-def _pick_rows(table: _PickTable, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Next states: ``(cdf[states] <= u).sum(axis=1)`` for u in [0, 1)."""
-    return table.columns.take(_pick_steps(table, states * table.buckets, u * table.buckets))
-
-
-def _ctmc_block_size(Q: GeneratorMatrix, t: float) -> int:
-    lam = float(-Q.entries.diagonal().min())
-    if lam <= 0:
-        return 0
-    expected = t * lam
-    return int(math.ceil(expected + 8.0 * math.sqrt(expected) + 16.0))
-
-
 def _jump_cdf(Q: GeneratorMatrix) -> np.ndarray:
     rates = -Q.entries.diagonal()
     jump = Q.entries.copy()
@@ -420,12 +395,13 @@ _DRAW_BUDGET = 1 << 20
 # interleaved runs (2-vCPU VM, numpy 2.4, one BLAS thread).
 _CHAIN_BLOCK = 512
 
-# Draws held per jump-sampler buffer (at most 32 MB of float64). Each step
-# issues about 17 numpy calls per chunk, so narrower chunks save memory but
-# cost time: on 10^4 replicas of block 1269 with a one-level guide-table
-# pick, budgets 2^20, 2^21, 2^22 and 2^23 took 1.03, 0.79, 0.74 and 0.82 s
-# (best of three; the last two differ by less than the host's noise), with
-# tracemalloc peaks of 16, 30, 53 and 105 MB (2-vCPU VM, numpy 2.4).
+# Draws held per jump-sampler chunk (32 MB of float64): a chunk of replicas
+# shares one step-major buffer of 4 + 2B rows, B jump steps per round. Each
+# step makes about 18 numpy calls per chunk, so narrower chunks save memory
+# but cost time: on the mgf-oracle jump input (20 states, t = 100, 10^4
+# replicas, B = 512), budgets 2^20, 2^21, 2^22 and 2^23 took medians of
+# 0.88, 0.81, 0.81 and 0.76 s over 7 interleaved runs, with tracemalloc peaks
+# of 9, 18, 29 and 43 MB (2-vCPU VM, numpy 2.4, one BLAS thread).
 _JUMP_BUDGET = 1 << 22
 
 # Replicas drawn row-major into a stage, then copied step-major in one
@@ -433,41 +409,39 @@ _JUMP_BUDGET = 1 << 22
 _DRAW_TILE = 64
 
 
-def _stage_draws(draw, count: int, outs, stages) -> None:
-    """Fill column k of each step-major out with replica k's draws.
+def _stage_draws(draw, count: int, out: np.ndarray, stage: np.ndarray) -> None:
+    """Fill column k of the step-major ``out`` with replica k's draws.
 
-    The replicas go in tiles of ``len(stage)``: ``draw(k, *tiles)`` fills
-    row i of each tile, one tile per out, with the draws of replica k + i,
-    and each tile reaches its out in one transposed copy.
+    The replicas go in tiles of ``len(stage)``: ``draw(k, rows)`` fills row
+    i of ``rows`` with the draws of replica k + i, and each tile reaches
+    ``out`` in one transposed copy.
     """
-    tile = len(stages[0])
+    tile = len(stage)
     for k in range(0, count, tile):
-        width = min(tile, count - k)
-        tiles = [stage[:width, :len(out)] for stage, out in zip(stages, outs)]
-        draw(k, *tiles)
-        for out, rows in zip(outs, tiles):
-            out[:, k:k + width] = rows.T
+        rows = stage[:min(tile, count - k), :len(out)]
+        draw(k, rows)
+        out[:, k:k + len(rows)] = rows.T
 
 
-def _chunked(seed: int, replicas: int, block: int, budget: int, buffers: int, run) -> np.ndarray:
-    """Per-replica results of ``run(stream, keys, *draw_buffers, *stages)``, chunk by chunk.
+def _chunked(seed: int, replicas: int, block: int, budget: int, run) -> np.ndarray:
+    """Per-replica results of ``run(stream, keys, draws, stage)``, chunk by chunk.
 
     Replicas run in equal chunks of at most ``max(1, budget // block)``, so
     memory does not grow with the replica count; ``keys`` are the chunk's
     Philox keys and ``stream`` one ``_Repointed`` generator for the run.
-    ``buffers`` step-major (block x chunk) draw buffers and as many
-    ``_DRAW_TILE``-row stages are allocated once; ``run`` gets the buffers
-    cut to its chunk's width.
+    One step-major (block x chunk) draw buffer and one ``_DRAW_TILE``-row
+    stage are allocated once; ``run`` gets the buffer cut to its chunk's
+    width.
     """
     widest = max(1, budget // max(block, 1))
     chunk = -(-replicas // -(-replicas // widest))  # equal chunks, none wider
-    draws = np.empty((buffers, block, chunk))
-    stages = np.empty((buffers, min(_DRAW_TILE, chunk), block))
+    draws = np.empty((block, chunk))
+    stage = np.empty((min(_DRAW_TILE, chunk), block))
     stream = _Repointed()
     out = np.empty(replicas)
     for start in range(0, replicas, chunk):
         keys = _replica_keys(seed, np.arange(start, min(start + chunk, replicas))).tolist()
-        out[start:start + len(keys)] = run(stream, keys, *draws[:, :, :len(keys)], *stages)
+        out[start:start + len(keys)] = run(stream, keys, draws[:, :len(keys)], stage)
     return out
 
 
@@ -511,7 +485,7 @@ def _dtmc_sums(
             def draw(k, rows, start=start):
                 stream.random_rows(keys[k:k + len(rows)], start, rows)
 
-            _stage_draws(draw, len(keys), (draws,), (stage,))
+            _stage_draws(draw, len(keys), draws, stage)
             if start == 0:
                 pos = _pick_steps(first, 0, draws[0] * first.buckets)
                 offsets = first_offset_at.take(pos)
@@ -524,7 +498,21 @@ def _dtmc_sums(
                 sums += f_at.take(pos)
         return sums
 
-    return _chunked(seed, replicas, _chain_block(n, replicas), _DRAW_BUDGET, 1, run)
+    return _chunked(seed, replicas, _chain_block(n, replicas), _DRAW_BUDGET, run)
+
+
+def _ctmc_block_size(Q: GeneratorMatrix, t: float) -> int:
+    """Jump steps per draw round: even, at most ``_CHAIN_BLOCK``, 0 if nothing jumps.
+
+    Below the cap, a round holds the expected jumps at the top exit rate
+    plus 8 standard deviations and 16, so most paths end in one round.
+    """
+    lam = float(-Q.entries.diagonal().min())
+    if lam <= 0:
+        return 0
+    expected = t * lam
+    steps = math.ceil(min(expected + 8.0 * math.sqrt(expected) + 16.0, _CHAIN_BLOCK))
+    return steps + steps % 2
 
 
 def _ctmc_integrals(
@@ -533,91 +521,75 @@ def _ctmc_integrals(
 ) -> np.ndarray:
     """Per-replica time integrals of f over [0, t].
 
-    Replica r's stream gives one uniform for the initial state, then rounds
-    of ``_ctmc_block_size`` holding-time exponentials and as many jump
-    uniforms until its path passes t; a zero exit rate holds to the end.
+    Replica r's stream is laid out in rounds of B = ``_ctmc_block_size``
+    jump steps. Draw 0 picks the initial state and draws 1-3 go unused;
+    round k takes draws [4 + 2Bk, 4 + 2B(k + 1)): B holding-time uniforms u,
+    each a hold ``-log1p(-u) / rate``, then B jump uniforms. B is even, so
+    every round starts at a multiple of 4, where the run's generator is
+    re-pointed once per running replica; round 0 and draw 0 come from one
+    fill from position 0. A chunk's replicas share one step-major buffer of
+    4 + 2B rows and B is at most ``_CHAIN_BLOCK``, so memory grows with
+    neither t nor the replica count. The running replicas' index, guide
+    offset (row times K), exit rate, f value, remaining time and round
+    accumulator are compacted only at steps where some path ends; a path
+    ends where ``hold < rem`` fails, which an infinite or nan hold (zero
+    exit rate) does. The holds use numpy's ``log1p``, whose SIMD kernel and
+    libm fallback can differ in the last bit, so the integrals repeat bit for
+    bit on one machine and numpy build.
     """
     # +0.0 at absorbing states, whatever the sign of zero on the diagonal:
-    # a draw over it is inf, or nan for a zero draw, and either ends the path
+    # a hold over it is inf, or nan for a zero draw, and either ends the path
     # like an infinite hold (-inf would never end it)
     rates = -Q.entries.diagonal()
     rates = np.where(rates > 0, rates, 0.0)
+    block = _ctmc_block_size(Q, t)
     table = _pick_table(_jump_cdf(Q))
     first = _pick_table(_cdf_rows(init.weights[None, :]))
-    run = functools.partial(_ctmc_integrals_chunk, first, rates, table, fv, t)
-    return _chunked(seed, replicas, _ctmc_block_size(Q, t), _JUMP_BUDGET, 2, run)
+    offset_at, first_offset_at = table.columns * table.buckets, first.columns * table.buckets
+    rate_at, first_rate_at = rates.take(table.columns), rates.take(first.columns)
+    f_at, first_f_at = fv.take(table.columns), fv.take(first.columns)
 
+    def run(stream, keys, draws, stage):
+        def fill(replica_keys, position, out):
+            def draw(k, rows):
+                stream.random_rows(replica_keys[k:k + len(rows)], position, rows)
 
-def _ctmc_integrals_chunk(
-    first: _PickTable, rates: np.ndarray, table: _PickTable, fv: np.ndarray, t: float,
-    stream: _Repointed, keys: list, exps: np.ndarray, jumps: np.ndarray,
-    exp_stage: np.ndarray, jump_stage: np.ndarray,
-) -> np.ndarray:
-    """Integrals of one chunk of replicas, one draw round at a time.
+            _stage_draws(draw, len(replica_keys), out, stage)
 
-    A round draws ``block`` holding times and jump uniforms for every
-    replica still running, into column k of the step-major buffers for the
-    k-th of them, so step j reads row j. The first round draws each
-    replica's initial uniform too, from the run's generator re-pointed at
-    the start of the replica's stream; exponentials take a varying number
-    of words, so a replica that needs a later round gets its own generator,
-    which replays the first round once. The running replicas' index,
-    state, remaining time and round accumulator are compacted only at
-    steps where some path ends; a path ends where ``hold < rem`` fails,
-    which an infinite or nan hold (zero exit rate) does.
-    """
-    u0 = np.empty(len(keys))
+        fill(keys, 0, draws)  # draw 0 and round 0
+        pos = _pick_steps(first, 0, draws[0] * first.buckets)
+        offsets, rate, f = (a.take(pos) for a in (first_offset_at, first_rate_at, first_f_at))
+        integrals = np.zeros(len(keys))
+        if not block:
+            return integrals + f * t
+        ids, rem, position = np.arange(len(keys)), np.full(len(keys), t), 4
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while True:
+                holds, jumps = draws[4:4 + block, :ids.size], draws[4 + block:, :ids.size]
+                np.log1p(np.negative(holds, out=holds), out=holds)
+                np.negative(holds, out=holds)
+                jumps *= table.buckets
+                col, acc = np.arange(ids.size), np.zeros(ids.size)
+                for exp_row, scaled in zip(holds, jumps):
+                    hold = exp_row[col] / rate
+                    going = hold < rem
+                    if not going.all():
+                        ending = ~going
+                        integrals[ids[ending]] += acc[ending] + f[ending] * rem[ending]
+                        ids, col, offsets, rate, f, rem, acc, hold = (
+                            a[going] for a in (ids, col, offsets, rate, f, rem, acc, hold)
+                        )
+                        if not ids.size:
+                            return integrals
+                    acc += f * hold
+                    rem -= hold
+                    pos = _pick_steps(table, offsets, scaled[col])
+                    offsets, rate, f = offset_at.take(pos), rate_at.take(pos), f_at.take(pos)
+                integrals[ids] += acc
+                position += 2 * block
+                fill([keys[i] for i in ids.tolist()], position, draws[4:, :ids.size])
 
-    def first_round(k, exp_rows, jump_rows):
-        for i, exp_row, jump_row in zip(range(k, len(keys)), exp_rows, jump_rows):
-            rng = stream.at(keys[i])
-            u0[i] = rng.random()
-            rng.standard_exponential(out=exp_row)
-            rng.random(out=jump_row)
-
-    _stage_draws(first_round, len(keys), (exps, jumps), (exp_stage, jump_stage))
-    st = _pick_rows(first, np.zeros(len(keys), dtype=np.intp), u0)
-    integrals = np.zeros(len(keys))
-    if len(exps) == 0 or t == 0:
-        return integrals + fv[st] * t
-    later = {}  # the generators of replicas past their first round
-
-    def later_round(k, exp_rows, jump_rows):
-        for replica, exp_row, jump_row in zip(running[k:], exp_rows, jump_rows):
-            rng = later.get(replica)
-            if rng is None:
-                rng = later[replica] = _key_rng(keys[replica])
-                rng.random()
-                rng.standard_exponential(len(exps))
-                rng.random(len(jumps))
-            rng.standard_exponential(out=exp_row)
-            rng.random(out=jump_row)
-
-    ids = np.arange(len(keys))
-    rem = np.full(len(keys), t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while True:
-            col = np.arange(ids.size)
-            acc = np.zeros(ids.size)
-            for exps_j, jumps_j in zip(exps, jumps):
-                hold = exps_j[col] / rates.take(st)
-                going = hold < rem
-                if not going.all():
-                    ending = ~going
-                    integrals[ids[ending]] += acc[ending] + fv[st[ending]] * rem[ending]
-                    ids, col, st, rem, acc, hold = (
-                        ids[going], col[going], st[going], rem[going], acc[going], hold[going]
-                    )
-                    if not ids.size:
-                        break
-                acc += fv.take(st) * hold
-                rem -= hold
-                st = _pick_rows(table, st, jumps_j[col])
-            integrals[ids] += acc
-            if not ids.size:
-                return integrals
-            running = ids.tolist()
-            _stage_draws(later_round, len(running), (exps, jumps), (exp_stage, jump_stage))
+    return _chunked(seed, replicas, 4 + 2 * block, _JUMP_BUDGET, run)
 
 
 def _centered_values(f: Observable) -> np.ndarray:

@@ -24,8 +24,7 @@ from chainbounds.simulate import (
     _ctmc_integrals,
     _dtmc_sums,
     _jump_cdf,
-    _key_rng,
-    _pick_rows,
+    _pick_steps,
     _pick_table,
     _replica_keys,
 )
@@ -38,6 +37,11 @@ def _uniform(n):
 
 # The scalar samplers: one replica's path from its own generator. They are
 # the reference for the per-replica stream layout of the vectorised ones.
+
+
+def _pick_rows(table, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Next states: ``(cdf[states] <= u).sum(axis=1)`` for u in [0, 1)."""
+    return table.columns.take(_pick_steps(table, states * table.buckets, u * table.buckets))
 
 
 def sample_dtmc(
@@ -65,18 +69,18 @@ def sample_ctmc(
 ) -> list[tuple[int, float]]:
     """One jump path truncated at total time t, as (state, holding) pairs.
 
-    Holding times are exponential with the state's exit rate; absorbing
-    states (zero rate) hold for the remaining time. Randomness is consumed
-    in fixed-size blocks (one uniform for the initial state, then pairs of
-    exponential/uniform blocks), so the draw pattern depends only on
-    (Q, t).
+    Holding times are ``-log1p(-u) / rate`` for the state's exit rate;
+    absorbing states (zero rate) hold for the remaining time. The stream is
+    read in the vectorised sampler's layout: draw 0 picks the initial state
+    and draws 1-3 go unused, then each round of B = ``_ctmc_block_size(Q, t)``
+    steps takes B holding-time uniforms and B jump uniforms.
     """
     if t < 0:
         raise InvalidQuery("time horizon must be >= 0")
     rates = -Q.entries.diagonal()
     table = _pick_table(_jump_cdf(Q))
     first = _pick_table(_cdf_rows(init.weights[None, :]))
-    state = int(_pick_rows(first, np.zeros(1, dtype=np.int32), np.array([rng.random()]))[0])
+    state = int(_pick_rows(first, np.zeros(1, dtype=np.intp), rng.random(4)[:1])[0])
     if t == 0:
         return [(state, 0.0)]
     block = _ctmc_block_size(Q, t)
@@ -85,11 +89,11 @@ def sample_ctmc(
     segments: list[tuple[int, float]] = []
     remaining = t
     while True:
-        exps = rng.standard_exponential(block)
+        holds = -np.log1p(-rng.random(block))
         jumps = rng.random(block)
         for j in range(block):
             rate = rates[state]
-            hold = exps[j] / rate if rate > 0 else math.inf
+            hold = holds[j] / rate if rate > 0 else math.inf
             if hold >= remaining:
                 segments.append((state, remaining))
                 return segments
@@ -238,17 +242,38 @@ class TestSamplers:
             check(13, 1)
             check(27, 13)
 
-    def test_dtmc_memory_bounded_in_horizon(self):
-        P = zero_absolute_gap_chain()
-        fv = np.array([1.0, 0.0, 0.0, -1.0])
-        replicas, n = 2000, 5000
-        tracemalloc.start()
-        try:
-            _dtmc_sums(P, _uniform(4), fv, n, seed=1, replicas=replicas)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < replicas * n * 8 / 4
+    @pytest.mark.parametrize("kind", ["chain", "jump"])
+    def test_memory_bounded_in_horizon(self, kind):
+        # a tenfold horizon leaves the peak within 10%: both samplers size
+        # their draw buffers by the budget and the replicas, not the horizon
+        replicas = 2000
+        if kind == "chain":
+            P = zero_absolute_gap_chain()
+            fv = np.array([1.0, 0.0, 0.0, -1.0])
+            horizons = (500, 5000)
+
+            def run(n):
+                _dtmc_sums(P, _uniform(4), fv, n, seed=1, replicas=replicas)
+        else:
+            # about 10 t jumps a path, in rounds of B = _CHAIN_BLOCK from t = 100 on
+            Q = cb.validate_generator([[-10.0, 10.0], [10.0, -10.0]])
+            horizons = (100.0, 1000.0)
+            assert simulate._ctmc_block_size(Q, horizons[0]) == simulate._CHAIN_BLOCK
+
+            def run(t):
+                _ctmc_integrals(Q, _uniform(2), np.array([1.0, -1.0]), t, seed=1,
+                                replicas=replicas)
+        peaks = []
+        for horizon in horizons:
+            tracemalloc.start()
+            try:
+                run(horizon)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
+        if kind == "chain":  # far below holding every draw of the run
+            assert peaks[1] < replicas * horizons[1] * 8 / 4
 
     def test_replica_streams_stable_under_run_size(self):
         P = zero_absolute_gap_chain()
@@ -276,7 +301,8 @@ def replica_rng(seed: int, replica: int) -> np.random.Generator:
     replica = operator.index(replica)
     if not 0 <= replica < 1 << 64:
         raise InvalidQuery(f"replica ids lie in [0, 2**64), got {replica}")
-    return _key_rng(_replica_keys(seed, np.array([replica], dtype=np.uint64)).tolist()[0])
+    key = _replica_keys(seed, np.array([replica], dtype=np.uint64)).tolist()[0]
+    return np.random.Generator(np.random.Philox(simulate._PhiloxKey(key)))
 
 
 class TestReplicaKeys:
@@ -295,14 +321,11 @@ class TestReplicaKeys:
     def test_first_draws_equal_reference_streams(self):
         ids = np.array(self.IDS, dtype=np.uint64)
         stream = simulate._Repointed()
+        first = np.empty((ids.size, 1))
         for seed in self.SEEDS:
-            for key, r in zip(_replica_keys(seed, ids).tolist(), self.IDS):
-                rng = stream.at(key)
-                ref = _reference_rng(seed, r)
-                one = replica_rng(seed, r)
-                assert rng.random() == ref.random() == one.random()
-                assert (rng.standard_exponential() == ref.standard_exponential()
-                        == one.standard_exponential())
+            stream.random_rows(_replica_keys(seed, ids).tolist(), 0, first)
+            for u, r in zip(first[:, 0], self.IDS):
+                assert u == _reference_rng(seed, r).random() == replica_rng(seed, r).random()
 
     def test_out_of_range_ids_and_seeds_rejected(self):
         for seed, replica in ((0, -1), (0, 2**64), (-1, 0)):
@@ -332,16 +355,19 @@ class TestReplicaKeys:
         stream = simulate._Repointed()
         ids = [0, 1, 5, 2**32 - 1, 2**32, 2**40 + 5, 2**63, 2**64 - 1]
         m, k = 6, 7
+        rows = np.empty((len(ids), k))
         for seed in (0, 7, 2**40):
             keys = _replica_keys(seed, np.array(ids, dtype=np.uint64)).tolist()
-            for r, key in zip(ids, keys):
-                reference = replica_rng(seed, r).random(4 * m + k)
-                for pos in range(0, 4 * m + 1, 4):
-                    got = stream.at(key, pos).random(k)
+            references = [replica_rng(seed, r).random(4 * m + k) for r in ids]
+            for pos in range(0, 4 * m + 1, 4):
+                stream.random_rows(keys, pos, rows)
+                for r, got, reference in zip(ids, rows, references):
                     assert (got == reference[pos:pos + k]).all(), (seed, r, pos)
+            stream.random_rows(keys, 2**42, rows)
+            for r, got in zip(ids, rows):
                 far = replica_rng(seed, r)
-                far.bit_generator.advance(2**40)
-                assert (stream.at(key, 2**42).random(k) == far.random(k)).all()
+                far.bit_generator.advance(2**40)  # 2^40 blocks of four words
+                assert (got == far.random(k)).all(), (seed, r)
 
     def test_chain_runs_build_one_generator(self, monkeypatch):
         built = []
@@ -359,42 +385,40 @@ class TestReplicaKeys:
             built.clear()
             _dtmc_sums(P, _uniform(4), fv, n, seed=2, replicas=replicas)
             assert len(built) <= 1, (n, replicas)
+        # jump paths of about 2,000 jumps: four rounds of B = _CHAIN_BLOCK
+        Q = cb.validate_generator([[-10.0, 10.0], [10.0, -10.0]])
+        t = 200.0
+        assert 10 * t > 3 * simulate._ctmc_block_size(Q, t)
+        for replicas in (1, 50):
+            built.clear()
+            _ctmc_integrals(Q, _uniform(2), np.array([1.0, -1.0]), t, seed=2, replicas=replicas)
+            assert len(built) <= 1, replicas
 
 
 def _reference_ctmc_integrals(Q, init, fv, t, seed, replicas):
-    # the masked-loop jump sampler that the chunked step-major one replaced
+    # the masked-loop jump sampler on numpy's own per-replica streams, read
+    # in the stream layout: draw 0 picks the initial state and draws 1-3 go
+    # unused, then each round takes B holding-time uniforms and B jump uniforms
     block = simulate._ctmc_block_size(Q, t)
     rates = -Q.entries.diagonal()
     cdf = _jump_cdf(Q)
     init_cdf = np.cumsum(init.weights)
     init_cdf[-1] = 1.0
-    chunk = max(1, int(2e7 // max(block, 1)))
-    out = np.empty(replicas)
-    for start in range(0, replicas, chunk):
-        stop = min(start + chunk, replicas)
-        out[start:stop] = _reference_ctmc_integrals_chunk(
-            rates, cdf, init_cdf, fv, t, seed, range(start, stop), block
-        )
-    return out
-
-
-def _reference_ctmc_integrals_chunk(rates, cdf, init_cdf, fv, t, seed, replica_ids, block):
-    rngs = [_reference_rng(seed, r) for r in replica_ids]
-    replicas = len(rngs)
-    u0 = np.array([rng.random() for rng in rngs])
+    rngs = [_reference_rng(seed, r) for r in range(replicas)]
+    u0 = np.array([rng.random(4)[0] for rng in rngs])
     states = np.minimum(
         np.searchsorted(init_cdf, u0, side="right"), init_cdf.size - 1
     )
     integrals = np.zeros(replicas)
-    if block == 0 or t == 0:
+    if block == 0:
         return integrals + fv[states] * t
     remaining = np.full(replicas, t)
     active = np.arange(replicas)
     while active.size:
-        exps = np.empty((active.size, block))
+        holds = np.empty((active.size, block))
         jumps = np.empty((active.size, block))
         for row, r in enumerate(active):
-            exps[row] = rngs[r].standard_exponential(block)
+            holds[row] = -np.log1p(-rngs[r].random(block))
             jumps[row] = rngs[r].random(block)
         st = states[active]
         rem = remaining[active]
@@ -403,7 +427,7 @@ def _reference_ctmc_integrals_chunk(rates, cdf, init_cdf, fv, t, seed, replica_i
         for j in range(block):
             rate = rates[st]
             with np.errstate(divide="ignore"):
-                hold = np.where(rate > 0, exps[:, j] / np.where(rate > 0, rate, 1.0), np.inf)
+                hold = np.where(rate > 0, holds[:, j] / np.where(rate > 0, rate, 1.0), np.inf)
             ending = alive & (hold >= rem)
             cont = alive & ~ending
             acc[ending] += fv[st[ending]] * rem[ending]
@@ -441,8 +465,8 @@ class TestJumpSamplerParity:
     def test_replica_counts_around_the_chunk(self, monkeypatch):
         Q, mu, fv = self._process()
         t = 4.0
-        block = simulate._ctmc_block_size(Q, t)
-        monkeypatch.setattr(simulate, "_JUMP_BUDGET", 7 * block + 3)
+        rows = 4 + 2 * simulate._ctmc_block_size(Q, t)
+        monkeypatch.setattr(simulate, "_JUMP_BUDGET", 7 * rows + 3)
         chunk = 7
         for replicas in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3, 60):
             self._check(Q, mu, fv, t, 3, replicas)
@@ -474,27 +498,42 @@ class TestJumpSamplerParity:
         self._check(Q, mu, fv, 0.05, 5, 200)
 
     def test_several_draw_rounds(self, monkeypatch):
+        # rounds at the cap, B = _CHAIN_BLOCK rounded up to even: paths of
+        # about 20 jumps take at least three rounds, each read from its own
+        # draw position, in one chunk and in several
         Q, mu, fv = self._process()
-        for block in (1, 2, 5):
-            monkeypatch.setattr(simulate, "_ctmc_block_size", lambda Q, t, b=block: b)
+        positions, budget = [], simulate._JUMP_BUDGET
+        random_rows = simulate._Repointed.random_rows
+
+        def recording(stream, keys, position, rows):
+            positions.append(position)
+            random_rows(stream, keys, position, rows)
+
+        monkeypatch.setattr(simulate._Repointed, "random_rows", recording)
+        for cap in (1, 2, 4, 6):
+            monkeypatch.setattr(simulate, "_CHAIN_BLOCK", cap)
+            block = simulate._ctmc_block_size(Q, 6.0)
+            assert block == cap + cap % 2
+            positions.clear()
             self._check(Q, mu, fv, 6.0, 9, 150)
-            monkeypatch.setattr(simulate, "_JUMP_BUDGET", 4 * block)
+            assert sorted(set(positions))[:3] == [0, 4 + 2 * block, 4 + 4 * block]
+            monkeypatch.setattr(simulate, "_JUMP_BUDGET", 4 * (4 + 2 * block))
             self._check(Q, mu, fv, 6.0, 9, 41)
-            monkeypatch.undo()
+            monkeypatch.setattr(simulate, "_JUMP_BUDGET", budget)
 
     def test_jump_memory_bounded_in_replicas(self):
         Q = cb.validate_generator([[-10.0, 10.0], [10.0, -10.0]])
         fv = np.array([1.0, -1.0])
-        t, replicas = 100.0, 16_600
-        block = simulate._ctmc_block_size(Q, t)
-        assert replicas * block > 5 * simulate._JUMP_BUDGET  # six chunks
+        t, replicas = 100.0, 22_000
+        rows = 4 + 2 * simulate._ctmc_block_size(Q, t)
+        assert replicas * rows > 5 * simulate._JUMP_BUDGET  # six chunks
         tracemalloc.start()
         try:
             _ctmc_integrals(Q, _uniform(2), fv, t, seed=1, replicas=replicas)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < replicas * block * 2 * 8 / 4
+        assert peak < replicas * rows * 8 / 4
 
 
 def _reference_pick(cdf, states, u):
@@ -878,13 +917,32 @@ class TestEmpiricalMgf:
         rep = cb.empirical_mgf(cfg, P, f, theta, bound=None)
         assert rep.ci_low <= exact <= rep.ci_high
 
-    def test_ctmc_mgf_covers_exact(self):
-        Q = cb.validate_generator([[-1, 1], [1, -1]])
+    @pytest.mark.parametrize("case", ["two-state", "spread-rates", "three-rounds"])
+    def test_ctmc_mgf_covers_exact(self, case):
+        # a slow two-state process; a stiff 20-state generator with exit
+        # rates from 1 to 1000; paths of about 1,200 jumps, which take three
+        # rounds of B = _CHAIN_BLOCK
+        rng = np.random.default_rng(41)
+        theta, replicas = 0.3, 4000
+        if case == "two-state":
+            Q, t, replicas = cb.validate_generator([[-1, 1], [1, -1]]), 2.0, 20_000
+            values = [1.0, -1.0]
+        elif case == "spread-rates":
+            exits = 10.0 ** rng.uniform(0.0, 3.0, size=20)
+            exits[:2] = 1.0, 1000.0
+            weights = rng.random((20, 20))
+            np.fill_diagonal(weights, 0.0)
+            rows = exits[:, None] * weights / weights.sum(axis=1)[:, None]
+            Q, t = cb.validate_generator(rows - np.diag(rows.sum(axis=1))), 5.0
+            values = rng.normal(size=20)
+        else:
+            Q, t = cb.validate_generator([[-10.0, 10.0], [10.0, -10.0]]), 120.0
+            assert 10 * t > 2 * simulate._ctmc_block_size(Q, t)
+            values = [1.0, -1.0]
         mu = cb.stationary_distribution(Q)
-        f = cb.make_observable([1.0, -1.0], mu)
-        theta, t = 0.3, 2.0
+        f = cb.make_observable(values, mu)
         exact = cb.exact_mgf(Q, mu, f, theta, t)
-        cfg = cb.SimConfig(replicas=20_000, seed=9, init=mu, t=t)
+        cfg = cb.SimConfig(replicas=replicas, seed=9, init=mu, t=t)
         rep = cb.empirical_mgf(cfg, Q, f, theta)
         assert rep.ci_low <= exact <= rep.ci_high
 
