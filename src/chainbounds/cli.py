@@ -54,8 +54,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fail(exc: Exception) -> int:
+    # numpy raises a private MemoryError subclass for arrays it cannot allocate;
+    # its printed name should not rest on how numpy names that class
+    name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
     print(
-        json.dumps({"error": type(exc).__name__, "message": str(exc)}),
+        json.dumps({"error": name, "message": str(exc)}),
         file=sys.stderr,
     )
     return 2

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import chainbounds as cb
 from chainbounds import errors
+from chainbounds.chain_core import _read_json
 from chainbounds.examples import ZERO_ABSOLUTE_GAP_ROWS, zero_absolute_gap_chain
 from conftest import random_generator, random_transition
 
@@ -261,3 +263,95 @@ class TestChainSchema:
     def test_distribution_support(self):
         d = cb.make_distribution([0.5, 0.0, 0.5])
         assert d.support == (0, 2)
+
+    @pytest.mark.parametrize("weights", [[math.nan, 0.5], [0.5, math.inf], [-math.inf, 1.0]])
+    def test_distribution_non_finite_rejected(self, weights):
+        # NaN passes the sum check, as every comparison with NaN is false
+        with pytest.raises(errors.InvalidDistribution, match="non-finite weight"):
+            cb.make_distribution(weights)
+
+
+PARITY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+DIGITS = st.text("0123456789", min_size=20, max_size=400)
+
+
+def _decoded(read, path):
+    """What a reader makes of a file: the document's repr and types, or the error."""
+    try:
+        doc = read(path)
+    except errors.SchemaError as exc:
+        return "SchemaError", str(exc)
+
+    def types(x):
+        if isinstance(x, list):
+            return [types(v) for v in x]
+        if isinstance(x, dict):
+            return {k: types(v) for k, v in x.items()}
+        return type(x).__name__
+
+    return repr(doc), types(doc)
+
+
+def _stdlib_json(path):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise errors.SchemaError(f"invalid JSON: {exc}") from exc
+
+
+class TestReadJsonParity:
+    """``_read_json`` returns what ``json.load`` returns, or its error message."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("parity") / "doc.json"
+
+    def assert_parity(self, path, text):
+        path.write_text(text, encoding="utf-8")
+        assert _decoded(_read_json, path) == _decoded(_stdlib_json, path), text[:200]
+
+    @PARITY
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=12))
+    def test_float_reprs(self, path, values):
+        row = ", ".join(map(repr, values))
+        self.assert_parity(path, f"[{row}]")
+        self.assert_parity(path, f'{{"labels": ["a"], "P": [[{row}], [{row}]]}}')
+
+    @PARITY
+    @given(DIGITS, st.integers(0, 400), st.sampled_from(["", "-"]), st.integers(-400, 400))
+    def test_long_mantissas(self, path, digits, point, sign, exponent):
+        whole = digits.lstrip("0") or "0"
+        split = f"{whole[:point] or '0'}.{whole[point:] or '0'}"
+        self.assert_parity(path, f"[{sign}{whole}, {sign}{split}, {sign}{split}e{exponent}]")
+
+    @PARITY
+    @given(st.integers(1, 9), st.integers(-400, 400), st.sampled_from(["e", "E", "e+", "E-"]))
+    def test_exponents(self, path, lead, exponent, marker):
+        # out past +-308 doubles overflow to inf or underflow to 0
+        self.assert_parity(path, f"[{lead}{marker}{exponent}, 0.{lead}{marker}{exponent}, 1]")
+
+    @pytest.mark.parametrize("value", [
+        2**63, -(2**63), 2**63 - 1, -(2**63) + 1, -(2**63) - 1, -(2**63) - 2,
+        2**64 - 1, 2**64, 2**64 + 1, -(2**64), 10**23, -(10**23), 0, -0,
+    ])
+    def test_integers(self, path, value):
+        # orjson rounds integers beyond 64 bits to floats; json keeps them
+        self.assert_parity(path, f"[{value}]")
+        self.assert_parity(path, f"[0.5, {value}, 1]")
+        self.assert_parity(path, f'{{"labels": ["a"], "P": [[{value}]]}}')
+
+    @pytest.mark.parametrize("text", [
+        "[NaN]", "[Infinity, 1]", "[0.5, -Infinity]", "[1, NaN, 2]", "[-NaN]", "[nan]",
+        '["\\ud800"]', '["\\udc00", 1]', '["a]", 1]', '["]"]', '[1, "]", 2]', '["[", 1]',
+        '{"k]": [1, 2], "labels": ["]"]}', '["a", "b"]', "[true, 1]", "[false, null]",
+        "[[1, 2], [3]]", "[[], [[]], [[[0.5]]]]", '[{"a": 1, "a": 2}]', '[1, {"b": [2]}]',
+        '{"a": [1], "a": [2.5]}', '[{"a": [1]}, {"a": [1]}]',
+        "[]", "[ ]", "[\n\t\r ]", " [ 1 ,\r\n 2 ] ", "[[ ], [\t]]", "[1\f]", "[\u00a01]",
+        "[1 2]", "[1,]", "[,1]", "[1.]", "[.5]", "[01]", "[+1]", "[1e]", "[-]", "[0x10]",
+        "\ufeff[1]", "[\ufeff1]",
+        "", "[", "[1, 2", "[[1, 2], [3", '{"P": [[0.5, 0.5]', "[1,", '["a', "[1]]", "[1] [2]",
+    ])
+    def test_edge_documents(self, path, text):
+        self.assert_parity(path, text)

@@ -114,6 +114,49 @@ class TestGaps:
         assert json.loads(capsys.readouterr().err) == {
             "error": "SchemaError", "message": f'"{key}" must contain only numbers'}
 
+    @pytest.mark.parametrize("key, value", [
+        ("mu", "[NaN, 0.5]"),
+        ("nu", "[0.5, Infinity]"),
+        ("f", "[NaN, 1]"),
+        ("f", "[1e400, 1]"),
+    ])
+    def test_non_finite_vectors_rejected(self, key, value, tmp_path, capsys):
+        # refused by the schema, not later as an SVD that does not converge or
+        # a bound's M <= 0 (NaN passes every comparison-based check)
+        fields = {"f": "[1, -1]", key: value}
+        path = tmp_path / "chain.json"
+        path.write_text('{"labels": ["a", "b"], "P": [[0.5, 0.5], [0.5, 0.5]], '
+                        + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
+        rc = cli.main(["verify", str(path), "--n", "10", "--delta-grid", "0.1",
+                       "--replicas", "10"])
+        assert rc == 2
+        assert capsys.readouterr().err == json.dumps(
+            {"error": "SchemaError", "message": f'"{key}" must contain only finite numbers'}) + "\n"
+
+    @pytest.mark.parametrize("depth", [500, 5000])
+    def test_deep_nesting_is_schema_error(self, depth, tmp_path, capsys):
+        # the decoder's object walk is recursive Python: a traceback, not exit 2,
+        # unless its RecursionError is caught
+        path = tmp_path / "chain.json"
+        path.write_text('{"labels": ["a"], "P": ' + "[" * depth + "1" + "]" * depth + "}")
+        rc = cli.main(["gaps", str(path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SchemaError" and err["message"].startswith("invalid JSON: ")
+
+    @pytest.mark.parametrize("command, text", [
+        ("gaps", '{"labels": ["a"], "P": [[1.0]]}'),
+        ("radius", "[[1, 0], [0, 1]]"),
+    ])
+    def test_file_not_utf8_is_schema_error(self, command, text, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_bytes(text.encode() + b"\xff")
+        rc = cli.main([command, str(path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SchemaError"
+        assert err["message"].startswith("invalid JSON: 'utf-8' codec can't decode byte 0xff")
+
     def test_human_format(self, tmp_path, capsys):
         rc = cli.main(["gaps", _four_state_file(tmp_path), "--output-format", "human"])
         out = capsys.readouterr().out
@@ -735,7 +778,15 @@ class TestVerify:
                        "--replicas", str(10**18)])
         assert rc == 2
         err = json.loads(capsys.readouterr().err.splitlines()[-1])
-        assert err["error"].endswith("MemoryError") and "allocate" in err["message"]
+        assert err["error"] == "MemoryError" and "allocate" in err["message"]
+
+    def test_memory_error_subclass_reported_as_memory_error(self, capsys):
+        class _ArrayMemoryError(MemoryError):
+            pass
+
+        assert cli._fail(_ArrayMemoryError("no room")) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "MemoryError",
+                                                       "message": "no room"}
 
     def test_missing_f_is_schema_error(self, tmp_path, capsys):
         path = _chain_file(tmp_path, {"labels": ["a", "b"], "P": FLIP_ROWS})
@@ -802,8 +853,9 @@ class TestSweep:
 
 class TestImports:
     def test_light_commands_skip_scipy(self, tmp_path):
-        # scipy is imported only inside the functions that use it, so the
-        # CLI import, gaps and bound never load any scipy module
+        # scipy and orjson are imported only inside the functions that use
+        # them, so the CLI import loads neither, and gaps and bound load no
+        # scipy module
         src = str(Path(cb.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -817,12 +869,12 @@ class TestImports:
 import json, sys
 import chainbounds.cli as cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def loaded(*packages):
+    return sorted(m for m in sys.modules if m.split(".")[0] in packages)
 
-seen = {{"import": scipy_modules()}}
+seen = {{"import": loaded("scipy", "orjson")}}
 for name, argv in {runs!r}.items():
-    seen[name] = [cli.main(argv), scipy_modules()]
+    seen[name] = [cli.main(argv), loaded("scipy")]
 open({str(seen_path)!r}, "w").write(json.dumps(seen))
 """
         done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
