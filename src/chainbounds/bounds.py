@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import InvalidQuery, ThetaOutOfRange
@@ -122,6 +123,10 @@ class BoundResult:
 
 def c_theta(theta: float, M: float, eta_p: float) -> float:
     """sqrt(1 - 4 theta^2 M^2 / eta_p^2), defined for |theta| < eta_p / (2M)."""
+    if not (0 < M < math.inf and 0 < eta_p < math.inf):  # NaN fails too
+        raise InvalidQuery("M and eta_p must be finite and > 0")
+    if math.isnan(theta):
+        raise InvalidQuery("theta must not be NaN")
     limit = eta_p / (2.0 * M)
     if abs(theta) >= limit:
         raise ThetaOutOfRange(theta, limit)
@@ -146,10 +151,9 @@ def mgf_bound(mode: str, theta: float, horizon: float, M: float, sigma: float,
     Always >= 1; equals 1 at theta = 0.
     """
     a = _a(mode, eta_p)
-    if mode == "discrete" and horizon < 1:
-        raise InvalidQuery("n must be >= 1")
-    if mode == "continuous" and horizon < 0:
-        raise InvalidQuery("t must be >= 0")
+    low = 1 if mode == "discrete" else 0
+    if not low <= horizon <= sys.float_info.max:  # NaN, inf, an int beyond floats
+        raise InvalidQuery(f"the horizon must be finite and >= {low}")
     c = c_theta(theta, M, eta_p)
     # the operand orders n sigma M theta^2 a (discrete) and a sigma M theta^2 t
     # (continuous) round differently; each mode keeps its own
@@ -166,6 +170,8 @@ def optimal_theta(mode: str, delta: float, M: float, sigma: float, eta_p: float,
     boundary when sigma = 0.
     """
     a = _a(mode, eta_p)
+    if not (0 < M < math.inf and 0 < eta_p < math.inf):
+        raise InvalidQuery("M and eta_p must be finite and > 0")
     if delta == 0.0:
         return 0.0
     radical = math.sqrt(a**2 * sigma**2 + delta**2)

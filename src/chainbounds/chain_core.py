@@ -418,6 +418,8 @@ def make_observable(values, mu: Distribution, auto_center: bool = True) -> Obser
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size != mu.n_states:
         raise DimensionMismatch("observable values do not match the state space")
+    if not np.isfinite(v).all():
+        raise DimensionMismatch("observable values must be finite")
     w = mu.weights
     mean = float(w @ v)
     if auto_center:
@@ -498,6 +500,13 @@ def _schema_array(obj, name: str, ndim: int, n: int | None = None) -> np.ndarray
     return a.astype(float, copy=False)
 
 
+def _schema_vector(obj, name: str, n: int | None = None) -> np.ndarray:
+    v = _schema_array(obj, name, 1, n)
+    if not np.isfinite(v).all():
+        raise SchemaError(f"{name} must contain only finite numbers")
+    return v
+
+
 def parse_chain(obj) -> ChainData:
     """Validate a decoded chain JSON object against the schema."""
     if not isinstance(obj, dict):
@@ -523,19 +532,13 @@ def parse_chain(obj) -> ChainData:
     else:
         op = validate_generator(_schema_array(obj["Q"], '"Q"', 2, n), labels)
 
-    def vector(key):
-        v = _schema_array(obj[key], f'"{key}"', 1, n)
-        if not np.isfinite(v).all():
-            raise SchemaError(f'"{key}" must contain only finite numbers')
-        return v
-
     mu = nu = f_values = None
     if "mu" in obj:
-        mu = make_distribution(vector("mu"), op.space)
+        mu = make_distribution(_schema_vector(obj["mu"], '"mu"', n), op.space)
     if "nu" in obj:
-        nu = make_distribution(vector("nu"), op.space)
+        nu = make_distribution(_schema_vector(obj["nu"], '"nu"', n), op.space)
     if "f" in obj:
-        f_values = _freeze(vector("f"))
+        f_values = _freeze(_schema_vector(obj["f"], '"f"', n))
     return ChainData(op, mu, nu, f_values)
 
 

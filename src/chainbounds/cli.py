@@ -21,6 +21,7 @@ from .chain_core import (
     ChainData,
     _read_json,
     _schema_array,
+    _schema_vector,
     check_invariant,
     load_chain,
     make_distribution,
@@ -89,7 +90,7 @@ def _resolve_f(chain: ChainData, flag_value: str | None) -> np.ndarray:
     if flag_value is not None:
         if chain.f_values is not None:
             print("warning: --f overrides the f stored in the chain file", file=sys.stderr)
-        return np.asarray(_parse_floats(flag_value))
+        return _schema_vector(_parse_floats(flag_value), '"--f"')
     if chain.f_values is None:
         raise SchemaError('this command needs an observable: add "f" to the chain file or pass --f')
     return chain.f_values
@@ -104,8 +105,8 @@ def _resolve_nu(chain: ChainData, flag_value: str | None, mu):
 
 
 def _centered_observable(values, mu):
-    raw_mean = float(mu.weights @ np.asarray(values, dtype=float))
     obs = make_observable(values, mu, auto_center=True)
+    raw_mean = float(mu.weights @ np.asarray(values, dtype=float))
     print(f"auto-centered f: removed E_mu[f] = {raw_mean!r}", file=sys.stderr)
     return obs
 

@@ -316,7 +316,8 @@ def exact_tail_discrete(
         except TooLarge:
             pass
     m = P.n_states
-    if m**n > PATH_ENUMERATION_CAP:
+    # m >= 2 passes the cap once n passes its bit length, without building m^n
+    if m > 1 and n > PATH_ENUMERATION_CAP.bit_length() or m**n > PATH_ENUMERATION_CAP:
         raise TooLarge(f"{m}^{n} paths exceed the cap {PATH_ENUMERATION_CAP}")
     probs, totals, _ = _expand_paths(P, init.weights, n - 1, fv)
     mask = np.abs(totals) >= n * delta - 1e-12 * max(1.0, n * delta)

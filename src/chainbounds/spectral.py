@@ -8,12 +8,13 @@ D^(1/2) L D^(-1/2), with L = P - I for a chain and L = Q for a jump process.
 Every gap is read off these matrices: :func:`ip_gap` gives the iterated
 Poincare gap alone, and :func:`gap_report` derives all of them from one
 embedding. The chain is reversible exactly when M is symmetric. The
-invariant direction s = sqrt(mu) is removed either by a rank-one deflation
-shift (for operators that annihilate it) or by centring (for the powers of
-P): M fixes s on both sides, so A = M - s s^T is M projected onto the
-complement of s and A^k = M^k - s s^T. No basis of the complement is ever
-constructed. Also provides the real and complex numerical radius,
-whose power inequality holds only over the complex field.
+invariant direction s = sqrt(mu) is read past for eta_p: the generator side
+annihilates s on both sides, so its singular values are 0 and those of L on
+mean-zero functions. For the powers of P it is centred away: M fixes s on
+both sides, so A = M - s s^T is M projected onto the complement of s and
+A^k = M^k - s s^T. No basis of the complement is ever constructed. Also
+provides the real and complex numerical radius, whose power inequality holds
+only over the complex field.
 The complex radius is computed exactly, to rounding, by the level-set
 iteration of Mengi & Overton (2005) over the phase of the Hermitian part.
 """
@@ -40,8 +41,6 @@ from .errors import (
     SolverFailure,
 )
 
-DEFLATION_SHIFT = 3.0  # exceeds the universal cap ||P - I||_mu <= 2
-SV_ZERO_RTOL = 1e-10
 REVERSIBILITY_TOLERANCE = 1e-10
 ORDERING_SLACK = 1e-9
 DEFAULT_PSEUDO_KMAX = 20
@@ -100,22 +99,15 @@ def _require_multi_state(mu: Distribution) -> None:
         )
 
 
-def _deflated(W: WeightedOperator) -> np.ndarray:
-    if W.matrix is not None:
-        shift = DEFLATION_SHIFT
-    else:
-        # generator singular values are unbounded; pick the shift above them
-        shift = float(np.linalg.norm(W.generator, 2)) + 1.0
-    return W.generator + shift * np.outer(W.sqrt_mu, W.sqrt_mu)
-
-
-def _smallest_sv(sv: np.ndarray) -> float:
-    # below SV_ZERO_RTOL * largest it cannot be told from a null direction
-    return 0.0 if sv[-1] <= SV_ZERO_RTOL * sv[0] else float(sv[-1])
-
-
 def _ip_gap(W: WeightedOperator) -> float:
-    return _smallest_sv(np.linalg.svd(_deflated(W), compute_uv=False))
+    # eta_p is the second smallest singular value of the generator side G,
+    # past the 0 of s. By Weyl's inequality a computed value within the SVD's
+    # backward error plus G's distance from an embedding that annihilates s
+    # exactly cannot be told from 0.
+    G, s = W.generator, W.sqrt_mu
+    sv = np.linalg.svd(G, compute_uv=False)
+    noise = s.size * np.finfo(float).eps * sv[0] + np.linalg.norm(G @ s) + np.linalg.norm(s @ G)
+    return 0.0 if sv[-2] <= noise else float(sv[-2])
 
 
 def ip_gap(op: ChainOperator, mu: Distribution) -> float:
@@ -145,10 +137,6 @@ def _symmetric_gap(W: WeightedOperator) -> float:
     sym = 0.5 * (W.matrix + W.matrix.T)
     deflated = sym - 2.0 * np.outer(W.sqrt_mu, W.sqrt_mu)
     return 1.0 - float(np.linalg.eigvalsh(deflated)[-1])
-
-
-def _asymmetry(W: WeightedOperator) -> float:
-    return float(np.abs(W.matrix - W.matrix.T).max())
 
 
 @dataclass(frozen=True)
@@ -340,7 +328,6 @@ def _tolerances() -> dict:
     return {
         "reversibility": REVERSIBILITY_TOLERANCE,
         "ordering_slack": ORDERING_SLACK,
-        "sv_zero_rtol": SV_ZERO_RTOL,
     }
 
 
@@ -370,6 +357,6 @@ def gap_report(
     centred = W.matrix - np.outer(W.sqrt_mu, W.sqrt_mu)
     norm_sq = _norm_sq(centred)
     eta_a = 1.0 - float(np.sqrt(norm_sq))  # may be 0 for an irreducible chain
-    eta = eta_s if _asymmetry(W) <= REVERSIBILITY_TOLERANCE else None
+    eta = eta_s if np.abs(W.matrix - W.matrix.T).max() <= REVERSIBILITY_TOLERANCE else None
     pseudo = None if k_max is None else _pseudo_gap(centred, norm_sq, k_max)
     return GapReport(eta_p, eta_s, eta_a, eta, pseudo, False, _tolerances())

@@ -332,6 +332,23 @@ class TestMergedMatchesReference:
             cb.mgf_bound("continuous", 0.1, -1.0, 1.0, 1.0, 1.0)
         with pytest.raises(errors.InvalidQuery):
             cb.optimal_theta("hourly", 0.1, 1.0, 1.0, 1.0, 1.0)
+        # a typed error, not ZeroDivisionError at M = 0 or a silent inf
+        bad_calls = [
+            (cb.mgf_bound, "discrete", 0.1, 5, 0.0, 1.0, 1.0),
+            (cb.c_theta, 0.1, 0.0, 1.0),
+            (cb.optimal_theta, "continuous", 0.1, 0.0, 1.0, 1.0, 1.0),
+            (cb.c_theta, 0.1, 1.0, math.nan),
+        ]
+        for mode in ("discrete", "continuous"):
+            bad_calls += [
+                (cb.mgf_bound, mode, math.nan, 5, 1.0, 1.0, 1.0),
+                (cb.mgf_bound, mode, 0.1, math.nan, 1.0, 1.0, 1.0),
+                (cb.mgf_bound, mode, 0.1, math.inf, 1.0, 1.0, 1.0),
+                (cb.mgf_bound, mode, 0.1, 10**400, 1.0, 1.0, 1.0),
+            ]
+        for func, *args in bad_calls:
+            with pytest.raises(errors.InvalidQuery):
+                func(*args)
 
 
 class TestQueryValidation:

@@ -187,6 +187,14 @@ class TestMakeObservable:
         with pytest.raises(errors.NotCentered):
             cb.make_observable([1, 0], mu, auto_center=False)
 
+    def test_non_finite_rejected(self):
+        # a typed error before the mean, which would warn on inf - inf
+        mu = cb.make_distribution([0.5, 0.5])
+        for values in ([math.nan, 1.0], [math.inf, 1.0], [math.inf, -math.inf]):
+            for auto_center in (True, False):
+                with pytest.raises(errors.DimensionMismatch, match="must be finite"):
+                    cb.make_observable(values, mu, auto_center=auto_center)
+
     def test_variance_below_sup_squared(self):
         rng = np.random.default_rng(17)
         for _ in range(50):

@@ -119,19 +119,36 @@ class TestGaps:
         ("nu", "[0.5, Infinity]"),
         ("f", "[NaN, 1]"),
         ("f", "[1e400, 1]"),
+        ("--f", "nan,1"),
+        ("--f", "inf,1"),
     ])
     def test_non_finite_vectors_rejected(self, key, value, tmp_path, capsys):
-        # refused by the schema, not later as an SVD that does not converge or
-        # a bound's M <= 0 (NaN passes every comparison-based check)
-        fields = {"f": "[1, -1]", key: value}
+        # refused by the schema, not later as an SVD that does not converge,
+        # a bound's M <= 0 (NaN passes every comparison-based check) or an
+        # MGF that underflows; --f values get the rule of the file's "f"
+        flag = [key, value] if key == "--f" else []
+        fields = {} if flag else {"f": "[1, -1]", key: value}
         path = tmp_path / "chain.json"
-        path.write_text('{"labels": ["a", "b"], "P": [[0.5, 0.5], [0.5, 0.5]], '
-                        + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
-        rc = cli.main(["verify", str(path), "--n", "10", "--delta-grid", "0.1",
-                       "--replicas", "10"])
-        assert rc == 2
-        assert capsys.readouterr().err == json.dumps(
-            {"error": "SchemaError", "message": f'"{key}" must contain only finite numbers'}) + "\n"
+        path.write_text('{"labels": ["a", "b"], "P": [[0.5, 0.5], [0.5, 0.5]]'
+                        + "".join(f', "{k}": {v}' for k, v in fields.items()) + "}")
+        for argv in (["verify", "--delta-grid", "0.1", "--replicas", "10"],
+                     ["mgf", "--theta", "0.1"]):
+            rc = cli.main([argv[0], str(path), "--n", "10", *argv[1:], *flag])
+            assert rc == 2
+            assert capsys.readouterr().err == json.dumps(
+                {"error": "SchemaError",
+                 "message": f'"{key}" must contain only finite numbers'}) + "\n"
+
+    def test_f_flag_length_checked(self, tmp_path, capsys):
+        # a typed error before centring, not numpy's raw matmul ValueError
+        path = _chain_file(tmp_path, {"labels": ["a", "b"], "P": [[0.5, 0.5], [0.5, 0.5]]})
+        for argv in (["verify", "--delta-grid", "0.1", "--replicas", "10"],
+                     ["mgf", "--theta", "0.1"]):
+            rc = cli.main([argv[0], path, "--n", "10", *argv[1:], "--f", "1,2,3"])
+            assert rc == 2
+            assert capsys.readouterr().err == json.dumps({
+                "error": "DimensionMismatch",
+                "message": "observable values do not match the state space"}) + "\n"
 
     @pytest.mark.parametrize("depth", [500, 5000])
     def test_deep_nesting_is_schema_error(self, depth, tmp_path, capsys):
@@ -171,12 +188,20 @@ class TestGaps:
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "NotInvariant"
 
+    def test_reducible_chain_with_file_mu_has_zero_ip_gap(self, tmp_path, capsys):
+        # two closed classes: a mu that weights both is invariant, and the
+        # second null direction of the generator reads 0, not rounding noise
+        block = [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]
+        rows = [r + [0, 0, 0] for r in block] + [[0, 0, 0] + r for r in block[::-1]]
+        path = _chain_file(tmp_path, {"labels": list("abcdef"), "P": rows, "mu": [1 / 6] * 6})
+        assert cli.main(["gaps", path]) == 0
+        assert json.loads(capsys.readouterr().out)["eta_p"] == 0.0
+
 
 _GAPS_TAIL = """  "degenerate": false,
   "tolerances": {
     "reversibility": 1e-10,
-    "ordering_slack": 1e-09,
-    "sv_zero_rtol": 1e-10
+    "ordering_slack": 1e-09
   }
 }
 """
@@ -188,7 +213,7 @@ GOLDEN_GAPS = {
     "best-k-1": (
         [[0.5, 0.3, 0.2], [0.2, 0.6, 0.2], [0.3, 0.3, 0.4]],
         """{
-  "eta_p": 0.6928203230275505,
+  "eta_p": 0.692820323027551,
   "eta_s": 0.6922649730810375,
   "eta_a": 0.6906038252386791,
   "eta": null,
@@ -203,7 +228,7 @@ GOLDEN_GAPS = {
         [[0.5, 0.5, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1],
          [1, 0, 0, 0, 0]],
         """{
-  "eta_p": 0.8710860620711348,
+  "eta_p": 0.8710860620711345,
   "eta_s": 0.5000000000000002,
   "eta_a": 0.0,
   "eta": null,
@@ -252,7 +277,7 @@ GOLDEN_SAMPLER = {
   "mode": "continuous",
   "t": 5.0,
   "theta": 0.2,
-  "eta_p": 2.257842677588062,
+  "eta_p": 2.257842677588063,
   "M": 1.1363636363636362,
   "sigma2": 0.9132231404958677,
   "exact": 1.0748171789768628,
@@ -297,9 +322,9 @@ GOLDEN_SAMPLER = {
     "replicas_used": 300,
     "seed": 17,
     "bound_compared": {
-      "probability_bound": 1.8988324254653552,
-      "exponent": -0.05190799619096932,
-      "theta_used": 0.0519079961909693,
+      "probability_bound": 1.898832425465355,
+      "exponent": -0.05190799619096934,
+      "theta_used": 0.051907996190969335,
       "c_theta": 0.9986340256545485,
       "vacuous": true,
       "boundary_limit": false
@@ -326,7 +351,7 @@ def test_sampler_output_matches_golden(name, tmp_path, capsys):
 GOLDEN_GAPS_HUMAN = {
     "chain": (
         {"labels": ["0", "1", "2"], "P": GOLDEN_GAPS["best-k-1"][0]},
-        """eta_p = 0.6928203230275505
+        """eta_p = 0.692820323027551
 eta_s = 0.6922649730810375
 eta_a = 0.6906038252386791
 eta = None
@@ -336,7 +361,7 @@ degenerate = false
     ),
     "reversible": (
         {"labels": ["a", "b"], "P": [[0.7, 0.3], [0.4, 0.6]]},
-        """eta_p = 0.7000000000000003
+        """eta_p = 0.7
 eta_s = 0.7
 eta_a = 0.7
 eta = 0.7
@@ -346,7 +371,7 @@ degenerate = false
     ),
     "jump": (
         _JUMP_DOC,
-        """eta_p = 2.257842677588062
+        """eta_p = 2.257842677588063
 eta_s = None
 eta_a = None
 eta = None
@@ -926,14 +951,14 @@ GOLDEN_EXAMPLES = {
     "appendix-a": """\
 4-state pair-hopping chain (irreducible, zero absolute gap):
   mu    = [0.25, 0.25, 0.25, 0.25]
-  eta_p = 0.6180339887498946
+  eta_p = 0.6180339887498949
   eta_s = 0.4999999999999999
   eta_a = 1.1102230246251565e-16
   pseudo gap (k <= 20) = 0.5 at k = 2
 [PASS] uniform invariant law: max |mu - 1/4| <= 1e-12
 [PASS] absolute gap vanishes: |eta_a| = 1.1102230246251565e-16
 [PASS] symmetric gap positive: eta_s = 0.4999999999999999
-[PASS] IP gap positive: eta_p = 0.6180339887498946
+[PASS] IP gap positive: eta_p = 0.6180339887498949
 [PASS] gap ordering: eta_p >= eta_s >= eta_a
 """,
     "skew-radius": """\

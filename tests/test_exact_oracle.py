@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from typing import NamedTuple
 
 import numpy as np
@@ -550,6 +551,15 @@ class TestExactTailDiscrete:
         mu = cb.stationary_distribution(P)
         with pytest.raises(errors.TooLarge):
             cb.exact_tail_discrete(P, mu, rng.normal(size=10), 8, 0.2)
+
+    def test_cap_decided_without_the_power(self):
+        # 2^(10^12) would take 125 GB to build; the check needs only n
+        P = cb.validate_transition_matrix([[0.5, 0.5], [0.5, 0.5]])
+        f = np.array([1.0, -1.0])
+        start = time.perf_counter()
+        with pytest.raises(errors.TooLarge, match=r"^2\^1000000000000 paths exceed"):
+            cb.exact_tail_discrete(P, _uniform(2), f, 10**12, 0.1)
+        assert time.perf_counter() - start < 1.0
 
     def test_generator_rejected(self):
         # a jump process has no step distribution to sum over

@@ -73,8 +73,21 @@ class TestIpGap:
         assert cb.ip_gap(P, _uniform(2)) == pytest.approx(2.0, abs=1e-12)
 
     def test_identity_chain_zero(self):
-        P = cb.validate_transition_matrix(np.eye(2))
-        assert cb.ip_gap(P, _uniform(2)) == pytest.approx(0.0, abs=1e-14)
+        # reducible inputs with an invariant mu: the second null direction
+        # must read exactly 0, not as rounding noise above it
+        block = np.array([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]])
+        zero = np.zeros((3, 3))
+        cases = [
+            (cb.validate_transition_matrix(np.eye(2)), _uniform(2)),
+            # two closed doubly stochastic blocks
+            (cb.validate_transition_matrix(np.block([[block, zero], [zero, block[::-1]]])),
+             _uniform(6)),
+            # two closed classes of a jump process, mixed half and half
+            (cb.validate_generator([[-1, 1, 0, 0], [1, -1, 0, 0], [0, 0, -1, 1], [0, 0, 3, -3]]),
+             cb.make_distribution([0.25, 0.25, 0.375, 0.125])),
+        ]
+        for op, mu in cases:
+            assert cb.ip_gap(op, mu) == 0.0
 
     def test_four_state_golden(self):
         P = zero_absolute_gap_chain()
@@ -110,8 +123,7 @@ class TestIpGapGenerator:
         assert cb.ip_gap(Q, _uniform(2)) == pytest.approx(0.0, abs=1e-14)
 
     def test_symmetric_fast_generator_beyond_fixed_shift(self):
-        # gap 4 exceeds the chain's deflation constant; the generator
-        # path must scale its shift
+        # gap 4 exceeds the cap 2 of a chain's gap; a generator's is unbounded
         Q = cb.validate_generator([[-2, 2], [2, -2]])
         mu = cb.stationary_distribution(Q)
         assert cb.ip_gap(Q, mu) == pytest.approx(4.0, abs=1e-12)
@@ -333,8 +345,8 @@ def ip_gap_minimizer(op, mu):
     """
     spectral._require_multi_state(mu)
     W = spectral.embed_weighted(op, mu)
-    sv, vt = np.linalg.svd(spectral._deflated(W))[1:]
-    return spectral._smallest_sv(sv), vt[-1] / W.sqrt_mu
+    # vt[-1] is sqrt(mu), the null direction of the embedded generator
+    return spectral._ip_gap(W), np.linalg.svd(W.generator)[2][-2] / W.sqrt_mu
 
 
 class GapZero(errors.ChainBoundsError):

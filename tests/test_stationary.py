@@ -196,13 +196,10 @@ def near_decomposable_chains(draw):
 @PROPERTY
 @given(near_decomposable_chains())
 def test_near_decomposable_property(P):
-    # the SV_ZERO_RTOL snap still sets eta_p to 0 on some of these
-    # irreducible chains (ROADMAP "Certified gaps on ill-conditioned
-    # chains"); they keep the ordering only through ORDERING_SLACK. Every
-    # valid irreducible chain must still get an answer, so an error here
-    # fails the test
+    # every chain drawn here is irreducible, so its gap is positive however
+    # weak the coupling (down to 1e-12), and a typed error fails the test
     mu = _check_solution(P)
-    _check_gap_ordering(P, mu)
+    assert _check_gap_ordering(P, mu).eta_p > 0
 
 
 def _index_observable(mu) -> cb.Observable:
@@ -239,6 +236,8 @@ def test_spread_rates_oracle_dominated(Q):
     _assert_oracle_dominated(Q, "continuous", 1.0 / eta_p, eta_p)
 
 
-# The near-decomposable family is left out: where its eta_p snaps to 0 no
-# theta is valid, which belongs to the certified-gap item (ROADMAP
-# "Certified gaps on ill-conditioned chains").
+@PROPERTY
+@given(near_decomposable_chains())
+def test_near_decomposable_oracle_dominated(P):
+    eta_p = cb.gap_report(P, k_max=None).eta_p
+    _assert_oracle_dominated(P, "discrete", 50, eta_p)
