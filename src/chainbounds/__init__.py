@@ -41,7 +41,6 @@ from .exact_oracle import (
     exact_log_mgf,
     exact_mgf,
     exact_tail_discrete,
-    matrix_exponential,
 )
 from .simulate import (
     SimConfig,
@@ -96,7 +95,6 @@ __all__ = [
     "load_chain",
     "make_distribution",
     "make_observable",
-    "matrix_exponential",
     "mgf_bound",
     "numerical_radius_complex",
     "numerical_radius_real",

@@ -121,6 +121,12 @@ class BoundResult:
     boundary_limit: bool = False
 
 
+def _check_finite_nonnegative(**values) -> None:
+    for name, value in values.items():
+        if not 0 <= value < math.inf:  # NaN fails too
+            raise InvalidQuery(f"{name} must be finite and >= 0")
+
+
 def c_theta(theta: float, M: float, eta_p: float) -> float:
     """sqrt(1 - 4 theta^2 M^2 / eta_p^2), defined for |theta| < eta_p / (2M)."""
     if not (0 < M < math.inf and 0 < eta_p < math.inf):  # NaN fails too
@@ -154,6 +160,7 @@ def mgf_bound(mode: str, theta: float, horizon: float, M: float, sigma: float,
     low = 1 if mode == "discrete" else 0
     if not low <= horizon <= sys.float_info.max:  # NaN, inf, an int beyond floats
         raise InvalidQuery(f"the horizon must be finite and >= {low}")
+    _check_finite_nonnegative(sigma=sigma)
     c = c_theta(theta, M, eta_p)
     # the operand orders n sigma M theta^2 a (discrete) and a sigma M theta^2 t
     # (continuous) round differently; each mode keeps its own
@@ -172,6 +179,9 @@ def optimal_theta(mode: str, delta: float, M: float, sigma: float, eta_p: float,
     a = _a(mode, eta_p)
     if not (0 < M < math.inf and 0 < eta_p < math.inf):
         raise InvalidQuery("M and eta_p must be finite and > 0")
+    _check_finite_nonnegative(delta=delta, sigma=sigma)
+    if not 1 <= q < math.inf:
+        raise InvalidQuery("q must be finite and >= 1")
     if delta == 0.0:
         return 0.0
     radical = math.sqrt(a**2 * sigma**2 + delta**2)

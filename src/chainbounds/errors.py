@@ -101,7 +101,7 @@ class InvalidCounts(ChainBoundsError):
 
 
 class Overflow(ChainBoundsError):
-    """A matrix exponential or an MGF left the representable floating-point range."""
+    """An exact MGF, or its log scale, left the representable floating-point range."""
 
 
 class SchemaError(ChainBoundsError):

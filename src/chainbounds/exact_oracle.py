@@ -1,15 +1,21 @@
 """Exact (non-Monte-Carlo) ground truth for moment-generating functions.
 
 The MGF oracles take a chain P with a horizon of n steps or a jump process
-Q with a horizon t, and evaluate the same tilted kernel for both. Chain MGFs
+Q with a horizon t, and read both from one kernel that returns the
+conditional MGF as a vector with maximum 1 and a log scale. Chain MGFs
 are iterated transfer-operator products
 ``init^T diag(e^(theta f)) (P diag(e^(theta f)))^(n-1) 1`` with running
 log-rescaling, so long horizons stay inside double range. Once the rescaled
 vector repeats bit for bit, the remaining transfer products are replayed from
-one period; their log-scale increments are still added one at a time, in
-order, so the result is bit-identical to the full iteration and the cost
-stays linear in n, at a much smaller constant. Jump-process MGFs use the
-Feynman-Kac matrix exponential ``exp(t (Q + theta diag(f)))``.
+one period: the vector stays bit-identical to the full iteration, and the log
+scale adds whole periods as one product of the period's ``math.fsum``, so the
+cost after the repeat does not grow with n. The log scale is one ``fsum`` of
+per-window ``fsum`` terms: within 2 eps sum |increments| of the correctly
+rounded sum of the full iteration's own log increments.
+Jump-process MGFs use the Feynman-Kac matrix exponential
+``exp(t (Q + theta diag(f)))``, shifted by the Perron root lam of
+``Q + theta diag(f)`` (its largest real eigenvalue, as the matrix is Metzler):
+``exp(t (A - lam I)) 1`` stays in range and ``t lam`` joins the log scale.
 Small-instance tail probabilities are computed exactly by dynamic
 programming on a common value grid, or by full path enumeration below a
 path-count cap.
@@ -18,6 +24,7 @@ path-count cap.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,7 +42,7 @@ PATH_ENUMERATION_CAP = 10**7
 DP_CELL_CAP = 4_000_001
 _GRID_DENOMINATOR_CAP = 10**6
 # Most log increments the discrete oracle holds at once (0.5 MB of float64):
-# the longest period its replay detects, and the terms per accumulate call.
+# the longest period its replay detects, and the steps per closed window.
 _REPLAY_TERMS = 1 << 16
 
 
@@ -70,60 +77,60 @@ def _checked(op, f, theta: float, horizon, init: Distribution | None = None) -> 
             raise InvalidQuery("t must be >= 0")
     elif horizon < 1:
         raise InvalidQuery("horizon n must be >= 1")
+    elif horizon > sys.float_info.max:
+        raise InvalidQuery("horizon n must fit a float")
     return fv
 
 
-def _feynman_kac(Q: GeneratorMatrix, fv: np.ndarray, theta: float, t: float) -> np.ndarray:
-    return matrix_exponential(Q.entries + theta * np.diag(fv), t)
-
-
-def _log_conditional_mgf(P: TransitionMatrix, fv: np.ndarray, theta: float, n: int):
-    # returns (u, log_scale) with conditional mgf = u * exp(log_scale). The
-    # rescaled step u -> P (w u) / max is a fixed map on doubles, so once u
-    # repeats bit for bit, every later step replays one period. Brent's cycle
-    # detection (BIT 1980) keeps one saved bit pattern of u and the log
-    # increments since then; the save moves after 1, 2, 4, ... steps, and
-    # every _REPLAY_TERMS steps from then on, so memory stays bounded in n.
+def _log_conditional_mgf(op, fv: np.ndarray, theta: float, horizon):
+    # returns (u, log_scale) with max(u) = 1 and conditional mgf = u * exp(log_scale)
     tf = theta * fv
-    shift = float(tf.max())
-    w = np.exp(tf - shift)
-    u = np.ones(P.n_states)
-    log_scale = shift
-    saved, increments, power = u.tobytes(), [], 1
-    for step in range(1, n):
-        u = P.entries @ (w * u)
-        m = float(u.max())
-        u /= m
-        increment = shift + math.log(m)
-        log_scale += increment
-        increments.append(increment)
-        if u.tobytes() == saved:
-            rest = n - 1 - step
-            log_scale = _replay_sum(log_scale, np.array(increments), rest)
-            for _ in range(rest % len(increments)):
-                u = P.entries @ (w * u)
-                u /= float(u.max())
-            break
-        if len(increments) == power:
-            saved, increments = u.tobytes(), []
-            power = min(2 * power, _REPLAY_TERMS)
-    u = w * u
-    m = float(u.max())
-    return u / m, log_scale + math.log(m)
+    if isinstance(op, GeneratorMatrix):
+        # exp(t A) 1 = e^(t lam) exp(t (A - lam I)) 1 with lam the Perron root
+        # of the Metzler matrix A = Q + diag(theta f), so the exponential stays
+        # in range wherever the log MGF does
+        import scipy.linalg
 
-
-def _replay_sum(total: float, period: np.ndarray, count: int) -> float:
-    # total plus the first `count` terms of the periodic sequence, added one
-    # at a time in order: accumulate is sequential, so it equals a scalar +=
-    # loop bit for bit. Each chunk starts at a period boundary.
-    tile = np.tile(period, max(1, -(-min(count, _REPLAY_TERMS) // period.size)))
-    buf = np.empty(tile.size + 1)
-    for start in range(0, count, tile.size):
-        k = min(tile.size, count - start)
-        buf[0] = total
-        buf[1:k + 1] = tile[:k]
-        total = float(np.add.accumulate(buf[:k + 1])[-1])
-    return total
+        a = op.entries + np.diag(tf)
+        lam = float(np.linalg.eigvals(a).real.max())
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = scipy.linalg.expm(horizon * (a - lam * np.eye(op.n_states))).sum(axis=1)
+        log_scale = horizon * lam
+    else:
+        # the rescaled step u -> P (w u) / max is a fixed map on doubles, so
+        # once u repeats bit for bit, every later step replays one period.
+        # Brent's cycle detection (BIT 1980) keeps one saved bit pattern of u
+        # and the log increments since then; the save moves after 1, 2, 4, ...
+        # steps, and every _REPLAY_TERMS steps from then on. Each closed
+        # window leaves one fsum term, the replay adds all its whole periods
+        # as one term, and one fsum adds the terms.
+        shift = float(tf.max())
+        w = np.exp(tf - shift)
+        u = np.ones(op.n_states)
+        terms, saved, increments, power = [shift], u.tobytes(), [], 1
+        for step in range(1, horizon):
+            u = op.entries @ (w * u)
+            m = float(u.max())
+            u /= m
+            increments.append(shift + math.log(m))
+            if u.tobytes() == saved:
+                whole, part = divmod(horizon - 1 - step, len(increments))
+                terms += [(whole + 1) * math.fsum(increments), math.fsum(increments[:part])]
+                increments = []
+                for _ in range(part):
+                    u = op.entries @ (w * u)
+                    u /= float(u.max())
+                break
+            if len(increments) == power:
+                terms.append(math.fsum(increments))
+                saved, increments = u.tobytes(), []
+                power = min(2 * power, _REPLAY_TERMS)
+        v = w * u
+        log_scale = math.fsum(terms + increments)
+    m = float(v.max())
+    if not 0 < m < math.inf or not math.isfinite(log_scale):
+        raise Overflow("the rescaled MGF left double range")
+    return v / m, log_scale + math.log(m)
 
 
 def conditional_mgf(op, f, theta: float, horizon) -> ConditionalMgf:
@@ -134,52 +141,46 @@ def conditional_mgf(op, f, theta: float, horizon) -> ConditionalMgf:
     the values equals :func:`exact_mgf` with init = mu.
     """
     fv = _checked(op, f, theta, horizon)
-    if isinstance(op, GeneratorMatrix):
-        values = _feynman_kac(op, fv, theta, horizon) @ np.ones(op.n_states)
-    else:
-        u, log_scale = _log_conditional_mgf(op, fv, theta, horizon)
-        if log_scale < 709:
-            values = u * math.exp(log_scale)
-        else:  # entrywise in the log domain: 0 where u is 0, inf only on overflow
-            with np.errstate(divide="ignore", over="ignore"):
-                values = np.exp(np.log(u) + log_scale)
+    u, log_scale = _log_conditional_mgf(op, fv, theta, horizon)
+    if log_scale < 709:
+        values = u * math.exp(log_scale)
+    else:  # entrywise in the log domain: 0 where u is 0, inf only on overflow
+        with np.errstate(divide="ignore", over="ignore"):
+            values = np.exp(np.log(u) + log_scale)
     return ConditionalMgf(values, float(horizon), theta)
 
 
 def exact_mgf(op, init: Distribution, f, theta: float, horizon) -> float:
     """Exact MGF ``E[exp(theta S)]`` of the additive functional S from ``init``.
 
-    For a chain P, S = sum_{k=1}^n f(Z_k) with Z_1 drawn from init; exact
-    up to floating error (relative ~1e-12 for n <= 1e4 thanks to the
-    running rescale), inf past double range, and Overflow where
-    :func:`exact_log_mgf` raises it. For a jump process Q,
-    S = int_0^t f(Z_s) ds with Z_0 drawn from init, and the MGF is
-    ``init^T exp(t (Q + theta diag(f))) 1`` (Feynman-Kac); 1 at t = 0.
+    For a chain P, S = sum_{k=1}^n f(Z_k) with Z_1 drawn from init; for a
+    jump process Q, S = int_0^t f(Z_s) ds with Z_0 drawn from init, and the
+    MGF is ``init^T exp(t (Q + theta diag(f))) 1`` (Feynman-Kac). It is
+    ``exp`` of :func:`exact_log_mgf` on both time scales: exactly 1 at
+    t = 0, inf past double range, and Overflow where that raises it.
+    Chain values carry the rounding of every transfer step, so their error
+    grows with n: 3.5e-13 relative to 40-digit mpmath on
+    P = [[0.9, 0.1], [0.2, 0.8]], centred f = (1, -1), theta = 0.1,
+    n = 10^4. Jump values were within 3.4e-14 of 50-digit mpmath on 100
+    random generators of 2-7 states (theta in [-2, 2], t <= 7.5).
     """
-    if isinstance(op, GeneratorMatrix):
-        fv = _checked(op, f, theta, horizon, init)
-        if horizon == 0.0:
-            return 1.0
-        return float(init.weights @ _feynman_kac(op, fv, theta, horizon) @ np.ones(op.n_states))
-    log_mgf = exact_log_mgf(op, init, f, theta, horizon)
     try:
-        return math.exp(log_mgf)
+        return math.exp(exact_log_mgf(op, init, f, theta, horizon))
     except OverflowError:
         return math.inf
 
 
 def exact_log_mgf(op, init: Distribution, f, theta: float, horizon) -> float:
-    """log of :func:`exact_mgf`; finite for chain horizons where that overflows.
+    """log of :func:`exact_mgf`; finite for horizons where that overflows.
 
-    Raises Overflow when the computed MGF (for a chain, its rescaled value)
-    underflows to 0: the true MGF is positive, and its log is lost.
+    Raises Overflow when the rescaled MGF underflows to 0 (the true MGF is
+    positive, and its log is lost) or the horizon leaves double range.
     """
-    if isinstance(op, GeneratorMatrix):
-        mass, log_scale = exact_mgf(op, init, f, theta, horizon), 0.0
-    else:
-        fv = _checked(op, f, theta, horizon, init)
-        u, log_scale = _log_conditional_mgf(op, fv, theta, horizon)
-        mass = float(init.weights @ u)
+    fv = _checked(op, f, theta, horizon, init)
+    if horizon == 0:  # the empty integral, whatever init's weights sum to
+        return 0.0
+    u, log_scale = _log_conditional_mgf(op, fv, theta, horizon)
+    mass = float(init.weights @ u)
     if not mass > 0:
         raise Overflow("the computed MGF underflowed to 0 in double precision")
     return math.log(mass) + log_scale
@@ -204,29 +205,6 @@ def _expand_paths(P: TransitionMatrix, start, n_steps: int, fv: np.ndarray):
         if not keep.all():
             probs, totals, last = probs[keep], totals[keep], last[keep]
     return probs, totals, last
-
-
-def matrix_exponential(A, t: float = 1.0) -> np.ndarray:
-    """exp(t A) by scaling-and-squaring with Pade approximants (order <= 13).
-
-    Thin wrapper over the scipy implementation of the standard algorithm;
-    exp(0) is the exact identity. Raises Overflow when ||t A|| leaves the
-    representable range.
-    """
-    a = np.asarray(A, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch("matrix exponential requires a square matrix")
-    if not np.isfinite(a).all() or not math.isfinite(t):
-        raise DimensionMismatch("matrix exponential requires finite entries")
-    if t == 0.0 or not a.any():
-        return np.eye(a.shape[0])
-    import scipy.linalg
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = scipy.linalg.expm(t * a)
-    if not np.isfinite(out).all():
-        raise Overflow("exp(tA) overflowed double precision")
-    return out
 
 
 def _common_grid(fv: np.ndarray):

@@ -660,6 +660,8 @@ def empirical_mgf(
     samples carry more than half of the sample mean the report sets
     ``heavy_tail`` instead of pretending the CI is trustworthy.
     """
+    if not math.isfinite(theta):
+        raise InvalidQuery("theta must be finite")
     samples = np.exp(theta * _path_functionals(config, op, f))
     estimate = float(samples.mean())
     if config.replicas > 1:

@@ -350,6 +350,26 @@ class TestMergedMatchesReference:
             with pytest.raises(errors.InvalidQuery):
                 func(*args)
 
+    @pytest.mark.parametrize("mode", ["discrete", "continuous"])
+    def test_spread_and_deviation_validated(self, mode):
+        # sigma and delta must be finite and >= 0, and q >= 1, as BoundQuery
+        # requires: no inf bound for a NaN sigma, no bound below 1 for a
+        # negative one, no NaN or negative theta
+        for sigma in (math.nan, -1.0, math.inf):
+            with pytest.raises(errors.InvalidQuery, match="^sigma must be finite and >= 0$"):
+                cb.mgf_bound(mode, 0.1, 5, 1.0, sigma, 1.0)
+            with pytest.raises(errors.InvalidQuery, match="^sigma must be finite and >= 0$"):
+                cb.optimal_theta(mode, 0.1, 1.0, sigma, 1.0, 1.0)
+        for delta in (math.nan, -0.1, math.inf):
+            with pytest.raises(errors.InvalidQuery, match="^delta must be finite and >= 0$"):
+                cb.optimal_theta(mode, delta, 1.0, 1.0, 1.0, 1.0)
+        for q in (-3.0, 0.5, math.nan, math.inf):
+            with pytest.raises(errors.InvalidQuery, match="^q must be finite and >= 1$"):
+                cb.optimal_theta(mode, 0.1, 1.0, 1.0, 1.0, q)
+        # the boundary values stay valid
+        assert cb.mgf_bound(mode, 0.1, 5, 1.0, 0.0, 1.0) == 1.0
+        assert cb.optimal_theta(mode, 0.0, 1.0, 0.0, 1.0, 1.0) == 0.0
+
 
 class TestQueryValidation:
     def test_p_one_rejected_with_degeneracy_message(self):

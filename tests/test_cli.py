@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -280,7 +281,7 @@ GOLDEN_SAMPLER = {
   "eta_p": 2.257842677588063,
   "M": 1.1363636363636362,
   "sigma2": 0.9132231404958677,
-  "exact": 1.0748171789768628,
+  "exact": 1.074817178976862,
   "theta_in_range": true,
   "bound": 1.2170217121871147,
   "within_bound": true,
@@ -657,6 +658,18 @@ class TestMgf:
         assert rc == 0
         assert doc["mode"] == "continuous"
         assert doc["exact"] <= doc["bound"] * (1 + 1e-9)
+
+    def test_horizon_past_double_range_finishes(self, tmp_path, capsys):
+        # the exact oracle replays whole periods at once, so n = 10^30 costs
+        # what n = 10^3 does; the MGF itself is past double range
+        path = _chain_file(tmp_path, {"labels": ["a", "b"], "P": [[0.9, 0.1], [0.2, 0.8]],
+                                      "f": [1, -1]})
+        start = time.perf_counter()
+        rc = cli.main(["mgf", path, "--theta", "0.1", "--n", str(10**30)])
+        assert time.perf_counter() - start < 5.0
+        doc = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert doc["n"] == 10**30 and doc["exact"] == math.inf
 
     @pytest.mark.parametrize("theta", ["nan", "inf"])
     @pytest.mark.parametrize("kind", ["chain", "jump"])

@@ -3,6 +3,7 @@ import math
 import time
 from typing import NamedTuple
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -77,14 +78,17 @@ def verify_a_prime_identity(Q, f, theta: float, t: float, mu=None) -> APrimeChec
     """
     if t <= 0:
         raise errors.InvalidQuery("t must be > 0")
+    import scipy.linalg
+
     fv = exact_oracle._match(Q, f)
     if mu is None:
         mu = cb.stationary_distribution(Q)
     ones = np.ones(Q.n_states)
-    expm_t = exact_oracle._feynman_kac(Q, fv, theta, t)
+    tilted = Q.entries + theta * np.diag(fv)
+    expm_t = scipy.linalg.expm(t * tilted)
     h = 6e-6 * max(1.0, abs(t))
-    step_fwd = exact_oracle._feynman_kac(Q, fv, theta, h)
-    step_bwd = exact_oracle._feynman_kac(Q, fv, theta, -h)
+    step_fwd = scipy.linalg.expm(h * tilted)
+    step_bwd = scipy.linalg.expm(-h * tilted)
     a_fwd = float(mu.weights @ (expm_t @ step_fwd) @ ones)
     a_bwd = float(mu.weights @ (expm_t @ step_bwd) @ ones)
     lhs = (a_fwd - a_bwd) / (2.0 * h)
@@ -174,26 +178,48 @@ class TestExactMgfDiscrete:
 def _reference_log_conditional_mgf(P, fv, theta, horizons):
     """The full rescaled iteration, without replay, read at every horizon.
 
-    One pass up to max(horizons); entry n holds the (u, log_scale) pair that
-    ``n - 1`` transfer steps and the final tilt give.
+    One pass up to max(horizons). Returns ``(out, period)``: ``out[n]`` holds
+    the u that ``n - 1`` transfer steps and the final tilt give, with the
+    log-scale terms of those steps (their exact sum is the log scale);
+    ``period`` is the number of steps between the rescaled vector's first
+    bit-for-bit repeat and the step it repeats, None if none shows.
     """
     tf = theta * fv
     shift = float(tf.max())
     w = np.exp(tf - shift)
     u = np.ones(P.n_states)
-    log_scale = shift
+    terms, first, period = [shift], {u.tobytes(): 1}, None
     out = {}
     for n in range(1, max(horizons) + 1):
         if n > 1:
             u = P.entries @ (w * u)
             m = float(u.max())
             u /= m
-            log_scale += shift + math.log(m)
+            terms.append(shift + math.log(m))
+            key = u.tobytes()
+            if period is None and key in first:
+                period = n - first[key]
+            elif period is None:
+                first[key] = n
         if n in horizons:
             v = w * u
             m = float(v.max())
-            out[n] = (v / m, log_scale + math.log(m))
-    return out
+            out[n] = (v / m, terms + [math.log(m)])
+    return out, period
+
+
+class _CountedProducts(np.ndarray):
+    """Transition entries that count the transfer products taken with them."""
+
+    calls = 0
+
+    def __matmul__(self, other):
+        self.calls += 1
+        return np.asarray(self) @ other
+
+
+def _counted(P):
+    return cb.TransitionMatrix(P.space, P.entries.view(_CountedProducts))
 
 
 def _replay_chain(rng, k, kind):
@@ -204,32 +230,29 @@ def _replay_chain(rng, k, kind):
 
 
 class TestOracleReplay:
-    """The cycle replay of the rescaled iteration is bit-identical to it."""
+    """The cycle replay keeps u bit for bit and sums the log scale to fsum accuracy."""
 
     THETAS = (0.0, 1e-3, -1e-3, 4.0)
 
-    def _compare(self, monkeypatch, cases):
+    def _compare(self, cases):
         # cases: (P, fv, theta, horizons); returns (n, period) for every
         # compared horizon, with period None where the replay never fired
-        periods, seen = [], []
-        replay_sum = exact_oracle._replay_sum
-
-        def recording(total, period, count):
-            seen.append(period.size)
-            return replay_sum(total, period, count)
-
-        monkeypatch.setattr(exact_oracle, "_replay_sum", recording)
+        # (every transfer product ran)
+        periods = []
         for P, fv, theta, horizons in cases:
-            want = _reference_log_conditional_mgf(P, fv, theta, horizons)
+            want, period = _reference_log_conditional_mgf(P, fv, theta, horizons)
+            counted = _counted(P)
             for n in horizons:
-                seen.clear()
-                u, log_scale = exact_oracle._log_conditional_mgf(P, fv, theta, n)
-                assert u.tobytes() == want[n][0].tobytes(), (P.n_states, theta, n)
-                assert log_scale == want[n][1], (P.n_states, theta, n)
-                periods.append((n, seen[0] if seen else None))
+                counted.entries.calls = 0
+                u, log_scale = exact_oracle._log_conditional_mgf(counted, fv, theta, n)
+                ref_u, terms = want[n]
+                assert u.tobytes() == ref_u.tobytes(), (P.n_states, theta, n)
+                slack = 2 * np.finfo(float).eps * math.fsum(map(abs, terms))
+                assert abs(log_scale - math.fsum(terms)) <= slack, (P.n_states, theta, n)
+                periods.append((n, period if counted.entries.calls < n - 1 else None))
         return periods
 
-    def test_bit_identical_to_full_iteration(self, monkeypatch):
+    def test_bit_identical_to_full_iteration(self):
         rng = np.random.default_rng(1980)
         cases = []
         for i in range(50):
@@ -238,15 +261,15 @@ class TestOracleReplay:
             fv = rng.normal(size=k)
             for theta in self.THETAS:
                 cases.append((P, fv, theta, (1, 2, 3, 100, 2000)))
-        periods = self._compare(monkeypatch, cases)
+        periods = self._compare(cases)
         assert len(periods) >= 1000
-        # 171 replays with a period above 1 (up to 39); 44 chains still in
-        # their transient at n = 100
+        # 166 replays with a period above 1 (up to 39); 49 runs of 100 steps
+        # or more where every transfer product ran
         assert sum(p is not None and p > 1 for _, p in periods) >= 100
         assert sum(p is None and n >= 100 for n, p in periods) >= 20
 
     def test_bounded_window_bit_identical(self, monkeypatch):
-        # a 3-term window misses longer periods and replays in many chunks
+        # a 3-term window misses longer periods and closes many windows
         monkeypatch.setattr(exact_oracle, "_REPLAY_TERMS", 3)
         rng = np.random.default_rng(31)
         cases = []
@@ -254,18 +277,18 @@ class TestOracleReplay:
             k = int(rng.integers(2, 30))
             P = _replay_chain(rng, k, ("dense", "sparse", "lazy")[i % 3])
             cases.append((P, rng.normal(size=k), self.THETAS[i % 4], (2, 100, 2000)))
-        periods = self._compare(monkeypatch, cases)
+        periods = self._compare(cases)
         assert {p for _, p in periods} - {None} <= {1, 2, 3}
         assert any(p is not None and p > 1 for _, p in periods)
 
-    def test_long_horizon_bit_identical(self, monkeypatch):
+    def test_long_horizon_bit_identical(self):
         rng = np.random.default_rng(8)
         cases = []
         for k, kind in ((3, "lazy"), (12, "dense"), (40, "sparse")):
             P = _replay_chain(rng, k, kind)
             fv = rng.normal(size=k)
             cases.append((P, fv, 0.5, (1, 2, 3, 100, 2000, 10**5)))
-        periods = self._compare(monkeypatch, cases)
+        periods = self._compare(cases)
         assert periods[-1][1] is not None
 
     def test_exact_mgf_at_a_million_steps(self):
@@ -274,9 +297,40 @@ class TestOracleReplay:
         mu = cb.stationary_distribution(P)
         f = cb.make_observable(rng.normal(size=20), mu)
         theta, n = 0.01, 10**6
-        u, log_scale = _reference_log_conditional_mgf(P, f.values, theta, (n,))[n]
-        want = math.exp(math.log(float(mu.weights @ u)) + log_scale)
-        assert cb.exact_mgf(P, mu, f, theta, n) == want
+        want, _ = _reference_log_conditional_mgf(P, f.values, theta, (n,))
+        u, terms = want[n]
+        log_mgf = cb.exact_log_mgf(P, mu, f, theta, n)
+        eps = np.finfo(float).eps
+        slack = 2 * eps * math.fsum(map(abs, terms)) + eps
+        assert abs(log_mgf - math.log(float(mu.weights @ u)) - math.fsum(terms)) <= slack
+        assert cb.exact_mgf(P, mu, f, theta, n) == math.exp(log_mgf)
+
+    def test_horizon_past_double_range_in_constant_time(self):
+        # n = 10^30 replays whole periods at once; the log MGF grows as n
+        # times the log Perron root of P diag(e^(theta f))
+        P = cb.validate_transition_matrix([[0.9, 0.1], [0.2, 0.8]])
+        mu = cb.stationary_distribution(P)
+        f = cb.make_observable([1.0, -1.0], mu)
+        n = 10**30
+        start = time.perf_counter()
+        got = cb.exact_log_mgf(P, mu, f, 0.1, n)
+        assert time.perf_counter() - start < 1.0
+        rho = max(abs(np.linalg.eigvals(P.entries * np.exp(0.1 * f.values))))
+        assert got == pytest.approx(n * math.log(rho), rel=1e-12)
+        assert got == pytest.approx(2.025e28, rel=1e-3)
+
+    def test_matches_mpmath_at_ten_thousand_steps(self):
+        mpmath.mp.dps = 40
+        P = cb.validate_transition_matrix([[0.9, 0.1], [0.2, 0.8]])
+        mu = cb.stationary_distribution(P)
+        f = cb.make_observable([1.0, -1.0], mu)
+        theta, n = 0.1, 10**4
+        tilt = mpmath.diag([mpmath.exp(mpmath.mpf(theta) * float(x)) for x in f.values])
+        kernel = mpmath.matrix(P.entries.tolist()) * tilt
+        start = mpmath.matrix([[float(x) for x in mu.weights]]) * tilt
+        want = (start * kernel ** (n - 1) * mpmath.matrix([1, 1]))[0]
+        got = cb.exact_mgf(P, mu, f, theta, n)
+        assert float(abs(got - want) / want) <= 1e-12
 
 
 class TestConditionalMgf:
@@ -388,28 +442,6 @@ class TestLaplacianIdentity:
         P = random_transition(rng, 10)
         with pytest.raises(errors.TooLarge):
             verify_laplacian_identity(P, np.zeros(10), 0.5, 7, 0)
-
-
-class TestMatrixExponential:
-    def test_zero_matrix_exact_identity(self):
-        out = cb.matrix_exponential(np.zeros((3, 3)))
-        assert (out == np.eye(3)).all()
-
-    def test_diagonal(self):
-        out = cb.matrix_exponential(np.diag([1.0, -2.0]), 0.5)
-        assert np.abs(out - np.diag([math.exp(0.5), math.exp(-1.0)])).max() <= 1e-12
-
-    def test_rotation_half_turn(self):
-        out = cb.matrix_exponential(np.array([[0.0, 1.0], [-1.0, 0.0]]), math.pi)
-        assert np.abs(out + np.eye(2)).max() <= 1e-11
-
-    def test_overflow_detected(self):
-        with pytest.raises(errors.Overflow):
-            cb.matrix_exponential(np.array([[800.0, 0.0], [0.0, 800.0]]), 10.0)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(errors.DimensionMismatch):
-            cb.matrix_exponential(np.array([[np.nan, 0.0], [0.0, 0.0]]))
 
 
 class TestExactMgfContinuous:
@@ -578,10 +610,10 @@ class TestExactTailDiscrete:
         assert val == 1.0
 
 
-# The five MGF oracles as they stood before conditional_mgf, exact_mgf and
-# exact_log_mgf served both time scales, kept verbatim as the reference the
-# folded functions must reproduce bit for bit. The horizon check that the
-# discrete replay used to make is restated in _ref_log_conditional_mgf.
+# The three chain MGF oracles as they stood before conditional_mgf, exact_mgf
+# and exact_log_mgf served both time scales, kept as the reference the folded
+# functions must reproduce bit for bit from the same kernel. The horizon check
+# that the discrete replay used to make is restated in _ref_log_conditional_mgf.
 
 def _ref_log_conditional_mgf(P, fv, theta, n):
     if n < 1:
@@ -618,25 +650,6 @@ def _ref_exact_log_mgf_discrete(P, init, f, theta, n):
     return math.log(float(init.weights @ u)) + log_scale
 
 
-def _ref_exact_mgf_continuous(Q, init, f, theta, t):
-    fv = exact_oracle._match(Q, f)
-    if init.n_states != Q.n_states:
-        raise errors.DimensionMismatch("init distribution does not match the chain")
-    if t < 0:
-        raise errors.InvalidQuery("t must be >= 0")
-    if t == 0.0:
-        return 1.0
-    tilted = Q.entries + theta * np.diag(fv)
-    return float(init.weights @ cb.matrix_exponential(tilted, t) @ np.ones(Q.n_states))
-
-
-def _ref_conditional_mgf_continuous(Q, f, theta, t):
-    fv = exact_oracle._match(Q, f)
-    tilted = Q.entries + theta * np.diag(fv)
-    values = cb.matrix_exponential(tilted, t) @ np.ones(Q.n_states)
-    return cb.ConditionalMgf(values, t, theta)
-
-
 def _same_bits(got, want):
     if isinstance(want, cb.ConditionalMgf):
         return (got.values.tobytes() == want.values.tobytes()
@@ -652,7 +665,8 @@ def _outcome(call, *args):
 
 
 class TestFoldMatchesReference:
-    """The folded oracles equal the five old ones bit for bit, or raise alike."""
+    """The folded oracles equal the old chain ones bit for bit, or raise alike;
+    on jump processes they match 50-digit mpmath."""
 
     def _compare(self, new, ref, *args):
         got, want = _outcome(new, *args), _outcome(ref, *args)
@@ -669,46 +683,54 @@ class TestFoldMatchesReference:
             self._compare(cb.exact_log_mgf, _ref_exact_log_mgf_discrete, P, init, fv, theta, n),
         ]
 
-    def _check_jump(self, Q, init, fv, theta, t):
-        return [
-            self._compare(cb.conditional_mgf, _ref_conditional_mgf_continuous, Q, fv, theta, t),
-            self._compare(cb.exact_mgf, _ref_exact_mgf_continuous, Q, init, fv, theta, t),
-        ]
-
-    def test_bit_identical_on_seeded_grid(self, monkeypatch):
-        replays = []
-        replay_sum = exact_oracle._replay_sum
-
-        def recording(total, period, count):
-            replays.append(period.size)
-            return replay_sum(total, period, count)
-
-        monkeypatch.setattr(exact_oracle, "_replay_sum", recording)
+    def test_bit_identical_on_seeded_grid(self):
+        replays = 0
         mismatch = errors.DimensionMismatch
         rng = np.random.default_rng(2026)
-        for i in range(300):
-            k = 1 + (i // 2) % 12
+        for i in range(150):
+            k = 1 + i % 12
             fv = rng.normal(size=k)
             init = cb.make_distribution(rng.dirichlet(np.ones(k)))
             x = float(rng.uniform(0.05, 2.0))
-            if i % 2 == 0:
-                # one chain in seven is lazy: slow to mix, so its replay starts late
-                P = _replay_chain(rng, k, ("dense", "sparse", "lazy")[min(2, (i // 2) % 7 // 3)])
-                for theta in (0.0, -x, x):
-                    for n in (1, 2, 7, 500, 20000):
-                        self._check_chain(P, init, fv, theta, n)
-                assert self._check_chain(P, init, fv, x, 0) == [errors.InvalidQuery] * 3
-                assert self._check_chain(P, init, fv[:-1], x, 1) == [mismatch] * 3
-            else:
-                Q = random_generator(rng, k, rate_scale=float(rng.uniform(0.1, 3.0)))
-                for theta in (0.0, -x, x):
-                    for t in (0.0, 0.01, 1.0, 7.5):
-                        self._check_jump(Q, init, fv, theta, t)
-                assert self._check_jump(Q, init, fv[:-1], x, 1.0) == [mismatch] * 2
-                assert self._compare(
-                    cb.exact_mgf, _ref_exact_mgf_continuous, Q, init, fv, x, -1.0
-                ) is errors.InvalidQuery
-        assert sum(p > 1 for p in replays) >= 10 and len(replays) >= 300
+            # one chain in seven is lazy: slow to mix, so its replay starts late
+            P = _counted(_replay_chain(rng, k, ("dense", "sparse", "lazy")[min(2, i % 7 // 3)]))
+            for theta in (0.0, -x, x):
+                for n in (1, 2, 7, 500, 20000):
+                    P.entries.calls = 0
+                    self._check_chain(P, init, fv, theta, n)
+                    replays += P.entries.calls < 3 * (n - 1)
+            assert self._check_chain(P, init, fv, x, 0) == [errors.InvalidQuery] * 3
+            assert self._check_chain(P, init, fv[:-1], x, 1) == [mismatch] * 3
+        assert replays >= 300
+
+    def test_jump_matches_mpmath(self):
+        # 50 digits; t = 1 and 7.5 are the 100th and 750th powers of t = 0.01
+        mpmath.mp.dps = 50
+        rng = np.random.default_rng(2020)
+        worst = 0.0
+        for i in range(100):
+            k = 2 + i % 6
+            Q = random_generator(rng, k, rate_scale=float(rng.uniform(0.1, 3.0)))
+            fv = rng.normal(size=k)
+            init = cb.make_distribution(rng.dirichlet(np.ones(k)))
+            theta = float(rng.uniform(-2.0, 2.0))
+            tilted = mpmath.matrix(Q.entries.tolist()) + mpmath.diag(
+                [mpmath.mpf(theta) * float(x) for x in fv])
+            step = mpmath.expm(tilted / 100)
+            for t, power in ((0.01, 1), (1.0, 100), (7.5, 750)):
+                want = step**power * mpmath.matrix([1] * k)
+                got = cb.conditional_mgf(Q, fv, theta, t).values
+                for z in range(k):
+                    worst = max(worst, float(abs(got[z] - want[z]) / want[z]))
+                whole = mpmath.fsum(float(w) * want[z] for z, w in enumerate(init.weights))
+                mgf = cb.exact_mgf(Q, init, fv, theta, t)
+                worst = max(worst, float(abs(mgf - whole) / whole))
+                assert cb.exact_log_mgf(Q, init, fv, theta, t) == pytest.approx(
+                    float(mpmath.log(whole)), abs=1e-13)
+            assert cb.exact_mgf(Q, init, fv, theta, 0.0) == 1.0
+            assert _outcome(cb.conditional_mgf, Q, fv[:-1], theta, 1.0) is errors.DimensionMismatch
+            assert _outcome(cb.exact_mgf, Q, init, fv, theta, -1.0) is errors.InvalidQuery
+        assert worst <= 1e-13
 
     def test_overflow_and_underflow_cases(self):
         P = cb.validate_transition_matrix([[0.5, 0.5], [0.5, 0.5]])
@@ -755,6 +777,13 @@ class TestOracleInputs:
             with pytest.raises(errors.InvalidQuery, match="t must be >= 0"):
                 call(self.Q, mu, self.F, 0.3, -2.0)
 
+    def test_chain_horizon_past_float_is_typed(self):
+        # whole periods are counted in doubles, so n must convert to one
+        mu = cb.stationary_distribution(self.P)
+        for call in (cb.exact_mgf, cb.exact_log_mgf):
+            with pytest.raises(errors.InvalidQuery, match="^horizon n must fit a float$"):
+                call(self.P, mu, self.F, 0.1, 10**400)
+
     @pytest.mark.parametrize("n", [5, 5000])
     def test_chain_underflow_is_typed(self, n):
         # the rescaled MGF from state 1 underflows to 0; the true MGF is
@@ -765,15 +794,31 @@ class TestOracleInputs:
             with pytest.raises(errors.Overflow):
                 call(P, init, np.array([1.0, -800.0]), 1.0, n)
 
+    @pytest.mark.filterwarnings("error")
     def test_jump_log_mgf_underflow_is_typed(self):
+        # the MGF itself underflows to 0.0, but the Perron shift keeps its log:
+        # with f = 1 the integral is t exactly, so the log MGF is theta t
         mu = cb.stationary_distribution(self.Q)
         assert cb.exact_mgf(self.Q, mu, np.ones(2), -200.0, 7.5) == 0.0
+        assert cb.exact_log_mgf(self.Q, mu, np.ones(2), -200.0, 7.5) == -1500.0
+        # a horizon whose exponent leaves double range is still typed
         with pytest.raises(errors.Overflow):
-            cb.exact_log_mgf(self.Q, mu, np.ones(2), -200.0, 7.5)
+            cb.exact_log_mgf(self.Q, mu, self.F, 0.3, 1e308)
 
     def test_jump_log_mgf_is_log_of_mgf(self):
         mu = cb.stationary_distribution(self.Q)
-        assert cb.exact_log_mgf(self.Q, mu, self.F, 0.3, 1.7) == math.log(
-            cb.exact_mgf(self.Q, mu, self.F, 0.3, 1.7)
-        )
+        for t in (0.0, 1.7, 30.0):
+            log_mgf = cb.exact_log_mgf(self.Q, mu, self.F, 0.3, t)
+            assert cb.exact_mgf(self.Q, mu, self.F, 0.3, t) == math.exp(log_mgf)
         assert cb.exact_log_mgf(self.Q, mu, self.F, 0.3, 0.0) == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_jump_log_mgf_at_long_horizons(self):
+        # the log MGF grows as t times the Perron root of Q + theta diag f,
+        # far past the t where exp(t (Q + theta diag f)) overflows
+        mu = cb.stationary_distribution(self.Q)
+        f = cb.make_observable(self.F, mu)
+        rate = max(np.linalg.eigvals(self.Q.entries + 0.3 * np.diag(f.values)).real)
+        logs = {t: cb.exact_log_mgf(self.Q, mu, f, 0.3, t) for t in (5e3, 2e4, 1e6)}
+        assert (logs[2e4] - logs[5e3]) / 1.5e4 == pytest.approx(rate, rel=1e-12)
+        assert logs[1e6] == pytest.approx(24807.67, rel=1e-6)

@@ -946,6 +946,18 @@ class TestEmpiricalMgf:
         rep = cb.empirical_mgf(cfg, Q, f, theta)
         assert rep.ci_low <= exact <= rep.ci_high
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_refused_before_simulating(self, theta, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("simulated a query it should refuse")
+
+        monkeypatch.setattr(simulate, "_path_functionals", unreachable)
+        P = cb.validate_transition_matrix([[0.9, 0.1], [0.2, 0.8]])
+        mu = cb.stationary_distribution(P)
+        cfg = cb.SimConfig(replicas=10, seed=0, init=mu, n=5)
+        with pytest.raises(errors.InvalidQuery, match="^theta must be finite$"):
+            cb.empirical_mgf(cfg, P, cb.make_observable([1.0, -1.0], mu), theta)
+
     def test_heavy_tail_flagged(self):
         # rare state carries an enormous weight: a handful of samples
         # dominate the mean and the normal CI is not trustworthy
