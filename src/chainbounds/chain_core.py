@@ -410,8 +410,10 @@ def radon_nikodym_norm(nu: Distribution, mu: Distribution, p: float) -> float:
 def make_observable(values, mu: Distribution, auto_center: bool = True) -> Observable:
     """Build an observable with exact moments under ``mu``.
 
-    With ``auto_center`` the values are shifted by -E_mu[values]; otherwise
-    a mean beyond ``CENTERING_TOLERANCE`` raises :class:`NotCentered`.
+    With ``auto_center`` the values are shifted by -E_mu[values], and a
+    constant f becomes exact zeros rather than the rounding residue of its
+    mean; otherwise a mean beyond ``CENTERING_TOLERANCE`` raises
+    :class:`NotCentered`.
     ``M`` is the sup-norm of the stored values and ``sigma2`` their exact
     variance under mu.
     """
@@ -423,7 +425,7 @@ def make_observable(values, mu: Distribution, auto_center: bool = True) -> Obser
     w = mu.weights
     mean = float(w @ v)
     if auto_center:
-        v = v - mean
+        v = v - mean if v.min() < v.max() else np.zeros_like(v)
     elif abs(mean) > CENTERING_TOLERANCE:
         raise NotCentered(f"E_mu[f] = {mean!r} exceeds tolerance {CENTERING_TOLERANCE!r}")
     mean_stored = float(w @ v)
@@ -481,9 +483,11 @@ class ChainData:
 def _schema_array(obj, name: str, ndim: int, n: int | None = None) -> np.ndarray:
     """A JSON array of numbers, nested ``ndim`` deep with every side n long, as floats.
 
-    ``n=None`` takes any length, the same on every side. numpy infers the
-    kind, so numeric strings (which ``dtype=float`` would parse) and
-    integers beyond 64 bits (held as objects) are refused; so are JSON
+    ``n=None`` takes any length, the same on every side. Arrays of floats
+    arrive from :func:`_read_json` as float64 rows, which are stacked as
+    they are and need no type scan; the other arrays are lists, whose kind
+    numpy infers, so numeric strings (which ``dtype=float`` would parse)
+    and integers beyond 64 bits (held as objects) are refused; so are JSON
     booleans, which numpy reads as numbers next to numbers, by their type.
     """
     side = "n" if n is None else n
@@ -495,7 +499,9 @@ def _schema_array(obj, name: str, ndim: int, n: int | None = None) -> np.ndarray
     if a.ndim != ndim or len(set(a.shape)) != 1 or n not in (None, a.shape[0]):
         raise SchemaError(shape)
     rows = obj if ndim == 2 else [obj]
-    if a.dtype.kind not in "iuf" or any(bool in set(map(type, row)) for row in rows):
+    if a.dtype.kind not in "iuf" or any(
+        isinstance(row, list) and bool in set(map(type, row)) for row in rows
+    ):
         raise SchemaError(f"{name} must contain only numbers")
     return a.astype(float, copy=False)
 
@@ -552,10 +558,12 @@ class _NumberArrayDecoder(json.JSONDecoder):
     list is kept when orjson parsed it and every element lies in
     (-2**63, 2**64), where both parsers give equal numbers of equal types.
     Beyond 64 bits orjson rounds integers to floats where ``json`` keeps
-    ints; -2**63 - 1 rounds to -2.0**63, hence the open lower end. Every
-    other array (nested arrays, strings, objects, ``NaN`` and ``Infinity``
-    tokens, text orjson refuses) goes to ``json``'s own array parser, so
-    the document and every error message are ``json.load``'s.
+    ints; -2**63 - 1 rounds to -2.0**63, hence the open lower end. A kept
+    list of floats only arrives as a float64 row, with no Python float per
+    number; both bounds are doubles, so the row's range check is exact.
+    Every other array (nested arrays, strings, objects, ``NaN`` and
+    ``Infinity`` tokens, text orjson refuses) goes to ``json``'s own array
+    parser, so the document and every error message are ``json.load``'s.
     """
 
     def __init__(self, **kw):
@@ -563,13 +571,18 @@ class _NumberArrayDecoder(json.JSONDecoder):
 
         super().__init__(**kw)
         loads, refused = orjson.loads, orjson.JSONDecodeError
+        is_float = float.__instancecheck__
 
         def parse_array(s_and_end, scan_once):
             s, end = s_and_end
             stop = s.find("]", end) + 1  # 0 if there is none: orjson refuses ""
             try:
                 values = loads(s[end - 1 : stop])
-                if not values or -(2**63) < min(values) and max(values) < 2**64:
+                if values and all(map(is_float, values)):
+                    row = np.array(values)
+                    if -(2.0**63) < row.min() and row.max() < 2.0**64:
+                        return row, stop
+                elif not values or -(2**63) < min(values) and max(values) < 2**64:
                     return values, stop
             except (refused, TypeError):  # TypeError: an element is not a number
                 pass
@@ -582,8 +595,9 @@ class _NumberArrayDecoder(json.JSONDecoder):
 def _read_json(path):
     """The document of a JSON file, as ``json.load`` decodes it.
 
-    Malformed JSON, nesting deeper than the decoder's recursion reaches and
-    a file that is not UTF-8 are SchemaErrors.
+    Each array of floats only is a 1-D float64 array in place of the list
+    ``json.load`` gives. Malformed JSON, nesting deeper than the decoder's
+    recursion reaches and a file that is not UTF-8 are SchemaErrors.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:

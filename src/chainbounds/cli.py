@@ -29,7 +29,7 @@ from .chain_core import (
     radon_nikodym_norm,
     stationary_distribution,
 )
-from .errors import ChainBoundsError, SchemaError
+from .errors import ChainBoundsError, InvalidQuery, SchemaError
 from .exact_oracle import exact_mgf
 from .simulate import SimConfig, empirical_mgf, empirical_tail
 from .spectral import (
@@ -222,6 +222,9 @@ def _cmd_verify(args) -> int:
     chain = load_chain(args.chain)
     mu = _resolve_mu(chain)
     obs = _centered_observable(_resolve_f(chain, args.f), mu)
+    if obs.M == 0:
+        raise InvalidQuery("the observable f is constant under mu: centred, it is 0 "
+                           "everywhere and has no tail to verify")
     nu = _resolve_nu(chain, args.nu, mu)
     horizon_kwargs = _horizon(chain, args)
     config = _sim_config(args, nu, horizon_kwargs)

@@ -40,6 +40,10 @@ from .errors import DimensionMismatch, InvalidQuery, Overflow, TooLarge
 
 PATH_ENUMERATION_CAP = 10**7
 DP_CELL_CAP = 4_000_001
+# (n - 1) x width x m cell-steps of the tail DP. At the cap it took 0.3-0.45 s
+# for up to 10 states, 1.3 s at 200 and 14 s at 2,000 (one BLAS thread): the
+# dense push costs more per cell-step as m grows.
+DP_WORK_CAP = 10**8
 _GRID_DENOMINATOR_CAP = 10**6
 # Most log increments the discrete oracle holds at once (0.5 MB of float64):
 # the longest period its replay detects, and the steps per closed window.
@@ -240,6 +244,8 @@ def _tail_by_dp(
     width = hi - lo + 1
     if width * m > DP_CELL_CAP:
         raise TooLarge(f"sum grid needs {width * m} cells, above {DP_CELL_CAP}")
+    if (n - 1) * width * m > DP_WORK_CAP:
+        raise TooLarge(f"sum DP needs {(n - 1) * width * m} cell-steps, above {DP_WORK_CAP}")
     offset = -lo
     dp = np.zeros((m, width))
     for i in range(m):
@@ -265,7 +271,8 @@ def exact_tail_discrete(
     """Exact deviation probability P(|1/n sum_{k=1}^n f(Z_k)| >= delta).
 
     Uses dynamic programming over (state, accumulated sum) when all values
-    of f sit on a common rational grid (detected up to 1e-12); otherwise
+    of f sit on a common rational grid (detected up to 1e-12) and the DP
+    fits ``DP_CELL_CAP`` cells and ``DP_WORK_CAP`` cell-steps; otherwise
     enumerates every path, which requires |states|^n <= 1e7.
 
     Raises

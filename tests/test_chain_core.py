@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import chainbounds as cb
 from chainbounds import errors
-from chainbounds.chain_core import _read_json
+from chainbounds.chain_core import _read_json, _schema_array
 from chainbounds.examples import ZERO_ABSOLUTE_GAP_ROWS, zero_absolute_gap_chain
 from conftest import random_generator, random_transition
 
@@ -182,6 +183,14 @@ class TestMakeObservable:
         assert f.M == 1.0
         assert f.sigma2 == pytest.approx(0.5)
 
+    def test_constant_centres_to_exact_zeros(self):
+        # mu @ (3, 3) rounds to 3.0000000000000004 under this mu
+        mu = cb.stationary_distribution(cb.validate_transition_matrix(
+            [[0.547, 0.453], [0.7422, 0.2578]]))
+        f = cb.make_observable([3, 3], mu)
+        assert f.values.tolist() == [0.0, 0.0]
+        assert (f.M, f.sigma2, f.mean_mu, f.centered) == (0.0, 0.0, 0.0, True)
+
     def test_not_centered_rejected(self):
         mu = cb.make_distribution([0.5, 0.5])
         with pytest.raises(errors.NotCentered):
@@ -291,6 +300,19 @@ def _decoded(read, path):
     except errors.SchemaError as exc:
         return "SchemaError", str(exc)
 
+    def lists(x):
+        # a float64 row stands for the list of floats json.load gives
+        if isinstance(x, np.ndarray):
+            assert x.ndim == 1 and x.dtype == np.float64, (x.ndim, x.dtype)
+            return x.tolist()
+        if isinstance(x, list):
+            return [lists(v) for v in x]
+        if isinstance(x, dict):
+            return {k: lists(v) for k, v in x.items()}
+        return x
+
+    doc = lists(doc)
+
     def types(x):
         if isinstance(x, list):
             return [types(v) for v in x]
@@ -358,8 +380,51 @@ class TestReadJsonParity:
         '{"a": [1], "a": [2.5]}', '[{"a": [1]}, {"a": [1]}]',
         "[]", "[ ]", "[\n\t\r ]", " [ 1 ,\r\n 2 ] ", "[[ ], [\t]]", "[1\f]", "[\u00a01]",
         "[1 2]", "[1,]", "[,1]", "[1.]", "[.5]", "[01]", "[+1]", "[1e]", "[-]", "[0x10]",
-        "\ufeff[1]", "[\ufeff1]",
+        "\ufeff[1]", "[\ufeff1]", "[0.5, true]", "[0.5, null]", '[0.5, "0.5"]', "[1e23, 0.5]",
+        "[1.8446744073709552e19, 0.5]", "[-9.2e18, 1.8e19]", "[[0.5], [1], [1.5, 2]]",
         "", "[", "[1, 2", "[[1, 2], [3", '{"P": [[0.5, 0.5]', "[1,", '["a', "[1]]", "[1] [2]",
     ])
     def test_edge_documents(self, path, text):
         self.assert_parity(path, text)
+
+
+class TestFloatRows:
+    """Arrays of floats are decoded to float64 rows and stacked as they are."""
+
+    def test_dense_document_holds_about_its_doubles(self, tmp_path):
+        n = 400
+        P = random_transition(np.random.default_rng(3), n)
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps({"labels": [str(i) for i in range(n)], "P": P.entries.tolist()}))
+        _read_json(path)  # imports orjson before the traced read
+        tracemalloc.start()
+        try:
+            doc = _read_json(path)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a list of Python floats per row held 4.9 MB here
+        assert held <= 1.5 * n * n * 8, held
+        assert np.array_equal(_schema_array(doc["P"], '"P"', 2, n), P.entries)
+
+    @pytest.mark.parametrize("text", [
+        "[[0.5, 0.5], [1, 0]]", "[[1, 0], [0.5, 0.5]]", "[[0.5, 0.5], [true, 0.5]]",
+        "[[true, false], [0.5, 0.5]]", "[[0.5, 0.5], [false, true]]", "[[0.5, 0.5], [null, 1]]",
+        '[[0.5, 0.5], ["a", 1]]', "[[0.5, 0.5], [100000000000000000000000, 1]]",
+        "[[0.5, 0.5], [18446744073709551615, 0.5]]", "[[0.5, 0.5], [-9223372036854775809, 0.5]]",
+        "[[0.5, 1e23], [0, 1]]", "[[0.5, 0.5], [NaN, 1]]", "[[0.5, 0.5], [0.5]]",
+        "[[0.5, 0.5], [0.5, [0.5]]]", '[[0.5, 0.5], "ab"]', "[[0.5, 0.5], {}]", "[0.5, 0.5]",
+    ])
+    def test_mixed_rows_match_all_lists(self, tmp_path, text):
+        # the lists json.load gives take the type-scanning path throughout
+        path = tmp_path / "m.json"
+        path.write_text(text)
+
+        def schema(doc):
+            try:
+                a = _schema_array(doc, "matrix", 2)
+            except errors.SchemaError as exc:
+                return "SchemaError", str(exc)
+            return a.dtype, repr(a.tolist())
+
+        assert schema(_read_json(path)) == schema(json.loads(text))

@@ -807,6 +807,16 @@ class TestVerify:
         out = capsys.readouterr().out
         assert out.splitlines()[1].split(",")[5] == "false"
 
+    def test_constant_f_is_invalid_query(self, tmp_path, capsys):
+        # f = (3, 3) once centred to a 4.4e-16 residue whose tail "violated" the bound
+        path = _chain_file(tmp_path, {"labels": ["a", "b"],
+                                      "P": [[0.547, 0.453], [0.7422, 0.2578]], "f": [3, 3]})
+        rc = cli.main(["verify", path, "--n", "50", "--delta-grid", "1e-16,2e-16,3e-16,4e-16",
+                       "--replicas", "2000", "--seed", "1"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "InvalidQuery" and "constant under mu" in err["message"]
+
     def test_unallocatable_replicas_exit_two(self, tmp_path, capsys):
         # 10^18 replicas need 8 EB for their results, more than any address
         # space holds: a usage error (exit 2), not a bound violation (exit 1)

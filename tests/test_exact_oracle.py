@@ -593,6 +593,16 @@ class TestExactTailDiscrete:
             cb.exact_tail_discrete(P, _uniform(2), f, 10**12, 0.1)
         assert time.perf_counter() - start < 1.0
 
+    def test_dp_work_capped(self):
+        # one state, n = 2 * 10^4: 4 * 10^8 cell-steps took 1.75 s uncapped
+        P = cb.validate_transition_matrix([[1.0]])
+        start = time.perf_counter()
+        with pytest.raises(errors.TooLarge, match="cell-steps, above"):
+            exact_oracle._tail_by_dp(P, _uniform(1), np.array([1]), 1, 2 * 10**4, 0.5)
+        assert time.perf_counter() - start < 1.0
+        # the one path is enumerated instead
+        assert cb.exact_tail_discrete(P, _uniform(1), np.array([1.0]), 2 * 10**4, 0.5) == 1.0
+
     def test_generator_rejected(self):
         # a jump process has no step distribution to sum over
         Q = cb.validate_generator([[-1, 1], [2, -2]])
