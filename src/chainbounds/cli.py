@@ -132,8 +132,20 @@ def _sim_config(args, init, horizon: dict) -> SimConfig:
                      alpha=args.alpha, **horizon)
 
 
+def _finite_or_null(obj):
+    """``obj`` with every non-finite float replaced by None, which JSON has as null."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    return obj
+
+
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    # JSON has no NaN or Infinity: such a float prints as null
+    print(json.dumps(_finite_or_null(obj), indent=2, allow_nan=False))
 
 
 # --------------------------------------------------------------------------

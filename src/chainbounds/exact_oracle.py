@@ -40,10 +40,15 @@ from .errors import DimensionMismatch, InvalidQuery, Overflow, TooLarge
 
 PATH_ENUMERATION_CAP = 10**7
 DP_CELL_CAP = 4_000_001
-# (n - 1) x width x m cell-steps of the tail DP. At the cap it took 0.3-0.45 s
-# for up to 10 states, 1.3 s at 200 and 14 s at 2,000 (one BLAS thread): the
-# dense push costs more per cell-step as m grows.
-DP_WORK_CAP = 10**8
+# Weighted cell-steps of the tail DP, (n - 1) x width x m x (m + _DP_SHIFT_WORK):
+# each step's dense push makes m^2 x width multiply-adds, and its shifts and
+# fresh grid cost about _DP_SHIFT_WORK of them per cell. At the cap, on dense
+# chains with f on {0, 1}, it took 0.15-0.25 s from 1 to 1,000 states and
+# 0.36 s at 2,000, where the push's operand is 25 columns wide (one BLAS
+# thread). A cap of 10^8 plain cell-steps, (n - 1) x width x m, let 300
+# states run 1.6 s and 2,000 run 14 s.
+DP_WORK_CAP = 25 * 10**8
+_DP_SHIFT_WORK = 24
 _GRID_DENOMINATOR_CAP = 10**6
 # Most log increments the discrete oracle holds at once (0.5 MB of float64):
 # the longest period its replay detects, and the steps per closed window.
@@ -244,8 +249,9 @@ def _tail_by_dp(
     width = hi - lo + 1
     if width * m > DP_CELL_CAP:
         raise TooLarge(f"sum grid needs {width * m} cells, above {DP_CELL_CAP}")
-    if (n - 1) * width * m > DP_WORK_CAP:
-        raise TooLarge(f"sum DP needs {(n - 1) * width * m} cell-steps, above {DP_WORK_CAP}")
+    work = (n - 1) * width * m * (m + _DP_SHIFT_WORK)
+    if work > DP_WORK_CAP:
+        raise TooLarge(f"sum DP needs {work} weighted cell-steps, above {DP_WORK_CAP}")
     offset = -lo
     dp = np.zeros((m, width))
     for i in range(m):
@@ -272,7 +278,7 @@ def exact_tail_discrete(
 
     Uses dynamic programming over (state, accumulated sum) when all values
     of f sit on a common rational grid (detected up to 1e-12) and the DP
-    fits ``DP_CELL_CAP`` cells and ``DP_WORK_CAP`` cell-steps; otherwise
+    fits ``DP_CELL_CAP`` cells and ``DP_WORK_CAP`` weighted cell-steps; otherwise
     enumerates every path, which requires |states|^n <= 1e7.
 
     Raises

@@ -17,8 +17,10 @@ processes are sampled by their holding-time representation (no
 uniformization), which makes time integrals of observables exact given the
 path: rounds of at most ``_CHAIN_BLOCK`` jump steps, each a hold
 ``-log1p(-u) / rate`` and a jump uniform, in replica chunks that hold
-``_JUMP_BUDGET`` draws. So neither sampler's memory grows with the horizon
-or the replica count. Both samplers pick every state, the first one
+``_JUMP_BUDGET`` draws (16 MB). A step reads its hold and jump rows as
+they are until some path of the round ends, and through a column index of
+the running paths after that. So neither sampler's memory grows with the
+horizon or the replica count. Both samplers pick every state, the first one
 included, from an exact guide table over the steps of the clamped row
 CDFs: one bucket lookup, then a bisection over the few steps inside the
 bucket, with the same ``cdf <= u`` compares as a scan of the whole row.
@@ -395,14 +397,16 @@ _DRAW_BUDGET = 1 << 20
 # interleaved runs (2-vCPU VM, numpy 2.4, one BLAS thread).
 _CHAIN_BLOCK = 512
 
-# Draws held per jump-sampler chunk (32 MB of float64): a chunk of replicas
+# Draws held per jump-sampler chunk (16 MB of float64): a chunk of replicas
 # shares one step-major buffer of 4 + 2B rows, B jump steps per round. Each
-# step makes about 18 numpy calls per chunk, so narrower chunks save memory
-# but cost time: on the mgf-oracle jump input (20 states, t = 100, 10^4
-# replicas, B = 512), budgets 2^20, 2^21, 2^22 and 2^23 took medians of
-# 0.88, 0.81, 0.81 and 0.76 s over 7 interleaved runs, with tracemalloc peaks
-# of 9, 18, 29 and 43 MB (2-vCPU VM, numpy 2.4, one BLAS thread).
-_JUMP_BUDGET = 1 << 22
+# step makes about 15 numpy calls per chunk until a path of the round ends
+# and 17 after it, so narrower chunks save memory but cost time: on the
+# mgf-oracle jump input (20 states, t = 100, 10^4 replicas, B = 512, chunks
+# of 2,000 replicas at 2^21), budgets 2^20, 2^21, 2^22 and 2^23 took medians
+# of 0.50, 0.42, 0.40 and 0.41 s of CPU over 9 interleaved runs, with
+# tracemalloc peaks of 9, 18, 29 and 43 MB (2-vCPU VM, numpy 2.4, one BLAS
+# thread).
+_JUMP_BUDGET = 1 << 21
 
 # Replicas drawn row-major into a stage, then copied step-major in one
 # transposed copy: 64 rows keep the copy's source cache lines in L1.
@@ -533,9 +537,11 @@ def _ctmc_integrals(
     offset (row times K), exit rate, f value, remaining time and round
     accumulator are compacted only at steps where some path ends; a path
     ends where ``hold < rem`` fails, which an infinite or nan hold (zero
-    exit rate) does. The holds use numpy's ``log1p``, whose SIMD kernel and
-    libm fallback can differ in the last bit, so the integrals repeat bit for
-    bit on one machine and numpy build.
+    exit rate) does. Until the first ending of a round, running path i owns
+    column i of the round's rows, which are used as they are; from then on
+    the steps gather the running paths' columns. The holds use numpy's
+    ``log1p``, whose SIMD kernel and libm fallback can differ in the last
+    bit, so the integrals repeat bit for bit on one machine and numpy build.
     """
     # +0.0 at absorbing states, whatever the sign of zero on the diagonal:
     # a hold over it is inf, or nan for a zero draw, and either ends the path
@@ -569,21 +575,23 @@ def _ctmc_integrals(
                 np.log1p(np.negative(holds, out=holds), out=holds)
                 np.negative(holds, out=holds)
                 jumps *= table.buckets
-                col, acc = np.arange(ids.size), np.zeros(ids.size)
+                # None while running path i still owns column i
+                col, acc = None, np.zeros(ids.size)
                 for exp_row, scaled in zip(holds, jumps):
-                    hold = exp_row[col] / rate
+                    hold = exp_row / rate if col is None else exp_row.take(col) / rate
                     going = hold < rem
                     if not going.all():
                         ending = ~going
                         integrals[ids[ending]] += acc[ending] + f[ending] * rem[ending]
-                        ids, col, offsets, rate, f, rem, acc, hold = (
-                            a[going] for a in (ids, col, offsets, rate, f, rem, acc, hold)
+                        col = np.flatnonzero(going) if col is None else col[going]
+                        ids, offsets, rate, f, rem, acc, hold = (
+                            a[going] for a in (ids, offsets, rate, f, rem, acc, hold)
                         )
                         if not ids.size:
                             return integrals
                     acc += f * hold
                     rem -= hold
-                    pos = _pick_steps(table, offsets, scaled[col])
+                    pos = _pick_steps(table, offsets, scaled if col is None else scaled.take(col))
                     offsets, rate, f = offset_at.take(pos), rate_at.take(pos), f_at.take(pos)
                 integrals[ids] += acc
                 position += 2 * block

@@ -669,7 +669,34 @@ class TestMgf:
         assert time.perf_counter() - start < 5.0
         doc = json.loads(capsys.readouterr().out)
         assert rc == 0
-        assert doc["n"] == 10**30 and doc["exact"] == math.inf
+        # the MGF overflows to inf, which JSON has only as null
+        assert doc["n"] == 10**30 and doc["exact"] is None
+
+    def test_non_finite_floats_print_as_null(self, tmp_path, capsys):
+        path = _chain_file(tmp_path, {"labels": ["a", "b"], "P": [[0.9, 0.1], [0.2, 0.8]],
+                                      "f": [1, -1]})
+        rc = cli.main(["mgf", path, "--theta", "0.1", "--n", str(10**30)])
+
+        def refuse(token):
+            raise ValueError(f"bare {token} is not JSON")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert rc == 0
+        assert doc["exact"] is None and doc["bound"] is None
+        assert doc["theta_in_range"] is True and doc["within_bound"] is True
+        assert math.isfinite(doc["eta_p"]) and math.isfinite(doc["M"])
+
+    def test_emit_json_nulls_only_non_finite_floats(self, capsys):
+        obj = {"a": [1.5, math.inf, (-math.inf, 2)], "b": {"c": math.nan, "d": None},
+               "e": np.float64(0.1), "f": np.float64(np.nan), "g": True, "h": "inf"}
+        cli._emit_json(obj)
+        assert json.loads(capsys.readouterr().out) == {
+            "a": [1.5, None, [None, 2]], "b": {"c": None, "d": None},
+            "e": 0.1, "f": None, "g": True, "h": "inf",
+        }
+        finite = {"x": [0.1, 1e-300, -2.5e17, 3], "y": {"z": np.float64(1 / 3)}}
+        cli._emit_json(finite)
+        assert capsys.readouterr().out == json.dumps(finite, indent=2) + "\n"
 
     @pytest.mark.parametrize("theta", ["nan", "inf"])
     @pytest.mark.parametrize("kind", ["chain", "jump"])

@@ -603,6 +603,22 @@ class TestExactTailDiscrete:
         # the one path is enumerated instead
         assert cb.exact_tail_discrete(P, _uniform(1), np.array([1.0]), 2 * 10**4, 0.5) == 1.0
 
+    def test_dp_work_counts_the_dense_push(self):
+        # 300 dense states, n = 577: 576 x 578 x 300 cell-steps sit just under
+        # 10^8, but each step's push makes 300^2 x 578 multiply-adds, and the
+        # DP took 2.5 s (one BLAS thread)
+        m, n = 300, 577
+        P = random_transition(np.random.default_rng(5), m)
+        multiples = np.arange(m) % 2
+        assert (n - 1) * (n + 1) * m < 10**8
+        start = time.perf_counter()
+        with pytest.raises(errors.TooLarge, match="cell-steps, above"):
+            exact_oracle._tail_by_dp(P, _uniform(m), multiples, 1, n, 0.5)
+        assert time.perf_counter() - start < 1.0
+        # a short horizon on the same chain still runs; at delta 0 every path counts
+        tail = exact_oracle._tail_by_dp(P, _uniform(m), multiples, 1, 3, 0.0)
+        assert tail == pytest.approx(1.0, abs=1e-12)
+
     def test_generator_rejected(self):
         # a jump process has no step distribution to sum over
         Q = cb.validate_generator([[-1, 1], [2, -2]])

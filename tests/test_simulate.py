@@ -521,12 +521,54 @@ class TestJumpSamplerParity:
             self._check(Q, mu, fv, 6.0, 9, 41)
             monkeypatch.setattr(simulate, "_JUMP_BUDGET", budget)
 
+    def test_first_ending_on_the_first_step_of_round_one(self, monkeypatch):
+        # every state leaves at rate 5, so path r's clock after j steps is its
+        # first j holds over 5, whatever it visits. t lies above every clock
+        # after a full round of B = _CHAIN_BLOCK steps and at or below the
+        # largest clock one step later: no path ends in round 0, and the
+        # first ending is on the first step of round 1
+        jumps = np.array([[0.0, 0.3, 0.7], [0.5, 0.0, 0.5], [0.9, 0.1, 0.0]])
+        Q = cb.validate_generator(5.0 * (jumps - np.eye(3)))
+        init, fv = cb.make_distribution([0.2, 0.5, 0.3]), np.array([1.0, -2.0, 0.5])
+        seed, replicas, block = 13, 600, simulate._CHAIN_BLOCK
+        clocks = []
+        for r in range(replicas):
+            u = _reference_rng(seed, r).random(4 + 2 * block + 1)
+            holds = -np.log1p(-np.append(u[4:4 + block], u[4 + 2 * block])) / 5.0
+            clocks.append((holds[:block].sum(), holds.sum()))
+        round_zero, one_more = np.array(clocks).T
+        t = (round_zero.max() + one_more.max()) / 2
+        assert simulate._ctmc_block_size(Q, t) == block
+        assert round_zero.max() < t < one_more.max()
+        want = _reference_ctmc_integrals(Q, init, fv, t, seed, replicas)
+        # budgets of 2^18, 2^21 and 2^22 draws run these replicas in 3, 1 and 1 chunks
+        for budget in (1 << 18, 1 << 21, 1 << 22):
+            monkeypatch.setattr(simulate, "_JUMP_BUDGET", budget)
+            assert _same_bits(_ctmc_integrals(Q, init, fv, t, seed, replicas), want)
+
+    def test_jump_buffer_within_budget(self):
+        # 4,000 replicas at B = 512 need 32.9 MB of draws: the budget cuts
+        # them into two chunks of 16.4 MB, and the peak stays near one chunk's
+        # buffer; on top of it come the 0.5 MB draw stage and, where the second
+        # chunk starts, two chunks' key lists of 0.3 MB each
+        Q = cb.validate_generator([[-10.0, 10.0], [10.0, -10.0]])
+        t, replicas = 100.0, 4_000
+        rows = 4 + 2 * simulate._ctmc_block_size(Q, t)
+        assert rows == 1028
+        tracemalloc.start()
+        try:
+            _ctmc_integrals(Q, _uniform(2), np.array([1.0, -1.0]), t, seed=1, replicas=replicas)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.06 * 8 * (1 << 21), peak
+
     def test_jump_memory_bounded_in_replicas(self):
         Q = cb.validate_generator([[-10.0, 10.0], [10.0, -10.0]])
         fv = np.array([1.0, -1.0])
         t, replicas = 100.0, 22_000
         rows = 4 + 2 * simulate._ctmc_block_size(Q, t)
-        assert replicas * rows > 5 * simulate._JUMP_BUDGET  # six chunks
+        assert replicas * rows > 5 * simulate._JUMP_BUDGET  # six chunks or more
         tracemalloc.start()
         try:
             _ctmc_integrals(Q, _uniform(2), fv, t, seed=1, replicas=replicas)
