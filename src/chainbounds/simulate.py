@@ -25,6 +25,17 @@ included, from an exact guide table over the steps of the clamped row
 CDFs: one bucket lookup, then a bisection over the few steps inside the
 bucket, with the same ``cdf <= u`` compares as a scan of the whole row.
 
+A run's replicas split into contiguous ranges, one per worker process: the
+calling process runs the first range and forked children the others, each
+sending its results' bytes back through a pipe. A run forks only when it
+has two chunks or more, ``os.sched_getaffinity`` exists and the process
+runs one operating-system thread, so never beside a live BLAS or Python
+thread; it then takes one worker per usable CPU, at most one per chunk
+(``_workers``). A replica's result depends only on its own stream, so the
+bits do not depend on the number of workers. Each worker holds at most one
+draw budget, so a run holds at most workers x budget draws, still bounded
+in the horizon and the replica count.
+
 ``empirical_tail`` simulates once and thresholds the same path averages at
 every delta of its grid, so a whole grid (as in the CLI's ``verify``) costs
 one simulation. Tail estimates carry exact Clopper-Pearson confidence
@@ -36,6 +47,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple, Union
@@ -427,25 +439,91 @@ def _stage_draws(draw, count: int, out: np.ndarray, stage: np.ndarray) -> None:
         out[:, k:k + len(rows)] = rows.T
 
 
+def _workers(chunks: int) -> int:
+    """Processes that share a run of ``chunks`` replica chunks.
+
+    One, unless the run has two chunks or more, ``os.sched_getaffinity``
+    exists and the process runs one operating-system thread: a fork beside a
+    live BLAS or Python thread could copy a lock that thread holds. Then one
+    per usable CPU, and at most one per chunk.
+    """
+    if chunks < 2 or not hasattr(os, "sched_getaffinity"):
+        return 1
+    try:
+        if len(os.listdir("/proc/self/task")) != 1:
+            return 1
+    except OSError:
+        return 1
+    return min(len(os.sched_getaffinity(0)), chunks)
+
+
 def _chunked(seed: int, replicas: int, block: int, budget: int, run) -> np.ndarray:
     """Per-replica results of ``run(stream, keys, draws, stage)``, chunk by chunk.
 
-    Replicas run in equal chunks of at most ``max(1, budget // block)``, so
-    memory does not grow with the replica count; ``keys`` are the chunk's
-    Philox keys and ``stream`` one ``_Repointed`` generator for the run.
-    One step-major (block x chunk) draw buffer and one ``_DRAW_TILE``-row
-    stage are allocated once; ``run`` gets the buffer cut to its chunk's
-    width.
+    The replicas split into ``_workers(chunks)`` contiguous ranges of nearly
+    equal size. The calling process runs the first range; each other range
+    runs in a forked child, which writes its results' float64 bytes to a
+    pipe and leaves by ``os._exit``. A child whose bytes come back short (it
+    failed, or no process could be forked) has its range run again here, so
+    an error surfaces as the serial run raises it. Every child is reaped,
+    and killed first if the run fails before its bytes are read.
+
+    A range runs in equal chunks of at most ``max(1, budget // block)``
+    replicas; ``keys`` are the chunk's Philox keys and ``stream`` one
+    ``_Repointed`` generator for the range. One step-major (block x chunk)
+    draw buffer and one ``_DRAW_TILE``-row stage are allocated once per
+    range; ``run`` gets the buffer cut to its chunk's width. So each process
+    holds at most one budget of draws and a run at most ``workers`` budgets,
+    whatever the horizon and the replica count.
     """
     widest = max(1, budget // max(block, 1))
-    chunk = -(-replicas // -(-replicas // widest))  # equal chunks, none wider
-    draws = np.empty((block, chunk))
-    stage = np.empty((min(_DRAW_TILE, chunk), block))
-    stream = _Repointed()
     out = np.empty(replicas)
-    for start in range(0, replicas, chunk):
-        keys = _replica_keys(seed, np.arange(start, min(start + chunk, replicas))).tolist()
-        out[start:start + len(keys)] = run(stream, keys, draws[:, :len(keys)], stage)
+    workers = _workers(-(-replicas // widest))
+    cuts = [replicas * w // workers for w in range(workers + 1)]
+
+    def run_range(lo: int, hi: int) -> None:
+        chunk = -(-(hi - lo) // -(-(hi - lo) // widest))  # equal chunks, none wider
+        draws = np.empty((block, chunk))
+        stage = np.empty((min(_DRAW_TILE, chunk), block))
+        stream = _Repointed()
+        for start in range(lo, hi, chunk):
+            keys = _replica_keys(seed, np.arange(start, min(start + chunk, hi))).tolist()
+            out[start:start + len(keys)] = run(stream, keys, draws[:, :len(keys)], stage)
+            del keys  # freed before the next chunk's keys are built
+
+    children = []  # (lo, hi, pid or None, read end of the child's pipe)
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the range is run here
+                pid = None
+            if pid == 0:
+                try:
+                    os.close(read)
+                    run_range(lo, hi)
+                    with open(write, "wb") as pipe:
+                        pipe.write(out[lo:hi])
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((lo, hi, pid, open(read, "rb")))
+        run_range(cuts[0], cuts[1])
+        for lo, hi, _, pipe in children:
+            with pipe:
+                got = pipe.readinto(out[lo:hi])
+            if got != out[lo:hi].nbytes:
+                run_range(lo, hi)
+    finally:
+        for _, _, pid, pipe in children:
+            if pid is not None and not pipe.closed:  # failed before its bytes were read
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+            pipe.close()
+            if pid is not None:
+                os.waitpid(pid, 0)
     return out
 
 

@@ -1,10 +1,13 @@
 import dataclasses
+import errno
 import json
 import math
 import operator
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -14,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import chainbounds as cb
-from chainbounds import errors, simulate
+from chainbounds import cli, errors, simulate
 from chainbounds.chain_core import Distribution, GeneratorMatrix, TransitionMatrix
 from chainbounds.errors import InvalidQuery
 from chainbounds.examples import zero_absolute_gap_chain
@@ -211,6 +214,8 @@ class TestSamplers:
         monkeypatch.setattr(simulate, "_replica_keys", recording)
         monkeypatch.setattr(simulate, "_DRAW_BUDGET", 24)
         monkeypatch.setattr(simulate, "_CHAIN_BLOCK", 8)
+        # one CPU: the chunks all run in this process, where they are counted
+        _cpus(monkeypatch, 1)
 
         def check(n, replicas):
             chunks.clear()
@@ -549,8 +554,8 @@ class TestJumpSamplerParity:
     def test_jump_buffer_within_budget(self):
         # 4,000 replicas at B = 512 need 32.9 MB of draws: the budget cuts
         # them into two chunks of 16.4 MB, and the peak stays near one chunk's
-        # buffer; on top of it come the 0.5 MB draw stage and, where the second
-        # chunk starts, two chunks' key lists of 0.3 MB each
+        # buffer; on top of it come the 0.5 MB draw stage and one chunk's key
+        # list of 0.3 MB
         Q = cb.validate_generator([[-10.0, 10.0], [10.0, -10.0]])
         t, replicas = 100.0, 4_000
         rows = 4 + 2 * simulate._ctmc_block_size(Q, t)
@@ -576,6 +581,250 @@ class TestJumpSamplerParity:
         finally:
             tracemalloc.stop()
         assert peak < replicas * rows * 8 / 4
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _one_thread():
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _no_children():
+    # raised only when this process has no child, live or exited but not reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# Set in the one-thread interpreter of
+# test_worker_tests_in_a_one_thread_interpreter, where every run of two
+# chunks or more must fork.
+_MUST_FORK = "CHAINBOUNDS_TEST_MUST_FORK"
+
+
+class TestWorkers:
+    """Replica ranges in forked workers (``_workers``, ``_chunked``).
+
+    Where BLAS threads are alive (unpinned OpenBLAS on several CPUs) no run
+    forks, and these tests check the serial path;
+    ``test_worker_tests_in_a_one_thread_interpreter`` runs them again where
+    runs fork.
+    """
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids that called ``os.fork``, and the number each run should make."""
+        if os.environ.get(_MUST_FORK):
+            assert _one_thread()
+        calls, fork = [], os.fork
+
+        def counting():
+            calls.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting)
+
+        def expected(chunks, cpus):
+            return min(chunks, cpus) - 1 if _one_thread() else 0
+
+        return calls, expected
+
+    def _chain(self):
+        rng = np.random.default_rng(17)
+        P = random_transition(rng, 5, sparsify=0.4)
+        return P, cb.stationary_distribution(P), rng.normal(size=5)
+
+    def test_worker_rule(self, monkeypatch):
+        _cpus(monkeypatch, 3)
+        many = 3 if _one_thread() else 1
+        assert [simulate._workers(c) for c in (1, 2, 3, 9)] == [1, min(2, many), many, many]
+        _cpus(monkeypatch, 1)
+        assert simulate._workers(9) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert simulate._workers(9) == 1
+
+    def test_bits_do_not_depend_on_the_workers(self, monkeypatch, forks):
+        calls, expected = forks
+        P, mu, fv = self._chain()
+        Q, muq, fq = TestJumpSamplerParity()._process()
+        monkeypatch.setattr(simulate, "_DRAW_BUDGET", 24)
+        monkeypatch.setattr(simulate, "_CHAIN_BLOCK", 8)
+        t = 4.0
+        rows = 4 + 2 * simulate._ctmc_block_size(Q, t)
+        monkeypatch.setattr(simulate, "_JUMP_BUDGET", 7 * rows + 3)
+
+        def chain(n, replicas):
+            return _dtmc_sums(P, mu, fv, n, 3, replicas)
+
+        def jump(t, replicas):
+            return _ctmc_integrals(Q, muq, fq, t, 3, replicas)
+
+        # replica counts just below, at and above one to four chunks, and 60:
+        # ranges of one chunk, of several, and of a partial last chunk
+        runs = [(chain, 9, 3 * k + d) for k in (1, 2, 3, 4) for d in (-1, 0, 1)]
+        runs += [(jump, t, 7 * k + d) for k in (1, 2, 3, 4) for d in (-1, 0, 1)]
+        runs += [(chain, 9, 60), (jump, t, 60)]
+        # ranges of 10,000 results (80 KB), more than a pipe holds at once
+        runs += [(chain, 2, 30_000)]
+        widths = {chain: lambda n, r: simulate._DRAW_BUDGET // simulate._chain_block(n, r),
+                  jump: lambda t, r: simulate._JUMP_BUDGET // rows}
+        for sampler, horizon, replicas in runs:
+            if replicas == 30_000:
+                monkeypatch.setattr(simulate, "_DRAW_BUDGET", 1 << 14)
+            chunks = -(-replicas // widths[sampler](horizon, replicas))
+            _cpus(monkeypatch, 1)
+            serial = sampler(horizon, replicas)
+            _cpus(monkeypatch, 3)
+            calls.clear()
+            got = sampler(horizon, replicas)
+            assert _same_bits(got, serial), (sampler.__name__, horizon, replicas)
+            assert calls == [os.getpid()] * expected(chunks, 3), (sampler.__name__, replicas)
+            _no_children()
+        assert chunks == 4
+
+    def _failing(self, monkeypatch, fails, error):
+        def replica_keys(seed, ids):
+            if fails(ids):
+                raise error
+            return _replica_keys(seed, ids)
+
+        monkeypatch.setattr(simulate, "_replica_keys", replica_keys)
+
+    def test_failures_in_a_range(self, monkeypatch, forks):
+        # 27 replicas in chunks of 3 over 3 CPUs: ranges [0, 9), [9, 18), [18, 27)
+        calls, expected = forks
+        P, mu, fv = self._chain()
+        monkeypatch.setattr(simulate, "_DRAW_BUDGET", 24)
+        monkeypatch.setattr(simulate, "_CHAIN_BLOCK", 8)
+        assert simulate._chain_block(9, 27) == 8
+        _cpus(monkeypatch, 1)
+        serial = _dtmc_sums(P, mu, fv, 9, 3, 27)
+        _cpus(monkeypatch, 3)
+        here = os.getpid()
+        # children that fail alone: their ranges run again here, bit for bit
+        self._failing(monkeypatch, lambda ids: os.getpid() != here, MemoryError("child"))
+        assert _same_bits(_dtmc_sums(P, mu, fv, 9, 3, 27), serial)
+        assert len(calls) == expected(9, 3)
+        _no_children()
+        # an error in a child's range reaches the caller as the serial run raises it
+        self._failing(monkeypatch, lambda ids: ids[0] >= 18, InvalidQuery("range [18, 27)"))
+        with pytest.raises(InvalidQuery, match=r"range \[18, 27\)"):
+            _dtmc_sums(P, mu, fv, 9, 3, 27)
+        _no_children()
+        # an error in this process's range: the children, stalled here, are
+        # killed rather than waited for
+        def fails(ids):
+            if os.getpid() != here:
+                time.sleep(60)
+            return ids[0] == 0
+
+        self._failing(monkeypatch, fails, InvalidQuery("range [0, 9)"))
+        calls.clear()
+        start = time.monotonic()
+        with pytest.raises(InvalidQuery, match=r"range \[0, 9\)"):
+            _dtmc_sums(P, mu, fv, 9, 3, 27)
+        assert time.monotonic() - start < 30
+        assert len(calls) == expected(9, 3)
+        _no_children()
+        # no process to spare: every range runs here
+        monkeypatch.setattr(simulate, "_replica_keys", _replica_keys)
+
+        def refusing():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", refusing)
+        assert _same_bits(_dtmc_sums(P, mu, fv, 9, 3, 27), serial)
+        _no_children()
+
+    def test_memory_error_in_a_child_range_exits_two(self, monkeypatch, tmp_path, capsys, forks):
+        calls, expected = forks
+        P, _, fv = self._chain()
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({"labels": list("abcde"), "P": P.entries.tolist(),
+                                    "f": fv.tolist()}))
+        monkeypatch.setattr(simulate, "_DRAW_BUDGET", 24)
+        monkeypatch.setattr(simulate, "_CHAIN_BLOCK", 8)
+        _cpus(monkeypatch, 3)
+        self._failing(monkeypatch, lambda ids: ids[0] >= 18, MemoryError("no room past 18"))
+        rc = cli.main(["verify", str(path), "--n", "9", "--delta-grid", "0.1",
+                          "--replicas", "27", "--seed", "3"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err == {"error": "MemoryError", "message": "no room past 18"}
+        assert len(calls) == expected(9, 3)
+        _no_children()
+
+    def test_no_fork_beside_a_live_thread(self, monkeypatch):
+        P, mu, fv = self._chain()
+        monkeypatch.setattr(simulate, "_DRAW_BUDGET", 24)
+        monkeypatch.setattr(simulate, "_CHAIN_BLOCK", 8)
+        _cpus(monkeypatch, 1)
+        serial = _dtmc_sums(P, mu, fv, 9, 3, 27)
+
+        def no_fork():
+            raise AssertionError("forked beside a live thread")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        _cpus(monkeypatch, 3)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            got = _dtmc_sums(P, mu, fv, 9, 3, 27)
+        finally:
+            release.set()
+            thread.join()
+        assert _same_bits(got, serial)
+
+    def test_chunk_boundary_within_the_chunk_peak(self, monkeypatch):
+        # the run of test_jump_buffer_within_budget, in this process alone: two
+        # chunks of 2,000 replicas. Between the chunks' runs, where the first
+        # chunk's key list is freed and the second's built, the traced memory
+        # stays within its peak inside a run
+        _cpus(monkeypatch, 1)
+        Q = cb.validate_generator([[-10.0, 10.0], [10.0, -10.0]])
+        chunked, between, inside = simulate._chunked, [], []
+
+        def peak(into):
+            into.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+
+        def recording(seed, replicas, block, budget, run):
+            def traced(*args):
+                peak(between)
+                result = run(*args)
+                peak(inside)
+                return result
+
+            return chunked(seed, replicas, block, budget, traced)
+
+        monkeypatch.setattr(simulate, "_chunked", recording)
+        tracemalloc.start()
+        try:
+            _ctmc_integrals(Q, _uniform(2), np.array([1.0, -1.0]), 100.0, seed=1, replicas=4_000)
+        finally:
+            tracemalloc.stop()
+        assert len(inside) == 2
+        assert between[1] <= min(inside), (between, inside)
+
+
+def test_worker_tests_in_a_one_thread_interpreter(tmp_path):
+    # BLAS pinned to one thread, as the benchmark pins it: every run of
+    # TestWorkers with two chunks or more forks there
+    src = str(Path(cb.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env[_MUST_FORK] = "1"
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::TestWorkers"],
+        env=env, cwd=tmp_path, timeout=300, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def _reference_pick(cdf, states, u):
