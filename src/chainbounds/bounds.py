@@ -229,13 +229,8 @@ def bound_sweep(query_template: BoundQuery, sweep_axis: str, values) -> list[Bou
     results, row_errors = [], []
     for idx, value in enumerate(values):
         try:
-            if sweep_axis == "n":
-                q = dataclasses.replace(query_template, n=int(value))
-            elif sweep_axis == "t":
-                q = dataclasses.replace(query_template, t=float(value))
-            else:
-                q = dataclasses.replace(query_template, **{sweep_axis: float(value)})
-            results.append(tail_bound(q))
+            typed = int(value) if sweep_axis == "n" else float(value)
+            results.append(tail_bound(dataclasses.replace(query_template, **{sweep_axis: typed})))
         except InvalidQuery as exc:
             row_errors.append(f"row {idx} (value {value!r}): {exc}")
     if row_errors:

@@ -316,6 +316,18 @@ def _gth_solve(entries: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
+def _balance_residual(op: ChainOperator, w: np.ndarray) -> tuple[float, float]:
+    """max |w P - w| (resp. max |w Q|) and the rate scale max(1, max |entries|).
+
+    The scale is exactly 1 for a validated transition matrix: a row of
+    nonnegative entries divided by its floating-point sum has none above 1.
+    """
+    balance = w @ op.entries
+    if isinstance(op, TransitionMatrix):
+        balance -= w
+    return float(np.abs(balance).max()), max(1.0, float(np.abs(op.entries).max()))
+
+
 def stationary_distribution(op: ChainOperator) -> Distribution:
     """Unique invariant distribution of an irreducible chain or jump process.
 
@@ -339,9 +351,7 @@ def stationary_distribution(op: ChainOperator) -> Distribution:
     w = _gth_solve(op.entries)
     if not w.min() > 0:  # also catches NaN from an underflowed pivot
         raise SolverFailure("stationary solve produced nonpositive mass")
-    discrete = isinstance(op, TransitionMatrix)
-    residual = float(np.abs(w @ op.entries - (w if discrete else 0.0)).max())
-    scale = max(1.0, float(np.abs(op.entries).max()))
+    residual, scale = _balance_residual(op, w)
     if residual > STATIONARY_RESIDUAL_TOLERANCE * scale:
         raise SolverFailure(
             f"stationary residual {residual!r} above tolerance at rate scale {scale!r}"
@@ -361,13 +371,7 @@ def _check_mu_positive(mu: Distribution, n: int) -> np.ndarray:
 
 def check_invariant(op: ChainOperator, mu: Distribution) -> None:
     """Raise NotInvariant unless mu P = mu (resp. mu Q = 0) within tolerance."""
-    w = mu.weights
-    if isinstance(op, TransitionMatrix):
-        residual = float(np.abs(w @ op.entries - w).max())
-        scale = 1.0
-    else:
-        residual = float(np.abs(w @ op.entries).max())
-        scale = max(1.0, float(np.abs(op.entries).max()))
+    residual, scale = _balance_residual(op, mu.weights)
     if residual > INVARIANCE_TOLERANCE * scale:
         raise NotInvariant(
             f"distribution is not invariant (residual {residual!r})"

@@ -293,13 +293,8 @@ def _cmd_sweep(args) -> int:
         typed = [int(v) for v in values]
     else:
         typed = [float(v) for v in values]
-    seed_kwargs = {}
-    if args.axis == "n" and args.n is None:
-        seed_kwargs["n"] = typed[0]
-    if args.axis == "t" and args.t is None:
-        seed_kwargs["t"] = typed[0]
-    if args.axis == "delta" and args.delta is None:
-        seed_kwargs["delta"] = typed[0]
+    # the first value stands in for a swept --n, --t or --delta left out
+    seed_kwargs = {args.axis: typed[0]} if getattr(args, args.axis) is None else {}
     results = bounds_mod.bound_sweep(_query_from_args(args, **seed_kwargs), args.axis, typed)
     if args.output_format == "json":
         _emit_json([

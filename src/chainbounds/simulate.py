@@ -8,8 +8,11 @@ from one vectorised pass that reproduces numpy's ``SeedSequence`` hash, so
 no per-replica ``SeedSequence`` is built, and no per-replica generator
 either: a counter-based stream (Salmon et al., SC 2011) at draw 4c of
 ``Generator.random`` is just the state (key, counter c), so one generator
-per run is re-pointed at each replica's stream (``_Repointed``). Both
-samplers draw only fixed-width ``random`` uniforms, in blocks that start at
+per replica range is re-pointed at each replica's stream (``_Repointed``).
+A draw round is one call, ``_Repointed.fill``: it fills a step-major
+buffer, one column per replica, with several replicas' streams from one
+position, staged row-major in tiles of ``_DRAW_TILE`` replicas. Both
+samplers draw only fixed-width ``random`` uniforms, in rounds that start at
 multiples of 4, and run their replicas in chunks (``_chunked``) with a
 draw budget each. Chain paths are drawn in horizon blocks of a multiple of
 4 steps, in replica chunks that hold ``_DRAW_BUDGET`` uniforms. Jump
@@ -142,17 +145,20 @@ def _replica_keys(seed: int, ids: np.ndarray) -> np.ndarray:
 
 
 class _Repointed:
-    """One Philox generator that ``random_rows`` re-points to replica streams.
+    """One Philox generator that ``fill`` re-points to replica streams.
 
     numpy's Philox steps its counter before each block of four 64-bit
     words, so after 4c words of the stream with key ``key`` its state is
     (counter c, key) with the block used up. ``Generator.random`` takes one
     word per double, so draw position 4c of a replica's stream of
     ``random`` draws is that state, which a state assignment sets without a
-    generator per replica.
+    generator per replica. The streams are drawn row-major into ``stage``,
+    one replica per row, and each tile of ``len(stage)`` replicas reaches
+    the step-major output in one transposed copy.
     """
 
-    def __init__(self):
+    def __init__(self, stage: np.ndarray):
+        self.stage = stage
         self.rng = np.random.Generator(np.random.Philox(_PhiloxKey([0, 0])))
         self._state = {
             "bit_generator": "Philox",
@@ -163,15 +169,23 @@ class _Repointed:
             "uinteger": 0,
         }
 
-    def random_rows(self, keys: list, position: int, rows: np.ndarray) -> None:
-        """Fill row i with draws of keys[i]'s stream from ``position``, a multiple of 4."""
+    def fill(self, keys: list, position: int, out: np.ndarray) -> None:
+        """Fill column k of the step-major ``out`` with keys[k]'s stream from ``position``.
+
+        ``position`` is a multiple of 4, and ``out`` has at most as many rows
+        as the stage has columns.
+        """
         state, bit_generator, random = self._state, self.rng.bit_generator, self.rng.random
-        inner = state["state"]
+        inner, stage = state["state"], self.stage
         inner["counter"][0] = position >> 2
-        for key, row in zip(keys, rows):
-            inner["key"] = key
-            bit_generator.state = state
-            random(out=row)
+        tile = len(stage)
+        for k in range(0, len(keys), tile):
+            rows = stage[:min(tile, len(keys) - k), :len(out)]
+            for key, row in zip(keys[k:k + tile], rows):
+                inner["key"] = key
+                bit_generator.state = state
+                random(out=row)
+            out[:, k:k + len(rows)] = rows.T
 
 
 @dataclass(frozen=True)
@@ -186,6 +200,12 @@ class SimConfig:
     alpha: float = DEFAULT_ALPHA
 
     def __post_init__(self):
+        for name in ("replicas", "seed") if self.n is None else ("replicas", "seed", "n"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise InvalidQuery(f"{name} must be an integer, got {value!r}") from None
         if self.replicas < 1:
             raise InvalidQuery("replicas must be >= 1")
         if self.seed < 0:
@@ -233,22 +253,15 @@ def clopper_pearson(successes: int, trials: int, alpha: float = DEFAULT_ALPHA):
         raise InvalidCounts(f"invalid counts ({successes}, {trials})")
     if not 0 < alpha < 1:
         raise InvalidCounts(f"alpha = {alpha!r} outside (0, 1)")
-    from scipy.special import betaincinv
-
     half = alpha / 2.0
     if successes == 0:
-        low = 0.0
-    else:
-        low = float(betaincinv(successes, trials - successes + 1, half))
+        return 0.0, 1.0 - half ** (1.0 / trials)
     if successes == trials:
-        high = 1.0
-    else:
-        high = float(betaincinv(successes + 1, trials - successes, 1.0 - half))
-    if successes == 0:
-        high = 1.0 - half ** (1.0 / trials)
-    if successes == trials:
-        low = half ** (1.0 / trials)
-    return low, high
+        return half ** (1.0 / trials), 1.0
+    from scipy.special import betaincinv
+
+    low = float(betaincinv(successes, trials - successes + 1, half))
+    return low, float(betaincinv(successes + 1, trials - successes, 1.0 - half))
 
 
 def _cdf_rows(matrix: np.ndarray) -> np.ndarray:
@@ -402,8 +415,8 @@ _DRAW_BUDGET = 1 << 20
 # Steps per chain draw block once the replicas are too many for longer
 # blocks to fit the budget; a multiple of 4, so that every block starts at a
 # draw position the re-pointed generator can reach. Each block costs one
-# fill call per replica and each chunk about 9 numpy calls per step, so it
-# trades fill calls against chunks: on the verify-dtmc chain (n = 1000,
+# ``random`` call per replica and each chunk about 9 numpy calls per step, so
+# it trades those calls against chunks: on the verify-dtmc chain (n = 1000,
 # 10^4 replicas), 256, 384, 512 and 1024 (blocks of 252, 336, 500 and 1000
 # steps) took medians of 0.231, 0.228, 0.213 and 0.228 s over 12
 # interleaved runs (2-vCPU VM, numpy 2.4, one BLAS thread).
@@ -420,23 +433,10 @@ _CHAIN_BLOCK = 512
 # thread).
 _JUMP_BUDGET = 1 << 21
 
-# Replicas drawn row-major into a stage, then copied step-major in one
-# transposed copy: 64 rows keep the copy's source cache lines in L1.
+# Rows of the stage a ``_Repointed`` stream owns: ``fill`` draws this many
+# replicas row-major into it, then copies them step-major in one transposed
+# copy; 64 rows keep the copy's source cache lines in L1.
 _DRAW_TILE = 64
-
-
-def _stage_draws(draw, count: int, out: np.ndarray, stage: np.ndarray) -> None:
-    """Fill column k of the step-major ``out`` with replica k's draws.
-
-    The replicas go in tiles of ``len(stage)``: ``draw(k, rows)`` fills row
-    i of ``rows`` with the draws of replica k + i, and each tile reaches
-    ``out`` in one transposed copy.
-    """
-    tile = len(stage)
-    for k in range(0, count, tile):
-        rows = stage[:min(tile, count - k), :len(out)]
-        draw(k, rows)
-        out[:, k:k + len(rows)] = rows.T
 
 
 def _workers(chunks: int) -> int:
@@ -458,7 +458,7 @@ def _workers(chunks: int) -> int:
 
 
 def _chunked(seed: int, replicas: int, block: int, budget: int, run) -> np.ndarray:
-    """Per-replica results of ``run(stream, keys, draws, stage)``, chunk by chunk.
+    """Per-replica results of ``run(stream, keys, draws)``, chunk by chunk.
 
     The replicas split into ``_workers(chunks)`` contiguous ranges of nearly
     equal size. The calling process runs the first range; each other range
@@ -470,11 +470,12 @@ def _chunked(seed: int, replicas: int, block: int, budget: int, run) -> np.ndarr
 
     A range runs in equal chunks of at most ``max(1, budget // block)``
     replicas; ``keys`` are the chunk's Philox keys and ``stream`` one
-    ``_Repointed`` generator for the range. One step-major (block x chunk)
-    draw buffer and one ``_DRAW_TILE``-row stage are allocated once per
-    range; ``run`` gets the buffer cut to its chunk's width. So each process
-    holds at most one budget of draws and a run at most ``workers`` budgets,
-    whatever the horizon and the replica count.
+    ``_Repointed`` generator for the range, which owns the range's
+    ``_DRAW_TILE``-row stage. The stage and one step-major (block x chunk)
+    draw buffer are allocated once per range; ``run`` gets the buffer cut
+    to its chunk's width. So each process holds at most one budget of draws
+    and a run at most ``workers`` budgets, whatever the horizon and the
+    replica count.
     """
     widest = max(1, budget // max(block, 1))
     out = np.empty(replicas)
@@ -484,11 +485,10 @@ def _chunked(seed: int, replicas: int, block: int, budget: int, run) -> np.ndarr
     def run_range(lo: int, hi: int) -> None:
         chunk = -(-(hi - lo) // -(-(hi - lo) // widest))  # equal chunks, none wider
         draws = np.empty((block, chunk))
-        stage = np.empty((min(_DRAW_TILE, chunk), block))
-        stream = _Repointed()
+        stream = _Repointed(np.empty((min(_DRAW_TILE, chunk), block)))
         for start in range(lo, hi, chunk):
             keys = _replica_keys(seed, np.arange(start, min(start + chunk, hi))).tolist()
-            out[start:start + len(keys)] = run(stream, keys, draws[:, :len(keys)], stage)
+            out[start:start + len(keys)] = run(stream, keys, draws[:, :len(keys)])
             del keys  # freed before the next chunk's keys are built
 
     children = []  # (lo, hi, pid or None, read end of the child's pipe)
@@ -560,14 +560,10 @@ def _dtmc_sums(
     offset_at, first_offset_at = table.columns * table.buckets, first.columns * table.buckets
     f_at, first_f_at = fv.take(table.columns), fv.take(first.columns).astype(float)
 
-    def run(stream, keys, u, stage):
+    def run(stream, keys, u):
         for start in range(0, n, len(u)):
             draws = u[: n - start]
-
-            def draw(k, rows, start=start):
-                stream.random_rows(keys[k:k + len(rows)], start, rows)
-
-            _stage_draws(draw, len(keys), draws, stage)
+            stream.fill(keys, start, draws)
             if start == 0:
                 pos = _pick_steps(first, 0, draws[0] * first.buckets)
                 offsets = first_offset_at.take(pos)
@@ -633,14 +629,8 @@ def _ctmc_integrals(
     rate_at, first_rate_at = rates.take(table.columns), rates.take(first.columns)
     f_at, first_f_at = fv.take(table.columns), fv.take(first.columns)
 
-    def run(stream, keys, draws, stage):
-        def fill(replica_keys, position, out):
-            def draw(k, rows):
-                stream.random_rows(replica_keys[k:k + len(rows)], position, rows)
-
-            _stage_draws(draw, len(replica_keys), out, stage)
-
-        fill(keys, 0, draws)  # draw 0 and round 0
+    def run(stream, keys, draws):
+        stream.fill(keys, 0, draws)  # draw 0 and round 0
         pos = _pick_steps(first, 0, draws[0] * first.buckets)
         offsets, rate, f = (a.take(pos) for a in (first_offset_at, first_rate_at, first_f_at))
         integrals = np.zeros(len(keys))
@@ -673,7 +663,7 @@ def _ctmc_integrals(
                     offsets, rate, f = offset_at.take(pos), rate_at.take(pos), f_at.take(pos)
                 integrals[ids] += acc
                 position += 2 * block
-                fill([keys[i] for i in ids.tolist()], position, draws[4:, :ids.size])
+                stream.fill([keys[i] for i in ids.tolist()], position, draws[4:, :ids.size])
 
     return _chunked(seed, replicas, 4 + 2 * block, _JUMP_BUDGET, run)
 

@@ -325,11 +325,11 @@ class TestReplicaKeys:
 
     def test_first_draws_equal_reference_streams(self):
         ids = np.array(self.IDS, dtype=np.uint64)
-        stream = simulate._Repointed()
-        first = np.empty((ids.size, 1))
+        stream = simulate._Repointed(np.empty((simulate._DRAW_TILE, 1)))
+        first = np.empty((1, ids.size))
         for seed in self.SEEDS:
-            stream.random_rows(_replica_keys(seed, ids).tolist(), 0, first)
-            for u, r in zip(first[:, 0], self.IDS):
+            stream.fill(_replica_keys(seed, ids).tolist(), 0, first)
+            for u, r in zip(first[0], self.IDS):
                 assert u == _reference_rng(seed, r).random() == replica_rng(seed, r).random()
 
     def test_out_of_range_ids_and_seeds_rejected(self):
@@ -356,20 +356,22 @@ class TestReplicaKeys:
 
     def test_repointed_generator_continues_replica_streams(self):
         # Philox steps its counter once per four words and random() takes one
-        # word per double, so position 4c of a stream is (counter c, key)
-        stream = simulate._Repointed()
+        # word per double, so position 4c of a stream is (counter c, key).
+        # A 3-row stage for 8 streams fills them in two full tiles and a
+        # partial one
         ids = [0, 1, 5, 2**32 - 1, 2**32, 2**40 + 5, 2**63, 2**64 - 1]
         m, k = 6, 7
-        rows = np.empty((len(ids), k))
+        stream = simulate._Repointed(np.empty((3, k)))
+        steps = np.empty((k, len(ids)))
         for seed in (0, 7, 2**40):
             keys = _replica_keys(seed, np.array(ids, dtype=np.uint64)).tolist()
             references = [replica_rng(seed, r).random(4 * m + k) for r in ids]
             for pos in range(0, 4 * m + 1, 4):
-                stream.random_rows(keys, pos, rows)
-                for r, got, reference in zip(ids, rows, references):
+                stream.fill(keys, pos, steps)
+                for r, got, reference in zip(ids, steps.T, references):
                     assert (got == reference[pos:pos + k]).all(), (seed, r, pos)
-            stream.random_rows(keys, 2**42, rows)
-            for r, got in zip(ids, rows):
+            stream.fill(keys, 2**42, steps)
+            for r, got in zip(ids, steps.T):
                 far = replica_rng(seed, r)
                 far.bit_generator.advance(2**40)  # 2^40 blocks of four words
                 assert (got == far.random(k)).all(), (seed, r)
@@ -508,13 +510,13 @@ class TestJumpSamplerParity:
         # draw position, in one chunk and in several
         Q, mu, fv = self._process()
         positions, budget = [], simulate._JUMP_BUDGET
-        random_rows = simulate._Repointed.random_rows
+        fill = simulate._Repointed.fill
 
-        def recording(stream, keys, position, rows):
+        def recording(stream, keys, position, out):
             positions.append(position)
-            random_rows(stream, keys, position, rows)
+            fill(stream, keys, position, out)
 
-        monkeypatch.setattr(simulate._Repointed, "random_rows", recording)
+        monkeypatch.setattr(simulate._Repointed, "fill", recording)
         for cap in (1, 2, 4, 6):
             monkeypatch.setattr(simulate, "_CHAIN_BLOCK", cap)
             block = simulate._ctmc_block_size(Q, 6.0)
@@ -1284,3 +1286,13 @@ class TestEmpiricalMgf:
         for t in (math.nan, math.inf):
             with pytest.raises(errors.InvalidQuery, match="^horizon t must be finite$"):
                 cb.SimConfig(replicas=5, seed=0, init=mu, t=t)
+        # counts must be integers, numpy's included, and fail typed otherwise
+        for name, value in (("replicas", 10.5), ("seed", 1.5), ("n", 5.5), ("seed", None),
+                            ("replicas", "10"), ("n", np.float64(5.0))):
+            counts = {"replicas": 10, "seed": 1, "n": 5, name: value}
+            with pytest.raises(errors.InvalidQuery, match=f"^{name} must be an integer"):
+                cb.SimConfig(init=mu, **counts)
+        config = cb.SimConfig(replicas=np.int64(3), seed=np.uint32(2), init=mu, n=np.int32(5))
+        P = cb.validate_transition_matrix([[0.5, 0.5], [0.5, 0.5]])
+        report, = cb.empirical_tail(config, P, cb.make_observable([1.0, -1.0], mu), [0.5])
+        assert report.replicas_used == 3
