@@ -21,7 +21,6 @@ from .chain_core import (
     Distribution,
     GeneratorMatrix,
     Observable,
-    StateSpace,
     TransitionMatrix,
     check_invariant,
     is_irreducible,
@@ -75,7 +74,6 @@ __all__ = [
     "PseudoGapResult",
     "SimConfig",
     "SimReport",
-    "StateSpace",
     "TransitionMatrix",
     "WeightedOperator",
     "bound_sweep",

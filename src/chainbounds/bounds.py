@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import sys
 from dataclasses import dataclass
 
+from .chain_core import _check_horizon, _check_p
 from .errors import InvalidQuery, ThetaOutOfRange
 
 _SWEEP_AXES = ("n", "t", "delta", "eta_p")
@@ -35,11 +35,7 @@ def _exp(x: float) -> float:
 
 
 def _q_from_p(p: float) -> float:
-    if not p > 1:
-        raise InvalidQuery(
-            f"p = {p!r} rejected: p must lie in (1, inf]; p = 1 gives "
-            "q = infinity and a vacuous (zero) tail exponent"
-        )
+    _check_p(p)
     return 1.0 if math.isinf(p) else p / (p - 1.0)
 
 
@@ -66,18 +62,11 @@ class BoundQuery:
     def __post_init__(self):
         if self.mode not in ("discrete", "continuous"):
             raise InvalidQuery(f"unknown mode {self.mode!r}")
-        if self.mode == "discrete":
-            if self.t is not None or self.n is None or self.n < 1:
-                raise InvalidQuery("discrete queries need a horizon n >= 1")
-            try:
-                n = float(self.n)
-            except OverflowError:
-                n = math.inf
-            if not math.isfinite(n):
-                raise InvalidQuery("horizon n must be finite and fit a float")
-        else:
-            if self.n is not None or self.t is None or self.t < 0:
-                raise InvalidQuery("continuous queries need a horizon t >= 0")
+        if self.mode == "discrete" and (self.n is None or self.t is not None):
+            raise InvalidQuery("discrete queries need a horizon n and no t")
+        if self.mode == "continuous" and (self.t is None or self.n is not None):
+            raise InvalidQuery("continuous queries need a horizon t and no n")
+        _check_horizon(self.mode, self.horizon)
         if self.delta is None:
             raise InvalidQuery("delta is missing: a tail bound needs delta >= 0")
         if not self.delta >= 0:
@@ -93,8 +82,6 @@ class BoundQuery:
         for name in ("delta", "M", "sigma2", "eta_p", "nu_norm"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidQuery(f"{name} must be finite")
-        if self.t is not None and not math.isfinite(self.t):
-            raise InvalidQuery("t must be finite")
         object.__setattr__(self, "q", _q_from_p(self.p))
 
     @property
@@ -157,9 +144,7 @@ def mgf_bound(mode: str, theta: float, horizon: float, M: float, sigma: float,
     Always >= 1; equals 1 at theta = 0.
     """
     a = _a(mode, eta_p)
-    low = 1 if mode == "discrete" else 0
-    if not low <= horizon <= sys.float_info.max:  # NaN, inf, an int beyond floats
-        raise InvalidQuery(f"the horizon must be finite and >= {low}")
+    _check_horizon(mode, horizon)
     _check_finite_nonnegative(sigma=sigma)
     c = c_theta(theta, M, eta_p)
     # the operand orders n sigma M theta^2 a (discrete) and a sigma M theta^2 t
@@ -229,7 +214,8 @@ def bound_sweep(query_template: BoundQuery, sweep_axis: str, values) -> list[Bou
     results, row_errors = [], []
     for idx, value in enumerate(values):
         try:
-            typed = int(value) if sweep_axis == "n" else float(value)
+            # a horizon goes to the horizon rule as given, never truncated
+            typed = value if sweep_axis in ("n", "t") else float(value)
             results.append(tail_bound(dataclasses.replace(query_template, **{sweep_axis: typed})))
         except InvalidQuery as exc:
             row_errors.append(f"row {idx} (value {value!r}): {exc}")

@@ -1,15 +1,20 @@
 """Validated Markov chain primitives.
 
 Transition matrices, generator (rate) matrices, probability distributions
-and bounded observables over a finite labelled state space, together with
-stationary-distribution, invariance and density-norm computations. All
-types are immutable after validation; every operation is a pure function
-of its inputs.
+and bounded observables over a finite state space, together with
+stationary-distribution, invariance and density-norm computations, and the
+one check of a horizon and of a moment order p that every layer shares.
+States are indexed 0, 1, ...; the labels of a chain file are checked and
+then dropped. All types are immutable after validation; every operation is
+a pure function of its inputs.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
+import operator
+import sys
 from dataclasses import dataclass
 from json.decoder import JSONArray
 from json.scanner import py_make_scanner
@@ -21,6 +26,7 @@ from .errors import (
     DimensionMismatch,
     InvalidDistribution,
     InvalidP,
+    InvalidQuery,
     NegativeEntry,
     NegativeOffDiagonal,
     NotAbsolutelyContinuous,
@@ -49,45 +55,11 @@ def _as_square(raw, what: str = "matrix") -> np.ndarray:
     a = np.asarray(raw, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{what} must be square, got shape {a.shape}")
+    if not a.size:
+        raise DimensionMismatch(f"{what} must be non-empty")
     if not np.isfinite(a).all():
         raise DimensionMismatch(f"{what} contains non-finite entries")
     return a
-
-
-@dataclass(frozen=True)
-class StateSpace:
-    """Ordered finite set of distinct state labels."""
-
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.labels) < 1:
-            raise DimensionMismatch("state space must contain at least one state")
-        if len(set(self.labels)) != len(self.labels):
-            raise DimensionMismatch("state labels must be distinct")
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-    @classmethod
-    def indexed(cls, n: int) -> "StateSpace":
-        """State space with labels "0", "1", ..., "n-1"."""
-        return cls(tuple(str(i) for i in range(n)))
-
-
-def _make_space(labels, n: int) -> StateSpace:
-    if labels is None:
-        return StateSpace.indexed(n)
-    if isinstance(labels, StateSpace):
-        space = labels
-    else:
-        space = StateSpace(tuple(str(x) for x in labels))
-    if space.size != n:
-        raise DimensionMismatch(
-            f"matrix is {n}x{n} but {space.size} labels were given"
-        )
-    return space
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,12 +70,11 @@ class TransitionMatrix:
     :func:`validate_transition_matrix`.
     """
 
-    space: StateSpace
     entries: np.ndarray
 
     @property
     def n_states(self) -> int:
-        return self.space.size
+        return self.entries.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,25 +85,22 @@ class GeneratorMatrix:
     the off-diagonal row sum.
     """
 
-    space: StateSpace
     entries: np.ndarray
 
     @property
     def n_states(self) -> int:
-        return self.space.size
+        return self.entries.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
 class Distribution:
-    """Probability vector over a state space, with recorded support."""
+    """Probability vector over the states."""
 
-    space: StateSpace
     weights: np.ndarray
-    support: tuple[int, ...]
 
     @property
     def n_states(self) -> int:
-        return self.space.size
+        return self.weights.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,9 +112,7 @@ class Observable:
     values have mean zero under mu within the centering tolerance.
     """
 
-    space: StateSpace
     values: np.ndarray
-    mean_mu: float
     M: float
     sigma2: float
     centered: bool
@@ -155,7 +121,7 @@ class Observable:
 ChainOperator = Union[TransitionMatrix, GeneratorMatrix]
 
 
-def validate_transition_matrix(raw, labels=None) -> TransitionMatrix:
+def validate_transition_matrix(raw) -> TransitionMatrix:
     """Validate and row-renormalize a candidate transition matrix.
 
     Parameters
@@ -163,8 +129,6 @@ def validate_transition_matrix(raw, labels=None) -> TransitionMatrix:
     raw : array_like
         Square matrix of nonnegative reals, rows summing to 1 within
         ``ROW_SUM_TOLERANCE``.
-    labels : sequence of str, optional
-        State labels; defaults to "0", "1", ....
 
     Returns
     -------
@@ -176,8 +140,6 @@ def validate_transition_matrix(raw, labels=None) -> TransitionMatrix:
     NegativeEntry, RowSumViolation, DimensionMismatch
     """
     a = _as_square(raw, "transition matrix")
-    n = a.shape[0]
-    space = _make_space(labels, n)
     neg = np.argwhere(a < 0)
     if neg.size:
         i, j = map(int, neg[0])
@@ -188,10 +150,10 @@ def validate_transition_matrix(raw, labels=None) -> TransitionMatrix:
         i = int(bad[0])
         raise RowSumViolation(i, float(sums[i]), 1.0)
     a = a / sums[:, None]
-    return TransitionMatrix(space, _freeze(a))
+    return TransitionMatrix(_freeze(a))
 
 
-def validate_generator(raw, labels=None) -> GeneratorMatrix:
+def validate_generator(raw) -> GeneratorMatrix:
     """Validate a candidate rate matrix.
 
     Off-diagonal entries must be nonnegative and each row must sum to zero
@@ -199,8 +161,6 @@ def validate_generator(raw, labels=None) -> GeneratorMatrix:
     row sum so row sums are exactly zero in working precision.
     """
     a = _as_square(raw, "generator matrix").copy()
-    n = a.shape[0]
-    space = _make_space(labels, n)
     off = a.copy()
     np.fill_diagonal(off, 0.0)
     neg = np.argwhere(off < 0)
@@ -214,22 +174,16 @@ def validate_generator(raw, labels=None) -> GeneratorMatrix:
         i = int(bad[0])
         raise RowSumViolation(i, float(sums[i]), 0.0)
     np.fill_diagonal(a, -off.sum(axis=1))
-    return GeneratorMatrix(space, _freeze(a))
+    return GeneratorMatrix(_freeze(a))
 
 
-def make_distribution(weights, space=None) -> Distribution:
-    """Validate a probability vector and record its support."""
+def make_distribution(weights, n_states: int | None = None) -> Distribution:
+    """Validate a probability vector, of ``n_states`` weights when that is given."""
     w = np.asarray(weights, dtype=float)
-    if w.ndim != 1:
-        raise DimensionMismatch("distribution weights must be a vector")
-    if space is None:
-        space = StateSpace.indexed(w.size)
-    elif not isinstance(space, StateSpace):
-        space = _make_space(space, w.size)
-    if space.size != w.size:
-        raise DimensionMismatch(
-            f"distribution has {w.size} weights for {space.size} states"
-        )
+    if w.ndim != 1 or not w.size:
+        raise DimensionMismatch("distribution weights must be a nonempty vector")
+    if n_states is not None and w.size != n_states:
+        raise DimensionMismatch(f"distribution has {w.size} weights for {n_states} states")
     if not np.isfinite(w).all():
         i = int(np.argmin(np.isfinite(w)))
         raise InvalidDistribution(f"non-finite weight {w[i]!r} at index {i}")
@@ -239,9 +193,7 @@ def make_distribution(weights, space=None) -> Distribution:
     total = float(w.sum())
     if abs(total - 1.0) > ROW_SUM_TOLERANCE:
         raise InvalidDistribution(f"weights sum to {total!r}, expected 1")
-    w = w / total
-    support = tuple(int(i) for i in np.flatnonzero(w > 0))
-    return Distribution(space, _freeze(w), support)
+    return Distribution(_freeze(w / total))
 
 
 def _support_graph(op: ChainOperator) -> np.ndarray:
@@ -356,7 +308,7 @@ def stationary_distribution(op: ChainOperator) -> Distribution:
         raise SolverFailure(
             f"stationary residual {residual!r} above tolerance at rate scale {scale!r}"
         )
-    return make_distribution(w, op.space)
+    return make_distribution(w)
 
 
 def _check_mu_positive(mu: Distribution, n: int) -> np.ndarray:
@@ -378,6 +330,40 @@ def check_invariant(op: ChainOperator, mu: Distribution) -> None:
         )
 
 
+def _check_p(p: float) -> None:
+    """Refuse a moment order p outside (1, inf], NaN and non-numbers included."""
+    if not (isinstance(p, numbers.Real) and p > 1):
+        raise InvalidP(
+            f"p = {p!r} rejected: p must lie in (1, inf]; at p = 1 the "
+            "Hoelder exponent q is infinite and the tail bound is vacuous"
+        )
+
+
+def _check_horizon(kind: str, horizon) -> None:
+    """Refuse a horizon that is not n >= 1 steps of a chain or a time t >= 0.
+
+    ``kind`` is "discrete", where n must be an integer (numpy's too) no
+    larger than the largest float, as bounds and oracles count steps in
+    doubles; or "continuous", where t must be a finite real number.
+    """
+    if kind == "discrete":
+        try:
+            operator.index(horizon)
+        except TypeError:
+            raise InvalidQuery(f"n must be an integer, got {horizon!r}") from None
+        if horizon < 1:
+            raise InvalidQuery("horizon n must be >= 1")
+        if horizon > sys.float_info.max:
+            raise InvalidQuery("horizon n must fit a float")
+        return
+    if not isinstance(horizon, numbers.Real):
+        raise InvalidQuery(f"t must be a real number, got {horizon!r}")
+    if not abs(horizon) <= sys.float_info.max:  # NaN, inf, an int beyond floats
+        raise InvalidQuery("horizon t must be finite")
+    if horizon < 0:
+        raise InvalidQuery("horizon t must be >= 0")
+
+
 def radon_nikodym_norm(nu: Distribution, mu: Distribution, p: float) -> float:
     """p-moment norm of the density d(nu)/d(mu).
 
@@ -393,11 +379,7 @@ def radon_nikodym_norm(nu: Distribution, mu: Distribution, p: float) -> float:
     NotAbsolutelyContinuous
         When nu puts mass where mu has none.
     """
-    if not p > 1:
-        raise InvalidP(
-            f"p = {p!r} rejected: p must lie in (1, inf]; at p = 1 the "
-            "Hoelder exponent q is infinite and the tail bound is vacuous"
-        )
+    _check_p(p)
     if nu.n_states != mu.n_states:
         raise DimensionMismatch("distributions live on different state spaces")
     wn, wm = nu.weights, mu.weights
@@ -436,9 +418,7 @@ def make_observable(values, mu: Distribution, auto_center: bool = True) -> Obser
     m_bound = float(np.abs(v).max())
     sigma2 = max(float(w @ v**2) - mean_stored**2, 0.0)
     return Observable(
-        space=mu.space,
         values=_freeze(v),
-        mean_mu=mean_stored,
         M=m_bound,
         sigma2=sigma2,
         centered=abs(mean_stored) <= CENTERING_TOLERANCE,
@@ -460,7 +440,8 @@ def observable_values(f) -> np.ndarray:
 #
 # { "labels": ["a", "b", ...], "P": [[...], ...] }   discrete chain, or
 # { "labels": [...], "Q": [[...], ...] }             jump process,
-# plus optional "mu", "f", "nu" vectors. Unknown keys are rejected.
+# plus optional "mu", "f", "nu" vectors. Unknown keys are rejected. The
+# labels are distinct strings, one per state; they are checked, then dropped.
 # ---------------------------------------------------------------------------
 
 _CHAIN_KEYS = {"labels", "P", "Q", "mu", "f", "nu"}
@@ -474,10 +455,6 @@ class ChainData:
     mu: Distribution | None
     nu: Distribution | None
     f_values: np.ndarray | None
-
-    @property
-    def space(self) -> StateSpace:
-        return self.operator.space
 
     @property
     def kind(self) -> str:
@@ -533,20 +510,22 @@ def parse_chain(obj) -> ChainData:
         or not all(isinstance(x, str) for x in labels)
     ):
         raise SchemaError('"labels" must be a nonempty list of strings')
-    n = len(labels)
+    if len(set(labels)) != len(labels):
+        raise DimensionMismatch("state labels must be distinct")
+    n = len(labels)  # the labels size every array, and no output names them
     has_p, has_q = "P" in obj, "Q" in obj
     if has_p == has_q:
         raise SchemaError('chain document requires exactly one of "P" or "Q"')
     if has_p:
-        op = validate_transition_matrix(_schema_array(obj["P"], '"P"', 2, n), labels)
+        op = validate_transition_matrix(_schema_array(obj["P"], '"P"', 2, n))
     else:
-        op = validate_generator(_schema_array(obj["Q"], '"Q"', 2, n), labels)
+        op = validate_generator(_schema_array(obj["Q"], '"Q"', 2, n))
 
     mu = nu = f_values = None
     if "mu" in obj:
-        mu = make_distribution(_schema_vector(obj["mu"], '"mu"', n), op.space)
+        mu = make_distribution(_schema_vector(obj["mu"], '"mu"', n))
     if "nu" in obj:
-        nu = make_distribution(_schema_vector(obj["nu"], '"nu"', n), op.space)
+        nu = make_distribution(_schema_vector(obj["nu"], '"nu"', n))
     if "f" in obj:
         f_values = _freeze(_schema_vector(obj["f"], '"f"', n))
     return ChainData(op, mu, nu, f_values)

@@ -100,7 +100,7 @@ def _resolve_nu(chain: ChainData, flag_value: str | None, mu):
     if flag_value is not None:
         if chain.nu is not None:
             print("warning: --nu overrides the nu stored in the chain file", file=sys.stderr)
-        return make_distribution(_parse_floats(flag_value), chain.space)
+        return make_distribution(_parse_floats(flag_value), chain.operator.n_states)
     return chain.nu if chain.nu is not None else mu
 
 
@@ -246,19 +246,10 @@ def _cmd_verify(args) -> int:
     deltas = _parse_floats(args.delta_grid)
     if not deltas:
         raise SchemaError("--delta-grid needs at least one value")
-    bounds = [
-        bounds_mod.tail_bound(bounds_mod.BoundQuery(
-            mode=chain.kind,
-            delta=delta,
-            M=obs.M,
-            sigma2=obs.sigma2,
-            eta_p=eta,
-            p=p,
-            nu_norm=nu_norm,
-            **horizon_kwargs,
-        ))
-        for delta in deltas
-    ]
+    template = bounds_mod.BoundQuery(mode=chain.kind, delta=deltas[0], M=obs.M,
+                                     sigma2=obs.sigma2, eta_p=eta, p=p, nu_norm=nu_norm,
+                                     **horizon_kwargs)
+    bounds = bounds_mod.bound_sweep(template, "delta", deltas)
     rows = list(zip(deltas, empirical_tail(config, chain.operator, obs, deltas, bounds)))
     all_consistent = all(report.consistent for _, report in rows)
     if args.output_format == "json":

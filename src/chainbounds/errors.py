@@ -64,14 +64,6 @@ class NotAbsolutelyContinuous(ChainBoundsError):
         )
 
 
-class InvalidP(ChainBoundsError):
-    """Moment order p outside (1, inf].
-
-    p = 1 gives q = p/(p-1) = infinity, which makes the tail-bound
-    exponent vanish: the bound is vacuous. Rejected rather than guessed.
-    """
-
-
 class NotCentered(ChainBoundsError):
     """Observable mean under mu exceeds the centering tolerance."""
 
@@ -90,6 +82,14 @@ class ThetaOutOfRange(ChainBoundsError):
 
 class InvalidQuery(ChainBoundsError):
     """Bound query with out-of-domain parameters."""
+
+
+class InvalidP(InvalidQuery):
+    """Moment order p outside (1, inf].
+
+    p = 1 gives q = p/(p-1) = infinity, which makes the tail-bound
+    exponent vanish: the bound is vacuous. Rejected rather than guessed.
+    """
 
 
 class TooLarge(ChainBoundsError):

@@ -24,7 +24,6 @@ path-count cap.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,6 +33,7 @@ from .chain_core import (
     Distribution,
     GeneratorMatrix,
     TransitionMatrix,
+    _check_horizon,
     observable_values,
 )
 from .errors import DimensionMismatch, InvalidQuery, Overflow, TooLarge
@@ -72,22 +72,13 @@ def _match(op, f) -> np.ndarray:
 
 
 def _checked(op, f, theta: float, horizon, init: Distribution | None = None) -> np.ndarray:
-    # the values of f, once f, init, theta and the horizon (n >= 1 steps of a
-    # chain, finite time t >= 0 of a jump process) fit the operator
+    # the values of f, once f, init, theta and the horizon fit the operator
     fv = _match(op, f)
     if init is not None and init.n_states != op.n_states:
         raise DimensionMismatch("init distribution does not match the chain")
     if not math.isfinite(theta):
         raise InvalidQuery("theta must be finite")
-    if isinstance(op, GeneratorMatrix):
-        if not math.isfinite(horizon):
-            raise InvalidQuery("horizon t must be finite")
-        if horizon < 0:
-            raise InvalidQuery("t must be >= 0")
-    elif horizon < 1:
-        raise InvalidQuery("horizon n must be >= 1")
-    elif horizon > sys.float_info.max:
-        raise InvalidQuery("horizon n must fit a float")
+    _check_horizon("continuous" if isinstance(op, GeneratorMatrix) else "discrete", horizon)
     return fv
 
 

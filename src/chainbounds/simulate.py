@@ -49,6 +49,7 @@ heavy-tail warning.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import os
 from collections.abc import Sequence
@@ -64,6 +65,7 @@ from .chain_core import (
     GeneratorMatrix,
     Observable,
     TransitionMatrix,
+    _check_horizon,
     is_irreducible,
 )
 from .errors import InvalidCounts, InvalidQuery, NotCentered, NotIrreducible
@@ -200,7 +202,7 @@ class SimConfig:
     alpha: float = DEFAULT_ALPHA
 
     def __post_init__(self):
-        for name in ("replicas", "seed") if self.n is None else ("replicas", "seed", "n"):
+        for name in ("replicas", "seed"):
             value = getattr(self, name)
             try:
                 operator.index(value)
@@ -212,14 +214,14 @@ class SimConfig:
             raise InvalidQuery(f"seed must be >= 0, got {self.seed}")
         if (self.n is None) == (self.t is None):
             raise InvalidQuery("exactly one horizon (n or t) must be set")
-        if self.n is not None and self.n < 1:
-            raise InvalidQuery("horizon n must issue at least one step")
-        if self.t is not None and self.t <= 0:
-            raise InvalidQuery("horizon t must be positive")
-        if not 0 < self.alpha < 1:
-            raise InvalidQuery("alpha must lie in (0, 1)")
-        if self.t is not None and not math.isfinite(self.t):
-            raise InvalidQuery("horizon t must be finite")
+        if self.n is None:
+            _check_horizon("continuous", self.t)
+            if self.t == 0:  # the tail estimate divides by t
+                raise InvalidQuery("horizon t must be positive")
+        else:
+            _check_horizon("discrete", self.n)
+        if not (isinstance(self.alpha, numbers.Real) and 0 < self.alpha < 1):
+            raise InvalidQuery(f"alpha must lie in (0, 1), got {self.alpha!r}")
 
 
 @dataclass(frozen=True)

@@ -189,13 +189,6 @@ def _extreme_abs(ev: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(ev[..., 0]), np.abs(ev[..., -1]))
 
 
-def _radius_operand(B) -> np.ndarray:
-    a = _as_square(B)
-    if a.size == 0:
-        raise DimensionMismatch("numerical radius needs a non-empty matrix")
-    return a
-
-
 def numerical_radius_real(B) -> float:
     """sup over real unit vectors of |<B x, x>|.
 
@@ -203,7 +196,7 @@ def numerical_radius_real(B) -> float:
     particular every skew-symmetric matrix has real numerical radius zero
     even though its powers need not.
     """
-    a = _radius_operand(B)
+    a = _as_square(B)
     return float(_extreme_abs(np.linalg.eigvalsh(0.5 * (a + a.T))))
 
 
@@ -268,7 +261,7 @@ def numerical_radius_complex(B) -> float:
     DimensionMismatch
         When B is not a finite, non-empty square matrix.
     """
-    a = _radius_operand(B)
+    a = _as_square(B)
     S = 0.5 * (a + a.T)
     K = 0.5 * (a - a.T)
     # phase 0 and seven more evenly spaced phases; pi/2 is among them, and

@@ -239,7 +239,7 @@ def test_criterion_10_initial_distribution_handling(capsys):
         mu = cb.stationary_distribution(P)
         for p in (1.5, 2.0, 7.0, math.inf):
             assert cb.radon_nikodym_norm(mu, mu, p) == pytest.approx(1.0, abs=1e-14)
-        point = cb.make_distribution([1.0, 0.0, 0.0, 0.0], mu.space)
+        point = cb.make_distribution([1.0, 0.0, 0.0, 0.0], mu.n_states)
         norm_inf = cb.radon_nikodym_norm(point, mu, math.inf)
         assert norm_inf == pytest.approx(4.0, abs=1e-13)
         base = dict(mode="discrete", n=200, delta=0.2, M=1.0, sigma2=0.5,

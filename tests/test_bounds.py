@@ -398,8 +398,31 @@ class TestQueryValidation:
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_non_finite_horizon_rejected(self, t):
-        with pytest.raises(errors.InvalidQuery, match="^t must be finite$"):
+        with pytest.raises(errors.InvalidQuery, match="^horizon t must be finite$"):
             _query(mode="continuous", n=None, t=t)
+
+    def test_untyped_horizon_rejected(self):
+        # the one horizon rule of the oracles and the sampler: a whole n, a real t
+        with pytest.raises(errors.InvalidQuery, match="^t must be a real number, got '3'$"):
+            _query(mode="continuous", n=None, t="3")
+        with pytest.raises(errors.InvalidQuery, match="^n must be an integer, got 2.5$"):
+            _query(n=2.5)
+        with pytest.raises(errors.InvalidQuery, match="^n must be an integer, got 2.5$"):
+            cb.mgf_bound("discrete", 0.1, 2.5, 1.0, 1.0, 1.0)
+        with pytest.raises(errors.InvalidQuery, match=r"^row 1 \(value 2.5\): n must be an integer"):
+            cb.bound_sweep(_query(), "n", [5, 2.5])
+
+    def test_p_rule_shared_with_density_norm(self):
+        # one check and one message for p, whichever layer meets it first
+        mu = cb.make_distribution([0.5, 0.5])
+        with pytest.raises(errors.InvalidP) as from_query:
+            _query(p=1.0)
+        with pytest.raises(errors.InvalidP) as from_norm:
+            cb.radon_nikodym_norm(mu, mu, 1.0)
+        assert str(from_query.value) == str(from_norm.value)
+        with pytest.raises(errors.InvalidP, match="^p = '2' rejected"):
+            _query(p="2")
+        assert issubclass(errors.InvalidP, errors.InvalidQuery)
 
     def test_result_roundtrip(self):
         res = cb.tail_bound(_query())

@@ -151,6 +151,21 @@ class TestGaps:
                 "error": "DimensionMismatch",
                 "message": "observable values do not match the state space"}) + "\n"
 
+    def test_nu_flag_length_checked(self, tmp_path, capsys):
+        path = _chain_file(tmp_path, {"labels": ["a", "b"], "P": [[0.5, 0.5], [0.5, 0.5]],
+                                      "f": [1, -1]})
+        rc = cli.main(["verify", path, "--n", "10", "--delta-grid", "0.1", "--nu", "1,0,0"])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err.splitlines()[-1]) == {
+            "error": "DimensionMismatch", "message": "distribution has 3 weights for 2 states"}
+
+    def test_duplicate_labels_rejected(self, tmp_path, capsys):
+        path = _chain_file(tmp_path, {"labels": ["a", "a"], "P": [[0.5, 0.5], [0.5, 0.5]]})
+        rc = cli.main(["gaps", path])
+        assert rc == 2
+        assert capsys.readouterr().err == json.dumps({
+            "error": "DimensionMismatch", "message": "state labels must be distinct"}) + "\n"
+
     @pytest.mark.parametrize("depth", [500, 5000])
     def test_deep_nesting_is_schema_error(self, depth, tmp_path, capsys):
         # the decoder's object walk is recursive Python: a traceback, not exit 2,
@@ -553,12 +568,12 @@ class TestNonFiniteHorizon:
 
     def test_bound(self, capsys):
         rc = cli.main(["bound", "--mode", "continuous", "--t", "nan", *_BOUND_FLAGS])
-        self._assert_rejected(rc, capsys, "t must be finite")
+        self._assert_rejected(rc, capsys, "horizon t must be finite")
 
     def test_sweep(self, capsys):
         rc = cli.main(["sweep", "--mode", "continuous", "--axis", "t",
                        "--values", "nan,inf", *_BOUND_FLAGS])
-        self._assert_rejected(rc, capsys, "t must be finite")
+        self._assert_rejected(rc, capsys, "horizon t must be finite")
 
     @pytest.mark.parametrize("replicas", [[], ["--replicas", "10"]])
     @pytest.mark.parametrize("t", ["inf", "nan"])
@@ -570,13 +585,13 @@ class TestNonFiniteHorizon:
 
     def test_bound_n_beyond_floats(self, capsys):
         rc = cli.main(["bound", "--mode", "discrete", "--n", str(10**400), *_BOUND_FLAGS])
-        self._assert_rejected(rc, capsys, "horizon n must be finite and fit a float")
+        self._assert_rejected(rc, capsys, "horizon n must fit a float")
 
     def test_sweep_n_beyond_floats(self, capsys):
         rc = cli.main(["sweep", "--mode", "discrete", "--axis", "n",
                        "--values", f"5,{10**400}", *_BOUND_FLAGS])
         self._assert_rejected(
-            rc, capsys, f"row 1 (value {10**400}): horizon n must be finite and fit a float"
+            rc, capsys, f"row 1 (value {10**400}): horizon n must fit a float"
         )
 
 
@@ -605,13 +620,18 @@ class TestBound:
         assert doc["vacuous"] is True
         assert doc["probability_bound"] == pytest.approx(2.0)
 
-    def test_p_one_rejected(self, capsys):
+    def test_p_one_rejected(self, tmp_path, capsys):
         args = list(self.ARGS)
         args[args.index("--p") + 1] = "1"
         rc = cli.main(args)
         err = json.loads(capsys.readouterr().err)
         assert rc == 2
-        assert "vacuous" in err["message"]
+        assert err["error"] == "InvalidP" and "vacuous" in err["message"]
+        # verify refuses p = 1 by the same check, with the same message
+        rc = cli.main(["verify", _four_state_file(tmp_path), "--n", "10",
+                       "--delta-grid", "0.1", "--replicas", "10", "--p", "1"])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err.splitlines()[-1]) == err
 
     def test_missing_flag_is_exit_two(self, capsys):
         rc = cli.main(["bound", "--mode", "discrete", "--n", "10"])

@@ -219,7 +219,7 @@ class _CountedProducts(np.ndarray):
 
 
 def _counted(P):
-    return cb.TransitionMatrix(P.space, P.entries.view(_CountedProducts))
+    return cb.TransitionMatrix(P.entries.view(_CountedProducts))
 
 
 def _replay_chain(rng, k, kind):
@@ -802,6 +802,22 @@ class TestOracleInputs:
         for call in (cb.exact_mgf, cb.exact_log_mgf):
             with pytest.raises(errors.InvalidQuery, match="t must be >= 0"):
                 call(self.Q, mu, self.F, 0.3, -2.0)
+
+    @pytest.mark.parametrize("n", [2.5, np.float64(3.0), "3"])
+    def test_chain_horizon_not_an_integer_is_typed(self, n):
+        mu = cb.stationary_distribution(self.P)
+        with pytest.raises(errors.InvalidQuery, match="^n must be an integer, got "):
+            cb.conditional_mgf(self.P, self.F, 0.1, n)
+        with pytest.raises(errors.InvalidQuery, match="^n must be an integer, got "):
+            cb.exact_log_mgf(self.P, mu, self.F, 0.1, n)
+
+    @pytest.mark.parametrize("t", ["3", None])
+    def test_jump_horizon_not_a_number_is_typed(self, t):
+        mu = cb.stationary_distribution(self.Q)
+        with pytest.raises(errors.InvalidQuery, match="^t must be a real number, got "):
+            cb.conditional_mgf(self.Q, self.F, 0.1, t)
+        with pytest.raises(errors.InvalidQuery, match="^t must be a real number, got "):
+            cb.exact_log_mgf(self.Q, mu, self.F, 0.1, t)
 
     def test_chain_horizon_past_float_is_typed(self):
         # whole periods are counted in doubles, so n must convert to one

@@ -488,7 +488,7 @@ class TestJumpSamplerParity:
         Q = cb.validate_generator(rows)
         # validation leaves -0.0 on the absorbing diagonals; a matrix built
         # directly can hold +0.0, a rate of -0.0, and must end paths alike
-        plus_zero = cb.GeneratorMatrix(Q.space, Q.entries + 0.0)
+        plus_zero = cb.GeneratorMatrix(Q.entries + 0.0)
         assert np.signbit(-plus_zero.entries.diagonal()[[1, 3]]).all()
         init = cb.make_distribution([0.4, 0.1, 0.3, 0.2])
         fv = np.array([1.0, -2.0, 0.5, 3.0])
@@ -1286,6 +1286,15 @@ class TestEmpiricalMgf:
         for t in (math.nan, math.inf):
             with pytest.raises(errors.InvalidQuery, match="^horizon t must be finite$"):
                 cb.SimConfig(replicas=5, seed=0, init=mu, t=t)
+        # a horizon or alpha that is not a number fails typed, not with TypeError
+        for horizon in ({"t": "1"}, {"t": 1j}, {"n": "5"}):
+            with pytest.raises(errors.InvalidQuery, match="must be a"):
+                cb.SimConfig(replicas=5, seed=0, init=mu, **horizon)
+        for alpha in ("0.1", None):
+            with pytest.raises(errors.InvalidQuery, match="^alpha must lie in"):
+                cb.SimConfig(replicas=5, seed=0, init=mu, n=5, alpha=alpha)
+        with pytest.raises(errors.InvalidQuery, match="^horizon t must be positive$"):
+            cb.SimConfig(replicas=5, seed=0, init=mu, t=0.0)
         # counts must be integers, numpy's included, and fail typed otherwise
         for name, value in (("replicas", 10.5), ("seed", 1.5), ("n", 5.5), ("seed", None),
                             ("replicas", "10"), ("n", np.float64(5.0))):
