@@ -23,7 +23,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .chain_core import _check_horizon, _check_p
+from .chain_core import _FINITE, _check_horizon, _check_p, _check_real
 from .errors import InvalidQuery, ThetaOutOfRange
 
 _SWEEP_AXES = ("n", "t", "delta", "eta_p")
@@ -67,21 +67,10 @@ class BoundQuery:
         if self.mode == "continuous" and (self.t is None or self.n is not None):
             raise InvalidQuery("continuous queries need a horizon t and no n")
         _check_horizon(self.mode, self.horizon)
-        if self.delta is None:
-            raise InvalidQuery("delta is missing: a tail bound needs delta >= 0")
-        if not self.delta >= 0:
-            raise InvalidQuery("delta must be >= 0")
-        if not self.M > 0:
-            raise InvalidQuery("M must be > 0")
-        if not 0 <= self.sigma2 <= self.M**2 * (1 + 1e-12):
-            raise InvalidQuery("sigma2 must lie in [0, M^2]")
-        if not self.eta_p > 0:
-            raise InvalidQuery("eta_p must be > 0")
-        if not self.nu_norm >= 1:
-            raise InvalidQuery("nu_norm must be >= 1")
-        for name in ("delta", "M", "sigma2", "eta_p", "nu_norm"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidQuery(f"{name} must be finite")
+        _check_real("delta", self.delta, 0, _FINITE)
+        _check_scales(self.M, self.eta_p)
+        _check_real("sigma2", self.sigma2, 0, min((1 + 1e-12) * self.M * self.M, _FINITE))
+        _check_real("nu_norm", self.nu_norm, 1, _FINITE)
         object.__setattr__(self, "q", _q_from_p(self.p))
 
     @property
@@ -108,18 +97,15 @@ class BoundResult:
     boundary_limit: bool = False
 
 
-def _check_finite_nonnegative(**values) -> None:
-    for name, value in values.items():
-        if not 0 <= value < math.inf:  # NaN fails too
-            raise InvalidQuery(f"{name} must be finite and >= 0")
+def _check_scales(M: float, eta_p: float) -> None:
+    _check_real("M", M, 0, _FINITE, strict=True)
+    _check_real("eta_p", eta_p, 0, _FINITE, strict=True)
 
 
 def c_theta(theta: float, M: float, eta_p: float) -> float:
     """sqrt(1 - 4 theta^2 M^2 / eta_p^2), defined for |theta| < eta_p / (2M)."""
-    if not (0 < M < math.inf and 0 < eta_p < math.inf):  # NaN fails too
-        raise InvalidQuery("M and eta_p must be finite and > 0")
-    if math.isnan(theta):
-        raise InvalidQuery("theta must not be NaN")
+    _check_scales(M, eta_p)
+    _check_real("theta", theta, -math.inf, math.inf)  # an infinite theta is out of range
     limit = eta_p / (2.0 * M)
     if abs(theta) >= limit:
         raise ThetaOutOfRange(theta, limit)
@@ -143,10 +129,10 @@ def mgf_bound(mode: str, theta: float, horizon: float, M: float, sigma: float,
     ``sigma`` is the standard-deviation bound (sqrt of the variance proxy).
     Always >= 1; equals 1 at theta = 0.
     """
+    c = c_theta(theta, M, eta_p)
     a = _a(mode, eta_p)
     _check_horizon(mode, horizon)
-    _check_finite_nonnegative(sigma=sigma)
-    c = c_theta(theta, M, eta_p)
+    _check_real("sigma", sigma, 0, _FINITE)
     # the operand orders n sigma M theta^2 a (discrete) and a sigma M theta^2 t
     # (continuous) round differently; each mode keeps its own
     lead, trail = (horizon, a) if mode == "discrete" else (a, horizon)
@@ -161,12 +147,11 @@ def optimal_theta(mode: str, delta: float, M: float, sigma: float, eta_p: float,
     (discrete) or a = 2 (continuous); zero at delta = 0, on the validity
     boundary when sigma = 0.
     """
+    _check_scales(M, eta_p)
     a = _a(mode, eta_p)
-    if not (0 < M < math.inf and 0 < eta_p < math.inf):
-        raise InvalidQuery("M and eta_p must be finite and > 0")
-    _check_finite_nonnegative(delta=delta, sigma=sigma)
-    if not 1 <= q < math.inf:
-        raise InvalidQuery("q must be finite and >= 1")
+    _check_real("delta", delta, 0, _FINITE)
+    _check_real("sigma", sigma, 0, _FINITE)
+    _check_real("q", q, 1, _FINITE)
     if delta == 0.0:
         return 0.0
     radical = math.sqrt(a**2 * sigma**2 + delta**2)
@@ -214,9 +199,8 @@ def bound_sweep(query_template: BoundQuery, sweep_axis: str, values) -> list[Bou
     results, row_errors = [], []
     for idx, value in enumerate(values):
         try:
-            # a horizon goes to the horizon rule as given, never truncated
-            typed = value if sweep_axis in ("n", "t") else float(value)
-            results.append(tail_bound(dataclasses.replace(query_template, **{sweep_axis: typed})))
+            # each value goes to the query's rules as given, never converted
+            results.append(tail_bound(dataclasses.replace(query_template, **{sweep_axis: value})))
         except InvalidQuery as exc:
             row_errors.append(f"row {idx} (value {value!r}): {exc}")
     if row_errors:

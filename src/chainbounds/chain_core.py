@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from json.decoder import JSONArray
 from json.scanner import py_make_scanner
-from typing import Union
+from typing import NoReturn, Union
 
 import numpy as np
 
@@ -43,6 +43,7 @@ ROW_SUM_TOLERANCE = 1e-9
 CENTERING_TOLERANCE = 1e-10
 INVARIANCE_TOLERANCE = 1e-9
 STATIONARY_RESIDUAL_TOLERANCE = 1e-12
+_FINITE = sys.float_info.max  # the high end of a range that takes every finite value
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -339,29 +340,47 @@ def _check_p(p: float) -> None:
         )
 
 
+def _refuse(name: str, kind: str, value, number: bool, low, high, strict: bool) -> NoReturn:
+    # the one message of a refused scalar: its name, its range, and a value that is no number
+    left, right = "()" if strict else "[]"
+    span = ", ".join(repr(end).replace(repr(_FINITE), "max float") for end in (low, high))
+    given = "" if number else f", got {value!r}"
+    raise InvalidQuery(f"{name} must be {kind} in {left}{span}{right}{given}")
+
+
+def _check_real(name: str, value, low, high, strict: bool = False) -> None:
+    """Refuse all but a real number in [low, high], or in (low, high) if ``strict``.
+
+    A bool is no number here, and NaN lies in no interval. ``high = _FINITE``
+    accepts every finite value. The value is checked, never converted.
+    """
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (number and (low < value < high if strict else low <= value <= high)):
+        _refuse(name, "a real number", value, number, low, high, strict)
+
+
+def _check_int(name: str, value, low, high) -> None:
+    """Refuse all but an integer (numpy's too, a bool not) in [low, high]."""
+    try:
+        operator.index(value)
+        number = not isinstance(value, bool)
+    except TypeError:
+        number = False
+    if not (number and low <= value <= high):
+        _refuse(name, "an integer", value, number, low, high, False)
+
+
 def _check_horizon(kind: str, horizon) -> None:
     """Refuse a horizon that is not n >= 1 steps of a chain or a time t >= 0.
 
-    ``kind`` is "discrete", where n must be an integer (numpy's too) no
-    larger than the largest float, as bounds and oracles count steps in
-    doubles; or "continuous", where t must be a finite real number.
+    ``kind`` is "discrete", where n must be an integer no larger than the
+    largest float, as bounds and oracles count steps in doubles; or
+    "continuous", where t must be a finite real number.
     """
     if kind == "discrete":
-        try:
-            operator.index(horizon)
-        except TypeError:
-            raise InvalidQuery(f"n must be an integer, got {horizon!r}") from None
-        if horizon < 1:
-            raise InvalidQuery("horizon n must be >= 1")
-        if horizon > sys.float_info.max:
-            raise InvalidQuery("horizon n must fit a float")
-        return
-    if not isinstance(horizon, numbers.Real):
-        raise InvalidQuery(f"t must be a real number, got {horizon!r}")
-    if not abs(horizon) <= sys.float_info.max:  # NaN, inf, an int beyond floats
-        raise InvalidQuery("horizon t must be finite")
-    if horizon < 0:
-        raise InvalidQuery("horizon t must be >= 0")
+        _check_int("horizon n", horizon, 1, _FINITE)
+    else:
+        _check_real("horizon t", horizon, 0, _FINITE)
 
 
 def radon_nikodym_norm(nu: Distribution, mu: Distribution, p: float) -> float:
@@ -388,9 +407,11 @@ def radon_nikodym_norm(nu: Distribution, mu: Distribution, p: float) -> float:
         raise NotAbsolutelyContinuous(int(bad[0]))
     mask = wm > 0
     ratio = wn[mask] / wm[mask]
+    r_max = float(ratio.max())
     if np.isinf(p):
-        return float(ratio.max())
-    return float((wm[mask] @ ratio**p) ** (1.0 / p))
+        return r_max
+    # scaled by the largest ratio, no power can overflow and the largest is 1
+    return r_max * float((wm[mask] @ (ratio / r_max) ** p) ** (1.0 / p))
 
 
 def make_observable(values, mu: Distribution, auto_center: bool = True) -> Observable:

@@ -33,10 +33,12 @@ from .chain_core import (
     Distribution,
     GeneratorMatrix,
     TransitionMatrix,
+    _FINITE,
     _check_horizon,
+    _check_real,
     observable_values,
 )
-from .errors import DimensionMismatch, InvalidQuery, Overflow, TooLarge
+from .errors import DimensionMismatch, Overflow, TooLarge
 
 PATH_ENUMERATION_CAP = 10**7
 DP_CELL_CAP = 4_000_001
@@ -76,8 +78,7 @@ def _checked(op, f, theta: float, horizon, init: Distribution | None = None) -> 
     fv = _match(op, f)
     if init is not None and init.n_states != op.n_states:
         raise DimensionMismatch("init distribution does not match the chain")
-    if not math.isfinite(theta):
-        raise InvalidQuery("theta must be finite")
+    _check_real("theta", theta, -_FINITE, _FINITE)
     _check_horizon("continuous" if isinstance(op, GeneratorMatrix) else "discrete", horizon)
     return fv
 
@@ -277,15 +278,14 @@ def exact_tail_discrete(
     TooLarge
         When neither route fits its cap.
     InvalidQuery
-        When delta is NaN.
+        When delta is NaN or no real number.
     DimensionMismatch
         When P is not a transition matrix.
     """
     if not isinstance(P, TransitionMatrix):
         raise DimensionMismatch(f"exact tails need a transition matrix, not {type(P).__name__}")
     fv = _checked(P, f, 0.0, n, init)
-    if math.isnan(delta):
-        raise InvalidQuery("delta must not be NaN")
+    _check_real("delta", delta, -math.inf, math.inf)
     if delta <= 0:
         return 1.0
     if not fv.any():

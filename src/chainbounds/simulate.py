@@ -49,8 +49,6 @@ heavy-tail warning.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -65,7 +63,10 @@ from .chain_core import (
     GeneratorMatrix,
     Observable,
     TransitionMatrix,
+    _FINITE,
     _check_horizon,
+    _check_int,
+    _check_real,
     is_irreducible,
 )
 from .errors import InvalidCounts, InvalidQuery, NotCentered, NotIrreducible
@@ -100,9 +101,8 @@ def _replica_keys(seed: int, ids: np.ndarray) -> np.ndarray:
     in over uint64 arrays. Every product and difference is masked to 32
     bits, so both forms wrap modulo 2^32 as numpy's uint32 words do.
     """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise InvalidQuery(f"seed must be >= 0, got {seed}")
+    _check_int("seed", seed, 0, math.inf)
+    seed = int(seed)
     ids = ids.astype(np.uint64, copy=False)
     hash_const = _INIT_A
 
@@ -202,16 +202,8 @@ class SimConfig:
     alpha: float = DEFAULT_ALPHA
 
     def __post_init__(self):
-        for name in ("replicas", "seed"):
-            value = getattr(self, name)
-            try:
-                operator.index(value)
-            except TypeError:
-                raise InvalidQuery(f"{name} must be an integer, got {value!r}") from None
-        if self.replicas < 1:
-            raise InvalidQuery("replicas must be >= 1")
-        if self.seed < 0:
-            raise InvalidQuery(f"seed must be >= 0, got {self.seed}")
+        _check_int("replicas", self.replicas, 1, math.inf)
+        _check_int("seed", self.seed, 0, math.inf)
         if (self.n is None) == (self.t is None):
             raise InvalidQuery("exactly one horizon (n or t) must be set")
         if self.n is None:
@@ -220,8 +212,7 @@ class SimConfig:
                 raise InvalidQuery("horizon t must be positive")
         else:
             _check_horizon("discrete", self.n)
-        if not (isinstance(self.alpha, numbers.Real) and 0 < self.alpha < 1):
-            raise InvalidQuery(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        _check_real("alpha", self.alpha, 0, 1, strict=True)
 
 
 @dataclass(frozen=True)
@@ -703,8 +694,8 @@ def empirical_tail(
     lower CI limit); jump processes must then be irreducible, since the
     bounds presume an invariant law.
     """
-    if not all(delta >= 0 for delta in deltas):  # NaN too
-        raise InvalidQuery("delta must be >= 0")
+    for delta in deltas:
+        _check_real("delta", delta, 0, math.inf)
     if bounds is None:
         bounds = [None] * len(deltas)
     elif len(bounds) != len(deltas):
@@ -738,8 +729,7 @@ def empirical_mgf(
     samples carry more than half of the sample mean the report sets
     ``heavy_tail`` instead of pretending the CI is trustworthy.
     """
-    if not math.isfinite(theta):
-        raise InvalidQuery("theta must be finite")
+    _check_real("theta", theta, -_FINITE, _FINITE)
     samples = np.exp(theta * _path_functionals(config, op, f))
     estimate = float(samples.mean())
     if config.replicas > 1:

@@ -31,6 +31,7 @@ from .chain_core import (
     GeneratorMatrix,
     TransitionMatrix,
     _as_square,
+    _check_int,
     _check_mu_positive,
     check_invariant,
     stationary_distribution,
@@ -157,8 +158,6 @@ def _pseudo_gap(centred: np.ndarray, norm_sq: float, k_max: int) -> PseudoGapRes
     # since 1/k falls with k; the slack absorbs eigvalsh rounding. A periodic
     # chain scores 0 at every k, to rounding, and scans all k; ``k_max`` in
     # the result is the requested truncation either way.
-    if k_max < 1:
-        raise DimensionMismatch("k_max must be >= 1")
     best_value, best_k = 1.0 - norm_sq, 1
     ak = centred
     for k in range(2, k_max + 1):
@@ -335,7 +334,7 @@ def gap_report(
     embedding. mu defaults to the stationary distribution. A jump process
     defines only ``eta_p``. For a chain, ``eta`` is filled only when it is
     reversible within tolerance, and then equals ``eta_s``; ``pseudo`` is
-    skipped when ``k_max`` is None.
+    skipped when ``k_max`` is None; otherwise it is an integer >= 1.
     """
     if mu is None:
         mu = stationary_distribution(op)
@@ -351,5 +350,8 @@ def gap_report(
     norm_sq = _norm_sq(centred)
     eta_a = 1.0 - float(np.sqrt(norm_sq))  # may be 0 for an irreducible chain
     eta = eta_s if np.abs(W.matrix - W.matrix.T).max() <= REVERSIBILITY_TOLERANCE else None
-    pseudo = None if k_max is None else _pseudo_gap(centred, norm_sq, k_max)
+    pseudo = None
+    if k_max is not None:  # checked only where the pseudo gap is computed
+        _check_int("k_max", k_max, 1, np.inf)
+        pseudo = _pseudo_gap(centred, norm_sq, k_max)
     return GapReport(eta_p, eta_s, eta_a, eta, pseudo, False, _tolerances())

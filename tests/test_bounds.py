@@ -356,16 +356,30 @@ class TestMergedMatchesReference:
         # requires: no inf bound for a NaN sigma, no bound below 1 for a
         # negative one, no NaN or negative theta
         for sigma in (math.nan, -1.0, math.inf):
-            with pytest.raises(errors.InvalidQuery, match="^sigma must be finite and >= 0$"):
+            with pytest.raises(errors.InvalidQuery,
+                               match=r"^sigma must be a real number in \[0, max float\]$"):
                 cb.mgf_bound(mode, 0.1, 5, 1.0, sigma, 1.0)
-            with pytest.raises(errors.InvalidQuery, match="^sigma must be finite and >= 0$"):
+            with pytest.raises(errors.InvalidQuery,
+                               match=r"^sigma must be a real number in \[0, max float\]$"):
                 cb.optimal_theta(mode, 0.1, 1.0, sigma, 1.0, 1.0)
         for delta in (math.nan, -0.1, math.inf):
-            with pytest.raises(errors.InvalidQuery, match="^delta must be finite and >= 0$"):
+            with pytest.raises(errors.InvalidQuery,
+                               match=r"^delta must be a real number in \[0, max float\]$"):
                 cb.optimal_theta(mode, delta, 1.0, 1.0, 1.0, 1.0)
         for q in (-3.0, 0.5, math.nan, math.inf):
-            with pytest.raises(errors.InvalidQuery, match="^q must be finite and >= 1$"):
+            with pytest.raises(errors.InvalidQuery,
+                               match=r"^q must be a real number in \[1, max float\]$"):
                 cb.optimal_theta(mode, 0.1, 1.0, 1.0, 1.0, q)
+        # a bool or a value that is no number fails typed and is named
+        for bad in (True, "0.5", None, 1j):
+            with pytest.raises(errors.InvalidQuery, match=rf"^sigma must .*\], got {bad!r}$"):
+                cb.mgf_bound(mode, 0.1, 5, 1.0, bad, 1.0)
+            with pytest.raises(errors.InvalidQuery, match=rf"^sigma must .*\], got {bad!r}$"):
+                cb.optimal_theta(mode, 0.1, 1.0, bad, 1.0, 1.0)
+            with pytest.raises(errors.InvalidQuery, match=rf"^delta must .*\], got {bad!r}$"):
+                cb.optimal_theta(mode, bad, 1.0, 1.0, 1.0, 1.0)
+            with pytest.raises(errors.InvalidQuery, match=rf"^q must .*\], got {bad!r}$"):
+                cb.optimal_theta(mode, 0.1, 1.0, 1.0, 1.0, bad)
         # the boundary values stay valid
         assert cb.mgf_bound(mode, 0.1, 5, 1.0, 0.0, 1.0) == 1.0
         assert cb.optimal_theta(mode, 0.0, 1.0, 0.0, 1.0, 1.0) == 0.0
@@ -398,18 +412,23 @@ class TestQueryValidation:
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_non_finite_horizon_rejected(self, t):
-        with pytest.raises(errors.InvalidQuery, match="^horizon t must be finite$"):
+        with pytest.raises(errors.InvalidQuery,
+                           match=r"^horizon t must be a real number in \[0, max float\]$"):
             _query(mode="continuous", n=None, t=t)
 
     def test_untyped_horizon_rejected(self):
         # the one horizon rule of the oracles and the sampler: a whole n, a real t
-        with pytest.raises(errors.InvalidQuery, match="^t must be a real number, got '3'$"):
+        with pytest.raises(errors.InvalidQuery,
+                           match=r"^horizon t must be a real number in \[0, max float\], got '3'$"):
             _query(mode="continuous", n=None, t="3")
-        with pytest.raises(errors.InvalidQuery, match="^n must be an integer, got 2.5$"):
+        with pytest.raises(errors.InvalidQuery,
+                           match=r"^horizon n must be an integer in \[1, max float\], got 2.5$"):
             _query(n=2.5)
-        with pytest.raises(errors.InvalidQuery, match="^n must be an integer, got 2.5$"):
+        with pytest.raises(errors.InvalidQuery,
+                           match=r"^horizon n must be an integer in \[1, max float\], got 2.5$"):
             cb.mgf_bound("discrete", 0.1, 2.5, 1.0, 1.0, 1.0)
-        with pytest.raises(errors.InvalidQuery, match=r"^row 1 \(value 2.5\): n must be an integer"):
+        with pytest.raises(errors.InvalidQuery,
+                           match=r"^row 1 \(value 2.5\): horizon n must be an integer"):
             cb.bound_sweep(_query(), "n", [5, 2.5])
 
     def test_p_rule_shared_with_density_norm(self):

@@ -149,6 +149,22 @@ class TestRadonNikodymNorm:
             assert all(a <= b + 1e-12 for a, b in zip(norms, norms[1:]))
             assert norms[0] >= 1.0 - 1e-12
 
+    def test_large_p_does_not_overflow(self):
+        # nu the point mass on the least likely state of a drift chain: the
+        # density ratio is about 1848, so ratio**200 alone leaves the doubles
+        n = 30
+        a = np.zeros((n, n))
+        for i in range(n):
+            a[i, min(i + 1, n - 1)] += 0.45
+            a[i, max(i - 1, 0)] += 0.55
+        mu = cb.stationary_distribution(cb.validate_transition_matrix(a))
+        nu = cb.make_distribution([0.0] * (n - 1) + [1.0])
+        sup = cb.radon_nikodym_norm(nu, mu, math.inf)
+        assert cb.radon_nikodym_norm(nu, mu, 50.0) == pytest.approx(1589.7477111411172)
+        for p in (200.0, 1e4):
+            assert math.isfinite(cb.radon_nikodym_norm(nu, mu, p))
+            assert cb.radon_nikodym_norm(nu, mu, p) <= sup
+
     def test_absolute_continuity_required(self):
         mu = cb.make_distribution([1.0, 0.0])
         nu = cb.make_distribution([0.5, 0.5])
@@ -280,7 +296,8 @@ class TestChainSchema:
         # zero weights stay in the vector, where radon_nikodym_norm reads them
         d = cb.make_distribution([0.5, 0.0, 0.5])
         assert d.weights.tolist() == [0.5, 0.0, 0.5] and d.n_states == 3
-        with pytest.raises(errors.DimensionMismatch, match="^distribution has 3 weights for 2 states$"):
+        with pytest.raises(errors.DimensionMismatch,
+                           match="^distribution has 3 weights for 2 states$"):
             cb.make_distribution([0.5, 0.0, 0.5], 2)
 
     @pytest.mark.parametrize("weights", [[math.nan, 0.5], [0.5, math.inf], [-math.inf, 1.0]])

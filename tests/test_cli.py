@@ -57,6 +57,15 @@ class TestGaps:
         assert rc == 2
         assert json.loads(err)["error"] == "NotIrreducible"
 
+    def test_pseudo_kmax_below_one_rejected(self, tmp_path, capsys):
+        # k_max counts steps, not states: an input error, not a dimension one
+        rc = cli.main(["gaps", _four_state_file(tmp_path), "--pseudo-kmax", "0"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "InvalidQuery", "message": "k_max must be an integer in [1, inf]"}
+
     def test_flip_chain_values(self, tmp_path, capsys):
         path = _chain_file(tmp_path, {"labels": ["a", "b"], "P": FLIP_ROWS})
         rc = cli.main(["gaps", path])
@@ -564,16 +573,16 @@ class TestNonFiniteHorizon:
     def test_verify(self, t, tmp_path, capsys):
         rc = cli.main(["verify", _chain_file(tmp_path, _JUMP_2), "--t", t,
                        "--delta-grid", "0.1", "--replicas", "10"])
-        self._assert_rejected(rc, capsys, "horizon t must be finite")
+        self._assert_rejected(rc, capsys, "horizon t must be a real number in [0, max float]")
 
     def test_bound(self, capsys):
         rc = cli.main(["bound", "--mode", "continuous", "--t", "nan", *_BOUND_FLAGS])
-        self._assert_rejected(rc, capsys, "horizon t must be finite")
+        self._assert_rejected(rc, capsys, "horizon t must be a real number in [0, max float]")
 
     def test_sweep(self, capsys):
         rc = cli.main(["sweep", "--mode", "continuous", "--axis", "t",
                        "--values", "nan,inf", *_BOUND_FLAGS])
-        self._assert_rejected(rc, capsys, "horizon t must be finite")
+        self._assert_rejected(rc, capsys, "horizon t must be a real number in [0, max float]")
 
     @pytest.mark.parametrize("replicas", [[], ["--replicas", "10"]])
     @pytest.mark.parametrize("t", ["inf", "nan"])
@@ -581,17 +590,17 @@ class TestNonFiniteHorizon:
         # the exact oracle and the sampler reject the horizon alike
         rc = cli.main(["mgf", _chain_file(tmp_path, _JUMP_2), "--theta", "0.3",
                        "--t", t, *replicas])
-        self._assert_rejected(rc, capsys, "horizon t must be finite")
+        self._assert_rejected(rc, capsys, "horizon t must be a real number in [0, max float]")
 
     def test_bound_n_beyond_floats(self, capsys):
         rc = cli.main(["bound", "--mode", "discrete", "--n", str(10**400), *_BOUND_FLAGS])
-        self._assert_rejected(rc, capsys, "horizon n must fit a float")
+        self._assert_rejected(rc, capsys, "horizon n must be an integer in [1, max float]")
 
     def test_sweep_n_beyond_floats(self, capsys):
         rc = cli.main(["sweep", "--mode", "discrete", "--axis", "n",
                        "--values", f"5,{10**400}", *_BOUND_FLAGS])
         self._assert_rejected(
-            rc, capsys, f"row 1 (value {10**400}): horizon n must fit a float"
+            rc, capsys, f"row 1 (value {10**400}): horizon n must be an integer in [1, max float]"
         )
 
 
@@ -731,10 +740,28 @@ class TestMgf:
         assert rc == 2
         assert captured.out == ""
         err = json.loads(captured.err.splitlines()[-1])
-        assert err == {"error": "InvalidQuery", "message": "theta must be finite"}
+        assert err == {"error": "InvalidQuery",
+                       "message": "theta must be a real number in [-max float, max float]"}
 
 
 class TestVerify:
+    def test_large_p_start_norm_is_finite(self, tmp_path, capsys):
+        # a start on the least likely state of a drift chain: its density
+        # ratio to p = 200 would overflow unless scaled by the largest ratio
+        n = 30
+        rows = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][min(i + 1, n - 1)] += 0.45
+            rows[i][max(i - 1, 0)] += 0.55
+        f = [-1 + 2 * i / (n - 1) for i in range(n)]
+        path = _chain_file(tmp_path, {"labels": [str(i) for i in range(n)], "P": rows, "f": f})
+        nu = ",".join(["0"] * (n - 1) + ["1"])
+        rc = cli.main(["verify", path, "--n", "1000", "--delta-grid", "0.3", "--replicas", "100",
+                       "--seed", "1", "--nu", nu, "--p", "200", "--output-format", "json"])
+        (row,) = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert 1 <= row["bound_compared"]["probability_bound"] < math.inf
+
     def test_flip_chain_trivial(self, tmp_path, capsys):
         path = _chain_file(
             tmp_path, {"labels": ["a", "b"], "P": FLIP_ROWS, "f": [1, -1]}

@@ -1,8 +1,12 @@
 """The package's public names, pinned so that a change to them is deliberate."""
 
 import dataclasses
+import math
+
+import pytest
 
 import chainbounds as cb
+from chainbounds import errors
 
 PUBLIC = [
     "BoundQuery", "BoundResult", "ChainBoundsError", "ChainData", "ConditionalMgf",
@@ -33,3 +37,70 @@ def test_sim_config_fields_are_pinned():
     # the replication plan only: per-estimate inputs (delta, theta) are arguments
     fields = [field.name for field in dataclasses.fields(cb.SimConfig)]
     assert fields == ["replicas", "seed", "init", "n", "t", "alpha"]
+
+
+# One row per scalar input of a public entry point; each refuses every kind
+# of non-number (and NaN) with InvalidQuery, never TypeError or ValueError.
+_P = cb.validate_transition_matrix([[0.9, 0.1], [0.2, 0.8]])
+_Q = cb.validate_generator([[-1.0, 1.0], [2.0, -2.0]])
+_MU = cb.stationary_distribution(_P)
+_F = cb.make_observable([1.0, -1.0], _MU)
+_CONFIG = cb.SimConfig(replicas=10, seed=0, init=_MU, n=3)
+_QUERY = {"mode": "discrete", "n": 5, "delta": 0.1, "M": 1.0, "sigma2": 0.1, "eta_p": 1.0}
+
+
+def _query(**changes):
+    return cb.BoundQuery(**{**_QUERY, **changes})
+
+
+def _sim_config(**changes):
+    return cb.SimConfig(**{"replicas": 10, "seed": 0, "init": _MU, "n": 3, **changes})
+
+
+SCALAR_INPUTS = {
+    "BoundQuery.delta": lambda x: _query(delta=x),
+    "BoundQuery.M": lambda x: _query(M=x),
+    "BoundQuery.sigma2": lambda x: _query(sigma2=x),
+    "BoundQuery.eta_p": lambda x: _query(eta_p=x),
+    "BoundQuery.nu_norm": lambda x: _query(nu_norm=x),
+    "BoundQuery.n": lambda x: _query(n=x),
+    "BoundQuery.t": lambda x: _query(mode="continuous", n=None, t=x),
+    "c_theta.theta": lambda x: cb.c_theta(x, 1.0, 1.0),
+    "c_theta.M": lambda x: cb.c_theta(0.1, x, 1.0),
+    "c_theta.eta_p": lambda x: cb.c_theta(0.1, 1.0, x),
+    "optimal_theta.delta": lambda x: cb.optimal_theta("discrete", x, 1.0, 0.5, 1.0, 1.0),
+    "optimal_theta.M": lambda x: cb.optimal_theta("discrete", 0.1, x, 0.5, 1.0, 1.0),
+    "optimal_theta.sigma": lambda x: cb.optimal_theta("discrete", 0.1, 1.0, x, 1.0, 1.0),
+    "optimal_theta.eta_p": lambda x: cb.optimal_theta("continuous", 0.1, 1.0, 0.5, x, 1.0),
+    "optimal_theta.q": lambda x: cb.optimal_theta("discrete", 0.1, 1.0, 0.5, 1.0, x),
+    "mgf_bound.theta": lambda x: cb.mgf_bound("discrete", x, 5, 1.0, 0.5, 1.0),
+    "mgf_bound.horizon": lambda x: cb.mgf_bound("continuous", 0.1, x, 1.0, 0.5, 1.0),
+    "mgf_bound.M": lambda x: cb.mgf_bound("discrete", 0.1, 5, x, 0.5, 1.0),
+    "mgf_bound.sigma": lambda x: cb.mgf_bound("discrete", 0.1, 5, 1.0, x, 1.0),
+    "mgf_bound.eta_p": lambda x: cb.mgf_bound("discrete", 0.1, 5, 1.0, 0.5, x),
+    "bound_sweep.delta": lambda x: cb.bound_sweep(_query(), "delta", [0.1, x]),
+    "bound_sweep.eta_p": lambda x: cb.bound_sweep(_query(), "eta_p", [x]),
+    "conditional_mgf.theta": lambda x: cb.conditional_mgf(_P, _F, x, 3),
+    "exact_mgf.theta": lambda x: cb.exact_mgf(_P, _MU, _F, x, 3),
+    "exact_mgf.n": lambda x: cb.exact_mgf(_P, _MU, _F, 0.1, x),
+    "exact_mgf.t": lambda x: cb.exact_mgf(_Q, _MU, _F, 0.1, x),
+    "exact_log_mgf.theta": lambda x: cb.exact_log_mgf(_Q, _MU, _F, x, 1.0),
+    "exact_tail_discrete.delta": lambda x: cb.exact_tail_discrete(_P, _MU, _F, 3, x),
+    "empirical_mgf.theta": lambda x: cb.empirical_mgf(_CONFIG, _P, _F, x),
+    "empirical_tail.delta": lambda x: cb.empirical_tail(_CONFIG, _P, _F, [0.1, x]),
+    "SimConfig.replicas": lambda x: _sim_config(replicas=x),
+    "SimConfig.seed": lambda x: _sim_config(seed=x),
+    "SimConfig.n": lambda x: _sim_config(n=x),
+    "SimConfig.t": lambda x: _sim_config(n=None, t=x),
+    "SimConfig.alpha": lambda x: _sim_config(alpha=x),
+    "gap_report.k_max": lambda x: cb.gap_report(_P, _MU, k_max=x),
+}
+NOT_NUMBERS = {"bool": True, "str": "0.1", "None": None, "complex": 1j, "NaN": math.nan}
+CASES = [(entry, kind) for entry in SCALAR_INPUTS for kind in NOT_NUMBERS
+         if (entry, kind) != ("gap_report.k_max", "None")]  # None skips the pseudo gap
+
+
+@pytest.mark.parametrize("entry, kind", CASES)
+def test_scalar_input_that_is_no_number_fails_typed(entry, kind):
+    with pytest.raises(errors.InvalidQuery):
+        SCALAR_INPUTS[entry](NOT_NUMBERS[kind])

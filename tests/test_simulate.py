@@ -1112,7 +1112,8 @@ class TestEmpiricalTail:
         f = cb.make_observable([1, 0, 0, -1], mu)
         monkeypatch.setattr(simulate, "_dtmc_sums", None)  # any simulation would fail
         cfg = cb.SimConfig(replicas=10, seed=0, init=mu, n=5)
-        with pytest.raises(errors.InvalidQuery, match="^delta must be >= 0$"):
+        with pytest.raises(errors.InvalidQuery,
+                           match=r"^delta must be a real number in \[0, inf\]$"):
             cb.empirical_tail(cfg, P, f, [0.1, delta])
 
     def test_one_bound_per_delta(self, monkeypatch):
@@ -1248,7 +1249,8 @@ class TestEmpiricalMgf:
         P = cb.validate_transition_matrix([[0.9, 0.1], [0.2, 0.8]])
         mu = cb.stationary_distribution(P)
         cfg = cb.SimConfig(replicas=10, seed=0, init=mu, n=5)
-        with pytest.raises(errors.InvalidQuery, match="^theta must be finite$"):
+        with pytest.raises(errors.InvalidQuery,
+                           match=r"^theta must be a real number in \[-max float, max float\]$"):
             cb.empirical_mgf(cfg, P, cb.make_observable([1.0, -1.0], mu), theta)
 
     def test_heavy_tail_flagged(self):
@@ -1284,22 +1286,27 @@ class TestEmpiricalMgf:
         with pytest.raises(errors.InvalidQuery):
             cb.SimConfig(replicas=5, seed=0, init=mu, n=5, alpha=1.2)
         for t in (math.nan, math.inf):
-            with pytest.raises(errors.InvalidQuery, match="^horizon t must be finite$"):
+            with pytest.raises(errors.InvalidQuery,
+                               match=r"^horizon t must be a real number in \[0, max float\]$"):
                 cb.SimConfig(replicas=5, seed=0, init=mu, t=t)
         # a horizon or alpha that is not a number fails typed, not with TypeError
         for horizon in ({"t": "1"}, {"t": 1j}, {"n": "5"}):
             with pytest.raises(errors.InvalidQuery, match="must be a"):
                 cb.SimConfig(replicas=5, seed=0, init=mu, **horizon)
-        for alpha in ("0.1", None):
-            with pytest.raises(errors.InvalidQuery, match="^alpha must lie in"):
+        for alpha in ("0.1", None, True, 1j, math.nan, 0.0, 1.0):
+            with pytest.raises(errors.InvalidQuery,
+                               match=r"^alpha must be a real number in \(0, 1\)"):
                 cb.SimConfig(replicas=5, seed=0, init=mu, n=5, alpha=alpha)
         with pytest.raises(errors.InvalidQuery, match="^horizon t must be positive$"):
             cb.SimConfig(replicas=5, seed=0, init=mu, t=0.0)
-        # counts must be integers, numpy's included, and fail typed otherwise
+        # counts must be integers, numpy's included and bools not, and fail typed otherwise
         for name, value in (("replicas", 10.5), ("seed", 1.5), ("n", 5.5), ("seed", None),
-                            ("replicas", "10"), ("n", np.float64(5.0))):
+                            ("replicas", "10"), ("n", np.float64(5.0)), ("replicas", True),
+                            ("seed", True), ("n", True), ("seed", False)):
             counts = {"replicas": 10, "seed": 1, "n": 5, name: value}
-            with pytest.raises(errors.InvalidQuery, match=f"^{name} must be an integer"):
+            label = "horizon n" if name == "n" else name
+            with pytest.raises(errors.InvalidQuery,
+                               match=f"^{label} must be an integer in .*, got "):
                 cb.SimConfig(init=mu, **counts)
         config = cb.SimConfig(replicas=np.int64(3), seed=np.uint32(2), init=mu, n=np.int32(5))
         P = cb.validate_transition_matrix([[0.5, 0.5], [0.5, 0.5]])
