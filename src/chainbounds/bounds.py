@@ -1,7 +1,7 @@
 """Closed-form Bernstein-type moment and tail bounds with exact constants.
 
 Evaluates, for a chain over n steps or a jump process over time t, with
-iterated Poincare gap eta_p and a centered observable with |f| <= M and
+iterated Poincare gap eta_p and a centred observable with |f| <= M and
 Var <= sigma^2. The two time scales share every formula and differ only in
 the constant a = 2 + 6 eta_p (discrete) or a = 2 (continuous):
 

@@ -3,7 +3,8 @@
 Transition matrices, generator (rate) matrices, probability distributions
 and bounded observables over a finite state space, together with
 stationary-distribution, invariance and density-norm computations, and the
-one check of a horizon and of a moment order p that every layer shares.
+one check of a horizon, of a moment order p and of the state counts of a
+path question that every layer shares.
 States are indexed 0, 1, ...; the labels of a chain file are checked and
 then dropped. All types are immutable after validation; every operation is
 a pure function of its inputs.
@@ -30,7 +31,6 @@ from .errors import (
     NegativeEntry,
     NegativeOffDiagonal,
     NotAbsolutelyContinuous,
-    NotCentered,
     NotInvariant,
     NotIrreducible,
     RowSumViolation,
@@ -40,7 +40,6 @@ from .errors import (
 )
 
 ROW_SUM_TOLERANCE = 1e-9
-CENTERING_TOLERANCE = 1e-10
 INVARIANCE_TOLERANCE = 1e-9
 STATIONARY_RESIDUAL_TOLERANCE = 1e-12
 _FINITE = sys.float_info.max  # the high end of a range that takes every finite value
@@ -106,17 +105,16 @@ class Distribution:
 
 @dataclass(frozen=True, eq=False)
 class Observable:
-    """Real function on states with moments under a reference distribution.
+    """Real function on states, centred under a reference distribution mu.
 
-    ``M`` is the sup-norm of the (possibly centered) values, ``sigma2`` the
-    exact variance under ``mu``. ``centered`` records whether the stored
-    values have mean zero under mu within the centering tolerance.
+    ``values`` are f - E_mu[f], so their mean under mu is zero up to
+    rounding; ``M`` is their sup-norm and ``sigma2`` their exact variance
+    under mu. Build one with :func:`make_observable`.
     """
 
     values: np.ndarray
     M: float
     sigma2: float
-    centered: bool
 
 
 ChainOperator = Union[TransitionMatrix, GeneratorMatrix]
@@ -414,15 +412,12 @@ def radon_nikodym_norm(nu: Distribution, mu: Distribution, p: float) -> float:
     return r_max * float((wm[mask] @ (ratio / r_max) ** p) ** (1.0 / p))
 
 
-def make_observable(values, mu: Distribution, auto_center: bool = True) -> Observable:
-    """Build an observable with exact moments under ``mu``.
+def make_observable(values, mu: Distribution) -> Observable:
+    """Build the centred observable f - E_mu[f] with exact moments under ``mu``.
 
-    With ``auto_center`` the values are shifted by -E_mu[values], and a
-    constant f becomes exact zeros rather than the rounding residue of its
-    mean; otherwise a mean beyond ``CENTERING_TOLERANCE`` raises
-    :class:`NotCentered`.
-    ``M`` is the sup-norm of the stored values and ``sigma2`` their exact
-    variance under mu.
+    A constant f becomes exact zeros rather than the rounding residue of its
+    mean. ``M`` is the sup-norm of the stored values and ``sigma2`` their
+    exact variance under mu.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size != mu.n_states:
@@ -430,20 +425,10 @@ def make_observable(values, mu: Distribution, auto_center: bool = True) -> Obser
     if not np.isfinite(v).all():
         raise DimensionMismatch("observable values must be finite")
     w = mu.weights
+    v = v - float(w @ v) if v.min() < v.max() else np.zeros_like(v)
     mean = float(w @ v)
-    if auto_center:
-        v = v - mean if v.min() < v.max() else np.zeros_like(v)
-    elif abs(mean) > CENTERING_TOLERANCE:
-        raise NotCentered(f"E_mu[f] = {mean!r} exceeds tolerance {CENTERING_TOLERANCE!r}")
-    mean_stored = float(w @ v)
-    m_bound = float(np.abs(v).max())
-    sigma2 = max(float(w @ v**2) - mean_stored**2, 0.0)
-    return Observable(
-        values=_freeze(v),
-        M=m_bound,
-        sigma2=sigma2,
-        centered=abs(mean_stored) <= CENTERING_TOLERANCE,
-    )
+    sigma2 = max(float(w @ v**2) - mean**2, 0.0)
+    return Observable(values=_freeze(v), M=float(np.abs(v).max()), sigma2=sigma2)
 
 
 def observable_values(f) -> np.ndarray:
@@ -454,6 +439,22 @@ def observable_values(f) -> np.ndarray:
     if v.ndim != 1:
         raise DimensionMismatch("observable must be a vector of reals")
     return v
+
+
+def _check_states(op: ChainOperator, f, init: Distribution | None = None) -> np.ndarray:
+    """The values of f, once f and the start law ``init`` have one entry per state of op.
+
+    The one state-count check of a path question, shared by the exact
+    oracles and the samplers.
+    """
+    if not isinstance(op, (TransitionMatrix, GeneratorMatrix)):
+        raise DimensionMismatch(f"path questions need a chain operator, not {type(op).__name__}")
+    fv = observable_values(f)
+    if fv.size != op.n_states:
+        raise DimensionMismatch("observable does not match the chain")
+    if init is not None and init.n_states != op.n_states:
+        raise DimensionMismatch("init distribution does not match the chain")
+    return fv
 
 
 # ---------------------------------------------------------------------------

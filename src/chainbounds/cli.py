@@ -104,8 +104,8 @@ def _resolve_nu(chain: ChainData, flag_value: str | None, mu):
     return chain.nu if chain.nu is not None else mu
 
 
-def _centered_observable(values, mu):
-    obs = make_observable(values, mu, auto_center=True)
+def _centred_observable(values, mu):
+    obs = make_observable(values, mu)
     raw_mean = float(mu.weights @ np.asarray(values, dtype=float))
     print(f"auto-centered f: removed E_mu[f] = {raw_mean!r}", file=sys.stderr)
     return obs
@@ -197,7 +197,7 @@ def _cmd_bound(args) -> int:
 def _cmd_mgf(args) -> int:
     chain = load_chain(args.chain)
     mu = _resolve_mu(chain)
-    obs = _centered_observable(_resolve_f(chain, args.f), mu)
+    obs = _centred_observable(_resolve_f(chain, args.f), mu)
     sigma = math.sqrt(obs.sigma2)
     theta = args.theta
     horizon = _horizon(chain, args)
@@ -233,7 +233,7 @@ def _cmd_mgf(args) -> int:
 def _cmd_verify(args) -> int:
     chain = load_chain(args.chain)
     mu = _resolve_mu(chain)
-    obs = _centered_observable(_resolve_f(chain, args.f), mu)
+    obs = _centred_observable(_resolve_f(chain, args.f), mu)
     if obs.M == 0:
         raise InvalidQuery("the observable f is constant under mu: centred, it is 0 "
                            "everywhere and has no tail to verify")

@@ -64,10 +64,6 @@ class NotAbsolutelyContinuous(ChainBoundsError):
         )
 
 
-class NotCentered(ChainBoundsError):
-    """Observable mean under mu exceeds the centering tolerance."""
-
-
 class DegenerateStateSpace(ChainBoundsError):
     """Gap undefined: the mean-zero subspace of a 1-state space is {0}."""
 

@@ -36,7 +36,7 @@ from .chain_core import (
     _FINITE,
     _check_horizon,
     _check_real,
-    observable_values,
+    _check_states,
 )
 from .errors import DimensionMismatch, Overflow, TooLarge
 
@@ -66,18 +66,9 @@ class ConditionalMgf:
     theta: float
 
 
-def _match(op, f) -> np.ndarray:
-    fv = observable_values(f)
-    if fv.size != op.n_states:
-        raise DimensionMismatch("observable does not match the chain")
-    return fv
-
-
 def _checked(op, f, theta: float, horizon, init: Distribution | None = None) -> np.ndarray:
     # the values of f, once f, init, theta and the horizon fit the operator
-    fv = _match(op, f)
-    if init is not None and init.n_states != op.n_states:
-        raise DimensionMismatch("init distribution does not match the chain")
+    fv = _check_states(op, f, init)
     _check_real("theta", theta, -_FINITE, _FINITE)
     _check_horizon("continuous" if isinstance(op, GeneratorMatrix) else "discrete", horizon)
     return fv

@@ -23,10 +23,11 @@ path: rounds of at most ``_CHAIN_BLOCK`` jump steps, each a hold
 ``_JUMP_BUDGET`` draws (16 MB). A step reads its hold and jump rows as
 they are until some path of the round ends, and through a column index of
 the running paths after that. So neither sampler's memory grows with the
-horizon or the replica count. Both samplers pick every state, the first one
-included, from an exact guide table over the steps of the clamped row
-CDFs: one bucket lookup, then a bisection over the few steps inside the
-bucket, with the same ``cdf <= u`` compares as a scan of the whole row.
+horizon or the replica count. Both samplers pick each next state from an
+exact guide table over the steps of the clamped row CDFs: one bucket
+lookup, then a bisection over the few steps inside the bucket, with the
+same ``cdf <= u`` compares as a scan of the whole row. The first state is
+one ``searchsorted`` over the start law's clamped CDF, with those compares.
 
 A run's replicas split into contiguous ranges, one per worker process: the
 calling process runs the first range and forked children the others, each
@@ -55,7 +56,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .bounds import BoundResult
 from .chain_core import (
@@ -67,9 +67,10 @@ from .chain_core import (
     _check_horizon,
     _check_int,
     _check_real,
+    _check_states,
     is_irreducible,
 )
-from .errors import InvalidCounts, InvalidQuery, NotCentered, NotIrreducible
+from .errors import InvalidCounts, InvalidQuery, NotIrreducible
 
 DEFAULT_ALPHA = 0.05
 
@@ -79,18 +80,6 @@ _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
-
-
-class _PhiloxKey(ISeedSequence):
-    """Seeds a Philox with a key computed ahead, without a SeedSequence."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key):
-        self.key = key
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.key
 
 
 def _replica_keys(seed: int, ids: np.ndarray) -> np.ndarray:
@@ -161,7 +150,7 @@ class _Repointed:
 
     def __init__(self, stage: np.ndarray):
         self.stage = stage
-        self.rng = np.random.Generator(np.random.Philox(_PhiloxKey([0, 0])))
+        self.rng = np.random.Generator(np.random.Philox(key=0))
         self._state = {
             "bit_generator": "Philox",
             "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
@@ -549,18 +538,16 @@ def _dtmc_sums(
     the next offset and the next f value directly.
     """
     table = _pick_table(_cdf_rows(P.entries))
-    first = _pick_table(_cdf_rows(init.weights[None, :]))
-    offset_at, first_offset_at = table.columns * table.buckets, first.columns * table.buckets
-    f_at, first_f_at = fv.take(table.columns), fv.take(first.columns).astype(float)
+    start_cdf = np.minimum(_cdf_rows(init.weights[None, :])[0], 1.0)
+    offset_at, f_at = table.columns * table.buckets, fv.take(table.columns)
 
     def run(stream, keys, u):
         for start in range(0, n, len(u)):
             draws = u[: n - start]
             stream.fill(keys, start, draws)
             if start == 0:
-                pos = _pick_steps(first, 0, draws[0] * first.buckets)
-                offsets = first_offset_at.take(pos)
-                sums = first_f_at.take(pos)
+                first = np.searchsorted(start_cdf, draws[0], side="right")
+                offsets, sums = first * table.buckets, fv.take(first)
                 draws = draws[1:]
             draws *= table.buckets
             for scaled in draws:
@@ -617,15 +604,14 @@ def _ctmc_integrals(
     rates = np.where(rates > 0, rates, 0.0)
     block = _ctmc_block_size(Q, t)
     table = _pick_table(_jump_cdf(Q))
-    first = _pick_table(_cdf_rows(init.weights[None, :]))
-    offset_at, first_offset_at = table.columns * table.buckets, first.columns * table.buckets
-    rate_at, first_rate_at = rates.take(table.columns), rates.take(first.columns)
-    f_at, first_f_at = fv.take(table.columns), fv.take(first.columns)
+    start_cdf = np.minimum(_cdf_rows(init.weights[None, :])[0], 1.0)
+    offset_at = table.columns * table.buckets
+    rate_at, f_at = rates.take(table.columns), fv.take(table.columns)
 
     def run(stream, keys, draws):
         stream.fill(keys, 0, draws)  # draw 0 and round 0
-        pos = _pick_steps(first, 0, draws[0] * first.buckets)
-        offsets, rate, f = (a.take(pos) for a in (first_offset_at, first_rate_at, first_f_at))
+        first = np.searchsorted(start_cdf, draws[0], side="right")
+        offsets, rate, f = first * table.buckets, rates.take(first), fv.take(first)
         integrals = np.zeros(len(keys))
         if not block:
             return integrals + f * t
@@ -661,17 +647,11 @@ def _ctmc_integrals(
     return _chunked(seed, replicas, 4 + 2 * block, _JUMP_BUDGET, run)
 
 
-def _centered_values(f: Observable) -> np.ndarray:
-    if not isinstance(f, Observable):
-        raise InvalidQuery("empirical estimators need an Observable")
-    if not f.centered:
-        raise NotCentered("empirical estimators require a centered observable")
-    return f.values
-
-
 def _path_functionals(config: SimConfig, op, f: Observable) -> np.ndarray:
     """Per-replica sums of f over n steps, or time integrals of f over [0, t]."""
-    fv = _centered_values(f)
+    if not isinstance(f, Observable):
+        raise InvalidQuery("empirical estimators need an Observable")
+    fv = _check_states(op, f, config.init)
     if isinstance(op, TransitionMatrix):
         if config.n is None:
             raise InvalidQuery("discrete chains need the step horizon n")

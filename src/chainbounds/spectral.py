@@ -334,8 +334,11 @@ def gap_report(
     embedding. mu defaults to the stationary distribution. A jump process
     defines only ``eta_p``. For a chain, ``eta`` is filled only when it is
     reversible within tolerance, and then equals ``eta_s``; ``pseudo`` is
-    skipped when ``k_max`` is None; otherwise it is an integer >= 1.
+    skipped when ``k_max`` is None; otherwise it is an integer >= 1, on
+    every operator, whether or not it has a pseudo gap.
     """
+    if k_max is not None:
+        _check_int("k_max", k_max, 1, np.inf)
     if mu is None:
         mu = stationary_distribution(op)
     if mu.n_states == 1:
@@ -350,8 +353,5 @@ def gap_report(
     norm_sq = _norm_sq(centred)
     eta_a = 1.0 - float(np.sqrt(norm_sq))  # may be 0 for an irreducible chain
     eta = eta_s if np.abs(W.matrix - W.matrix.T).max() <= REVERSIBILITY_TOLERANCE else None
-    pseudo = None
-    if k_max is not None:  # checked only where the pseudo gap is computed
-        _check_int("k_max", k_max, 1, np.inf)
-        pseudo = _pseudo_gap(centred, norm_sq, k_max)
+    pseudo = None if k_max is None else _pseudo_gap(centred, norm_sq, k_max)
     return GapReport(eta_p, eta_s, eta_a, eta, pseudo, False, _tolerances())

@@ -189,7 +189,7 @@ class TestMakeObservable:
 
     def test_centering_shift(self):
         mu = cb.make_distribution([0.5, 0.5])
-        f = cb.make_observable([2, 0], mu, auto_center=True)
+        f = cb.make_observable([2, 0], mu)
         assert np.allclose(f.values, [1, -1])
         assert f.M == 1.0 and f.sigma2 == pytest.approx(1.0)
 
@@ -205,20 +205,14 @@ class TestMakeObservable:
             [[0.547, 0.453], [0.7422, 0.2578]]))
         f = cb.make_observable([3, 3], mu)
         assert f.values.tolist() == [0.0, 0.0]
-        assert (f.M, f.sigma2, f.centered) == (0.0, 0.0, True)
-
-    def test_not_centered_rejected(self):
-        mu = cb.make_distribution([0.5, 0.5])
-        with pytest.raises(errors.NotCentered):
-            cb.make_observable([1, 0], mu, auto_center=False)
+        assert (f.M, f.sigma2) == (0.0, 0.0)
 
     def test_non_finite_rejected(self):
         # a typed error before the mean, which would warn on inf - inf
         mu = cb.make_distribution([0.5, 0.5])
         for values in ([math.nan, 1.0], [math.inf, 1.0], [math.inf, -math.inf]):
-            for auto_center in (True, False):
-                with pytest.raises(errors.DimensionMismatch, match="must be finite"):
-                    cb.make_observable(values, mu, auto_center=auto_center)
+            with pytest.raises(errors.DimensionMismatch, match="must be finite"):
+                cb.make_observable(values, mu)
 
     def test_variance_below_sup_squared(self):
         rng = np.random.default_rng(17)
@@ -227,7 +221,23 @@ class TestMakeObservable:
             mu = cb.make_distribution(rng.dirichlet(np.ones(n)))
             f = cb.make_observable(rng.normal(size=n), mu)
             assert f.sigma2 <= f.M**2 + 1e-12
-            assert f.centered
+
+    def test_centred_at_every_scale(self):
+        # the rounding residue of mu @ values grows with |f|: a few ulps of
+        # the scale, where a fixed tolerance of 1e-10 refused f past 1e6
+        rng = np.random.default_rng(28)
+        mu3 = cb.stationary_distribution(cb.validate_transition_matrix(
+            [[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.4, 0.4, 0.2]]))
+        cases = [(mu3, [1000000.3, -2000000.7, 3000000.1])]
+        for scale in 10.0 ** np.arange(11):
+            for _ in range(20):
+                n = int(rng.integers(2, 6))
+                mu = cb.make_distribution(rng.dirichlet(np.ones(n)))
+                cases.append((mu, scale * rng.normal(size=n)))
+        for mu, values in cases:
+            f = cb.make_observable(values, mu)
+            scale = float(np.abs(values).max())
+            assert abs(float(mu.weights @ f.values)) <= 8 * np.spacing(scale)
 
 
 class TestChainSchema:

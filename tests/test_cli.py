@@ -66,6 +66,21 @@ class TestGaps:
         assert json.loads(captured.err) == {
             "error": "InvalidQuery", "message": "k_max must be an integer in [1, inf]"}
 
+    @pytest.mark.parametrize("doc", [
+        {"labels": ["x", "y"], "Q": [[-1, 1], [2, -2]]},
+        {"labels": ["a"], "P": [[1]]},
+    ], ids=["jump-process", "one-state-chain"])
+    @pytest.mark.parametrize("k_max", ["0", "-3"])
+    def test_pseudo_kmax_below_one_rejected_without_pseudo_gap(self, doc, k_max, tmp_path,
+                                                               capsys):
+        # refused where no pseudo gap is computed too, as on a multi-state chain
+        rc = cli.main(["gaps", _chain_file(tmp_path, doc), "--pseudo-kmax", k_max])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "InvalidQuery", "message": "k_max must be an integer in [1, inf]"}
+
     def test_flip_chain_values(self, tmp_path, capsys):
         path = _chain_file(tmp_path, {"labels": ["a", "b"], "P": FLIP_ROWS})
         rc = cli.main(["gaps", path])
@@ -742,6 +757,24 @@ class TestMgf:
         err = json.loads(captured.err.splitlines()[-1])
         assert err == {"error": "InvalidQuery",
                        "message": "theta must be a real number in [-max float, max float]"}
+
+
+# f of order 10^6, whose centred mean rounds to 1.7e-10, which a fixed
+# centring tolerance of 1e-10 used to refuse
+_LARGE_F = {"labels": ["a", "b", "c"],
+            "P": [[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.4, 0.4, 0.2]],
+            "f": [1000000.3, -2000000.7, 3000000.1]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "50", "--delta-grid", "100000", "--replicas", "100", "--seed", "1"],
+    ["mgf", "--n", "50", "--theta", "1e-9", "--replicas", "100"],
+], ids=["verify", "mgf"])
+def test_large_observable_answers(argv, tmp_path, capsys):
+    rc = cli.main([argv[0], _chain_file(tmp_path, _LARGE_F), *argv[1:]])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert captured.out
 
 
 class TestVerify:

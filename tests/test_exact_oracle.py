@@ -9,6 +9,7 @@ import pytest
 
 import chainbounds as cb
 from chainbounds import errors, exact_oracle
+from chainbounds.chain_core import _check_states
 from chainbounds.examples import zero_absolute_gap_chain
 from conftest import random_generator, random_transition
 
@@ -39,7 +40,7 @@ def verify_laplacian_identity(P, f, theta: float, n: int, z: int) -> LaplacianCh
     floating error; ``gap`` must stay below 1e-10 * max(1, |lhs|) on sane
     inputs. Raises TooLarge when |states|^(n+1) exceeds the enumeration cap.
     """
-    fv = exact_oracle._match(P, f)
+    fv = _check_states(P, f)
     m = P.n_states
     if not 0 <= z < m:
         raise errors.DimensionMismatch(f"state index {z} out of range")
@@ -80,7 +81,7 @@ def verify_a_prime_identity(Q, f, theta: float, t: float, mu=None) -> APrimeChec
         raise errors.InvalidQuery("t must be > 0")
     import scipy.linalg
 
-    fv = exact_oracle._match(Q, f)
+    fv = _check_states(Q, f)
     if mu is None:
         mu = cb.stationary_distribution(Q)
     ones = np.ones(Q.n_states)
@@ -648,7 +649,7 @@ def _ref_log_conditional_mgf(P, fv, theta, n):
 
 
 def _ref_conditional_mgf_discrete(P, f, theta, n):
-    fv = exact_oracle._match(P, f)
+    fv = _check_states(P, f)
     u, log_scale = _ref_log_conditional_mgf(P, fv, theta, n)
     if log_scale < 709:
         values = u * math.exp(log_scale)
@@ -659,9 +660,7 @@ def _ref_conditional_mgf_discrete(P, f, theta, n):
 
 
 def _ref_exact_mgf_discrete(P, init, f, theta, n):
-    fv = exact_oracle._match(P, f)
-    if init.n_states != P.n_states:
-        raise errors.DimensionMismatch("init distribution does not match the chain")
+    fv = _check_states(P, f, init)
     u, log_scale = _ref_log_conditional_mgf(P, fv, theta, n)
     r = float(init.weights @ u)
     try:
@@ -671,7 +670,7 @@ def _ref_exact_mgf_discrete(P, init, f, theta, n):
 
 
 def _ref_exact_log_mgf_discrete(P, init, f, theta, n):
-    fv = exact_oracle._match(P, f)
+    fv = _check_states(P, f)
     u, log_scale = _ref_log_conditional_mgf(P, fv, theta, n)
     return math.log(float(init.weights @ u)) + log_scale
 

@@ -306,8 +306,9 @@ def replica_rng(seed: int, replica: int) -> np.random.Generator:
     replica = operator.index(replica)
     if not 0 <= replica < 1 << 64:
         raise InvalidQuery(f"replica ids lie in [0, 2**64), got {replica}")
-    key = _replica_keys(seed, np.array([replica], dtype=np.uint64)).tolist()[0]
-    return np.random.Generator(np.random.Philox(simulate._PhiloxKey(key)))
+    # a uint64 key: Philox reads a list of Python ints through float64
+    key = _replica_keys(seed, np.array([replica], dtype=np.uint64))[0]
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 class TestReplicaKeys:
@@ -1258,7 +1259,7 @@ class TestEmpiricalMgf:
         # dominate the mean and the normal CI is not trustworthy
         P = cb.validate_transition_matrix([[0.99, 0.01], [0.99, 0.01]])
         mu = cb.stationary_distribution(P)
-        f = cb.make_observable([0.0, 30.0], mu, auto_center=True)
+        f = cb.make_observable([0.0, 30.0], mu)
         cfg = cb.SimConfig(replicas=400, seed=12, init=mu, n=1)
         rep = cb.empirical_mgf(cfg, P, f, 1.0)
         assert rep.heavy_tail
@@ -1312,3 +1313,57 @@ class TestEmpiricalMgf:
         P = cb.validate_transition_matrix([[0.5, 0.5], [0.5, 0.5]])
         report, = cb.empirical_tail(config, P, cb.make_observable([1.0, -1.0], mu), [0.5])
         assert report.replicas_used == 3
+
+
+class TestPathQuestionStates:
+    """f and the start law need one entry per state, checked as for the exact oracles."""
+
+    P = cb.validate_transition_matrix([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.4, 0.4, 0.2]])
+    Q = cb.validate_generator([[-1.0, 0.5, 0.5], [0.2, -0.4, 0.2], [1.0, 1.0, -2.0]])
+
+    def _estimate(self, estimator, op, f, init):
+        horizon = {"n": 4} if isinstance(op, TransitionMatrix) else {"t": 1.5}
+        config = cb.SimConfig(replicas=50, seed=1, init=init, **horizon)
+        if estimator == "tail":
+            return cb.empirical_tail(config, op, f, [0.1])[0]
+        return cb.empirical_mgf(config, op, f, 0.2)
+
+    @pytest.mark.parametrize("estimator", ["tail", "mgf"])
+    @pytest.mark.parametrize("time_scale", ["chain", "jump"])
+    @pytest.mark.parametrize("states", [2, 4])
+    def test_wrong_sized_f_or_start_law_refused(self, estimator, time_scale, states):
+        # unchecked, the samplers ignored f's extra values and answered for a
+        # short start law, or raised a bare IndexError for a short f or a long
+        # start law
+        op = self.P if time_scale == "chain" else self.Q
+        mu, other = _uniform(3), _uniform(states)
+        f = cb.make_observable([1.0, -1.0, 0.5], mu)
+        wrong_f = cb.make_observable(np.linspace(-1.0, 1.0, states), other)
+        with pytest.raises(errors.DimensionMismatch,
+                           match="^observable does not match the chain$"):
+            self._estimate(estimator, op, wrong_f, mu)
+        with pytest.raises(errors.DimensionMismatch,
+                           match="^init distribution does not match the chain$"):
+            self._estimate(estimator, op, f, other)
+
+    @pytest.mark.parametrize("estimator", ["tail", "mgf"])
+    def test_raw_matrix_refused_typed(self, estimator):
+        # not an AttributeError from reading its state count
+        mu, rows = _uniform(3), self.P.entries.tolist()
+        f = cb.make_observable([1, 0, -1], mu)
+        with pytest.raises(errors.DimensionMismatch,
+                           match="^path questions need a chain operator, not list$"):
+            self._estimate(estimator, rows, f, mu)
+        with pytest.raises(errors.DimensionMismatch, match="not list$"):
+            cb.exact_mgf(rows, mu, f, 0.2, 4)
+
+    @pytest.mark.parametrize("scale", [1e6, 1e8, 1e10])
+    def test_large_observable_simulates(self, scale):
+        # a centred f of any size simulates: a fixed centring tolerance of
+        # 1e-10 refused f past about 1e6, whose rounding residue outgrew it
+        mu = cb.stationary_distribution(self.P)
+        f = cb.make_observable(scale * np.array([0.3, -0.7, 0.1]), mu)
+        config = cb.SimConfig(replicas=100, seed=1, init=mu, n=50)
+        (tail,) = cb.empirical_tail(config, self.P, f, [0.1 * scale])
+        assert 0.0 <= tail.estimate <= 1.0
+        assert cb.empirical_mgf(config, self.P, f, 1e-3 / scale).estimate > 0
