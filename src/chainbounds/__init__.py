@@ -35,8 +35,6 @@ from .chain_core import (
 )
 from .errors import ChainBoundsError
 from .exact_oracle import (
-    ConditionalMgf,
-    conditional_mgf,
     exact_log_mgf,
     exact_mgf,
     exact_tail_discrete,
@@ -66,7 +64,6 @@ __all__ = [
     "BoundResult",
     "ChainBoundsError",
     "ChainData",
-    "ConditionalMgf",
     "Distribution",
     "GapReport",
     "GeneratorMatrix",
@@ -80,7 +77,6 @@ __all__ = [
     "c_theta",
     "check_invariant",
     "clopper_pearson",
-    "conditional_mgf",
     "empirical_mgf",
     "empirical_tail",
     "embed_weighted",

@@ -412,6 +412,24 @@ def radon_nikodym_norm(nu: Distribution, mu: Distribution, p: float) -> float:
     return r_max * float((wm[mask] @ (ratio / r_max) ** p) ** (1.0 / p))
 
 
+def _read_f(f, n_states: int) -> np.ndarray:
+    """The values of f, an Observable or a vector of finite reals with one per state.
+
+    The one reader of f: :func:`make_observable`, the exact oracles and the
+    samplers all take f through it. Strings, booleans and other non-numbers
+    are refused, never converted.
+    """
+    try:
+        v = np.asarray(f.values if isinstance(f, Observable) else f)
+    except ValueError:  # a ragged nesting
+        v = None
+    if v is None or v.ndim != 1 or v.size != n_states:
+        raise DimensionMismatch("observable values do not match the state space")
+    if v.dtype.kind not in "iuf" or not np.isfinite(v).all():
+        raise DimensionMismatch("observable values must be finite real numbers")
+    return v.astype(float, copy=False)
+
+
 def make_observable(values, mu: Distribution) -> Observable:
     """Build the centred observable f - E_mu[f] with exact moments under ``mu``.
 
@@ -419,26 +437,12 @@ def make_observable(values, mu: Distribution) -> Observable:
     mean. ``M`` is the sup-norm of the stored values and ``sigma2`` their
     exact variance under mu.
     """
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size != mu.n_states:
-        raise DimensionMismatch("observable values do not match the state space")
-    if not np.isfinite(v).all():
-        raise DimensionMismatch("observable values must be finite")
+    v = _read_f(values, mu.n_states)
     w = mu.weights
     v = v - float(w @ v) if v.min() < v.max() else np.zeros_like(v)
     mean = float(w @ v)
     sigma2 = max(float(w @ v**2) - mean**2, 0.0)
     return Observable(values=_freeze(v), M=float(np.abs(v).max()), sigma2=sigma2)
-
-
-def observable_values(f) -> np.ndarray:
-    """Accept an Observable or a plain vector and return the value array."""
-    if isinstance(f, Observable):
-        return f.values
-    v = np.asarray(f, dtype=float)
-    if v.ndim != 1:
-        raise DimensionMismatch("observable must be a vector of reals")
-    return v
 
 
 def _check_states(op: ChainOperator, f, init: Distribution | None = None) -> np.ndarray:
@@ -449,9 +453,7 @@ def _check_states(op: ChainOperator, f, init: Distribution | None = None) -> np.
     """
     if not isinstance(op, (TransitionMatrix, GeneratorMatrix)):
         raise DimensionMismatch(f"path questions need a chain operator, not {type(op).__name__}")
-    fv = observable_values(f)
-    if fv.size != op.n_states:
-        raise DimensionMismatch("observable does not match the chain")
+    fv = _read_f(f, op.n_states)
     if init is not None and init.n_states != op.n_states:
         raise DimensionMismatch("init distribution does not match the chain")
     return fv

@@ -31,8 +31,9 @@ from .chain_core import (
 )
 from .errors import ChainBoundsError, InvalidQuery, SchemaError
 from .exact_oracle import exact_mgf
-from .simulate import SimConfig, empirical_mgf, empirical_tail
+from .simulate import DEFAULT_ALPHA, SimConfig, empirical_mgf, empirical_tail
 from .spectral import (
+    DEFAULT_PSEUDO_KMAX,
     gap_report,
     ip_gap,
     numerical_radius_complex,
@@ -381,7 +382,7 @@ def _example_flip_chain() -> tuple[list[str], bool]:
         f"  eta_p = {report.eta_p}  (the universal cap)",
         f"  eta_s = {report.eta_s}",
         f"  eta_a = {report.eta_a}",
-        f"  pseudo gap truncated at k = 20: {pseudo.value}",
+        f"  pseudo gap truncated at k = {pseudo.k_max}: {pseudo.value}",
         "  note: the IP gap is maximal while every truncation of the",
         "  pseudo gap is 0, so IP-gap bounds apply where pseudo-gap",
         "  bounds are silent.",
@@ -444,7 +445,7 @@ def build_parser() -> _Parser:
 
     gaps = sub.add_parser("gaps", help="spectral gaps of a chain file")
     gaps.add_argument("chain")
-    gaps.add_argument("--pseudo-kmax", dest="pseudo_kmax", type=int, default=20)
+    gaps.add_argument("--pseudo-kmax", dest="pseudo_kmax", type=int, default=DEFAULT_PSEUDO_KMAX)
     _add_output_format(gaps, "json", ("json", "human"))
     gaps.set_defaults(func=_cmd_gaps)
 
@@ -462,7 +463,7 @@ def build_parser() -> _Parser:
     mgf.add_argument("--f", default=None, help="comma-separated f values (overrides file)")
     mgf.add_argument("--replicas", type=int, default=None)
     mgf.add_argument("--seed", type=int, default=0)
-    mgf.add_argument("--alpha", type=float, default=0.05)
+    mgf.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     _add_output_format(mgf, "json", ("json",))
     mgf.set_defaults(func=_cmd_mgf)
 
@@ -473,7 +474,7 @@ def build_parser() -> _Parser:
     verify.add_argument("--delta-grid", dest="delta_grid", required=True)
     verify.add_argument("--replicas", type=int, default=10000)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--alpha", type=float, default=0.05)
+    verify.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     verify.add_argument("--p", default="inf")
     verify.add_argument("--f", default=None)
     verify.add_argument("--nu", default=None)

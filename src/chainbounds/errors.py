@@ -92,10 +92,6 @@ class TooLarge(ChainBoundsError):
     """A computation would exceed a size cap (enumerated paths, DP cells, table indices)."""
 
 
-class InvalidCounts(ChainBoundsError):
-    """Invalid success/trial counts for a binomial interval."""
-
-
 class Overflow(ChainBoundsError):
     """An exact MGF, or its log scale, left the representable floating-point range."""
 

@@ -24,7 +24,6 @@ path-count cap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -55,15 +54,6 @@ _GRID_DENOMINATOR_CAP = 10**6
 # Most log increments the discrete oracle holds at once (0.5 MB of float64):
 # the longest period its replay detects, and the steps per closed window.
 _REPLAY_TERMS = 1 << 16
-
-
-@dataclass(frozen=True, eq=False)
-class ConditionalMgf:
-    """Conditional MGF vector, one entry per starting state."""
-
-    values: np.ndarray
-    horizon: float
-    theta: float
 
 
 def _checked(op, f, theta: float, horizon, init: Distribution | None = None) -> np.ndarray:
@@ -125,23 +115,6 @@ def _log_conditional_mgf(op, fv: np.ndarray, theta: float, horizon):
     return v / m, log_scale + math.log(m)
 
 
-def conditional_mgf(op, f, theta: float, horizon) -> ConditionalMgf:
-    """E[exp(theta S) | start at z] for every state z; see :func:`exact_mgf` for S.
-
-    ``diag(e^(theta f)) (P diag(e^(theta f)))^(n-1) 1`` for a chain, and
-    ``exp(t (Q + theta diag f)) 1`` for a jump process. The mu-average of
-    the values equals :func:`exact_mgf` with init = mu.
-    """
-    fv = _checked(op, f, theta, horizon)
-    u, log_scale = _log_conditional_mgf(op, fv, theta, horizon)
-    if log_scale < 709:
-        values = u * math.exp(log_scale)
-    else:  # entrywise in the log domain: 0 where u is 0, inf only on overflow
-        with np.errstate(divide="ignore", over="ignore"):
-            values = np.exp(np.log(u) + log_scale)
-    return ConditionalMgf(values, float(horizon), theta)
-
-
 def exact_mgf(op, init: Distribution, f, theta: float, horizon) -> float:
     """Exact MGF ``E[exp(theta S)]`` of the additive functional S from ``init``.
 
@@ -149,7 +122,8 @@ def exact_mgf(op, init: Distribution, f, theta: float, horizon) -> float:
     jump process Q, S = int_0^t f(Z_s) ds with Z_0 drawn from init, and the
     MGF is ``init^T exp(t (Q + theta diag(f))) 1`` (Feynman-Kac). It is
     ``exp`` of :func:`exact_log_mgf` on both time scales: exactly 1 at
-    t = 0, inf past double range, and Overflow where that raises it.
+    t = 0, inf past double range, and Overflow where that raises it. The
+    MGF from a single state z is the one from the point mass at z as init.
     Chain values carry the rounding of every transfer step, so their error
     grows with n: 3.5e-13 relative to 40-digit mpmath on
     P = [[0.9, 0.1], [0.2, 0.8]], centred f = (1, -1), theta = 0.1,
@@ -221,9 +195,11 @@ def _common_grid(fv: np.ndarray):
 
 
 def _tail_by_dp(
-    P: TransitionMatrix, init: Distribution, multiples: np.ndarray, denom: int,
+    P: TransitionMatrix, init: Distribution, f0: float, multiples: np.ndarray, denom: int,
     n: int, delta: float,
 ) -> float:
+    # f = f0 + multiples / denom: the DP carries K, the sum of the multiples,
+    # and the path sum is n f0 + K / denom
     m = P.n_states
     kmin, kmax = int(multiples.min()), int(multiples.max())
     # reachable sums after s steps lie in [s kmin, s kmax]; cover all s <= n
@@ -249,7 +225,7 @@ def _tail_by_dp(
             else:
                 nxt[j, :k] += pushed[j, -k:]
         dp = nxt
-    sums = (np.arange(width) - offset) / denom
+    sums = n * f0 + (np.arange(width) - offset) / denom
     mask = np.abs(sums) >= n * delta - 1e-12 * max(1.0, n * delta)
     return float(dp[:, mask].sum())
 
@@ -259,8 +235,8 @@ def exact_tail_discrete(
 ) -> float:
     """Exact deviation probability P(|1/n sum_{k=1}^n f(Z_k)| >= delta).
 
-    Uses dynamic programming over (state, accumulated sum) when all values
-    of f sit on a common rational grid (detected up to 1e-12) and the DP
+    Uses dynamic programming over (state, accumulated sum) when the values
+    of f - f(0) sit on a common rational grid (detected up to 1e-12) and the DP
     fits ``DP_CELL_CAP`` cells and ``DP_WORK_CAP`` weighted cell-steps; otherwise
     enumerates every path, which requires |states|^n <= 1e7.
 
@@ -281,11 +257,12 @@ def exact_tail_discrete(
         return 1.0
     if not fv.any():
         return 0.0
-    grid = _common_grid(fv)
+    # the grid of f - f(0): centring moves every value off a grid of f itself
+    grid = _common_grid(fv - fv[0])
     if grid is not None:
         multiples, denom = grid
         try:
-            return _tail_by_dp(P, init, multiples, denom, n, delta)
+            return _tail_by_dp(P, init, float(fv[0]), multiples, denom, n, delta)
         except TooLarge:
             pass
     m = P.n_states

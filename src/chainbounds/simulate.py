@@ -61,7 +61,6 @@ from .bounds import BoundResult
 from .chain_core import (
     Distribution,
     GeneratorMatrix,
-    Observable,
     TransitionMatrix,
     _FINITE,
     _check_horizon,
@@ -70,7 +69,7 @@ from .chain_core import (
     _check_states,
     is_irreducible,
 )
-from .errors import InvalidCounts, InvalidQuery, NotIrreducible
+from .errors import InvalidQuery, NotIrreducible
 
 DEFAULT_ALPHA = 0.05
 
@@ -231,10 +230,9 @@ def clopper_pearson(successes: int, trials: int, alpha: float = DEFAULT_ALPHA):
     Coverage >= 1 - alpha by construction. Boundary cells use the closed
     forms (alpha/2)^(1/trials).
     """
-    if trials < 1 or not 0 <= successes <= trials:
-        raise InvalidCounts(f"invalid counts ({successes}, {trials})")
-    if not 0 < alpha < 1:
-        raise InvalidCounts(f"alpha = {alpha!r} outside (0, 1)")
+    _check_int("trials", trials, 1, math.inf)
+    _check_int("successes", successes, 0, trials)
+    _check_real("alpha", alpha, 0, 1, strict=True)
     half = alpha / 2.0
     if successes == 0:
         return 0.0, 1.0 - half ** (1.0 / trials)
@@ -647,10 +645,8 @@ def _ctmc_integrals(
     return _chunked(seed, replicas, 4 + 2 * block, _JUMP_BUDGET, run)
 
 
-def _path_functionals(config: SimConfig, op, f: Observable) -> np.ndarray:
+def _path_functionals(config: SimConfig, op, f) -> np.ndarray:
     """Per-replica sums of f over n steps, or time integrals of f over [0, t]."""
-    if not isinstance(f, Observable):
-        raise InvalidQuery("empirical estimators need an Observable")
     fv = _check_states(op, f, config.init)
     if isinstance(op, TransitionMatrix):
         if config.n is None:
@@ -662,7 +658,7 @@ def _path_functionals(config: SimConfig, op, f: Observable) -> np.ndarray:
 
 
 def empirical_tail(
-    config: SimConfig, op, f: Observable, deltas: Sequence[float],
+    config: SimConfig, op, f, deltas: Sequence[float],
     bounds: Sequence[BoundResult] | None = None,
 ) -> list[SimReport]:
     """Estimate P(|time average of f| >= delta) at each delta, with exact binomial CIs.
@@ -701,7 +697,7 @@ def empirical_tail(
 
 
 def empirical_mgf(
-    config: SimConfig, op, f: Observable, theta: float, bound: float | None = None
+    config: SimConfig, op, f, theta: float, bound: float | None = None
 ) -> SimReport:
     """Estimate E[exp(theta * path sum)] with a normal-approximation CI.
 

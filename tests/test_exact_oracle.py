@@ -47,7 +47,8 @@ def verify_laplacian_identity(P, f, theta: float, n: int, z: int) -> LaplacianCh
     cap = exact_oracle.PATH_ENUMERATION_CAP
     if m ** (n + 1) > cap:
         raise errors.TooLarge(f"{m}^{n + 1} paths exceed the cap {cap}")
-    G = cb.conditional_mgf(P, fv, theta, n).values
+    u, log_scale = exact_oracle._log_conditional_mgf(P, fv, theta, n)
+    G = u * math.exp(log_scale)
     lhs = float((P.entries @ G - G)[z])
 
     # totals cover z_{1:n+1}; the head sum drops the last state, the tail
@@ -334,26 +335,36 @@ class TestOracleReplay:
         assert float(abs(got - want) / want) <= 1e-12
 
 
+def _point_mass(m, z):
+    return cb.make_distribution(np.eye(m)[z])
+
+
+def _from_each_state(op, f, theta, horizon):
+    # the MGF conditional on the start state: exact_mgf from each point mass
+    return np.array([cb.exact_mgf(op, _point_mass(op.n_states, z), f, theta, horizon)
+                     for z in range(op.n_states)])
+
+
 class TestConditionalMgf:
     def test_one_step_is_exponential(self):
         rng = np.random.default_rng(3)
         P = random_transition(rng, 3)
         fv = rng.normal(size=3)
-        got = cb.conditional_mgf(P, fv, 0.7, 1)
-        assert np.abs(got.values - np.exp(0.7 * fv)).max() <= 1e-14
+        got = _from_each_state(P, fv, 0.7, 1)
+        assert np.abs(got - np.exp(0.7 * fv)).max() <= 1e-14
 
     def test_theta_zero_all_ones(self):
         P = zero_absolute_gap_chain()
-        got = cb.conditional_mgf(P, np.array([1.0, 0, 0, -1.0]), 0.0, 5)
-        assert np.abs(got.values - 1.0).max() <= 1e-13
+        got = _from_each_state(P, np.array([1.0, 0, 0, -1.0]), 0.0, 5)
+        assert np.abs(got - 1.0).max() <= 1e-13
 
     def test_four_state_matches_path_enumeration(self):
         P = zero_absolute_gap_chain()
         mu = _uniform(4)
         f = cb.make_observable([1, 0, 0, -1], mu)
-        got = cb.conditional_mgf(P, f, 0.5, 3)
+        got = _from_each_state(P, f, 0.5, 3)
         brute = np.array([_brute_conditional(P, f.values, 0.5, 3, z) for z in range(4)])
-        assert np.abs(got.values - brute).max() <= 1e-13
+        assert np.abs(got - brute).max() <= 1e-13
 
     def test_mu_average_matches_exact(self):
         rng = np.random.default_rng(21)
@@ -363,10 +374,10 @@ class TestConditionalMgf:
             fv = rng.normal(size=P.n_states)
             theta = float(rng.uniform(-0.8, 0.8))
             n = int(rng.integers(1, 9))
-            cond = cb.conditional_mgf(P, fv, theta, n)
+            cond = _from_each_state(P, fv, theta, n)
             whole = cb.exact_mgf(P, mu, fv, theta, n)
-            assert float(mu.weights @ cond.values) == pytest.approx(whole, rel=1e-12)
-            assert (cond.values > 0).all()
+            assert float(mu.weights @ cond) == pytest.approx(whole, rel=1e-12)
+            assert (cond > 0).all()
 
     def test_symmetrized_transfer_form_agrees(self):
         # same MGF through the half-tilted inner-product form
@@ -389,28 +400,31 @@ class TestConditionalMgf:
         Q = random_generator(rng, 3)
         mu = cb.stationary_distribution(Q)
         fv = rng.normal(size=3)
-        cond = cb.conditional_mgf(Q, fv, 0.3, 1.7)
+        cond = _from_each_state(Q, fv, 0.3, 1.7)
         whole = cb.exact_mgf(Q, mu, fv, 0.3, 1.7)
-        assert float(mu.weights @ cond.values) == pytest.approx(whole, rel=1e-12)
-        assert (cond.values > 0).all()
-
+        assert float(mu.weights @ cond) == pytest.approx(whole, rel=1e-12)
+        assert (cond > 0).all()
 
     @pytest.mark.filterwarnings("error")
     def test_past_double_range_no_nan(self):
-        # log_scale >= 709 and u underflows to 0 in state 1: no inf * 0 = nan
+        # log_scale >= 709 and u underflows to 0 in state 1: the value from
+        # state 0 is inf, and the one from state 1 (about e^733, past double
+        # range too) is a typed Overflow, never 0 or nan
         P = cb.validate_transition_matrix([[0.5, 0.5], [0.5, 0.5]])
-        got = cb.conditional_mgf(P, np.array([1.0, -800.0]), 1.0, 5000)
-        assert got.values[0] == math.inf
-        assert not np.isnan(got.values).any()
+        f = np.array([1.0, -800.0])
+        assert cb.exact_mgf(P, _point_mass(2, 0), f, 1.0, 5000) == math.inf
+        assert math.isfinite(cb.exact_log_mgf(P, _point_mass(2, 0), f, 1.0, 5000))
+        with pytest.raises(errors.Overflow):
+            cb.exact_mgf(P, _point_mass(2, 1), f, 1.0, 5000)
 
     @pytest.mark.filterwarnings("error")
     def test_past_double_range_keeps_representable_entries(self):
         # E[e^(sum f)] from each state of the identity chain is e^(n f(z)):
         # e^750 overflows, e^600 does not
         P = cb.validate_transition_matrix(np.eye(2))
-        got = cb.conditional_mgf(P, np.array([1.0, 0.8]), 1.0, 750)
-        assert got.values[0] == math.inf
-        assert got.values[1] == pytest.approx(math.exp(600.0), rel=1e-12)
+        got = _from_each_state(P, np.array([1.0, 0.8]), 1.0, 750)
+        assert got[0] == math.inf
+        assert got[1] == pytest.approx(math.exp(600.0), rel=1e-12)
 
 
 class TestLaplacianIdentity:
@@ -599,9 +613,9 @@ class TestExactTailDiscrete:
         P = cb.validate_transition_matrix([[1.0]])
         start = time.perf_counter()
         with pytest.raises(errors.TooLarge, match="cell-steps, above"):
-            exact_oracle._tail_by_dp(P, _uniform(1), np.array([1]), 1, 2 * 10**4, 0.5)
+            exact_oracle._tail_by_dp(P, _uniform(1), 0.0, np.array([1]), 1, 2 * 10**4, 0.5)
         assert time.perf_counter() - start < 1.0
-        # the one path is enumerated instead
+        # f - f(0) is 0: the offset grid needs one cell
         assert cb.exact_tail_discrete(P, _uniform(1), np.array([1.0]), 2 * 10**4, 0.5) == 1.0
 
     def test_dp_work_counts_the_dense_push(self):
@@ -614,11 +628,51 @@ class TestExactTailDiscrete:
         assert (n - 1) * (n + 1) * m < 10**8
         start = time.perf_counter()
         with pytest.raises(errors.TooLarge, match="cell-steps, above"):
-            exact_oracle._tail_by_dp(P, _uniform(m), multiples, 1, n, 0.5)
+            exact_oracle._tail_by_dp(P, _uniform(m), 0.0, multiples, 1, n, 0.5)
         assert time.perf_counter() - start < 1.0
         # a short horizon on the same chain still runs; at delta 0 every path counts
-        tail = exact_oracle._tail_by_dp(P, _uniform(m), multiples, 1, 3, 0.0)
+        tail = exact_oracle._tail_by_dp(P, _uniform(m), 0.0, multiples, 1, 3, 0.0)
         assert tail == pytest.approx(1.0, abs=1e-12)
+
+    def test_centred_integer_f_runs_the_dp(self):
+        # centring moves integer values off every grid of f itself, and at
+        # n = 50 the paths far exceed the enumeration cap: only the DP on the
+        # grid of f - f(0) answers. The reference runs a DP over the integer
+        # sums K of the raw f and counts |K - n E_mu f| >= n delta
+        rng = np.random.default_rng(21)
+        k = int(rng.integers(2, 7))
+        P = random_transition(rng, k)
+        mu = cb.stationary_distribution(P)
+        raw = rng.integers(-3, 4, size=k)
+        f = cb.make_observable(raw, mu)
+        n, mean = 50, float(mu.weights @ raw)
+        dp = np.zeros((k, 6 * n + 1))
+        dp[np.arange(k), raw + 3 * n] = mu.weights
+        for _ in range(n - 1):
+            pushed = P.entries.T @ dp
+            dp = np.stack([np.roll(pushed[j], raw[j]) for j in range(k)])
+        sums = np.arange(-3 * n, 3 * n + 1) - n * mean
+        for delta in (0.05 * f.M, 0.2 * f.M):
+            want = float(dp.sum(axis=0)[np.abs(sums) >= n * delta].sum())
+            assert cb.exact_tail_discrete(P, mu, f, n, delta) == pytest.approx(want, abs=1e-14)
+
+    def test_offset_grid_matches_enumeration(self):
+        rng = np.random.default_rng(22)
+        cases = 0
+        for _ in range(40):
+            m, n = int(rng.integers(2, 4)), int(rng.integers(1, 11))
+            P = random_transition(rng, m)
+            init = cb.make_distribution(rng.dirichlet(np.ones(m)))
+            fv = cb.make_observable(rng.integers(-3, 4, size=m), init).values
+            multiples, denom = exact_oracle._common_grid(fv - fv[0])
+            probs, totals, _ = exact_oracle._expand_paths(P, init.weights, n - 1, fv)
+            for delta in rng.uniform(0.0, 3.0, size=3):
+                dp = exact_oracle._tail_by_dp(P, init, float(fv[0]), multiples, denom, n, delta)
+                hits = np.abs(totals) >= n * delta - 1e-12 * max(1.0, n * delta)
+                assert abs(dp - float(probs[hits].sum())) <= 1e-15
+                assert cb.exact_tail_discrete(P, init, fv, n, delta) == (dp if fv.any() else 0.0)
+                cases += 1
+        assert cases == 120
 
     def test_generator_rejected(self):
         # a jump process has no step distribution to sum over
@@ -637,26 +691,15 @@ class TestExactTailDiscrete:
         assert val == 1.0
 
 
-# The three chain MGF oracles as they stood before conditional_mgf, exact_mgf
-# and exact_log_mgf served both time scales, kept as the reference the folded
-# functions must reproduce bit for bit from the same kernel. The horizon check
-# that the discrete replay used to make is restated in _ref_log_conditional_mgf.
+# The chain MGF oracles as they stood before exact_mgf and exact_log_mgf
+# served both time scales, kept as the reference the folded functions must
+# reproduce bit for bit from the same kernel. The horizon check that the
+# discrete replay used to make is restated in _ref_log_conditional_mgf.
 
 def _ref_log_conditional_mgf(P, fv, theta, n):
     if n < 1:
         raise errors.InvalidQuery("horizon n must be >= 1")
     return exact_oracle._log_conditional_mgf(P, fv, theta, n)
-
-
-def _ref_conditional_mgf_discrete(P, f, theta, n):
-    fv = _check_states(P, f)
-    u, log_scale = _ref_log_conditional_mgf(P, fv, theta, n)
-    if log_scale < 709:
-        values = u * math.exp(log_scale)
-    else:  # entrywise in the log domain: 0 where u is 0, inf only on overflow
-        with np.errstate(divide="ignore", over="ignore"):
-            values = np.exp(np.log(u) + log_scale)
-    return cb.ConditionalMgf(values, float(n), theta)
 
 
 def _ref_exact_mgf_discrete(P, init, f, theta, n):
@@ -676,9 +719,6 @@ def _ref_exact_log_mgf_discrete(P, init, f, theta, n):
 
 
 def _same_bits(got, want):
-    if isinstance(want, cb.ConditionalMgf):
-        return (got.values.tobytes() == want.values.tobytes()
-                and got.horizon == want.horizon and got.theta == want.theta)
     return np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
@@ -703,7 +743,6 @@ class TestFoldMatchesReference:
 
     def _check_chain(self, P, init, fv, theta, n):
         return [
-            self._compare(cb.conditional_mgf, _ref_conditional_mgf_discrete, P, fv, theta, n),
             self._compare(cb.exact_mgf, _ref_exact_mgf_discrete, P, init, fv, theta, n),
             self._compare(cb.exact_log_mgf, _ref_exact_log_mgf_discrete, P, init, fv, theta, n),
         ]
@@ -724,8 +763,8 @@ class TestFoldMatchesReference:
                     P.entries.calls = 0
                     self._check_chain(P, init, fv, theta, n)
                     replays += P.entries.calls < 3 * (n - 1)
-            assert self._check_chain(P, init, fv, x, 0) == [errors.InvalidQuery] * 3
-            assert self._check_chain(P, init, fv[:-1], x, 1) == [mismatch] * 3
+            assert self._check_chain(P, init, fv, x, 0) == [errors.InvalidQuery] * 2
+            assert self._check_chain(P, init, fv[:-1], x, 1) == [mismatch] * 2
         assert replays >= 300
 
     def test_jump_matches_mpmath(self):
@@ -744,7 +783,7 @@ class TestFoldMatchesReference:
             step = mpmath.expm(tilted / 100)
             for t, power in ((0.01, 1), (1.0, 100), (7.5, 750)):
                 want = step**power * mpmath.matrix([1] * k)
-                got = cb.conditional_mgf(Q, fv, theta, t).values
+                got = _from_each_state(Q, fv, theta, t)
                 for z in range(k):
                     worst = max(worst, float(abs(got[z] - want[z]) / want[z]))
                 whole = mpmath.fsum(float(w) * want[z] for z, w in enumerate(init.weights))
@@ -753,7 +792,7 @@ class TestFoldMatchesReference:
                 assert cb.exact_log_mgf(Q, init, fv, theta, t) == pytest.approx(
                     float(mpmath.log(whole)), abs=1e-13)
             assert cb.exact_mgf(Q, init, fv, theta, 0.0) == 1.0
-            assert _outcome(cb.conditional_mgf, Q, fv[:-1], theta, 1.0) is errors.DimensionMismatch
+            assert _outcome(cb.exact_mgf, Q, init, fv[:-1], theta, 1.0) is errors.DimensionMismatch
             assert _outcome(cb.exact_mgf, Q, init, fv, theta, -1.0) is errors.InvalidQuery
         assert worst <= 1e-13
 
@@ -764,8 +803,7 @@ class TestFoldMatchesReference:
             self._check_chain(P, mu, fv, 0.5, n)
         assert _ref_exact_mgf_discrete(P, mu, fv, 0.5, 1420) == math.inf
         low = np.array([1.0, -800.0])
-        cond = self._compare(cb.conditional_mgf, _ref_conditional_mgf_discrete, P, low, 1.0, 5000)
-        assert cond.values[0] == math.inf and cond.values[1] == 0.0
+        assert self._check_chain(P, _point_mass(2, 0), low, 1.0, 5000)[0] == math.inf
 
 
 class TestOracleInputs:
@@ -779,7 +817,6 @@ class TestOracleInputs:
         op = self.P if kind == "chain" else self.Q
         mu = cb.stationary_distribution(op)
         calls = [
-            lambda: cb.conditional_mgf(op, self.F, theta, 3),
             lambda: cb.exact_mgf(op, mu, self.F, theta, 3),
             lambda: cb.exact_log_mgf(op, mu, self.F, theta, 3),
         ]
@@ -797,9 +834,6 @@ class TestOracleInputs:
 
     def test_negative_t_rejected(self):
         mu = cb.stationary_distribution(self.Q)
-        with pytest.raises(errors.InvalidQuery,
-                           match=r"^horizon t must be a real number in \[0, max float\]$"):
-            cb.conditional_mgf(self.Q, self.F, 0.3, -2.0)
         for call in (cb.exact_mgf, cb.exact_log_mgf):
             with pytest.raises(errors.InvalidQuery,
                                match=r"^horizon t must be a real number in \[0, max float\]$"):
@@ -810,17 +844,11 @@ class TestOracleInputs:
         mu = cb.stationary_distribution(self.P)
         with pytest.raises(errors.InvalidQuery,
                            match=r"^horizon n must be an integer in \[1, max float\], got "):
-            cb.conditional_mgf(self.P, self.F, 0.1, n)
-        with pytest.raises(errors.InvalidQuery,
-                           match=r"^horizon n must be an integer in \[1, max float\], got "):
             cb.exact_log_mgf(self.P, mu, self.F, 0.1, n)
 
     @pytest.mark.parametrize("t", ["3", None])
     def test_jump_horizon_not_a_number_is_typed(self, t):
         mu = cb.stationary_distribution(self.Q)
-        with pytest.raises(errors.InvalidQuery,
-                           match=r"^horizon t must be a real number in \[0, max float\], got "):
-            cb.conditional_mgf(self.Q, self.F, 0.1, t)
         with pytest.raises(errors.InvalidQuery,
                            match=r"^horizon t must be a real number in \[0, max float\], got "):
             cb.exact_log_mgf(self.Q, mu, self.F, 0.1, t)

@@ -3,17 +3,16 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 import chainbounds as cb
 from chainbounds import errors
 
 PUBLIC = [
-    "BoundQuery", "BoundResult", "ChainBoundsError", "ChainData", "ConditionalMgf",
-    "Distribution", "GapReport", "GeneratorMatrix", "Observable", "PseudoGapResult",
+    "BoundQuery", "BoundResult", "ChainBoundsError", "ChainData", "Distribution", "GapReport", "GeneratorMatrix", "Observable", "PseudoGapResult",
     "SimConfig", "SimReport", "TransitionMatrix", "WeightedOperator",
-    "bound_sweep", "c_theta", "check_invariant", "clopper_pearson", "conditional_mgf",
-    "embed_weighted", "empirical_mgf", "empirical_tail", "exact_log_mgf", "exact_mgf",
+    "bound_sweep", "c_theta", "check_invariant", "clopper_pearson", "embed_weighted", "empirical_mgf", "empirical_tail", "exact_log_mgf", "exact_mgf",
     "exact_tail_discrete", "gap_report", "ip_gap", "is_irreducible", "load_chain",
     "make_distribution", "make_observable", "mgf_bound",
     "numerical_radius_complex", "numerical_radius_real", "optimal_theta", "parse_chain",
@@ -23,7 +22,7 @@ PUBLIC = [
 
 
 def test_all_is_pinned():
-    assert len(PUBLIC) == 41
+    assert len(PUBLIC) == 39
     assert PUBLIC == sorted(PUBLIC)
     assert sorted(cb.__all__) == PUBLIC
 
@@ -46,6 +45,7 @@ _Q = cb.validate_generator([[-1.0, 1.0], [2.0, -2.0]])
 _MU = cb.stationary_distribution(_P)
 _F = cb.make_observable([1.0, -1.0], _MU)
 _CONFIG = cb.SimConfig(replicas=10, seed=0, init=_MU, n=3)
+_START = cb.make_distribution([1.0, 0.0])  # the point mass at state 0
 _QUERY = {"mode": "discrete", "n": 5, "delta": 0.1, "M": 1.0, "sigma2": 0.1, "eta_p": 1.0}
 
 
@@ -80,7 +80,8 @@ SCALAR_INPUTS = {
     "mgf_bound.eta_p": lambda x: cb.mgf_bound("discrete", 0.1, 5, 1.0, 0.5, x),
     "bound_sweep.delta": lambda x: cb.bound_sweep(_query(), "delta", [0.1, x]),
     "bound_sweep.eta_p": lambda x: cb.bound_sweep(_query(), "eta_p", [x]),
-    "conditional_mgf.theta": lambda x: cb.conditional_mgf(_P, _F, x, 3),
+    # the MGF conditional on the start state is exact_mgf from a point mass
+    "conditional_mgf.theta": lambda x: cb.exact_mgf(_P, _START, _F, x, 3),
     "exact_mgf.theta": lambda x: cb.exact_mgf(_P, _MU, _F, x, 3),
     "exact_mgf.n": lambda x: cb.exact_mgf(_P, _MU, _F, 0.1, x),
     "exact_mgf.t": lambda x: cb.exact_mgf(_Q, _MU, _F, 0.1, x),
@@ -93,6 +94,9 @@ SCALAR_INPUTS = {
     "SimConfig.n": lambda x: _sim_config(n=x),
     "SimConfig.t": lambda x: _sim_config(n=None, t=x),
     "SimConfig.alpha": lambda x: _sim_config(alpha=x),
+    "clopper_pearson.successes": lambda x: cb.clopper_pearson(x, 10),
+    "clopper_pearson.trials": lambda x: cb.clopper_pearson(1, x),
+    "clopper_pearson.alpha": lambda x: cb.clopper_pearson(1, 10, x),
     "gap_report.k_max": lambda x: cb.gap_report(_P, _MU, k_max=x),
 }
 NOT_NUMBERS = {"bool": True, "str": "0.1", "None": None, "complex": 1j, "NaN": math.nan}
@@ -104,3 +108,43 @@ CASES = [(entry, kind) for entry in SCALAR_INPUTS for kind in NOT_NUMBERS
 def test_scalar_input_that_is_no_number_fails_typed(entry, kind):
     with pytest.raises(errors.InvalidQuery):
         SCALAR_INPUTS[entry](NOT_NUMBERS[kind])
+
+
+# One row per path question that reads f; each refuses every f that is not a
+# vector of finite reals, one per state, with DimensionMismatch.
+_CONFIG_T = cb.SimConfig(replicas=10, seed=0, init=_MU, t=1.0)
+F_READERS = {
+    "exact_mgf.chain": lambda f: cb.exact_mgf(_P, _MU, f, 0.1, 3),
+    "exact_mgf.jump": lambda f: cb.exact_mgf(_Q, _MU, f, 0.1, 1.0),
+    "exact_log_mgf": lambda f: cb.exact_log_mgf(_P, _MU, f, 0.1, 3),
+    "exact_tail_discrete": lambda f: cb.exact_tail_discrete(_P, _MU, f, 3, 0.1),
+    "empirical_tail.chain": lambda f: cb.empirical_tail(_CONFIG, _P, f, [0.1]),
+    "empirical_tail.jump": lambda f: cb.empirical_tail(_CONFIG_T, _Q, f, [0.1]),
+    "empirical_mgf.chain": lambda f: cb.empirical_mgf(_CONFIG, _P, f, 0.1),
+    "empirical_mgf.jump": lambda f: cb.empirical_mgf(_CONFIG_T, _Q, f, 0.1),
+    "make_observable": lambda f: cb.make_observable(f, _MU),
+}
+NOT_F = {
+    "str": "ab",
+    "numeric str": ["1", "-1"],
+    "NaN": [math.nan, 1.0],
+    "inf": [math.inf, 1.0],
+    "-inf": [1.0, -math.inf],
+    "2-D": [[1.0, -1.0], [0.5, -0.5]],
+    "bool": [True, False],
+    "too short": [1.0],
+}
+
+
+@pytest.mark.parametrize("entry", F_READERS)
+@pytest.mark.parametrize("kind", NOT_F)
+def test_f_that_is_no_finite_vector_fails_typed(entry, kind):
+    with pytest.raises(errors.DimensionMismatch, match="^observable values "):
+        F_READERS[entry](NOT_F[kind])
+
+
+@pytest.mark.parametrize("entry", F_READERS)
+def test_f_as_observable_or_vector(entry):
+    # every reader takes an Observable and a plain vector of reals alike
+    F_READERS[entry](_F)
+    F_READERS[entry](np.array([1, -1]))

@@ -1039,14 +1039,18 @@ class TestClopperPearson:
         assert done.returncode == 0
 
     def test_invalid_counts(self):
-        with pytest.raises(errors.InvalidCounts):
-            cb.clopper_pearson(5, 4, 0.05)
-        with pytest.raises(errors.InvalidCounts):
-            cb.clopper_pearson(-1, 4, 0.05)
-        with pytest.raises(errors.InvalidCounts):
-            cb.clopper_pearson(0, 0, 0.05)
-        with pytest.raises(errors.InvalidCounts):
-            cb.clopper_pearson(1, 4, 1.5)
+        # counts are integers (a bool is none), alpha lies in the open (0, 1)
+        for successes, trials, alpha, message in [
+            (5, 4, 0.05, r"successes must be an integer in \[0, 4\]$"),
+            (-1, 4, 0.05, r"successes must be an integer in \[0, 4\]$"),
+            (1.5, 10, 0.05, r"successes must be an integer in \[0, 10\], got 1.5$"),
+            (True, 10, 0.05, r"successes must be an integer in \[0, 10\], got True$"),
+            (0, 0, 0.05, r"trials must be an integer in \[1, inf\]$"),
+            (1, 4, 1.5, r"alpha must be a real number in \(0, 1\)$"),
+            (1, 4, 0.0, r"alpha must be a real number in \(0, 1\)$"),
+        ]:
+            with pytest.raises(errors.InvalidQuery, match="^" + message):
+                cb.clopper_pearson(successes, trials, alpha)
 
 
 class TestEmpiricalTail:
@@ -1157,13 +1161,6 @@ class TestEmpiricalTail:
         # without a bound the sampler itself is fine
         (rep,) = cb.empirical_tail(cfg, Q, f, [0.1])
         assert rep.consistent is None
-
-    def test_uncentered_observable_refused(self):
-        P = zero_absolute_gap_chain()
-        mu = _uniform(4)
-        cfg = cb.SimConfig(replicas=10, seed=0, init=mu, n=5)
-        with pytest.raises(errors.InvalidQuery):
-            cb.empirical_tail(cfg, P, np.array([1.0, 0, 0, -1.0]), [0.1])
 
     def test_agreement_with_exact_tail(self):
         # CP interval covers the exact probability for nearly all seeds
@@ -1340,7 +1337,7 @@ class TestPathQuestionStates:
         f = cb.make_observable([1.0, -1.0, 0.5], mu)
         wrong_f = cb.make_observable(np.linspace(-1.0, 1.0, states), other)
         with pytest.raises(errors.DimensionMismatch,
-                           match="^observable does not match the chain$"):
+                           match="^observable values do not match the state space$"):
             self._estimate(estimator, op, wrong_f, mu)
         with pytest.raises(errors.DimensionMismatch,
                            match="^init distribution does not match the chain$"):
@@ -1367,3 +1364,19 @@ class TestPathQuestionStates:
         (tail,) = cb.empirical_tail(config, self.P, f, [0.1 * scale])
         assert 0.0 <= tail.estimate <= 1.0
         assert cb.empirical_mgf(config, self.P, f, 1e-3 / scale).estimate > 0
+
+    @pytest.mark.parametrize("time_scale", ["chain", "jump"])
+    def test_plain_vector_samples_as_observable(self, time_scale):
+        # the samplers read f as the oracles do: the values of an Observable,
+        # or a plain vector of reals, give the same per-replica bits
+        op = self.P if time_scale == "chain" else self.Q
+        mu = cb.stationary_distribution(op)
+        f = cb.make_observable([2.0, -1.0, 0.5], mu)
+        horizon = {"n": 40} if time_scale == "chain" else {"t": 6.0}
+        config = cb.SimConfig(replicas=300, seed=7, init=mu, **horizon)
+        want = simulate._path_functionals(config, op, f)
+        for plain in (f.values, f.values.tolist()):
+            got = simulate._path_functionals(config, op, plain)
+            assert got.tobytes() == want.tobytes()
+        assert cb.empirical_mgf(config, op, f.values.tolist(), 0.3) == cb.empirical_mgf(
+            config, op, f, 0.3)

@@ -9,7 +9,7 @@ import pytest
 
 import chainbounds as cb
 from chainbounds import errors, spectral
-from chainbounds.chain_core import TransitionMatrix, observable_values
+from chainbounds.chain_core import TransitionMatrix, _read_f
 from chainbounds.examples import flip_chain, skew_matrix, zero_absolute_gap_chain
 from conftest import random_reversible, random_transition
 
@@ -367,10 +367,8 @@ def verify_iterated_poincare(op, mu, h, eta_p: float | None = None) -> PoincareC
     side absorbs floating error. Raises GapZero when the gap is zero and
     Var_mu[h] > 0 (inequality vacuous).
     """
-    hv = observable_values(h)
+    hv = _read_f(h, mu.n_states)
     w = mu.weights
-    if hv.size != w.size:
-        raise errors.DimensionMismatch("h does not match the state space")
     if eta_p is None:
         eta_p = cb.ip_gap(op, mu)
     if isinstance(op, TransitionMatrix):
