@@ -702,22 +702,24 @@ def empirical_mgf(
     """Estimate E[exp(theta * path sum)] with a normal-approximation CI.
 
     The MGF estimand can have very heavy tails; when the largest 1% of the
-    samples carry more than half of the sample mean the report sets
-    ``heavy_tail`` instead of pretending the CI is trustworthy.
+    samples carry more than half of the sample mean, or the sample mean
+    overflows, the report sets ``heavy_tail`` instead of pretending the CI
+    is trustworthy.
     """
     _check_real("theta", theta, -_FINITE, _FINITE)
-    samples = np.exp(theta * _path_functionals(config, op, f))
-    estimate = float(samples.mean())
-    if config.replicas > 1:
-        sd = float(samples.std(ddof=1))
-    else:
-        sd = 0.0
+    sums = _path_functionals(config, op, f)
+    # exp(theta S) overflows to inf for large |theta S|; the estimate then
+    # reads inf and its spread nan, which the report says by heavy_tail
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = np.exp(theta * sums)
+        estimate = float(samples.mean())
+        sd = float(samples.std(ddof=1)) if config.replicas > 1 else 0.0
+        top = max(1, int(0.01 * config.replicas))
+        top_share = float(np.sort(samples)[-top:].sum()) / max(float(samples.sum()), 1e-300)
     from scipy.special import ndtri
 
     z = float(ndtri(1.0 - config.alpha / 2.0))
     half_width = z * sd / math.sqrt(config.replicas)
-    top = max(1, int(0.01 * config.replicas))
-    top_share = float(np.sort(samples)[-top:].sum()) / max(float(samples.sum()), 1e-300)
     consistent = None
     if bound is not None:
         consistent = bool(bound >= estimate - half_width)
@@ -730,5 +732,5 @@ def empirical_mgf(
         seed=config.seed,
         bound_compared=bound,
         consistent=consistent,
-        heavy_tail=top_share > 0.5,
+        heavy_tail=top_share > 0.5 or not math.isfinite(estimate),
     )

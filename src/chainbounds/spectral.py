@@ -7,7 +7,9 @@ the transition side M = D^(1/2) P D^(-1/2) of a chain and the generator side
 D^(1/2) L D^(-1/2), with L = P - I for a chain and L = Q for a jump process.
 Every gap is read off these matrices: :func:`ip_gap` gives the iterated
 Poincare gap alone, and :func:`gap_report` derives all of them from one
-embedding. The chain is reversible exactly when M is symmetric. The
+embedding. The chain is reversible exactly when M is symmetric; a chain
+whose generator side is symmetric to rounding reads every gap off one
+eigvalsh of its symmetric part, and every other operator takes an SVD. The
 invariant direction s = sqrt(mu) is read past for eta_p: the generator side
 annihilates s on both sides, so its singular values are 0 and those of L on
 mean-zero functions. For the powers of P it is centred away: M fixes s on
@@ -84,13 +86,16 @@ def embed_weighted(op: ChainOperator, mu: Distribution) -> WeightedOperator:
     s = np.sqrt(w)
 
     def similar(a: np.ndarray) -> np.ndarray:
-        return (s[:, None] * a) / s[None, :]
+        # scales a copy in place, in the order (s_i a_ij) / s_j
+        a *= s[:, None]
+        a /= s[None, :]
+        return a
 
     if isinstance(op, GeneratorMatrix):
-        return WeightedOperator(s, None, similar(op.entries))
-    return WeightedOperator(
-        s, similar(op.entries), similar(op.entries - np.eye(op.n_states))
-    )
+        return WeightedOperator(s, None, similar(op.entries.copy()))
+    laplacian = op.entries.copy()
+    laplacian[np.diag_indices_from(laplacian)] -= 1.0
+    return WeightedOperator(s, similar(op.entries.copy()), similar(laplacian))
 
 
 def _require_multi_state(mu: Distribution) -> None:
@@ -100,15 +105,64 @@ def _require_multi_state(mu: Distribution) -> None:
         )
 
 
+def _snap_zero(gap: float, norm: float, W: WeightedOperator) -> float:
+    # By Weyl's inequality a computed gap within the solver's backward error
+    # (n eps times ``norm``, the solver's estimate of ||G||_2) plus G's
+    # distance from an embedding that annihilates s exactly cannot be told
+    # from 0.
+    G, s = W.generator, W.sqrt_mu
+    noise = s.size * np.finfo(float).eps * norm + np.linalg.norm(G @ s) + np.linalg.norm(s @ G)
+    return 0.0 if gap <= noise else float(gap)
+
+
+def _reversible_gaps(W: WeightedOperator) -> tuple[float, float] | None:
+    """``(eta_p, rho)`` from one eigvalsh when G is symmetric to rounding.
+
+    Returns None for a jump process, and for a chain whose generator side
+    G is not symmetric within the SVD's own rounding budget; those take
+    the SVD. Write G = S + K with S = (G + G^T)/2 and K = (G - G^T)/2. A
+    backward-stable SVD returns the singular values of some G + E with
+    ||E||_2 of order n eps ||G||_2, the budget :func:`_snap_zero` already
+    charges. By Weyl's inequality for singular values, |sigma_i(G) -
+    sigma_i(S)| <= ||K||_2, so when ||K||_2 <= n eps ||G||_2 the singular
+    values of S answer as accurately as the SVD of G would. The test uses
+    computable bounds on both sides: ||K||_2 <= ||K||_F and ||G||_2 >=
+    ||G||_F / sqrt(n), so ||G - G^T||_F <= 2 sqrt(n) eps ||G||_F implies
+    it. The embeddings of the reversible chains in the tests and the
+    benchmark pass, with their rounding alone; a chain perturbed off
+    reversibility by 1e-12 does not, and keeps the SVD.
+
+    For a chain -S has the eigenvalue 0 on s and 1 - lambda_i, in [0, 2],
+    on mean-zero functions: it is positive semidefinite, so its singular
+    values are its eigenvalues, and eta_p is the second smallest, past the
+    0 of s, as the SVD reads it (it is also eta_s, the gap of the
+    symmetric part, exactly). rho = max |1 - mu_i| over all eigenvalues
+    but the smallest, clamped to 1 as P contracts the mu-norm, is the
+    spectral norm of the centred M = I + S - s s^T, which for a symmetric
+    operator is also its spectral radius. No shift moves the 0 of s out of
+    the way: a rank-one s s^T term fills every entry, and on chains of
+    weakly coupled blocks it cost a factor of 3 in the relative accuracy
+    of small gaps.
+    """
+    if W.matrix is None:
+        return None
+    G = W.generator
+    n = G.shape[0]
+    if np.linalg.norm(G - G.T) > 2.0 * np.sqrt(n) * np.finfo(float).eps * np.linalg.norm(G):
+        return None
+    sym = G + G.T
+    sym *= -0.5
+    ev = np.linalg.eigvalsh(sym)
+    eta_p = _snap_zero(ev[1], float(_extreme_abs(ev)), W)
+    rho = min(float(np.abs(1.0 - ev[1:]).max()), 1.0)
+    return eta_p, rho
+
+
 def _ip_gap(W: WeightedOperator) -> float:
     # eta_p is the second smallest singular value of the generator side G,
-    # past the 0 of s. By Weyl's inequality a computed value within the SVD's
-    # backward error plus G's distance from an embedding that annihilates s
-    # exactly cannot be told from 0.
-    G, s = W.generator, W.sqrt_mu
-    sv = np.linalg.svd(G, compute_uv=False)
-    noise = s.size * np.finfo(float).eps * sv[0] + np.linalg.norm(G @ s) + np.linalg.norm(s @ G)
-    return 0.0 if sv[-2] <= noise else float(sv[-2])
+    # past the 0 of s
+    sv = np.linalg.svd(W.generator, compute_uv=False)
+    return _snap_zero(sv[-2], sv[0], W)
 
 
 def ip_gap(op: ChainOperator, mu: Distribution) -> float:
@@ -117,10 +171,13 @@ def ip_gap(op: ChainOperator, mu: Distribution) -> float:
     L is P - I for a chain and Q for a jump process. Equivalently the best
     constant eta in ``Var_mu[h] <= eta^(-2) E_mu[(L h)^2]``. Strictly
     positive for irreducible chains; at most 2 for a chain, unbounded
-    (units 1/time) for a jump process.
+    (units 1/time) for a jump process. For a reversible chain it equals the
+    spectral gap 1 - lambda_2.
     """
     _require_multi_state(mu)
-    return _ip_gap(embed_weighted(op, mu))
+    W = embed_weighted(op, mu)
+    route = _reversible_gaps(W)
+    return _ip_gap(W) if route is None else route[0]
 
 
 def _norm_sq(a: np.ndarray) -> float:
@@ -135,8 +192,10 @@ def _symmetric_gap(W: WeightedOperator) -> float:
     # 1 minus the top mean-zero eigenvalue of (P + P*)/2, which embeds to
     # (M + M^T)/2; the sqrt(mu) eigenvalue 1 is deflated down to -1 (all
     # others are >= -1 already). Values in (1, 2] are returned unclamped.
-    sym = 0.5 * (W.matrix + W.matrix.T)
-    deflated = sym - 2.0 * np.outer(W.sqrt_mu, W.sqrt_mu)
+    # Built in place: one n x n array besides the rank-one term.
+    deflated = W.matrix + W.matrix.T
+    deflated *= 0.5
+    deflated -= 2.0 * np.outer(W.sqrt_mu, W.sqrt_mu)
     return 1.0 - float(np.linalg.eigvalsh(deflated)[-1])
 
 
@@ -345,13 +404,21 @@ def gap_report(
         zero = 0.0 if isinstance(op, TransitionMatrix) else None
         return GapReport(0.0, zero, zero, zero, None, True, _tolerances())
     W = embed_weighted(op, mu)
-    eta_p = _ip_gap(W)
-    if W.matrix is None:
-        return GapReport(eta_p, None, None, None, None, False, _tolerances())
-    eta_s = _symmetric_gap(W)
-    centred = W.matrix - np.outer(W.sqrt_mu, W.sqrt_mu)
-    norm_sq = _norm_sq(centred)
-    eta_a = 1.0 - float(np.sqrt(norm_sq))  # may be 0 for an irreducible chain
+    route = _reversible_gaps(W)
+    if route is not None:
+        # a symmetric operator's best pseudo-gap step is k = 1, since
+        # (1 - rho^(2k)) / k <= 1 - rho^2
+        eta_p, rho = route
+        eta_s, eta_a = eta_p, 1.0 - rho
+        pseudo = None if k_max is None else PseudoGapResult((1.0 - rho) * (1.0 + rho), 1, k_max)
+    else:
+        eta_p = _ip_gap(W)
+        if W.matrix is None:
+            return GapReport(eta_p, None, None, None, None, False, _tolerances())
+        eta_s = _symmetric_gap(W)
+        centred = W.matrix - np.outer(W.sqrt_mu, W.sqrt_mu)
+        norm_sq = _norm_sq(centred)
+        eta_a = 1.0 - float(np.sqrt(norm_sq))  # may be 0 for an irreducible chain
+        pseudo = None if k_max is None else _pseudo_gap(centred, norm_sq, k_max)
     eta = eta_s if np.abs(W.matrix - W.matrix.T).max() <= REVERSIBILITY_TOLERANCE else None
-    pseudo = None if k_max is None else _pseudo_gap(centred, norm_sq, k_max)
     return GapReport(eta_p, eta_s, eta_a, eta, pseudo, False, _tolerances())

@@ -91,6 +91,21 @@ class TestGaps:
         assert doc["eta_s"] == pytest.approx(2.0, abs=1e-10)
         assert abs(doc["eta_a"]) <= 1e-10
 
+    def test_gaps_and_mgf_print_one_eta_p_for_a_reversible_chain(self, tmp_path, capsys):
+        # gaps reads eta_p through gap_report, mgf through ip_gap: one route
+        path = _chain_file(tmp_path, {
+            "labels": ["a", "b", "c", "d"],
+            "P": [[0.5, 0.3, 0.2, 0.0], [0.15, 0.5, 0.25, 0.1],
+                  [0.1, 0.25, 0.4, 0.25], [0.0, 0.2, 0.5, 0.3]],
+            "f": [1, 0, -1, 2],
+        })
+        assert cli.main(["gaps", path]) == 0
+        gaps = json.loads(capsys.readouterr().out)
+        assert cli.main(["mgf", path, "--theta", "0.01", "--n", "10"]) == 0
+        mgf = json.loads(capsys.readouterr().out)
+        assert gaps["eta"] is not None
+        assert mgf["eta_p"] == gaps["eta_p"] == gaps["eta_s"]
+
     def test_generator_chain(self, tmp_path, capsys):
         path = _chain_file(tmp_path, {"labels": ["x", "y"], "Q": [[-1, 1], [2, -2]]})
         rc = cli.main(["gaps", path])
@@ -399,13 +414,17 @@ pseudo gap (k <= 20, lower bound) = 0.9042740070430622 at k = 1
 degenerate = false
 """,
     ),
+    # for the stored doubles eta = 2 - p00 - p11 = 0.70000000000000006661...
+    # exactly, and with rho = p00 + p11 - 1 the pseudo gap 1 - rho^2 is
+    # 0.91000000000000003996... (40-digit mpmath); (1 - rho)(1 + rho) rounds
+    # 1 ulp below it
     "reversible": (
         {"labels": ["a", "b"], "P": [[0.7, 0.3], [0.4, 0.6]]},
-        """eta_p = 0.7
-eta_s = 0.7
-eta_a = 0.7
-eta = 0.7
-pseudo gap (k <= 20, lower bound) = 0.91 at k = 1
+        """eta_p = 0.7000000000000001
+eta_s = 0.7000000000000001
+eta_a = 0.7000000000000001
+eta = 0.7000000000000001
+pseudo gap (k <= 20, lower bound) = 0.9099999999999999 at k = 1
 degenerate = false
 """,
     ),
@@ -757,6 +776,21 @@ class TestMgf:
         err = json.loads(captured.err.splitlines()[-1])
         assert err == {"error": "InvalidQuery",
                        "message": "theta must be a real number in [-max float, max float]"}
+
+    def test_overflowing_empirical_mgf_is_heavy_tailed(self, tmp_path, capsys):
+        # exp(theta S) overflows on most paths: the estimate is inf (null in
+        # JSON), the report says heavy_tail, and numpy prints no warning
+        path = _chain_file(tmp_path, {
+            "labels": ["a", "b", "c"],
+            "P": [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]],
+            "f": [1000, 0, -1000],
+        })
+        rc = cli.main(["mgf", path, "--theta", "0.5", "--n", "50", "--replicas", "100"])
+        captured = capsys.readouterr()
+        assert rc == 0
+        emp = json.loads(captured.out)["empirical"]
+        assert emp["estimate"] is None and emp["heavy_tail"] is True
+        assert [line.split(":")[0] for line in captured.err.splitlines()] == ["auto-centered f"]
 
 
 # f of order 10^6, whose centred mean rounds to 1.7e-10, which a fixed

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from typing import NamedTuple
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,7 +12,7 @@ import chainbounds as cb
 from chainbounds import errors, spectral
 from chainbounds.chain_core import TransitionMatrix, _read_f
 from chainbounds.examples import flip_chain, skew_matrix, zero_absolute_gap_chain
-from conftest import random_reversible, random_transition
+from conftest import random_generator, random_reversible, random_transition
 
 GOLDEN_IP_GAP = math.sqrt((3.0 - math.sqrt(5.0)) / 2.0)  # 4-state example
 
@@ -48,6 +49,27 @@ class TestEmbedWeighted:
             assert np.abs(W.matrix @ s - s).max() <= 1e-10
             assert np.abs(W.generator @ s).max() <= 1e-10
             assert np.abs(s @ W.generator).max() <= 1e-10  # range orthogonality
+
+    def test_in_place_scaling_matches_the_formula(self):
+        # the scaled copies are bit for bit (s_i a_ij) / s_j of P, P - I and
+        # Q, and the operator's own entries are left as they were
+        rng = np.random.default_rng(12)
+        for op in (random_transition(rng, 9), random_transition(rng, 9, sparsify=0.7),
+                   random_generator(rng, 7)):
+            before = op.entries.copy()
+            mu = cb.stationary_distribution(op)
+            s = np.sqrt(mu.weights)
+            W = cb.embed_weighted(op, mu)
+
+            def similar(a):
+                return (s[:, None] * a) / s[None, :]
+
+            if W.matrix is None:
+                assert np.array_equal(W.generator, similar(op.entries))
+            else:
+                assert np.array_equal(W.matrix, similar(op.entries))
+                assert np.array_equal(W.generator, similar(op.entries - np.eye(op.n_states)))
+            assert np.array_equal(op.entries, before)
 
     def test_laplacian_requires_invariant_mu(self):
         P = cb.validate_transition_matrix([[0.9, 0.1], [0.5, 0.5]])
@@ -301,10 +323,17 @@ def _drift_chain(n, up):
 
 class TestPseudoGapEarlyStop:
     def _assert_parity(self, P, mu=None, k_max=20):
+        # bit for bit on the general route; a chain symmetric to rounding
+        # reads k = 1 off one eigvalsh, and both round within 8 n eps
         mu = cb.stationary_distribution(P) if mu is None else mu
+        W = cb.embed_weighted(P, mu)
         got = cb.gap_report(P, mu, k_max).pseudo
-        want = _reference_pseudo_gap(cb.embed_weighted(P, mu), k_max)
-        assert (got.value, got.k, got.k_max) == (want.value, want.k, want.k_max)
+        want = _reference_pseudo_gap(W, k_max)
+        if spectral._reversible_gaps(W) is None:
+            assert (got.value, got.k, got.k_max) == (want.value, want.k, want.k_max)
+        else:
+            assert (got.k, got.k_max) == (want.k, want.k_max)
+            assert abs(got.value - want.value) <= 8 * P.n_states * np.finfo(float).eps
         return got
 
     def test_bit_identical_on_seeded_families(self):
@@ -697,6 +726,29 @@ class TestGapReport:
         assert sorted(calls) == [("eigvalsh", (50, 50))] * 2 + [("svd", (50, 50))]
         assert (res.k, res.k_max) == (1, 20)
 
+    def test_dense_reversible_chain_takes_one_eigvalsh(self, monkeypatch):
+        # a chain symmetric to rounding reads every gap off one eigvalsh: no
+        # SVD and no Gram, in gap_report and in ip_gap alike
+        P = random_reversible(np.random.default_rng(50), 50)
+        mu = cb.stationary_distribution(P)
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(a, *args, **kwargs):
+                calls.append((name, a.shape))
+                return fn(a, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(spectral, "_norm_sq", counting("gram", spectral._norm_sq))
+        res = cb.gap_report(P, mu, k_max=20).pseudo
+        assert calls == [("eigvalsh", (50, 50))]
+        assert (res.k, res.k_max) == (1, 20)
+        calls.clear()
+        cb.ip_gap(P, mu)
+        assert calls == [("eigvalsh", (50, 50))]
+
     def test_eta_is_eta_s_for_reversible_chains(self):
         rng = np.random.default_rng(41)
         for _ in range(25):
@@ -732,3 +784,98 @@ class TestGapReport:
             assert eta_p > 0 and eta_s > 0
             assert eta_p <= 2.0 + 1e-12
             assert eta_a >= -1e-12
+
+
+def _tridiagonal_eigenvalue(d, e, k, guess):
+    # the (k+1)-th smallest eigenvalue of the symmetric tridiagonal (d, e),
+    # by Newton's method on its characteristic polynomial from a float
+    # guess; two Sturm counts then certify it is the (k+1)-th one
+    e2 = [x * x for x in e]
+
+    def pivots(x):
+        q, dq = [d[0] - x], [mpmath.mpf(-1)]
+        for i in range(1, len(d)):
+            q.append(d[i] - x - e2[i - 1] / q[-1])
+            dq.append(-1 + e2[i - 1] * dq[-1] / q[-2] ** 2)
+        return q, dq
+
+    x = mpmath.mpf(guess)
+    for _ in range(8):
+        q, dq = pivots(x)
+        x -= 1 / mpmath.fsum(b / a for a, b in zip(q, dq))
+    width = mpmath.mpf(10) ** (4 - mpmath.mp.dps)
+    assert sum(a < 0 for a in pivots(x - width)[0]) == k
+    assert sum(a < 0 for a in pivots(x + width)[0]) == k + 1
+    return x
+
+
+def _exact_gaps(P):
+    # (1 - lambda_2, 1 - rho, 1 - rho^2) of the symmetric matrix with entries
+    # sqrt(p_ij p_ji) and p_ii, the exactly symmetrised embedding of P
+    a = P.entries
+    n = a.shape[0]
+    sym = [[mpmath.mpf(a[i, j]) if i == j else mpmath.sqrt(mpmath.mpf(a[i, j]) * a[j, i])
+            for j in range(n)] for i in range(n)]
+    if not np.triu(a, 2).any() and not np.tril(a, -2).any():
+        guess = np.linalg.eigvalsh(np.array(sym, dtype=float))
+        d = [sym[i][i] for i in range(n)]
+        e = [sym[i][i + 1] for i in range(n - 1)]
+        lam2, low = (_tridiagonal_eigenvalue(d, e, k, guess[k]) for k in (n - 2, 0))
+    else:
+        ev = sorted(mpmath.eigsy(mpmath.matrix(sym), eigvals_only=True))
+        lam2, low = ev[-2], ev[0]
+    rho = max(abs(lam2), abs(low))
+    return 1 - lam2, 1 - rho, 1 - rho**2
+
+
+class TestReversibleRoute:
+    def test_ip_gap_is_gap_report_eta_p(self):
+        rng = np.random.default_rng(77)
+        chains = [random_reversible(rng, int(rng.integers(2, 40))) for _ in range(20)]
+        chains += [_drift_chain(n, up)[0] for n, up in ((100, 0.45), (60, 0.4), (30, 0.2))]
+        chains += [cb.validate_transition_matrix([[0.7, 0.3], [0.4, 0.6]]), flip_chain()]
+        for P in chains:
+            mu = cb.stationary_distribution(P)
+            assert spectral._reversible_gaps(cb.embed_weighted(P, mu)) is not None
+            report = cb.gap_report(P, mu)
+            assert cb.ip_gap(P, mu) == report.eta_p == report.eta_s == report.eta
+
+    @pytest.mark.parametrize("delta", [1e-12, 1e-10])
+    def test_perturbed_chain_keeps_the_svd(self, delta):
+        # a circulation of delta around the cycle breaks detailed balance
+        # by far more than rounding: the SVD and Gram route, bit for bit
+        rng = np.random.default_rng(9)
+        n = 8
+        base = random_reversible(rng, n).entries
+        shift = np.roll(np.eye(n), 1, axis=1) - np.roll(np.eye(n), -1, axis=1)
+        P = cb.validate_transition_matrix(base + delta * shift)
+        mu = cb.stationary_distribution(P)
+        W = cb.embed_weighted(P, mu)
+        assert spectral._reversible_gaps(W) is None
+        report = cb.gap_report(P, mu)
+        centred = W.matrix - np.outer(W.sqrt_mu, W.sqrt_mu)
+        assert cb.ip_gap(P, mu) == report.eta_p == spectral._ip_gap(W)
+        assert report.eta_s == spectral._symmetric_gap(W)
+        assert report.eta_a == 1.0 - math.sqrt(spectral._norm_sq(centred))
+        assert report.pseudo == _reference_pseudo_gap(W, 20)
+        reversible = np.abs(W.matrix - W.matrix.T).max() <= spectral.REVERSIBILITY_TOLERANCE
+        assert report.eta == (report.eta_s if reversible else None)
+
+    def test_matches_forty_digit_eigenvalues(self):
+        # eta_p = eta_s, eta_a and the pseudo value, each within
+        # 8 n eps max(1, ||G||_2) of the exact eigenvalues
+        rng = np.random.default_rng(1996)
+        chains = [_drift_chain(n, 0.45)[0] for n in (60, 100)]
+        chains += [random_reversible(rng, int(rng.integers(3, 13))) for _ in range(60)]
+        with mpmath.workdps(40):
+            for P in chains:
+                mu = cb.stationary_distribution(P)
+                W = cb.embed_weighted(P, mu)
+                assert spectral._reversible_gaps(W) is not None
+                report = cb.gap_report(P, mu)
+                eta, eta_a, pseudo = _exact_gaps(P)
+                scale = 8 * P.n_states * np.finfo(float).eps
+                scale *= max(1.0, float(np.linalg.norm(W.generator, 2)))
+                for got, want in ((report.eta_p, eta), (report.eta_s, eta),
+                                  (report.eta_a, eta_a), (report.pseudo.value, pseudo)):
+                    assert abs(got - want) <= scale
