@@ -4,7 +4,8 @@ Transition matrices, generator (rate) matrices, probability distributions
 and bounded observables over a finite state space, together with
 stationary-distribution, invariance and density-norm computations, and the
 one check of a horizon, of a moment order p and of the state counts of a
-path question that every layer shares.
+path question that every layer shares, and the one fork helper
+(``_forked``, sized by ``_workers``) of the samplers and ``gap_report``.
 States are indexed 0, 1, ...; the labels of a chain file are checked and
 then dropped. All types are immutable after validation; every operation is
 a pure function of its inputs.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import json
 import numbers
 import operator
+import os
 import sys
 from dataclasses import dataclass
 from json.decoder import JSONArray
@@ -457,6 +459,78 @@ def _check_states(op: ChainOperator, f, init: Distribution | None = None) -> np.
     if init is not None and init.n_states != op.n_states:
         raise DimensionMismatch("init distribution does not match the chain")
     return fv
+
+
+# ---------------------------------------------------------------------------
+# Work split across forked processes, shared by the samplers and gap_report
+# ---------------------------------------------------------------------------
+
+def _workers(pieces: int) -> int:
+    """Processes that may share ``pieces`` independent pieces of work.
+
+    One, unless the work has two pieces or more, ``os.sched_getaffinity``
+    exists and the process runs one operating-system thread: a fork beside a
+    live BLAS or Python thread could copy a lock that thread holds. Then one
+    per usable CPU, and at most one per piece. Every caller of
+    :func:`_forked` sizes its work by this rule.
+    """
+    if pieces < 2 or not hasattr(os, "sched_getaffinity"):
+        return 1
+    try:
+        if len(os.listdir("/proc/self/task")) != 1:
+            return 1
+    except OSError:
+        return 1
+    return min(len(os.sched_getaffinity(0)), pieces)
+
+
+def _forked(here, away):
+    """``here()``, run in this process while forked children run ``away``.
+
+    ``away`` holds pairs ``(fill, out)``: ``fill()`` writes float64 results
+    into ``out``, a contiguous view of an array the caller owns. Each pair
+    runs in a forked child, which writes ``out``'s bytes to a pipe and leaves
+    by ``os._exit``; once ``here()`` has returned, the bytes are read back
+    into ``out``. A pair whose bytes come back short (its child failed, or
+    no process could be forked) has ``fill()`` run again here, so an error
+    surfaces as the serial run raises it. Every child is reaped, and killed
+    first if the caller fails before its bytes are read. Returns what
+    ``here()`` returns.
+    """
+    children = []  # (fill, out, pid or None, read end of the child's pipe)
+    try:
+        for fill, out in away:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the piece is run here
+                pid = None
+            if pid == 0:
+                try:
+                    os.close(read)
+                    fill()
+                    with open(write, "wb") as pipe:
+                        pipe.write(out)
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((fill, out, pid, open(read, "rb")))
+        result = here()
+        for fill, out, _, pipe in children:
+            with pipe:
+                got = pipe.readinto(out)
+            if got != out.nbytes:
+                fill()
+    finally:
+        for _, _, pid, pipe in children:
+            if pid is not None and not pipe.closed:  # failed before its bytes were read
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+            pipe.close()
+            if pid is not None:
+                os.waitpid(pid, 0)
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -29,14 +29,16 @@ lookup, then a bisection over the few steps inside the bucket, with the
 same ``cdf <= u`` compares as a scan of the whole row. The first state is
 one ``searchsorted`` over the start law's clamped CDF, with those compares.
 
-A run's replicas split into contiguous ranges, one per worker process: the
-calling process runs the first range and forked children the others, each
-sending its results' bytes back through a pipe. A run forks only when it
-has two chunks or more, ``os.sched_getaffinity`` exists and the process
-runs one operating-system thread, so never beside a live BLAS or Python
-thread; it then takes one worker per usable CPU, at most one per chunk
-(``_workers``). A replica's result depends only on its own stream, so the
-bits do not depend on the number of workers. Each worker holds at most one
+A run's replicas split into contiguous ranges, one per worker process, run
+by the fork helper ``chain_core._forked`` that ``spectral.gap_report``
+shares: the calling process runs the first range and forked children the
+others, each sending its results' bytes back through a pipe. The helper's
+callers fork only under one rule (``chain_core._workers``): two pieces of
+work or more, ``os.sched_getaffinity`` present and one operating-system
+thread in the process, so never beside a live BLAS or Python thread; then
+one worker per usable CPU, at most one per piece, here one per chunk. A
+replica's result depends only on its own stream, so the bits do not
+depend on the number of workers. Each worker holds at most one
 draw budget, so a run holds at most workers x budget draws, still bounded
 in the horizon and the replica count.
 
@@ -50,7 +52,6 @@ heavy-tail warning.
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple, Union
@@ -67,6 +68,8 @@ from .chain_core import (
     _check_int,
     _check_real,
     _check_states,
+    _forked,
+    _workers,
     is_irreducible,
 )
 from .errors import InvalidQuery, NotIrreducible
@@ -419,34 +422,14 @@ _JUMP_BUDGET = 1 << 21
 _DRAW_TILE = 64
 
 
-def _workers(chunks: int) -> int:
-    """Processes that share a run of ``chunks`` replica chunks.
-
-    One, unless the run has two chunks or more, ``os.sched_getaffinity``
-    exists and the process runs one operating-system thread: a fork beside a
-    live BLAS or Python thread could copy a lock that thread holds. Then one
-    per usable CPU, and at most one per chunk.
-    """
-    if chunks < 2 or not hasattr(os, "sched_getaffinity"):
-        return 1
-    try:
-        if len(os.listdir("/proc/self/task")) != 1:
-            return 1
-    except OSError:
-        return 1
-    return min(len(os.sched_getaffinity(0)), chunks)
-
-
 def _chunked(seed: int, replicas: int, block: int, budget: int, run) -> np.ndarray:
     """Per-replica results of ``run(stream, keys, draws)``, chunk by chunk.
 
     The replicas split into ``_workers(chunks)`` contiguous ranges of nearly
-    equal size. The calling process runs the first range; each other range
-    runs in a forked child, which writes its results' float64 bytes to a
-    pipe and leaves by ``os._exit``. A child whose bytes come back short (it
-    failed, or no process could be forked) has its range run again here, so
-    an error surfaces as the serial run raises it. Every child is reaped,
-    and killed first if the run fails before its bytes are read.
+    equal size, run by ``chain_core._forked``: the calling process runs the
+    first range and a forked child each other one, sending the range's
+    float64 results back into ``out``. A range whose bytes come back short
+    runs again here, so an error surfaces as the serial run raises it.
 
     A range runs in equal chunks of at most ``max(1, budget // block)``
     replicas; ``keys`` are the chunk's Philox keys and ``stream`` one
@@ -471,39 +454,9 @@ def _chunked(seed: int, replicas: int, block: int, budget: int, run) -> np.ndarr
             out[start:start + len(keys)] = run(stream, keys, draws[:, :len(keys)])
             del keys  # freed before the next chunk's keys are built
 
-    children = []  # (lo, hi, pid or None, read end of the child's pipe)
-    try:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: the range is run here
-                pid = None
-            if pid == 0:
-                try:
-                    os.close(read)
-                    run_range(lo, hi)
-                    with open(write, "wb") as pipe:
-                        pipe.write(out[lo:hi])
-                finally:
-                    os._exit(0)
-            os.close(write)
-            children.append((lo, hi, pid, open(read, "rb")))
-        run_range(cuts[0], cuts[1])
-        for lo, hi, _, pipe in children:
-            with pipe:
-                got = pipe.readinto(out[lo:hi])
-            if got != out[lo:hi].nbytes:
-                run_range(lo, hi)
-    finally:
-        for _, _, pid, pipe in children:
-            if pid is not None and not pipe.closed:  # failed before its bytes were read
-                import signal
-
-                os.kill(pid, signal.SIGKILL)
-            pipe.close()
-            if pid is not None:
-                os.waitpid(pid, 0)
+    away = [(lambda lo=lo, hi=hi: run_range(lo, hi), out[lo:hi])
+            for lo, hi in zip(cuts[1:-1], cuts[2:])]
+    _forked(lambda: run_range(cuts[0], cuts[1]), away)
     return out
 
 

@@ -14,7 +14,13 @@ invariant direction s = sqrt(mu) is read past for eta_p: the generator side
 annihilates s on both sides, so its singular values are 0 and those of L on
 mean-zero functions. For the powers of P it is centred away: M fixes s on
 both sides, so A = M - s s^T is M projected onto the complement of s and
-A^k = M^k - s s^T. No basis of the complement is ever constructed. Also
+A^k = M^k - s s^T. No basis of the complement is ever constructed.
+On a chain of ``_FORK_STATES`` states or more that takes the SVD,
+:func:`gap_report` runs it in a forked child through the samplers' fork
+helper (``chain_core._forked``) while this process runs the two eigvalsh,
+under the same rule: one operating-system thread, at most one process per
+usable CPU. The same calls run on the same arrays, so the bits do not
+depend on the fork. Also
 provides the real and complex numerical radius, whose power inequality holds
 only over the complex field.
 The complex radius is computed exactly, to rounding, by the level-set
@@ -35,6 +41,8 @@ from .chain_core import (
     _as_square,
     _check_int,
     _check_mu_positive,
+    _forked,
+    _workers,
     check_invariant,
     stationary_distribution,
 )
@@ -47,6 +55,15 @@ from .errors import (
 REVERSIBILITY_TOLERANCE = 1e-10
 ORDERING_SLACK = 1e-9
 DEFAULT_PSEUDO_KMAX = 20
+
+# States from which gap_report's general chain route runs its SVD in a
+# forked child beside the two eigvalsh. An empty round trip through
+# chain_core._forked costs about 2 ms in a process of 80-160 MB. On seeded
+# non-reversible chains the forked report broke even near 200-225 states
+# and won by 3-6 ms (13-23%) at 300, 14 ms at 400 and 57 ms at 600
+# (medians of 15-31 interleaved reports, 2-vCPU VM, numpy 2.4, one BLAS
+# thread). 300 leaves a margin for a busy second CPU.
+_FORK_STATES = 300
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,10 +175,11 @@ def _reversible_gaps(W: WeightedOperator) -> tuple[float, float] | None:
     return eta_p, rho
 
 
-def _ip_gap(W: WeightedOperator) -> float:
+def _ip_gap(W: WeightedOperator, sv: np.ndarray | None = None) -> float:
     # eta_p is the second smallest singular value of the generator side G,
-    # past the 0 of s
-    sv = np.linalg.svd(W.generator, compute_uv=False)
+    # past the 0 of s; ``sv`` holds them when they are already computed
+    if sv is None:
+        sv = np.linalg.svd(W.generator, compute_uv=False)
     return _snap_zero(sv[-2], sv[0], W)
 
 
@@ -411,14 +429,28 @@ def gap_report(
         eta_p, rho = route
         eta_s, eta_a = eta_p, 1.0 - rho
         pseudo = None if k_max is None else PseudoGapResult((1.0 - rho) * (1.0 + rho), 1, k_max)
+    elif W.matrix is None:
+        return GapReport(_ip_gap(W), None, None, None, None, False, _tolerances())
     else:
-        eta_p = _ip_gap(W)
-        if W.matrix is None:
-            return GapReport(eta_p, None, None, None, None, False, _tolerances())
-        eta_s = _symmetric_gap(W)
-        centred = W.matrix - np.outer(W.sqrt_mu, W.sqrt_mu)
-        norm_sq = _norm_sq(centred)
+        sv = np.empty(mu.n_states)
+
+        def singular_values() -> None:
+            sv[:] = np.linalg.svd(W.generator, compute_uv=False)
+
+        def matrix_side():
+            # eta_s, and the Gram that serves eta_a and the pseudo gap, off M
+            eta_s = _symmetric_gap(W)
+            centred = W.matrix - np.outer(W.sqrt_mu, W.sqrt_mu)
+            norm_sq = _norm_sq(centred)
+            pseudo = None if k_max is None else _pseudo_gap(centred, norm_sq, k_max)
+            return eta_s, norm_sq, pseudo
+
+        if mu.n_states >= _FORK_STATES and _workers(2) == 2:
+            eta_s, norm_sq, pseudo = _forked(matrix_side, [(singular_values, sv)])
+        else:
+            singular_values()
+            eta_s, norm_sq, pseudo = matrix_side()
+        eta_p = _ip_gap(W, sv)
         eta_a = 1.0 - float(np.sqrt(norm_sq))  # may be 0 for an irreducible chain
-        pseudo = None if k_max is None else _pseudo_gap(centred, norm_sq, k_max)
     eta = eta_s if np.abs(W.matrix - W.matrix.T).max() <= REVERSIBILITY_TOLERANCE else None
     return GapReport(eta_p, eta_s, eta_a, eta, pseudo, False, _tolerances())

@@ -1,12 +1,17 @@
 """Shared random-instance builders for the test suite.
 
 Everything is seeded explicitly in the tests, so the suite is
-deterministic; these helpers only encapsulate the constructions.
+deterministic; these helpers only encapsulate the constructions. The
+underscored helpers at the end serve the tests of forked work, in the
+samplers and in gap_report.
 """
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
+import pytest
 
 import chainbounds as cb
 
@@ -45,3 +50,26 @@ def random_generator(rng: np.random.Generator, n: int, rate_scale: float = 1.0):
 
 def random_centered_observable(rng: np.random.Generator, mu, scale: float = 1.0):
     return cb.make_observable(rng.normal(scale=scale, size=mu.n_states), mu)
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _one_thread():
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _no_children():
+    # raised only when this process has no child, live or exited but not reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# Set in the one-thread interpreters of
+# test_worker_tests_in_a_one_thread_interpreter and
+# test_fork_tests_in_a_one_thread_interpreter, where all work that may fork must.
+_MUST_FORK = "CHAINBOUNDS_TEST_MUST_FORK"

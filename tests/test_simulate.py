@@ -31,7 +31,14 @@ from chainbounds.simulate import (
     _pick_table,
     _replica_keys,
 )
-from conftest import random_generator, random_transition
+from conftest import (
+    _MUST_FORK,
+    _cpus,
+    _no_children,
+    _one_thread,
+    random_generator,
+    random_transition,
+)
 
 
 def _uniform(n):
@@ -584,29 +591,6 @@ class TestJumpSamplerParity:
         finally:
             tracemalloc.stop()
         assert peak < replicas * rows * 8 / 4
-
-
-def _cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-
-def _one_thread():
-    try:
-        return len(os.listdir("/proc/self/task")) == 1
-    except OSError:
-        return False
-
-
-def _no_children():
-    # raised only when this process has no child, live or exited but not reaped
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-# Set in the one-thread interpreter of
-# test_worker_tests_in_a_one_thread_interpreter, where every run of two
-# chunks or more must fork.
-_MUST_FORK = "CHAINBOUNDS_TEST_MUST_FORK"
 
 
 class TestWorkers:

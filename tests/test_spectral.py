@@ -1,7 +1,13 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 from typing import NamedTuple
 
 import mpmath
@@ -9,10 +15,18 @@ import numpy as np
 import pytest
 
 import chainbounds as cb
-from chainbounds import errors, spectral
+from chainbounds import cli, errors, spectral
 from chainbounds.chain_core import TransitionMatrix, _read_f
 from chainbounds.examples import flip_chain, skew_matrix, zero_absolute_gap_chain
-from conftest import random_generator, random_reversible, random_transition
+from conftest import (
+    _MUST_FORK,
+    _cpus,
+    _no_children,
+    _one_thread,
+    random_generator,
+    random_reversible,
+    random_transition,
+)
 
 GOLDEN_IP_GAP = math.sqrt((3.0 - math.sqrt(5.0)) / 2.0)  # 4-state example
 
@@ -784,6 +798,170 @@ class TestGapReport:
             assert eta_p > 0 and eta_s > 0
             assert eta_p <= 2.0 + 1e-12
             assert eta_a >= -1e-12
+
+
+def _fields(report):
+    # every field of a report; a float's repr is its shortest round trip,
+    # so equal reprs mean equal bits
+    return repr(dataclasses.astuple(report))
+
+
+class TestGapReportFork:
+    """gap_report's SVD in a forked child, from ``spectral._FORK_STATES`` states.
+
+    Where BLAS threads are alive no report forks, and these tests check the
+    serial path; ``test_fork_tests_in_a_one_thread_interpreter`` runs them
+    again where reports fork.
+    """
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids that called ``os.fork``, and the number a forking report makes."""
+        if os.environ.get(_MUST_FORK):
+            assert _one_thread()
+        calls, fork = [], os.fork
+
+        def counting():
+            calls.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting)
+        _cpus(monkeypatch, 2)
+        return calls, 1 if _one_thread() else 0
+
+    def _chains(self):
+        # seeded non-reversible chains at and above the size constant, dense and sparse
+        n = spectral._FORK_STATES
+        return [random_transition(np.random.default_rng(1), n),
+                random_transition(np.random.default_rng(31), n + 37, sparsify=0.5)]
+
+    def test_bits_do_not_depend_on_the_fork(self, monkeypatch, forks):
+        calls, expected = forks
+        for P in self._chains():
+            mu = cb.stationary_distribution(P)
+            for k_max in (20, None):
+                calls.clear()
+                got = cb.gap_report(P, mu, k_max)
+                assert calls == [os.getpid()] * expected
+                _no_children()
+                with monkeypatch.context() as m:
+                    _cpus(m, 1)
+                    serial = cb.gap_report(P, mu, k_max)
+                assert _fields(got) == _fields(serial), (P.n_states, k_max)
+                # no process to spare: the SVD runs here
+                with monkeypatch.context() as m:
+                    def refusing():
+                        raise OSError("no process to spare")
+
+                    m.setattr(os, "fork", refusing)
+                    assert _fields(cb.gap_report(P, mu, k_max)) == _fields(serial)
+                _no_children()
+
+    def test_forks_only_on_the_general_chain_route(self, monkeypatch, forks):
+        calls, expected = forks
+        n = spectral._FORK_STATES
+        rng = np.random.default_rng(7)
+        P = random_transition(rng, n)
+        mu = cb.stationary_distribution(P)
+        runs = [
+            (lambda: cb.gap_report(P, mu), expected),
+            (lambda: cb.gap_report(P), expected),
+            (lambda: cb.ip_gap(P, mu), 0),
+            (lambda: cb.gap_report(random_reversible(rng, n)), 0),
+            (lambda: cb.gap_report(random_generator(rng, n)), 0),
+            (lambda: cb.gap_report(random_transition(rng, n - 1)), 0),
+        ]
+        for index, (run, forks_made) in enumerate(runs):
+            calls.clear()
+            run()
+            assert len(calls) == forks_made, index
+            _no_children()
+
+    def test_a_child_that_fails_leaves_its_svd_here(self, monkeypatch, forks):
+        calls, expected = forks
+        P = self._chains()[0]
+        mu = cb.stationary_distribution(P)
+        with monkeypatch.context() as m:
+            _cpus(m, 1)
+            serial = cb.gap_report(P, mu)
+        here, svd, runs_here = os.getpid(), np.linalg.svd, []
+
+        def svd_here_only(a, *args, **kwargs):
+            if os.getpid() != here:
+                os._exit(1)  # leaves before writing a byte
+            runs_here.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd_here_only)
+        assert _fields(cb.gap_report(P, mu)) == _fields(serial)
+        assert len(calls) == expected and runs_here == [P.entries.shape]
+        _no_children()
+
+    def test_a_failure_here_kills_and_reaps_the_child(self, monkeypatch, tmp_path, capsys, forks):
+        calls, expected = forks
+        P = self._chains()[0]
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({"labels": [str(i) for i in range(P.n_states)],
+                                    "P": P.entries.tolist()}))
+        here, svd = os.getpid(), np.linalg.svd
+
+        def stalled_svd(a, *args, **kwargs):
+            if os.getpid() != here:
+                time.sleep(60)
+            return svd(a, *args, **kwargs)
+
+        def failing_eigvalsh(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", stalled_svd)
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
+        start = time.monotonic()
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            cb.gap_report(P)
+        assert len(calls) == expected
+        _no_children()
+        calls.clear()
+        assert cli.main(["gaps", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err == {"error": "LinAlgError", "message": "Eigenvalues did not converge"}
+        assert len(calls) == expected
+        assert time.monotonic() - start < 30  # killed rather than waited for
+        _no_children()
+
+    def test_no_fork_beside_a_live_thread_or_on_one_cpu(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked beside a live thread or on one CPU")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        for P in self._chains():
+            mu = cb.stationary_distribution(P)
+            _cpus(monkeypatch, 1)
+            serial = cb.gap_report(P, mu)
+            _cpus(monkeypatch, 2)
+            release = threading.Event()
+            thread = threading.Thread(target=release.wait)
+            thread.start()
+            try:
+                got = cb.gap_report(P, mu)
+            finally:
+                release.set()
+                thread.join()
+            assert _fields(got) == _fields(serial)
+
+
+def test_fork_tests_in_a_one_thread_interpreter(tmp_path):
+    # BLAS pinned to one thread, as the benchmark pins it: every report of
+    # TestGapReportFork on the general chain route forks there
+    src = str(Path(cb.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env[_MUST_FORK] = "1"
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::TestGapReportFork"],
+        env=env, cwd=tmp_path, timeout=300, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def _tridiagonal_eigenvalue(d, e, k, guess):
