@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .chain_core import _FINITE, _check_horizon, _check_p, _check_real
 from .errors import InvalidQuery, ThetaOutOfRange
 
-_SWEEP_AXES = ("n", "t", "delta", "eta_p")
+_SWEEP_AXES = ("horizon", "delta", "eta_p")
 
 
 def _exp(x: float) -> float:
@@ -43,8 +43,8 @@ def _q_from_p(p: float) -> float:
 class BoundQuery:
     """Inputs of one tail-bound evaluation.
 
-    ``mode`` selects the discrete (horizon ``n`` steps) or continuous
-    (horizon ``t`` time units) form. ``q = p/(p-1)`` is derived at
+    ``mode`` selects the discrete form, where ``horizon`` is n steps, or the
+    continuous one, where it is a time t. ``q = p/(p-1)`` is derived at
     construction; p = inf maps to q = 1 exactly.
     """
 
@@ -55,27 +55,18 @@ class BoundQuery:
     eta_p: float
     p: float = math.inf
     nu_norm: float = 1.0
-    n: int | None = None
-    t: float | None = None
+    horizon: float = dataclasses.field(kw_only=True)
     q: float = dataclasses.field(init=False)
 
     def __post_init__(self):
         if self.mode not in ("discrete", "continuous"):
             raise InvalidQuery(f"unknown mode {self.mode!r}")
-        if self.mode == "discrete" and (self.n is None or self.t is not None):
-            raise InvalidQuery("discrete queries need a horizon n and no t")
-        if self.mode == "continuous" and (self.t is None or self.n is not None):
-            raise InvalidQuery("continuous queries need a horizon t and no n")
         _check_horizon(self.mode, self.horizon)
         _check_real("delta", self.delta, 0, _FINITE)
         _check_scales(self.M, self.eta_p)
         _check_real("sigma2", self.sigma2, 0, min((1 + 1e-12) * self.M * self.M, _FINITE))
         _check_real("nu_norm", self.nu_norm, 1, _FINITE)
         object.__setattr__(self, "q", _q_from_p(self.p))
-
-    @property
-    def horizon(self) -> float:
-        return self.n if self.mode == "discrete" else self.t
 
 
 @dataclass(frozen=True)
@@ -188,7 +179,7 @@ def tail_bound(query: BoundQuery) -> BoundResult:
 def bound_sweep(query_template: BoundQuery, sweep_axis: str, values) -> list[BoundResult]:
     """Evaluate the tail bound along one axis, order preserved.
 
-    ``sweep_axis`` is one of n, t, delta, eta_p. Invalid elements are
+    ``sweep_axis`` is one of horizon, delta, eta_p. Invalid elements are
     reported per row in a single InvalidQuery naming the offending indices.
     """
     if sweep_axis not in _SWEEP_AXES:

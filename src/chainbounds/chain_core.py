@@ -660,7 +660,7 @@ class _NumberArrayDecoder(json.JSONDecoder):
             try:
                 values = loads(s[end - 1 : stop])
                 if values and all(map(is_float, values)):
-                    row = np.array(values)
+                    row = np.fromiter(values, float, len(values))
                     if -(2.0**63) < row.min() and row.max() < 2.0**64:
                         return row, stop
                 elif not values or -(2**63) < min(values) and max(values) < 2**64:

@@ -171,18 +171,20 @@ def _cmd_gaps(args) -> int:
     return 0
 
 
-def _query_from_args(args, delta=None, n=None, t=None) -> bounds_mod.BoundQuery:
-    return bounds_mod.BoundQuery(
-        mode=args.mode,
-        n=n if n is not None else args.n,
-        t=t if t is not None else args.t,
-        delta=delta if delta is not None else args.delta,
-        M=args.M,
-        sigma2=args.sigma2,
-        eta_p=args.eta_p,
-        p=_parse_p(args.p),
-        nu_norm=args.nu_norm,
-    )
+def _query_from_args(args, **seed) -> bounds_mod.BoundQuery:
+    """The query of the bound flags; ``seed`` stands in for a flag left out.
+
+    ``--mode`` picks which of ``--n`` and ``--t`` is the horizon; the other
+    must be absent.
+    """
+    flags = {name: seed.get(name, getattr(args, name)) for name in ("n", "t", "delta")}
+    p = _parse_p(args.p)
+    own, other = ("n", "t") if args.mode == "discrete" else ("t", "n")
+    if flags[own] is None or flags[other] is not None:
+        raise InvalidQuery(f"{args.mode} queries need a horizon {own} and no {other}")
+    return bounds_mod.BoundQuery(mode=args.mode, delta=flags["delta"], M=args.M,
+                                 sigma2=args.sigma2, eta_p=args.eta_p, p=p,
+                                 nu_norm=args.nu_norm, horizon=flags[own])
 
 
 def _cmd_bound(args) -> int:
@@ -239,8 +241,9 @@ def _cmd_verify(args) -> int:
         raise InvalidQuery("the observable f is constant under mu: centred, it is 0 "
                            "everywhere and has no tail to verify")
     nu = _resolve_nu(chain, args.nu, mu)
-    horizon_kwargs = _horizon(chain, args)
-    config = _sim_config(args, nu, horizon_kwargs)
+    horizon = _horizon(chain, args)
+    (length,) = horizon.values()
+    config = _sim_config(args, nu, horizon)
     p = _parse_p(args.p)
     nu_norm = radon_nikodym_norm(nu, mu, p)
     eta = ip_gap(chain.operator, mu)
@@ -249,7 +252,7 @@ def _cmd_verify(args) -> int:
         raise SchemaError("--delta-grid needs at least one value")
     template = bounds_mod.BoundQuery(mode=chain.kind, delta=deltas[0], M=obs.M,
                                      sigma2=obs.sigma2, eta_p=eta, p=p, nu_norm=nu_norm,
-                                     **horizon_kwargs)
+                                     horizon=length)
     bounds = bounds_mod.bound_sweep(template, "delta", deltas)
     rows = list(zip(deltas, empirical_tail(config, chain.operator, obs, deltas, bounds)))
     all_consistent = all(report.consistent for _, report in rows)
@@ -287,7 +290,8 @@ def _cmd_sweep(args) -> int:
         typed = [float(v) for v in values]
     # the first value stands in for a swept --n, --t or --delta left out
     seed_kwargs = {args.axis: typed[0]} if getattr(args, args.axis) is None else {}
-    results = bounds_mod.bound_sweep(_query_from_args(args, **seed_kwargs), args.axis, typed)
+    axis = "horizon" if args.axis in ("n", "t") else args.axis
+    results = bounds_mod.bound_sweep(_query_from_args(args, **seed_kwargs), axis, typed)
     if args.output_format == "json":
         _emit_json([
             {"axis": args.axis, "value": v, **dataclasses.asdict(r)}

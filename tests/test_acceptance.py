@@ -138,7 +138,7 @@ def test_criterion_5_discrete_tail_dominance_exact():
                 for delta in deltas:
                     exact = cb.exact_tail_discrete(P, mu, f, n, float(delta))
                     query = cb.BoundQuery(
-                        mode="discrete", n=n, delta=float(delta), M=f.M,
+                        mode="discrete", horizon=n, delta=float(delta), M=f.M,
                         sigma2=f.sigma2, eta_p=eta_p,
                     )
                     bound = cb.tail_bound(query).probability_bound
@@ -189,7 +189,7 @@ def test_criterion_7_continuous_dominance():
             deltas = [0.1 * f.M, 0.3 * f.M]
             bounds = [
                 cb.tail_bound(cb.BoundQuery(
-                    mode="continuous", t=100.0, delta=delta, M=f.M,
+                    mode="continuous", horizon=100.0, delta=delta, M=f.M,
                     sigma2=f.sigma2, eta_p=eta_p,
                 ))
                 for delta in deltas
@@ -242,7 +242,7 @@ def test_criterion_10_initial_distribution_handling(capsys):
         point = cb.make_distribution([1.0, 0.0, 0.0, 0.0], mu.n_states)
         norm_inf = cb.radon_nikodym_norm(point, mu, math.inf)
         assert norm_inf == pytest.approx(4.0, abs=1e-13)
-        base = dict(mode="discrete", n=200, delta=0.2, M=1.0, sigma2=0.5,
+        base = dict(mode="discrete", horizon=200, delta=0.2, M=1.0, sigma2=0.5,
                     eta_p=0.6, p=math.inf)
         b1 = cb.tail_bound(cb.BoundQuery(nu_norm=1.0, **base))
         b4 = cb.tail_bound(cb.BoundQuery(nu_norm=norm_inf, **base))

@@ -12,7 +12,7 @@ from chainbounds.cli import SWEEP_CSV_HEADER, sweep_to_csv
 
 def _query(**overrides):
     base = dict(
-        mode="discrete", n=1000, delta=0.1, M=1.0, sigma2=0.1, eta_p=1.0,
+        mode="discrete", horizon=1000, delta=0.1, M=1.0, sigma2=0.1, eta_p=1.0,
         p=math.inf, nu_norm=1.0,
     )
     base.update(overrides)
@@ -107,8 +107,8 @@ class TestTailBoundDiscrete:
         assert not res.vacuous
 
     def test_doubling_n_squares_exp_part(self):
-        a = cb.tail_bound(_query(n=1000))
-        b = cb.tail_bound(_query(n=2000))
+        a = cb.tail_bound(_query(horizon=1000))
+        b = cb.tail_bound(_query(horizon=2000))
         assert b.probability_bound / 2 == pytest.approx(
             (a.probability_bound / 2) ** 2, rel=1e-12
         )
@@ -146,7 +146,7 @@ class TestTailBoundDiscrete:
         rng = np.random.default_rng(6)
         for _ in range(50):
             q = _query(
-                n=int(rng.integers(1, 200)),
+                horizon=int(rng.integers(1, 200)),
                 delta=float(rng.uniform(0.01, 1.5)),
                 M=float(rng.uniform(0.5, 2)),
                 sigma2=float(rng.uniform(0.01, 0.2)),
@@ -161,8 +161,8 @@ class TestTailBoundDiscrete:
             assert 0 < theta_star < limit
 
             def assembled(theta):
-                mgf = cb.mgf_bound("discrete", q.q * theta, q.n, q.M, sigma, q.eta_p)
-                return 2 * q.nu_norm * math.exp(-theta * q.n * q.delta) * mgf ** (1 / q.q)
+                mgf = cb.mgf_bound("discrete", q.q * theta, q.horizon, q.M, sigma, q.eta_p)
+                return 2 * q.nu_norm * math.exp(-theta * q.horizon * q.delta) * mgf ** (1 / q.q)
 
             assert assembled(theta_star) == pytest.approx(
                 res.probability_bound, rel=1e-10
@@ -179,7 +179,7 @@ class TestTailBoundDiscrete:
         assert res.theta_used == pytest.approx(0.5, rel=1e-12)  # eta/(2qM)
 
     def test_underflow_keeps_exponent(self):
-        res = cb.tail_bound(_query(n=10**7, delta=1.0))
+        res = cb.tail_bound(_query(horizon=10**7, delta=1.0))
         assert res.probability_bound == 0.0
         assert res.exponent < -745
         assert not res.vacuous
@@ -188,14 +188,14 @@ class TestTailBoundDiscrete:
 class TestTailBoundContinuous:
     def test_zero_delta_vacuous(self):
         res = cb.tail_bound(
-            _query(mode="continuous", n=None, t=5.0, delta=0.0)
+            _query(mode="continuous", horizon=5.0, delta=0.0)
         )
         assert res.probability_bound == pytest.approx(2.0)
         assert res.vacuous
 
     def test_hand_value(self):
         res = cb.tail_bound(
-            _query(mode="continuous", n=None, t=100.0, delta=0.5, sigma2=0.25, eta_p=3.0)
+            _query(mode="continuous", horizon=100.0, delta=0.5, sigma2=0.25, eta_p=3.0)
         )
         assert res.exponent == pytest.approx(-75.0 / (4 * math.sqrt(1.25)), rel=1e-12)
         assert res.probability_bound == pytest.approx(
@@ -203,14 +203,14 @@ class TestTailBoundContinuous:
         )
 
     def test_time_doubling_squares_exp_part(self):
-        a = cb.tail_bound(_query(mode="continuous", n=None, t=10.0))
-        b = cb.tail_bound(_query(mode="continuous", n=None, t=20.0))
+        a = cb.tail_bound(_query(mode="continuous", horizon=10.0))
+        b = cb.tail_bound(_query(mode="continuous", horizon=20.0))
         assert b.probability_bound / 2 == pytest.approx(
             (a.probability_bound / 2) ** 2, rel=1e-12
         )
 
     def test_c_identity(self):
-        q = _query(mode="continuous", n=None, t=3.0, delta=0.7, sigma2=0.09)
+        q = _query(mode="continuous", horizon=3.0, delta=0.7, sigma2=0.09)
         res = cb.tail_bound(q)
         assert res.c_theta == pytest.approx(
             2 * 0.3 / math.sqrt(4 * 0.09 + 0.49), abs=1e-12
@@ -264,7 +264,7 @@ def _ref_tail_bound_discrete(query):
     if delta == 0.0:
         return _ref_result(query, 0.0, 0.0, 1.0, False)
     radical = math.sqrt((2.0 + 6.0 * eta) ** 2 * query.sigma2 + delta**2)
-    exponent = -query.n * eta * delta**2 / (4.0 * q * M * radical)
+    exponent = -query.horizon * eta * delta**2 / (4.0 * q * M * radical)
     c = (2.0 + 6.0 * eta) * sigma / radical
     return _ref_result(query, exponent, theta, c, sigma == 0.0)
 
@@ -276,7 +276,7 @@ def _ref_tail_bound_continuous(query):
     if delta == 0.0:
         return _ref_result(query, 0.0, 0.0, 1.0, False)
     radical = math.sqrt(4.0 * query.sigma2 + delta**2)
-    exponent = -query.t * eta * delta**2 / (4.0 * q * M * radical)
+    exponent = -query.horizon * eta * delta**2 / (4.0 * q * M * radical)
     c = 2.0 * sigma / radical
     return _ref_result(query, exponent, theta, c, sigma == 0.0)
 
@@ -300,12 +300,10 @@ class TestMergedMatchesReference:
             if mode == "discrete":
                 # every 11th horizon is long enough that the exponent underflows
                 horizon = 10**9 if i % 11 == 0 else int(np.exp(rng.uniform(0.0, 14.0)))
-                kw = {"n": horizon}
             else:
                 horizon = 1e9 if i % 11 == 0 else (0.0, float(np.exp(rng.uniform(-3.0, 14.0))))[i % 13 != 0]
-                kw = {"t": horizon}
             query = cb.BoundQuery(mode=mode, delta=delta, M=M, sigma2=sigma2, eta_p=eta,
-                                  p=p, nu_norm=float(rng.uniform(1.0, 3.0)), **kw)
+                                  p=p, nu_norm=float(rng.uniform(1.0, 3.0)), horizon=horizon)
             theta = float(rng.uniform(-1.0, 1.0)) * eta / (2.0 * M) * (1 - 1e-12)
             yield mode, query, horizon, theta
 
@@ -406,30 +404,30 @@ class TestQueryValidation:
         with pytest.raises(errors.InvalidQuery):
             _query(nu_norm=0.5)
         with pytest.raises(errors.InvalidQuery):
-            _query(n=None)
+            _query(horizon=None)
         with pytest.raises(errors.InvalidQuery):
-            _query(mode="continuous")  # has n, lacks t
+            _query(horizon=0)  # a time t may be 0, a step count n may not
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_non_finite_horizon_rejected(self, t):
         with pytest.raises(errors.InvalidQuery,
                            match=r"^horizon t must be a real number in \[0, max float\]$"):
-            _query(mode="continuous", n=None, t=t)
+            _query(mode="continuous", horizon=t)
 
     def test_untyped_horizon_rejected(self):
         # the one horizon rule of the oracles and the sampler: a whole n, a real t
         with pytest.raises(errors.InvalidQuery,
                            match=r"^horizon t must be a real number in \[0, max float\], got '3'$"):
-            _query(mode="continuous", n=None, t="3")
+            _query(mode="continuous", horizon="3")
         with pytest.raises(errors.InvalidQuery,
                            match=r"^horizon n must be an integer in \[1, max float\], got 2.5$"):
-            _query(n=2.5)
+            _query(horizon=2.5)
         with pytest.raises(errors.InvalidQuery,
                            match=r"^horizon n must be an integer in \[1, max float\], got 2.5$"):
             cb.mgf_bound("discrete", 0.1, 2.5, 1.0, 1.0, 1.0)
         with pytest.raises(errors.InvalidQuery,
                            match=r"^row 1 \(value 2.5\): horizon n must be an integer"):
-            cb.bound_sweep(_query(), "n", [5, 2.5])
+            cb.bound_sweep(_query(), "horizon", [5, 2.5])
 
     def test_p_rule_shared_with_density_norm(self):
         # one check and one message for p, whichever layer meets it first
@@ -454,7 +452,7 @@ class TestMonotonicity:
         rng = np.random.default_rng(10)
         for _ in range(30):
             q = _query(
-                n=int(rng.integers(10, 500)),
+                horizon=int(rng.integers(10, 500)),
                 delta=float(rng.uniform(0.05, 1.0)),
                 M=float(rng.uniform(0.5, 2)),
                 sigma2=float(rng.uniform(0.01, 0.2)),
@@ -463,7 +461,7 @@ class TestMonotonicity:
             )
             base = cb.tail_bound(q).probability_bound
             # nonincreasing in n, delta, eta_p
-            assert cb.tail_bound(dataclasses.replace(q, n=q.n + 50)).probability_bound <= base + 1e-15
+            assert cb.tail_bound(dataclasses.replace(q, horizon=q.horizon + 50)).probability_bound <= base + 1e-15
             assert cb.tail_bound(dataclasses.replace(q, delta=q.delta * 1.1)).probability_bound <= base + 1e-15
             assert cb.tail_bound(dataclasses.replace(q, eta_p=min(q.eta_p * 1.1, 2.0))).probability_bound <= base + 1e-15
             # nondecreasing in M, sigma2, nu_norm
@@ -478,7 +476,7 @@ class TestBoundSweep:
         assert len(rows) == 1 and rows[0].vacuous
 
     def test_exponent_doubles_over_n(self):
-        rows = cb.bound_sweep(_query(), "n", [1000, 2000])
+        rows = cb.bound_sweep(_query(), "horizon", [1000, 2000])
         assert rows[1].exponent == pytest.approx(2 * rows[0].exponent, rel=1e-12)
 
     def test_eta_sweep_closed_form(self):
@@ -489,7 +487,7 @@ class TestBoundSweep:
 
     def test_order_preserved(self):
         values = [5000, 10, 700]
-        rows = cb.bound_sweep(_query(), "n", values)
+        rows = cb.bound_sweep(_query(), "horizon", values)
         exps = [r.exponent for r in rows]
         assert exps[0] < exps[2] < exps[1]
 
@@ -503,7 +501,7 @@ class TestBoundSweep:
 
     def test_csv_shape(self):
         values = [1000, 2000]
-        rows = cb.bound_sweep(_query(), "n", values)
+        rows = cb.bound_sweep(_query(), "horizon", values)
         csv = sweep_to_csv("n", values, rows)
         lines = csv.strip().split("\n")
         assert lines[0] == SWEEP_CSV_HEADER

@@ -592,6 +592,25 @@ def test_other_time_scale_horizon_rejected(command, doc, flags, message, tmp_pat
         "error": "SchemaError", "message": message}
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["bound", "--mode", "discrete", "--t", "5", *_BOUND_FLAGS],
+     "discrete queries need a horizon n and no t"),
+    (["bound", "--mode", "discrete", *_BOUND_FLAGS],
+     "discrete queries need a horizon n and no t"),
+    (["bound", "--mode", "continuous", "--n", "5", *_BOUND_FLAGS],
+     "continuous queries need a horizon t and no n"),
+    (["sweep", "--mode", "continuous", "--axis", "n", "--values", "5,10", *_BOUND_FLAGS],
+     "continuous queries need a horizon t and no n"),
+], ids=["bound-discrete-t", "bound-discrete-none", "bound-continuous-n", "sweep-continuous-n"])
+def test_horizon_flag_of_the_other_mode_rejected(argv, message, capsys):
+    # --mode picks which of --n and --t is the query's one horizon
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "InvalidQuery", "message": message}
+
+
 class TestNonFiniteHorizon:
     """A NaN or infinite t, or an n beyond the float range, is an input error
     (exit 2), never a bound or a crash."""

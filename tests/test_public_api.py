@@ -38,6 +38,12 @@ def test_sim_config_fields_are_pinned():
     assert fields == ["replicas", "seed", "init", "n", "t", "alpha"]
 
 
+def test_bound_query_fields_are_pinned():
+    # one horizon, n steps or a time t by mode, as mgf_bound and the oracles take it
+    fields = [field.name for field in dataclasses.fields(cb.BoundQuery)]
+    assert fields == ["mode", "delta", "M", "sigma2", "eta_p", "p", "nu_norm", "horizon", "q"]
+
+
 # One row per scalar input of a public entry point; each refuses every kind
 # of non-number (and NaN) with InvalidQuery, never TypeError or ValueError.
 _P = cb.validate_transition_matrix([[0.9, 0.1], [0.2, 0.8]])
@@ -46,7 +52,7 @@ _MU = cb.stationary_distribution(_P)
 _F = cb.make_observable([1.0, -1.0], _MU)
 _CONFIG = cb.SimConfig(replicas=10, seed=0, init=_MU, n=3)
 _START = cb.make_distribution([1.0, 0.0])  # the point mass at state 0
-_QUERY = {"mode": "discrete", "n": 5, "delta": 0.1, "M": 1.0, "sigma2": 0.1, "eta_p": 1.0}
+_QUERY = {"mode": "discrete", "horizon": 5, "delta": 0.1, "M": 1.0, "sigma2": 0.1, "eta_p": 1.0}
 
 
 def _query(**changes):
@@ -63,8 +69,9 @@ SCALAR_INPUTS = {
     "BoundQuery.sigma2": lambda x: _query(sigma2=x),
     "BoundQuery.eta_p": lambda x: _query(eta_p=x),
     "BoundQuery.nu_norm": lambda x: _query(nu_norm=x),
-    "BoundQuery.n": lambda x: _query(n=x),
-    "BoundQuery.t": lambda x: _query(mode="continuous", n=None, t=x),
+    # the horizon in each mode, named n and t as the exact_mgf rows are
+    "BoundQuery.n": lambda x: _query(horizon=x),
+    "BoundQuery.t": lambda x: _query(mode="continuous", horizon=x),
     "c_theta.theta": lambda x: cb.c_theta(x, 1.0, 1.0),
     "c_theta.M": lambda x: cb.c_theta(0.1, x, 1.0),
     "c_theta.eta_p": lambda x: cb.c_theta(0.1, 1.0, x),

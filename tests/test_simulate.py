@@ -1078,9 +1078,10 @@ class TestEmpiricalTail:
         f = cb.make_observable(rng.normal(size=4), mu)
         eta = cb.ip_gap(op, mu)
         deltas = [0.05 * f.M, 0.2 * f.M, 0.5 * f.M]
+        (length,) = horizon.values()
         bounds = [
             cb.tail_bound(cb.BoundQuery(mode=kind, delta=delta, M=f.M, sigma2=f.sigma2,
-                                        eta_p=eta, **horizon))
+                                        eta_p=eta, horizon=length))
             for delta in deltas
         ]
         cfg = cb.SimConfig(replicas=300, seed=5, init=mu, **horizon)
@@ -1110,7 +1111,7 @@ class TestEmpiricalTail:
         mu = _uniform(4)
         f = cb.make_observable([1, 0, 0, -1], mu)
         bound = cb.tail_bound(
-            cb.BoundQuery(mode="discrete", n=5, delta=0.1, M=1.0, sigma2=0.5, eta_p=0.6)
+            cb.BoundQuery(mode="discrete", horizon=5, delta=0.1, M=1.0, sigma2=0.5, eta_p=0.6)
         )
         monkeypatch.setattr(simulate, "_dtmc_sums", None)  # any simulation would fail
         cfg = cb.SimConfig(replicas=10, seed=0, init=mu, n=5)
@@ -1124,7 +1125,7 @@ class TestEmpiricalTail:
         f = cb.make_observable(rng.normal(size=4), mu)
         eta = cb.ip_gap(P, mu)
         query = cb.BoundQuery(
-            mode="discrete", n=60, delta=0.3 * f.M, M=f.M, sigma2=f.sigma2, eta_p=eta
+            mode="discrete", horizon=60, delta=0.3 * f.M, M=f.M, sigma2=f.sigma2, eta_p=eta
         )
         bound = cb.tail_bound(query)
         cfg = cb.SimConfig(replicas=3000, seed=11, init=mu, n=60)
@@ -1137,7 +1138,7 @@ class TestEmpiricalTail:
         mu = _uniform(2)
         f = cb.make_observable([1.0, -1.0], mu)
         bound = cb.tail_bound(
-            cb.BoundQuery(mode="continuous", t=5.0, delta=0.1, M=1.0, sigma2=0.5, eta_p=1.0)
+            cb.BoundQuery(mode="continuous", horizon=5.0, delta=0.1, M=1.0, sigma2=0.5, eta_p=1.0)
         )
         cfg = cb.SimConfig(replicas=10, seed=0, init=mu, t=5.0)
         with pytest.raises(errors.NotIrreducible):
@@ -1250,7 +1251,7 @@ class TestEmpiricalMgf:
         mu = _uniform(4)
         f = cb.make_observable([1, 0, 0, -1], mu)
         bound = cb.tail_bound(
-            cb.BoundQuery(mode="discrete", n=10, delta=0.2, M=1.0, sigma2=0.5, eta_p=0.6)
+            cb.BoundQuery(mode="discrete", horizon=10, delta=0.2, M=1.0, sigma2=0.5, eta_p=0.6)
         )
         cfg = cb.SimConfig(replicas=100, seed=1, init=mu, n=10)
         (rep,) = cb.empirical_tail(cfg, P, f, [0.2], [bound])
